@@ -195,9 +195,8 @@ def _bounds_section(arts: RunArtifacts, metrics: RunMetrics, mu: float, eta_lb: 
     return out
 
 
-def _summarize(arts: RunArtifacts, metrics: RunMetrics, shas: dict) -> dict:
+def _summarize(arts: RunArtifacts, metrics: RunMetrics, shas: dict, conn: dict) -> dict:
     trace = arts.trace
-    conn = _connectivity(arts.seq)
     theo = _theoretical(arts.seq)
     summary: dict = {
         "algorithm": trace.algorithm,
@@ -246,8 +245,7 @@ def _summarize(arts: RunArtifacts, metrics: RunMetrics, shas: dict) -> dict:
     return summary
 
 
-def _check_connectivity(arts: RunArtifacts, strict: bool) -> tuple[bool, str]:
-    conn = _connectivity(arts.seq)
+def _check_connectivity(conn: dict, strict: bool) -> tuple[bool, str]:
     if conn["verified"] is None:
         return True, "connectivity: no claimed window to check"
     if conn["verified"]:
@@ -261,7 +259,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.seed is not None:
         cfg = cfg.with_seed(args.seed)
     arts = execute_run(cfg)
-    ok, msg = _check_connectivity(arts, args.strict)
+    conn = _connectivity(arts.seq)
+    ok, msg = _check_connectivity(conn, args.strict)
     print(msg)
     if not ok:
         return 1
@@ -283,7 +282,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     }
     if args.record_s or cfg.record_s:
         write_s_matrices_csv(os.path.join(args.out, "s_matrices.csv"), arts.trace)
-    summary = _summarize(arts, metrics, shas)
+    summary = _summarize(arts, metrics, shas, conn)
     write_summary_json(os.path.join(args.out, "summary.json"), summary)
 
     print(
@@ -318,7 +317,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     trace, seq = arts.trace, arts.seq
     checks: list[tuple[str, float, float, bool]] = []
 
-    conn_ok, conn_msg = _check_connectivity(arts, strict=True)
+    conn_ok, conn_msg = _check_connectivity(_connectivity(seq), strict=True)
     print(conn_msg)
 
     # column stochasticity and graph compliance of the applied weights
@@ -453,7 +452,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         gaps = []
         for v in sorted(values):
             arts = execute_run(cfg, horizon=v)
-            ok, msg = _check_connectivity(arts, args.strict)
+            ok, msg = _check_connectivity(_connectivity(arts.seq), args.strict)
             if not ok:
                 print(msg)
                 return 1
@@ -506,7 +505,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         times = None
         for s in values:
             arts = execute_run(cfg, seed=s)
-            ok, msg = _check_connectivity(arts, args.strict)
+            ok, msg = _check_connectivity(_connectivity(arts.seq), args.strict)
             if not ok:
                 print(msg)
                 return 1

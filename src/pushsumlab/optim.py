@@ -21,7 +21,7 @@ weights, or switching; that recursion is what the verifier checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -30,10 +30,10 @@ from .graphs import GraphSequence
 from .pushsum import (
     DEGENERATE_Y,
     DegenerateStateError,
-    NetworkState,
     Trace,
-    ratio,
+    _agent_rows,
     resolve_weight_sequence,
+    run_dynamics,
 )
 from .weights import WeightMatrix
 
@@ -44,13 +44,11 @@ __all__ = [
     "absolute_deviation_objective",
     "quadratic_objective",
     "huber_objective",
-    "subgradient",
     "StepSchedule",
     "fixed_inv_sqrt",
     "harmonic",
     "sgp_strong",
     "constant_step",
-    "stepsize",
     "SwitchingSignal",
     "all_ones_signal",
     "all_zeros_signal",
@@ -58,12 +56,6 @@ __all__ = [
     "alternating_signal",
     "table_signal",
     "GradientOracle",
-    "stochastic_gradient",
-    "subgradient_push_step",
-    "push_subgradient_step",
-    "heterogeneous_step",
-    "sgp_step",
-    "weighted_average_state",
     "run_optimizer",
 ]
 
@@ -233,10 +225,6 @@ def huber_objective(anchors: np.ndarray, delta: float = 1.0) -> Objective:
     return Objective("huber", a, np.ones(n), delta=delta)
 
 
-def subgradient(obj: Objective, i: int, z: np.ndarray) -> np.ndarray:
-    return obj.subgradient(i, z)
-
-
 # ---------------------------------------------------------------------------
 # step-size schedules
 
@@ -313,10 +301,6 @@ def sgp_strong(lambda_bar: float) -> StepSchedule:
 
 def constant_step(alpha: float) -> StepSchedule:
     return StepSchedule("constant", scale=alpha)
-
-
-def stepsize(schedule: StepSchedule, t: int) -> float:
-    return schedule.alpha(t)
 
 
 # ---------------------------------------------------------------------------
@@ -429,27 +413,8 @@ class GradientOracle:
         return obj.subgradient(i, z) + self.noise(i, t, obj.d, draw)
 
 
-def stochastic_gradient(
-    oracle: GradientOracle, obj: Objective, i: int, z: np.ndarray, t: int, draw: int = 0
-) -> np.ndarray:
-    return oracle.gradient(obj, i, z, t, draw)
-
-
 # ---------------------------------------------------------------------------
-# one-step updates
-
-# The runner reuses these kernels, so manual stepping and run_optimizer
-# produce identical floating-point trajectories.
-
-
-def _exact_rows(obj: Objective, state: NetworkState) -> np.ndarray:
-    z = ratio(state)
-    return np.stack([obj.subgradient(i, z[i]) for i in range(state.n)])
-
-
-def _oracle_rows(obj: Objective, oracle: GradientOracle, state: NetworkState) -> np.ndarray:
-    z = ratio(state)
-    return np.stack([oracle.gradient(obj, i, z[i], state.t) for i in range(state.n)])
+# runner
 
 
 def _kernel(
@@ -471,72 +436,6 @@ def _kernel(
     else:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     return x_next, m @ y
-
-
-def _mat(w: WeightMatrix | np.ndarray) -> np.ndarray:
-    return w.matrix if isinstance(w, WeightMatrix) else np.asarray(w, dtype=float)
-
-
-def subgradient_push_step(
-    state: NetworkState, w: WeightMatrix | np.ndarray, obj: Objective, alpha: float
-) -> NetworkState:
-    """Correct locally, then mix: x <- W (x - alpha g(z))."""
-    g = _exact_rows(obj, state)
-    x, y = _kernel("subgradient_push", _mat(w), state.x, state.y, g, alpha, None)
-    return NetworkState(state.t + 1, x, y)
-
-
-def push_subgradient_step(
-    state: NetworkState, w: WeightMatrix | np.ndarray, obj: Objective, alpha: float
-) -> NetworkState:
-    """Mix, then correct locally: x <- W x - alpha g(z)."""
-    g = _exact_rows(obj, state)
-    x, y = _kernel("push_subgradient", _mat(w), state.x, state.y, g, alpha, None)
-    return NetworkState(state.t + 1, x, y)
-
-
-def heterogeneous_step(
-    state: NetworkState,
-    w: WeightMatrix | np.ndarray,
-    obj: Objective,
-    alpha: float,
-    sigma_row: np.ndarray,
-) -> NetworkState:
-    """Per-agent mix of the two orders: agents with sigma_i = 1 correct
-    before mixing, agents with sigma_i = 0 after."""
-    sigma_row = np.asarray(sigma_row, dtype=float)
-    if sigma_row.shape != (state.n,) or not np.all((sigma_row == 0.0) | (sigma_row == 1.0)):
-        raise ValueError("sigma_row must be a 0/1 vector of length n")
-    g = _exact_rows(obj, state)
-    x, y = _kernel("heterogeneous", _mat(w), state.x, state.y, g, alpha, sigma_row)
-    return NetworkState(state.t + 1, x, y)
-
-
-def sgp_step(
-    state: NetworkState,
-    w: WeightMatrix | np.ndarray,
-    obj: Objective,
-    oracle: GradientOracle,
-    alpha: float,
-) -> NetworkState:
-    """Stochastic subgradient_push step; the oracle draw is addressed by
-    (state.t, agent), so replaying a step resamples nothing."""
-    g = _oracle_rows(obj, oracle, state)
-    x, y = _kernel("sgp", _mat(w), state.x, state.y, g, alpha, None)
-    return NetworkState(state.t + 1, x, y)
-
-
-def weighted_average_state(z: np.ndarray, pi: np.ndarray) -> np.ndarray:
-    """Average of agent vectors under a probability vector: sum_i pi_i z_i."""
-    z = np.asarray(z, dtype=float)
-    pi = np.asarray(pi, dtype=float)
-    if z.ndim != 2 or pi.shape != (z.shape[0],):
-        raise ValueError("need z of shape (n, d) and pi of shape (n,)")
-    return pi @ z
-
-
-# ---------------------------------------------------------------------------
-# runner
 
 
 def run_optimizer(
@@ -591,63 +490,28 @@ def run_optimizer(
 
     w_list = resolve_weight_sequence(seq, weights, horizon)
     n = seq.n
-    x = np.asarray(x0, dtype=float)
-    if x.ndim == 1:
-        x = x[:, np.newaxis]
-    if x.shape[0] != n or not np.all(np.isfinite(x)):
-        raise ValueError(f"x0 must be a finite (n, d) array with n={n}")
+    x = _agent_rows(x0, n, "x0")
     if x.shape[1] != obj.d:
         raise ValueError(f"x0 has d={x.shape[1]} but the objective has d={obj.d}")
     y = np.ones(n) if y0 is None else np.asarray(y0, dtype=float)
-    if y.shape != (n,) or np.any(y <= 0.0):
-        raise ValueError("y0 must be a strictly positive (n,) vector")
+    if y.shape != (n,) or np.any(y <= 0.0) or not np.all(np.isfinite(y)):
+        raise ValueError("y0 must be a finite, strictly positive (n,) vector")
+    if float(y.min()) <= DEGENERATE_Y:
+        worst = int(np.argmin(y))
+        raise DegenerateStateError(
+            f"y0[{worst}] = {y[worst]:.3e} is at the floating-point floor; "
+            f"the ratio x / y is meaningless"
+        )
 
-    d = x.shape[1]
-    xs = np.empty((horizon + 1, n, d))
-    ys = np.empty((horizon + 1, n))
-    gs = np.empty((horizon, n, d))
-    alphas = np.empty(horizon)
-    sigmas = np.empty((horizon, n)) if algorithm == "heterogeneous" else None
-    xs[0], ys[0] = x, y
-
-    for k in range(horizon):
-        t = t0 + k
+    def correction(t: int, w: np.ndarray, x: np.ndarray, y: np.ndarray):
         alpha = schedule.alpha(t)
-        state = NetworkState(t, x, y)
-        if algorithm == "sgp":
-            g = _oracle_rows(obj, oracle, state)
-            sigma_row = None
-        elif algorithm == "heterogeneous":
-            g = _exact_rows(obj, state)
-            sigma_row = sigma.row(t, n)
-            sigmas[k] = sigma_row
+        z = x / y[:, np.newaxis]
+        if oracle is not None:
+            g = np.stack([oracle.gradient(obj, i, z[i], t) for i in range(n)])
         else:
-            g = _exact_rows(obj, state)
-            sigma_row = None
-        x, y = _kernel(algorithm, w_list[k], state.x, state.y, g, alpha, sigma_row)
-        if float(y.min()) <= DEGENERATE_Y:
-            worst = int(np.argmin(y))
-            raise DegenerateStateError(
-                f"y[{worst}] collapsed to {y[worst]:.3e} after step {k}; "
-                f"check connectivity of the graph sequence"
-            )
-        if not np.all(np.isfinite(x)):
-            raise RuntimeError(
-                f"state diverged at step {k} (non-finite x); reduce the step size"
-            )
-        gs[k] = g
-        alphas[k] = alpha
-        xs[k + 1], ys[k + 1] = x, y
+            g = np.stack([obj.subgradient(i, z[i]) for i in range(n)])
+        sigma_row = None if sigma is None else sigma.row(t, n)
+        x, y = _kernel(algorithm, w, x, y, g, alpha, sigma_row)
+        return x, y, g, alpha, sigma_row
 
-    return Trace(
-        algorithm=algorithm,
-        t0=t0,
-        xs=xs,
-        ys=ys,
-        w_mats=np.stack(w_list),
-        kappa=float(np.sum(ys[0])),
-        alphas=alphas,
-        gs=gs,
-        sigmas=sigmas,
-        seed=seed,
-    )
+    return run_dynamics(algorithm, w_list, x, y, t0, correction, seed)

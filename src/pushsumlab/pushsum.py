@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -27,16 +27,14 @@ from .weights import WeightMatrix, default_weights, validate_weights
 __all__ = [
     "DEGENERATE_Y",
     "DegenerateStateError",
-    "NetworkState",
     "Trace",
     "TheoreticalConstants",
-    "ratio",
-    "pushsum_step",
     "s_matrix",
     "phi_product",
     "absolute_probability",
     "theoretical_constants",
     "resolve_weight_sequence",
+    "run_dynamics",
     "run_pushsum",
     "run_weighted_pushsum",
     "absolute_probability_violation",
@@ -57,60 +55,8 @@ class DegenerateStateError(RuntimeError):
     """Raised when some y_i collapses to the floating-point floor."""
 
 
-@dataclass(frozen=True)
-class NetworkState:
-    """States of all agents at one time: x is (n, d), y is (n,)."""
-
-    t: int
-    x: np.ndarray
-    y: np.ndarray
-
-    def __post_init__(self) -> None:
-        x = np.asarray(self.x, dtype=float)
-        y = np.asarray(self.y, dtype=float)
-        if x.ndim == 1:
-            x = x[:, np.newaxis]
-        if x.ndim != 2:
-            raise ValueError(f"x must be (n, d), got shape {np.shape(self.x)}")
-        if y.ndim != 1 or y.shape[0] != x.shape[0]:
-            raise ValueError(f"y must be (n,) matching x, got shape {np.shape(self.y)}")
-        if not np.all(np.isfinite(x)) or not np.all(np.isfinite(y)):
-            raise ValueError("state contains non-finite entries")
-        if np.any(y <= 0.0):
-            raise ValueError("y must be strictly positive")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-
-    @property
-    def n(self) -> int:
-        return self.x.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.x.shape[1]
-
-
-def ratio(state: NetworkState) -> np.ndarray:
-    """Per-agent ratios z = x / y, shape (n, d)."""
-    if float(state.y.min()) <= DEGENERATE_Y:
-        worst = int(np.argmin(state.y))
-        raise DegenerateStateError(
-            f"y[{worst}] = {state.y[worst]:.3e} at t={state.t} is at the "
-            f"floating-point floor; the ratio is meaningless"
-        )
-    return state.x / state.y[:, np.newaxis]
-
-
 def _as_matrix(w: WeightMatrix | np.ndarray) -> np.ndarray:
     return w.matrix if isinstance(w, WeightMatrix) else np.asarray(w, dtype=float)
-
-
-def pushsum_step(state: NetworkState, w: WeightMatrix | np.ndarray) -> NetworkState:
-    """One mixing step: x <- W x, y <- W y, time advances by one."""
-    m = _as_matrix(w)
-    if m.shape != (state.n, state.n):
-        raise ValueError(f"weight matrix shape {m.shape} does not match n={state.n}")
-    return NetworkState(state.t + 1, m @ state.x, m @ state.y)
 
 
 def s_matrix(
@@ -305,9 +251,6 @@ class Trace:
     def s_matrices(self) -> np.ndarray:
         return np.stack([self.s_mat(k) for k in range(self.steps)])
 
-    def state(self, k: int) -> NetworkState:
-        return NetworkState(self.t0 + k, self.xs[k], self.ys[k])
-
 
 def resolve_weight_sequence(
     seq: GraphSequence,
@@ -364,45 +307,73 @@ def resolve_weight_sequence(
     return out
 
 
-def _run_linear(
-    seq: GraphSequence,
-    weights: str | WeightMatrix | Sequence[WeightMatrix],
-    x0: np.ndarray,
-    y0: np.ndarray,
-    horizon: int,
-    algorithm: str,
-) -> Trace:
-    w_list = resolve_weight_sequence(seq, weights, horizon)
-    n = seq.n
-    x = np.asarray(x0, dtype=float)
+def _agent_rows(values: np.ndarray, n: int, name: str) -> np.ndarray:
+    """One finite row per agent, shape (n, d); a vector becomes (n, 1)."""
+    x = np.asarray(values, dtype=float)
     if x.ndim == 1:
         x = x[:, np.newaxis]
-    if x.shape[0] != n or not np.all(np.isfinite(x)):
-        raise ValueError(f"x0 must be a finite (n, d) array with n={n}")
-    y = np.asarray(y0, dtype=float)
+    if x.ndim != 2 or x.shape[0] != n or not np.all(np.isfinite(x)):
+        raise ValueError(f"{name} must be a finite (n, d) array with n={n}")
+    return x
 
-    d = x.shape[1]
+
+def run_dynamics(
+    algorithm: str,
+    w_list: Sequence[np.ndarray],
+    x: np.ndarray,
+    y: np.ndarray,
+    t0: int = 0,
+    correction: Callable[[int, np.ndarray, np.ndarray, np.ndarray], tuple] | None = None,
+    seed: int | None = None,
+) -> Trace:
+    """The push-sum loop shared by every algorithm, one step per matrix.
+
+    Without ``correction`` each step is x <- W x, y <- W y. With one,
+    the step at time t is ``correction(t, W, x, y)``, which returns the
+    next (x, y) together with the gradient rows, the step size and the
+    switching row (or None) it used; the trace records those too. The
+    inputs x (n, d) and y (n,) must already be validated.
+    """
+    horizon, (n, d) = len(w_list), x.shape
     xs = np.empty((horizon + 1, n, d))
     ys = np.empty((horizon + 1, n))
+    gs = alphas = sigmas = None
+    if correction is not None:
+        gs = np.empty((horizon, n, d))
+        alphas = np.empty(horizon)
     xs[0], ys[0] = x, y
-    for k in range(horizon):
-        w = w_list[k]
-        x = w @ x
-        y = w @ y
+    for k, w in enumerate(w_list):
+        if correction is None:
+            x = w @ x
+            y = w @ y
+        else:
+            x, y, gs[k], alphas[k], sigma_row = correction(t0 + k, w, x, y)
+            if sigma_row is not None:
+                if sigmas is None:
+                    sigmas = np.empty((horizon, n))
+                sigmas[k] = sigma_row
         if float(y.min()) <= DEGENERATE_Y:
             worst = int(np.argmin(y))
             raise DegenerateStateError(
                 f"y[{worst}] collapsed to {y[worst]:.3e} after step {k}; "
                 f"check connectivity of the graph sequence"
             )
+        if not np.all(np.isfinite(x)):
+            raise RuntimeError(
+                f"state diverged at step {k} (non-finite x); reduce the step size"
+            )
         xs[k + 1], ys[k + 1] = x, y
     return Trace(
         algorithm=algorithm,
-        t0=0,
+        t0=t0,
         xs=xs,
         ys=ys,
         w_mats=np.stack(w_list),
         kappa=float(np.sum(ys[0])),
+        alphas=alphas,
+        gs=gs,
+        sigmas=sigmas,
+        seed=seed,
     )
 
 
@@ -416,7 +387,8 @@ def run_pushsum(
     if x0 is None:
         raise ValueError("x0 is required")
     horizon = len(seq) if horizon is None else horizon
-    return _run_linear(seq, weights, x0, np.ones(seq.n), horizon, "pushsum")
+    w_list = resolve_weight_sequence(seq, weights, horizon)
+    return run_dynamics("pushsum", w_list, _agent_rows(x0, seq.n, "x0"), np.ones(seq.n))
 
 
 def run_weighted_pushsum(
@@ -438,14 +410,10 @@ def run_weighted_pushsum(
         raise ValueError(f"c must be shape (n,) with n={seq.n}")
     if np.any(c <= 0.0) or not np.all(np.isfinite(c)):
         raise ValueError("importance weights c must be finite and strictly positive")
-    x_init = np.asarray(x_init, dtype=float)
-    if x_init.ndim == 1:
-        x_init = x_init[:, np.newaxis]
-    if x_init.shape[0] != seq.n:
-        raise ValueError(f"x_init must have n={seq.n} rows")
+    x0 = c[:, np.newaxis] * _agent_rows(x_init, seq.n, "x_init")
     horizon = len(seq) if horizon is None else horizon
-    x0 = c[:, np.newaxis] * x_init
-    return _run_linear(seq, weights, x0, c, horizon, "weighted_pushsum")
+    w_list = resolve_weight_sequence(seq, weights, horizon)
+    return run_dynamics("weighted_pushsum", w_list, x0, c)
 
 
 def absolute_probability_violation(

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from typing import Any
 
 import numpy as np
@@ -121,21 +122,33 @@ def write_metrics_csv(path: str, metrics: RunMetrics) -> str:
     return sha256_text(text)
 
 
-def _jsonable(value: Any) -> Any:
+def _jsonable(value: Any, path: str, non_finite: list[str]) -> Any:
+    """Plain JSON values; a non-finite float becomes None and its dotted
+    path is appended to ``non_finite``."""
     if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
+        value = value.tolist()
+    elif isinstance(value, (np.floating, np.integer)):
+        value = value.item()
     if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
+        return {k: _jsonable(v, f"{path}{k}.", non_finite) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
+        return [_jsonable(v, f"{path}{i}.", non_finite) for i, v in enumerate(value)]
+    if isinstance(value, float) and not math.isfinite(value):
+        non_finite.append(path[:-1])
+        return None
     return value
 
 
 def write_summary_json(path: str, summary: dict) -> None:
+    """Strict JSON: non-finite floats are written as null, and their
+    dotted paths are listed under a top-level ``non_finite`` key, which
+    is present only when some value was not finite."""
+    non_finite: list[str] = []
+    data = _jsonable(summary, "", non_finite)
+    if non_finite:
+        data["non_finite"] = sorted(non_finite)
     with open(path, "w", encoding="ascii") as fh:
-        json.dump(_jsonable(summary), fh, indent=2, sort_keys=True)
+        json.dump(data, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from pushsumlab.cli import main
+from pushsumlab.graphs import is_uniformly_strongly_connected
 from pushsumlab.report import read_csv_columns
 
 
@@ -86,6 +87,52 @@ class TestRun:
                 with open(os.path.join(out_b, name), "rb") as fb:
                     assert fa.read() == fb.read()
 
+    def test_saturated_bounds_are_strict_json(self, tmp_path):
+        # at n=40, window 3 the a-priori eta saturates at 1e-300 and the
+        # a-priori bounds overflow to inf
+        n = 40
+        cfg = write_cfg(
+            tmp_path,
+            "n40.json",
+            {
+                "algorithm": "push_subgradient",
+                "n": n,
+                "horizon": 60,
+                "graph": {
+                    "kind": "random-spanning",
+                    "params": {"window": 3, "extra_arc_prob": 0.1},
+                },
+                "init": {"x0": [[0.0]] * n},
+                "objective": {"kind": "abs", "anchors": [[float(i)] for i in range(n)]},
+                "stepsize": {"kind": "fixed_inv_sqrt"},
+            },
+        )
+        out = str(tmp_path / "out")
+        assert main(["run", "--config", cfg, "--out", out]) == 0
+
+        def reject(constant):
+            raise ValueError(f"non-strict JSON constant {constant}")
+
+        with open(os.path.join(out, "summary.json")) as fh:
+            summary = json.load(fh, parse_constant=reject)
+        assert summary["non_finite"] == ["bounds.fixed_apriori", "bounds.varying_final_apriori"]
+        assert summary["bounds"]["fixed_apriori"] is None
+        assert summary["bounds"]["varying_final_apriori"] is None
+        assert summary["bounds"]["fixed_realized"] is not None
+
+    def test_connectivity_checked_once(self, optimizer_cfg, tmp_path, monkeypatch):
+        import pushsumlab.cli as cli
+
+        calls = []
+
+        def counting(seq, window):
+            calls.append(window)
+            return is_uniformly_strongly_connected(seq, window)
+
+        monkeypatch.setattr(cli, "is_uniformly_strongly_connected", counting)
+        assert main(["run", "--config", optimizer_cfg, "--out", str(tmp_path / "out")]) == 0
+        assert len(calls) == 1
+
     def test_record_s_sidecar(self, pushsum_cfg, tmp_path):
         out = str(tmp_path / "out")
         assert main(["run", "--config", pushsum_cfg, "--out", out, "--record-s"]) == 0
@@ -145,8 +192,8 @@ class TestVerify:
         assert report["failed"] == []
         assert report["checks"]["ratio_identity"]["ok"] is True
 
-    def test_optimizer_checks_descent(self, heterogeneous_cfg, capsys):
-        assert main(["verify", "--config", heterogeneous_cfg]) == 0
+    def test_optimizer_checks_descent(self, heterogeneous_cfg, tmp_path, capsys):
+        assert main(["verify", "--config", heterogeneous_cfg, "--out", str(tmp_path / "v")]) == 0
         printed = capsys.readouterr().out
         assert "[PASS] descent_recursion" in printed
 
@@ -173,7 +220,7 @@ class TestVerify:
                 "init": {"x0": [1.0, 2.0, 3.0, 4.0]},
             },
         )
-        assert main(["verify", "--config", cfg]) == 0
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 0
         assert "[PASS] balanced_y_equals_one" in capsys.readouterr().out
 
 

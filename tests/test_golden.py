@@ -60,7 +60,7 @@ def test_every_case_has_digests():
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_outputs_match_golden_digests(case, tmp_path, capsys):
+def test_outputs_match_golden_digests(case, tmp_path):
     assert produce(case, str(tmp_path / "out")) == load_digests()[case]
 
 

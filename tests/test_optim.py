@@ -4,7 +4,6 @@ import pytest
 from pushsumlab.graphs import generate_sequence
 from pushsumlab.optim import (
     GradientOracle,
-    NetworkState,
     Objective,
     absolute_deviation_objective,
     all_ones_signal,
@@ -14,18 +13,13 @@ from pushsumlab.optim import (
     constant_step,
     fixed_inv_sqrt,
     harmonic,
-    heterogeneous_step,
     huber_objective,
-    push_subgradient_step,
     quadratic_objective,
     run_optimizer,
-    sgp_step,
     sgp_strong,
-    subgradient_push_step,
     table_signal,
-    weighted_average_state,
 )
-from pushsumlab.pushsum import pushsum_step
+from pushsumlab.pushsum import DEGENERATE_Y, DegenerateStateError, run_pushsum
 from pushsumlab.weights import default_weights
 
 
@@ -195,75 +189,88 @@ def two_agent_setup(horizon=6):
     return seq, w, obj
 
 
+X0 = np.array([[4.0], [6.0]])
+
+
+def one_step(algorithm, seq, obj, **kwargs):
+    return run_optimizer(algorithm, seq, obj, constant_step(0.5), x0=X0, horizon=1, **kwargs)
+
+
 class TestSingleSteps:
+    # one-step runs from x0 = (4, 6), y0 = 1, where every abs subgradient is +1
     def test_subgradient_push_formula(self):
-        _, w, obj = two_agent_setup()
-        st = NetworkState(0, np.array([[4.0], [6.0]]), np.array([1.0, 1.0]))
-        nxt = subgradient_push_step(st, w, obj, alpha=0.5)
+        seq, w, obj = two_agent_setup()
+        tr = one_step("subgradient_push", seq, obj)
         g = np.array([[1.0], [1.0]])
-        assert np.array_equal(nxt.x, w.matrix @ (st.x - 0.5 * g))
-        assert np.array_equal(nxt.y, w.matrix @ st.y)
+        assert np.array_equal(tr.gs[0], g)
+        assert np.array_equal(tr.xs[1], w.matrix @ (X0 - 0.5 * g))
+        assert np.array_equal(tr.ys[1], w.matrix @ np.ones(2))
 
     def test_push_subgradient_formula(self):
-        _, w, obj = two_agent_setup()
-        st = NetworkState(0, np.array([[4.0], [6.0]]), np.array([1.0, 1.0]))
-        nxt = push_subgradient_step(st, w, obj, alpha=0.5)
+        seq, w, obj = two_agent_setup()
+        tr = one_step("push_subgradient", seq, obj)
         g = np.array([[1.0], [1.0]])
-        assert np.array_equal(nxt.x, w.matrix @ st.x - 0.5 * g)
+        assert np.array_equal(tr.xs[1], w.matrix @ X0 - 0.5 * g)
 
     def test_heterogeneous_mixes_both_orders(self):
-        _, w, obj = two_agent_setup()
-        st = NetworkState(0, np.array([[4.0], [6.0]]), np.array([1.0, 1.0]))
+        seq, w, obj = two_agent_setup()
         sig = np.array([1.0, 0.0])
-        nxt = heterogeneous_step(st, w, obj, 0.5, sig)
+        tr = one_step("heterogeneous", seq, obj, sigma=table_signal([sig]))
         g = np.array([[1.0], [1.0]])
-        corrected = st.x - 0.5 * g * sig[:, None]
+        corrected = X0 - 0.5 * g * sig[:, None]
         expected = w.matrix @ corrected - 0.5 * g * (1.0 - sig)[:, None]
-        assert np.array_equal(nxt.x, expected)
+        assert np.array_equal(tr.xs[1], expected)
+        assert np.array_equal(tr.sigmas, [sig])
 
     def test_heterogeneous_rejects_fractional_sigma(self):
-        _, w, obj = two_agent_setup()
-        st = NetworkState(0, np.array([[4.0], [6.0]]), np.array([1.0, 1.0]))
+        seq, _, obj = two_agent_setup()
         with pytest.raises(ValueError):
-            heterogeneous_step(st, w, obj, 0.5, np.array([0.5, 1.0]))
+            one_step("heterogeneous", seq, obj, sigma=table_signal([[0.5, 1.0]]))
 
     def test_zero_step_reduces_to_pushsum(self):
-        _, w, obj = two_agent_setup()
-        st = NetworkState(0, np.array([[4.0], [6.0]]), np.array([1.0, 1.0]))
-        a = subgradient_push_step(st, w, obj, alpha=0.0)
-        b = pushsum_step(st, w)
-        assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
+        # x0 sits on the anchors, so sign(0) = 0 makes every correction zero
+        seq, _, _ = two_agent_setup()
+        obj = absolute_deviation_objective(X0)
+        a = one_step("subgradient_push", seq, obj)
+        b = run_pushsum(seq, "default", X0, 1)
+        assert np.array_equal(a.gs[0], np.zeros((2, 1)))
+        assert np.array_equal(a.xs, b.xs) and np.array_equal(a.ys, b.ys)
 
     def test_sgp_step_uses_addressed_draw(self):
         seq, w, _ = two_agent_setup()
         obj = quadratic_objective([[0.0], [2.0]])
         oracle = GradientOracle([0.3, 0.3], seed=4)
-        st = NetworkState(1, np.array([[4.0], [6.0]]), np.array([1.0, 1.0]))
-        nxt = sgp_step(st, w, obj, oracle, alpha=0.5)
-        g = np.stack([oracle.gradient(obj, i, st.x[i], 1) for i in range(2)])
-        assert np.array_equal(nxt.x, w.matrix @ (st.x - 0.5 * g))
+        tr = one_step("sgp", seq, obj, oracle=oracle)
+        g = np.stack([oracle.gradient(obj, i, X0[i], 1) for i in range(2)])
+        assert np.array_equal(tr.gs[0], g)
+        assert np.array_equal(tr.xs[1], w.matrix @ (X0 - 0.5 * g))
 
 
 class TestRunner:
     def test_matches_manual_stepping_bitwise(self):
         seq, w, obj = two_agent_setup(horizon=9)
         sched = harmonic(0.5, 1.0)
-        tr = run_optimizer("subgradient_push", seq, obj, sched, x0=[[4.0], [6.0]])
-        st = NetworkState(0, np.array([[4.0], [6.0]]), np.array([1.0, 1.0]))
+        tr = run_optimizer("subgradient_push", seq, obj, sched, x0=X0)
+        x, y, m = X0, np.ones(2), w.matrix
         for k in range(9):
-            st = subgradient_push_step(st, w, obj, sched.alpha(k))
-            assert np.array_equal(tr.xs[k + 1], st.x)
-            assert np.array_equal(tr.ys[k + 1], st.y)
+            z = x / y[:, None]
+            g = np.stack([obj.subgradient(i, z[i]) for i in range(2)])
+            x, y = m @ (x - sched.alpha(k) * g), m @ y
+            assert np.array_equal(tr.xs[k + 1], x)
+            assert np.array_equal(tr.ys[k + 1], y)
 
     def test_heterogeneous_matches_manual(self):
         seq, w, obj = two_agent_setup(horizon=7)
         sched = harmonic(0.5, 1.0)
         sig = bernoulli_signal(0.5, seed=11)
-        tr = run_optimizer("heterogeneous", seq, obj, sched, x0=[[4.0], [6.0]], sigma=sig)
-        st = NetworkState(0, np.array([[4.0], [6.0]]), np.array([1.0, 1.0]))
+        tr = run_optimizer("heterogeneous", seq, obj, sched, x0=X0, sigma=sig)
+        x, y, m = X0, np.ones(2), w.matrix
         for k in range(7):
-            st = heterogeneous_step(st, w, obj, sched.alpha(k), sig.row(k, 2))
-            assert np.array_equal(tr.xs[k + 1], st.x)
+            z = x / y[:, None]
+            g = np.stack([obj.subgradient(i, z[i]) for i in range(2)])
+            alpha, s = sched.alpha(k), sig.row(k, 2)[:, None]
+            x, y = m @ (x - alpha * g * s) - alpha * g * (1.0 - s), m @ y
+            assert np.array_equal(tr.xs[k + 1], x)
         assert np.array_equal(tr.sigmas, np.stack([sig.row(k, 2) for k in range(7)]))
 
     def test_sgp_starts_at_time_one(self):
@@ -301,6 +308,25 @@ class TestRunner:
         assert np.array_equal(tr.alphas, np.full(5, sched.alpha(0)))
         z0 = tr.zs[0]
         assert np.array_equal(tr.gs[0], np.stack([obj.subgradient(i, z0[i]) for i in range(2)]))
+
+    def test_rejects_bad_y0(self):
+        seq, _, obj = two_agent_setup()
+        for y0 in ([1.0, 0.0], [1.0, -1.0], [1.0, np.inf], [1.0, np.nan], [1.0]):
+            with pytest.raises(ValueError):
+                run_optimizer("subgradient_push", seq, obj, constant_step(0.5), x0=X0, y0=y0)
+
+    def test_y0_at_the_floor_fails_before_the_first_step(self, monkeypatch):
+        seq, _, obj = two_agent_setup()
+
+        def no_subgradient(*args):
+            raise AssertionError("a step was taken")
+
+        monkeypatch.setattr(Objective, "subgradient", no_subgradient)
+        for tiny in (DEGENERATE_Y, 1e-301):
+            with pytest.raises(DegenerateStateError):
+                run_optimizer(
+                    "subgradient_push", seq, obj, constant_step(0.5), x0=X0, y0=[1.0, tiny]
+                )
 
     def test_sigma_only_for_heterogeneous(self):
         seq, _, obj = two_agent_setup()
@@ -357,14 +383,3 @@ class TestDescentRecursion:
                 oracle=GradientOracle([0.3, 0.3, 0.3], seed=2),
             )
         )
-
-
-class TestWeightedAverageState:
-    def test_hand_example(self):
-        z = np.array([[1.0], [3.0]])
-        pi = np.array([0.75, 0.25])
-        assert np.array_equal(weighted_average_state(z, pi), [1.5])
-
-    def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            weighted_average_state(np.ones(3), np.ones(3))

@@ -3,17 +3,15 @@ import pytest
 
 from pushsumlab.graphs import (
     DirectedGraph,
+    GraphSequence,
     complete_graph,
     generate_sequence,
 )
 from pushsumlab.pushsum import (
     DegenerateStateError,
-    NetworkState,
     Trace,
     absolute_probability,
     phi_product,
-    pushsum_step,
-    ratio,
     run_pushsum,
     run_weighted_pushsum,
     s_matrix,
@@ -29,32 +27,15 @@ TWO_AGENT = DirectedGraph.from_arcs(2, [(0, 1)])
 TWO_AGENT_W = np.array([[0.5, 0.0], [0.5, 1.0]])
 
 
-class TestNetworkState:
-    def test_promotes_one_dimensional_values(self):
-        st = NetworkState(0, np.array([1.0, 2.0]), np.array([1.0, 1.0]))
-        assert st.x.shape == (2, 1)
-
-    def test_rejects_nonpositive_mass(self):
-        with pytest.raises(ValueError):
-            NetworkState(0, np.zeros((2, 1)), np.array([1.0, 0.0]))
-
-    def test_rejects_mismatched_shapes(self):
-        with pytest.raises(ValueError):
-            NetworkState(0, np.zeros((3, 1)), np.ones(2))
-
-    def test_ratio(self):
-        st = NetworkState(0, np.array([[2.0], [6.0]]), np.array([1.0, 2.0]))
-        assert np.array_equal(ratio(st), np.array([[2.0], [3.0]]))
-
-
 class TestPushsumStep:
     def test_hand_computed_step(self):
-        st = NetworkState(0, np.array([2.0, 4.0]), np.array([1.0, 1.0]))
-        nxt = pushsum_step(st, TWO_AGENT_W)
-        assert nxt.t == 1
-        assert np.array_equal(nxt.x[:, 0], np.array([1.0, 5.0]))
-        assert np.array_equal(nxt.y, np.array([0.5, 1.5]))
-        assert np.allclose(ratio(nxt)[:, 0], np.array([2.0, 10.0 / 3.0]))
+        # the default weights of the lone arc 0 -> 1 are TWO_AGENT_W
+        tr = run_pushsum(GraphSequence((TWO_AGENT,)), "default", [2.0, 4.0], 1)
+        assert np.array_equal(tr.w_mats[0], TWO_AGENT_W)
+        assert tr.times()[1] == 1
+        assert np.array_equal(tr.xs[1][:, 0], np.array([1.0, 5.0]))
+        assert np.array_equal(tr.ys[1], np.array([0.5, 1.5]))
+        assert np.allclose(tr.zs[1][:, 0], np.array([2.0, 10.0 / 3.0]))
 
     def test_mass_conserved_on_random_runs(self):
         rng = np.random.default_rng(0)
@@ -218,6 +199,15 @@ class TestRunners:
         tr = run_pushsum(seq, [w, w], [0.0, 2.0], 2)
         assert np.allclose(tr.zs[-1][:, 0], 1.0)
 
+    def test_x0_rows_must_match_n(self):
+        seq = generate_sequence("static-complete", n=2, horizon=3)
+        with pytest.raises(ValueError):
+            run_pushsum(seq, "default", np.zeros((3, 1)), 3)
+        with pytest.raises(ValueError):
+            run_pushsum(seq, "default", np.zeros((2, 1, 1)), 3)
+        with pytest.raises(ValueError):
+            run_weighted_pushsum(seq, "default", [1.0, 1.0], np.zeros((3, 1)), 3)
+
     def test_weight_list_length_checked(self):
         seq = generate_sequence("static-complete", n=2, horizon=3)
         w = default_weights(complete_graph(2))
@@ -275,11 +265,13 @@ class TestTrace:
         assert np.allclose(zw, zw[0], atol=1e-12)
         assert zw[0, 0] == pytest.approx(6.0)
 
-    def test_state_round_trip(self):
-        tr = self.make_trace()
-        st = tr.state(4)
-        assert st.t == 4
-        assert np.array_equal(st.x, tr.xs[4])
+    def test_zs_are_ratios(self):
+        # x(0) = c * x_init = (2, 6) over y(0) = c = (1, 2)
+        seq = generate_sequence("static-complete", n=2, horizon=1)
+        tr = run_weighted_pushsum(seq, "default", [1.0, 2.0], [2.0, 3.0], 1)
+        assert np.array_equal(tr.xs[0], np.array([[2.0], [6.0]]))
+        assert np.array_equal(tr.zs[0], np.array([[2.0], [3.0]]))
+        assert np.array_equal(tr.zs, tr.xs / tr.ys[:, :, np.newaxis])
 
     def test_s_matrices_stack(self):
         tr = self.make_trace()
