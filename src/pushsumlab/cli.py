@@ -44,7 +44,7 @@ from .config import (
     build_weights,
     load_config,
 )
-from .graphs import GraphSequence, is_uniformly_strongly_connected
+from .graphs import GraphSequence, first_failing_window, is_uniformly_strongly_connected
 from .optim import Objective, StepSchedule, run_optimizer
 from .pushsum import (
     Trace,
@@ -85,14 +85,18 @@ class RunArtifacts:
 
 
 def execute_run(
-    cfg: ExperimentConfig, seed: int | None = None, horizon: int | None = None
+    cfg: ExperimentConfig,
+    seed: int | None = None,
+    horizon: int | None = None,
+    seq: GraphSequence | None = None,
 ) -> RunArtifacts:
-    """Build everything a config describes and run it once."""
+    """Build everything a config describes (or reuse its graphs ``seq``) and run it once."""
     if horizon is not None and horizon != cfg.horizon:
         cfg = cfg.with_horizon(horizon)
     if seed is not None and seed != cfg.seed:
         cfg = cfg.with_seed(seed)
-    seq = build_graph_sequence(cfg)
+    if seq is None:
+        seq = build_graph_sequence(cfg)
     weights = build_weights(cfg)
     obj = build_objective(cfg)
     schedule = build_schedule(cfg, obj)
@@ -121,10 +125,11 @@ def _connectivity(seq: GraphSequence) -> dict:
     window = seq.claimed_window
     if window is None or window > len(seq):
         return {"claimed_window": window, "verified": None}
-    return {
-        "claimed_window": window,
-        "verified": bool(is_uniformly_strongly_connected(seq, window)),
-    }
+    verified = bool(is_uniformly_strongly_connected(seq, window))
+    conn = {"claimed_window": window, "verified": verified}
+    if not verified:
+        conn["first_failing_window"] = first_failing_window(seq, window)
+    return conn
 
 
 def _theoretical(seq: GraphSequence) -> dict | None:
@@ -250,8 +255,11 @@ def _check_connectivity(conn: dict, strict: bool) -> tuple[bool, str]:
         return True, "connectivity: no claimed window to check"
     if conn["verified"]:
         return True, f"connectivity: every {conn['claimed_window']}-step window ok"
-    msg = f"connectivity FAILED for claimed window {conn['claimed_window']}"
-    return (not strict), msg
+    window, start = conn["claimed_window"], conn["first_failing_window"]
+    return (not strict), (
+        f"connectivity FAILED for claimed window {window}: the window at offset {start} "
+        f"(graph steps {start}..{start + window - 1}) is not strongly connected"
+    )
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -323,12 +331,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # column stochasticity and graph compliance of the applied weights
     col_dev = float(np.max(np.abs(trace.w_mats.sum(axis=1) - 1.0)))
     checks.append(("column_stochastic", col_dev, TOL_COLUMN_STOCHASTIC, col_dev <= TOL_COLUMN_STOCHASTIC))
-    sparsity_ok = True
-    for k in range(trace.steps):
-        adj = seq[k].receive_matrix() > 0.0
-        if np.any((trace.w_mats[k] > 0.0) != adj):
-            sparsity_ok = False
-            break
+    adj = np.stack([seq[k].adj for k in range(trace.steps)])
+    sparsity_ok = np.array_equal(trace.w_mats > 0.0, adj)
     checks.append(("weights_match_graph", 0.0 if sparsity_ok else 1.0, 0.0, sparsity_ok))
 
     # conservation (pure mixing only; optimizer runs inject gradients)
@@ -341,16 +345,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     checks.append(("mass_conservation_y", mass_y, TOL_MASS, mass_y <= TOL_MASS))
 
     # induced ratio matrices: rows, sparsity, entry floor
-    s_list = [trace.s_mat(k) for k in range(trace.steps)]
-    row_dev = max(float(np.max(np.abs(s.sum(axis=1) - 1.0))) for s in s_list)
+    s_all = trace.s_matrices()
+    row_dev = float(np.max(np.abs(s_all.sum(axis=2) - 1.0)))
     checks.append(("s_row_stochastic", row_dev, TOL_ROW_STOCHASTIC, row_dev <= TOL_ROW_STOCHASTIC))
-    s_sparsity_ok = all(
-        np.array_equal(s > 0.0, trace.w_mats[k] > 0.0) for k, s in enumerate(s_list)
-    )
+    s_sparsity_ok = np.array_equal(s_all > 0.0, trace.w_mats > 0.0)
     checks.append(("s_matches_weights", 0.0 if s_sparsity_ok else 1.0, 0.0, s_sparsity_ok))
-    beta_min = min(float(w[w > 0.0].min()) for w in trace.w_mats)
+    beta_min = float(trace.w_mats[trace.w_mats > 0.0].min())
     gamma = beta_min * float(trace.ys.min()) / float(trace.ys.max())
-    s_floor = min(float(s[s > 0.0].min()) for s in s_list)
+    s_floor = float(s_all[s_all > 0.0].min())
     floor_ok = s_floor >= gamma * (1.0 - 1e-9)
     checks.append(("s_entry_floor", s_floor, gamma, floor_ok))
 
@@ -360,7 +362,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         ys_check = trace.ys.copy()
         ys_check[1:, 0] += args.perturb_y
         print(f"fault injection: y[agent 0] shifted by {args.perturb_y:g} from t>=1")
-    ap_dev = absolute_probability_violation(ys_check, s_list, trace.kappa)
+    ap_dev = absolute_probability_violation(ys_check, s_all, trace.kappa)
     checks.append(("absolute_probability", ap_dev, TOL_ABS_PROBABILITY, ap_dev <= TOL_ABS_PROBABILITY))
 
     # ratio identity over a spread of (t, tau) pairs
@@ -503,12 +505,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         lines.append("seed,final_mean_sq_error")
         series = []
         times = None
+        # the graph sequence does not follow the run seed: build and check it once
+        seq = build_graph_sequence(cfg)
+        ok, msg = _check_connectivity(_connectivity(seq), args.strict)
+        if not ok:
+            print(msg)
+            return 1
         for s in values:
-            arts = execute_run(cfg, seed=s)
-            ok, msg = _check_connectivity(_connectivity(arts.seq), args.strict)
-            if not ok:
-                print(msg)
-                return 1
+            arts = execute_run(cfg, seed=s, seq=seq)
             mse = _seed_sweep_series(arts)
             series.append(mse)
             times = arts.trace.times()

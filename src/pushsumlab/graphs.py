@@ -4,11 +4,17 @@ An arc (j, i) means agent j sends to agent i. Every vertex keeps a
 self-loop: agents always hear themselves, and the update matrices built
 on top of these graphs need a positive diagonal. Self-loops are added at
 construction time and their absence is treated as a validation error.
+
+A graph is stored as one read-only boolean receive matrix ``adj``
+(``adj[i, j]`` is true iff j sends to i); its arc set is derived from it
+on first use. A sequence stores each distinct graph once, in ``table``,
+and the table index of every step in ``ids``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -21,8 +27,8 @@ __all__ = [
     "directed_ring",
     "undirected_ring",
     "union_graph",
-    "strongly_connected_components",
     "is_strongly_connected",
+    "first_failing_window",
     "is_uniformly_strongly_connected",
     "generate_sequence",
     "save_sequence",
@@ -33,57 +39,90 @@ __all__ = [
 Arc = tuple[int, int]
 
 
-@dataclass(frozen=True)
 class DirectedGraph:
-    """Fixed vertex set {0..n-1} plus a set of arcs (sender, receiver)."""
+    """Fixed vertex set {0..n-1} plus a set of arcs (sender, receiver).
 
-    n: int
-    arcs: frozenset[Arc]
+    Equal graphs (same n, same arcs) compare and hash equal.
+    """
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"graph needs at least one vertex, got n={self.n}")
-        if not isinstance(self.arcs, frozenset):
-            object.__setattr__(self, "arcs", frozenset(self.arcs))
-        for j, i in self.arcs:
-            if not (0 <= j < self.n and 0 <= i < self.n):
-                raise ValueError(f"arc ({j}, {i}) out of range for n={self.n}")
-        missing = [v for v in range(self.n) if (v, v) not in self.arcs]
+    def __init__(self, n: int, arcs: Iterable[Arc]) -> None:
+        if n < 1:
+            raise ValueError(f"graph needs at least one vertex, got n={n}")
+        pairs = np.array([(j, i) for j, i in arcs], dtype=np.int64).reshape(-1, 2)
+        outside = ~np.all((pairs >= 0) & (pairs < n), axis=1)
+        if outside.any():
+            j, i = pairs[np.argmax(outside)].tolist()
+            raise ValueError(f"arc ({j}, {i}) out of range for n={n}")
+        adj = np.zeros((n, n), dtype=bool)
+        adj[pairs[:, 1], pairs[:, 0]] = True
+        missing = np.flatnonzero(~adj.diagonal()).tolist()
         if missing:
             raise ValueError(f"missing self-loops at vertices {missing}")
+        self._set(adj)
 
     @classmethod
     def from_arcs(cls, n: int, arcs: Iterable[Arc]) -> "DirectedGraph":
         """Build a graph, silently adding the required self-loops."""
-        all_arcs = {(int(j), int(i)) for j, i in arcs}
-        all_arcs.update((v, v) for v in range(n))
-        return cls(n, frozenset(all_arcs))
+        return cls(n, chain(arcs, ((v, v) for v in range(n))))
+
+    @classmethod
+    def _wrap(cls, adj: np.ndarray) -> "DirectedGraph":
+        """Graph over a receive matrix that already holds every self-loop.
+        The matrix is frozen and kept, not copied."""
+        g = object.__new__(cls)
+        g._set(adj)
+        return g
+
+    def _set(self, adj: np.ndarray) -> None:
+        adj.setflags(write=False)
+        self.n = adj.shape[0]
+        self.adj = adj
+
+    @cached_property
+    def arcs(self) -> frozenset[Arc]:
+        receivers, senders = np.nonzero(self.adj)
+        return frozenset(zip(senders.tolist(), receivers.tolist()))
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.n, self.adj.tobytes()))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DirectedGraph):
+            return NotImplemented
+        return self is other or (self.n == other.n and np.array_equal(self.adj, other.adj))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"DirectedGraph(n={self.n}, arcs={int(self.adj.sum())})"
 
     def in_neighbors(self, i: int) -> set[int]:
         """Senders agent i hears from, including i itself."""
         self._check_vertex(i)
-        return {j for j, k in self.arcs if k == i}
+        return set(np.flatnonzero(self.adj[i]).tolist())
 
     def out_neighbors(self, j: int) -> set[int]:
         """Receivers agent j sends to, including j itself."""
         self._check_vertex(j)
-        return {i for k, i in self.arcs if k == j}
+        return set(np.flatnonzero(self.adj[:, j]).tolist())
 
     def receive_matrix(self) -> np.ndarray:
         """0/1 matrix A with A[i, j] = 1 iff j sends to i (receiver rows)."""
-        a = np.zeros((self.n, self.n))
-        for j, i in self.arcs:
-            a[i, j] = 1.0
-        return a
+        return self.adj.astype(float)
 
     def _check_vertex(self, v: int) -> None:
         if not (0 <= v < self.n):
             raise ValueError(f"vertex {v} out of range for n={self.n}")
 
 
-@dataclass(frozen=True)
 class GraphSequence:
     """A finite run of graphs on a common vertex set, one per step.
+
+    Step t uses ``table[ids[t]]``; each distinct graph is stored once.
+    Built from one graph per step, the sequence interns equal graphs
+    itself; with ``ids`` given, ``graphs`` is the table.
 
     ``claimed_window`` is the generator's (or caller's) assertion about
     uniform strong connectivity: every window of that many consecutive
@@ -91,29 +130,46 @@ class GraphSequence:
     with :func:`is_uniformly_strongly_connected`; it is not trusted.
     """
 
-    graphs: tuple[DirectedGraph, ...]
-    claimed_window: int | None = None
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.graphs, tuple):
-            object.__setattr__(self, "graphs", tuple(self.graphs))
-        if len(self.graphs) == 0:
+    def __init__(
+        self,
+        graphs: Iterable[DirectedGraph],
+        claimed_window: int | None = None,
+        ids: Sequence[int] | np.ndarray | None = None,
+    ) -> None:
+        table = tuple(graphs)
+        if ids is None:
+            index: dict[DirectedGraph, int] = {}
+            ids = [index.setdefault(g, len(index)) for g in table]
+            table = tuple(index)
+        step_ids = np.array(ids, dtype=np.intp)
+        if step_ids.ndim != 1 or step_ids.size == 0:
             raise ValueError("graph sequence must contain at least one step")
-        sizes = {g.n for g in self.graphs}
+        if step_ids.min() < 0 or step_ids.max() >= len(table):
+            raise ValueError(f"graph ids must index a table of {len(table)} graphs")
+        sizes = {g.n for g in table}
         if len(sizes) != 1:
             raise ValueError(f"all graphs must share one vertex set, got sizes {sorted(sizes)}")
-        if self.claimed_window is not None and self.claimed_window < 1:
-            raise ValueError(f"claimed_window must be >= 1, got {self.claimed_window}")
+        if claimed_window is not None and claimed_window < 1:
+            raise ValueError(f"claimed_window must be >= 1, got {claimed_window}")
+        step_ids.setflags(write=False)
+        self.table: tuple[DirectedGraph, ...] = table
+        self.ids = step_ids
+        self.claimed_window = claimed_window
 
     @property
     def n(self) -> int:
-        return self.graphs[0].n
+        return self.table[0].n
+
+    @property
+    def graphs(self) -> tuple[DirectedGraph, ...]:
+        """The graph of every step, in order."""
+        return tuple(self.table[i] for i in self.ids.tolist())
 
     def __len__(self) -> int:
-        return len(self.graphs)
+        return len(self.ids)
 
     def __getitem__(self, t: int) -> DirectedGraph:
-        return self.graphs[t]
+        return self.table[self.ids[t]]
 
 
 def complete_graph(n: int) -> DirectedGraph:
@@ -125,11 +181,7 @@ def directed_ring(n: int) -> DirectedGraph:
 
 
 def undirected_ring(n: int) -> DirectedGraph:
-    arcs: set[Arc] = set()
-    for v in range(n):
-        arcs.add((v, (v + 1) % n))
-        arcs.add(((v + 1) % n, v))
-    return DirectedGraph.from_arcs(n, arcs)
+    return DirectedGraph.from_arcs(n, ((v, (v + d) % n) for v in range(n) for d in (1, -1)))
 
 
 def union_graph(graphs: Sequence[DirectedGraph]) -> DirectedGraph:
@@ -139,91 +191,63 @@ def union_graph(graphs: Sequence[DirectedGraph]) -> DirectedGraph:
     sizes = {g.n for g in graphs}
     if len(sizes) != 1:
         raise ValueError(f"union requires a common vertex set, got sizes {sorted(sizes)}")
-    arcs: set[Arc] = set()
-    for g in graphs:
-        arcs.update(g.arcs)
-    return DirectedGraph(graphs[0].n, frozenset(arcs))
+    adj = graphs[0].adj.copy()
+    for g in graphs[1:]:
+        adj |= g.adj
+    return DirectedGraph._wrap(adj)
 
 
-def strongly_connected_components(g: DirectedGraph) -> list[set[int]]:
-    """Strongly connected components via iterative Tarjan.
-
-    Returns the components in reverse topological order of the
-    condensation. Deterministic for a given graph.
-    """
-    n = g.n
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for j, i in sorted(g.arcs):
-        adj[j].append(i)
-
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    comps: list[set[int]] = []
-    counter = 0
-
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work: list[tuple[int, int]] = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            descended = False
-            for k in range(pi, len(adj[v])):
-                w = adj[v][k]
-                if index[w] == -1:
-                    work[-1] = (v, k + 1)
-                    work.append((w, 0))
-                    descended = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if descended:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                comp: set[int] = set()
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.add(w)
-                    if w == v:
-                        break
-                comps.append(comp)
-            if work:
-                u, _ = work[-1]
-                low[u] = min(low[u], low[v])
-    return comps
+def _reaches_all(adj: np.ndarray) -> bool:
+    """Whether every vertex is reachable from vertex 0 along the arcs
+    j -> i with adj[i, j]. Frontier search: each vertex is expanded once,
+    so the work is O(n^2) whatever the depth."""
+    seen = np.zeros(adj.shape[0], dtype=bool)
+    seen[0] = True
+    frontier = np.zeros(1, dtype=np.intp)
+    while frontier.size:
+        new = adj[:, frontier].any(axis=1) & ~seen
+        seen |= new
+        frontier = np.flatnonzero(new)
+    return bool(seen.all())
 
 
 def is_strongly_connected(g: DirectedGraph) -> bool:
-    return len(strongly_connected_components(g)) == 1
+    # every vertex reachable from 0, and 0 reachable from every vertex
+    return _reaches_all(g.adj) and _reaches_all(g.adj.T)
+
+
+def first_failing_window(seq: GraphSequence, window: int) -> int | None:
+    """Offset of the first ``window`` consecutive steps whose union is
+    not strongly connected, or None when every window passes.
+
+    This is a finite-prefix check over every sliding offset of the
+    stored steps. A window's union depends only on the set of distinct
+    graphs in it, and distinct sets can share a union (few graphs exist
+    on a few vertices), so each set and each union is checked once.
+    """
+    if not 1 <= window <= len(seq):
+        raise ValueError(f"window must lie in 1..{len(seq)} (the sequence length), got {window}")
+    ids = seq.ids.tolist()
+    passed_ids: set[frozenset[int]] = set()
+    passed_unions: set[DirectedGraph] = set()
+    for start in range(len(ids) - window + 1):
+        if start and ids[start - 1] == ids[start + window - 1]:
+            continue  # the same graphs as the window before, which passed
+        members = frozenset(ids[start : start + window])
+        if members in passed_ids:
+            continue
+        union = union_graph([seq.table[i] for i in members])
+        if union not in passed_unions:
+            if not is_strongly_connected(union):
+                return start
+            passed_unions.add(union)
+        passed_ids.add(members)
+    return None
 
 
 def is_uniformly_strongly_connected(seq: GraphSequence, window: int) -> bool:
-    """Check that every ``window`` consecutive steps have a strongly
-    connected union, over the whole stored sequence.
-
-    This is a finite-prefix check: it inspects exactly the steps the
-    sequence contains, every sliding offset included.
-    """
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
-    if window > len(seq):
-        raise ValueError(
-            f"window {window} exceeds sequence length {len(seq)}; nothing to check"
-        )
-    gs = seq.graphs
-    for start in range(len(gs) - window + 1):
-        if not is_strongly_connected(union_graph(gs[start : start + window])):
-            return False
-    return True
+    """Whether every ``window`` consecutive steps have a strongly connected union."""
+    return first_failing_window(seq, window) is None
 
 
 GENERATOR_KINDS = (
@@ -280,23 +304,17 @@ def generate_sequence(
         if unknown:
             raise ValueError(f"unknown params for kind {kind!r}: {sorted(unknown)}")
 
-    if kind == "static-complete":
-        reject_unknown(set())
-        g = complete_graph(n)
-        return GraphSequence((g,) * horizon, claimed_window=1)
+    def static(g: DirectedGraph) -> GraphSequence:
+        return GraphSequence((g,), claimed_window=1, ids=np.zeros(horizon, dtype=np.intp))
 
-    if kind == "static-ring":
+    if kind in ("static-complete", "static-ring"):
         reject_unknown(set())
-        g = directed_ring(n)
-        return GraphSequence((g,) * horizon, claimed_window=1)
+        return static(complete_graph(n) if kind == "static-complete" else directed_ring(n))
 
     if kind == "rotating-single-edge":
         reject_unknown(set())
-        graphs = []
-        for t in range(horizon):
-            j = t % n
-            graphs.append(DirectedGraph.from_arcs(n, [(j, (j + 1) % n)]))
-        return GraphSequence(tuple(graphs), claimed_window=max(n, 1))
+        table = [DirectedGraph.from_arcs(n, [(j, (j + 1) % n)]) for j in range(min(n, horizon))]
+        return GraphSequence(table, claimed_window=n, ids=np.arange(horizon) % n)
 
     if kind == "random-spanning":
         reject_unknown({"window", "extra_arc_prob"})
@@ -307,47 +325,43 @@ def generate_sequence(
         if not (0.0 <= p_extra <= 1.0):
             raise ValueError(f"extra_arc_prob must lie in [0, 1], got {p_extra}")
         rng = np.random.default_rng(seed)
-        arcs_by_step: list[set[Arc]] = [set() for _ in range(horizon)]
+        adj = _self_loops(horizon, n)
         n_blocks = -(-horizon // window)
         for b in range(n_blocks):
             perm = rng.permutation(n)
-            slots = rng.integers(0, window, size=n)
-            for k in range(n):
-                t = b * window + int(slots[k])
-                if t < horizon:
-                    arcs_by_step[t].add((int(perm[k]), int(perm[(k + 1) % n])))
+            steps = b * window + rng.integers(0, window, size=n)
+            keep = steps < horizon
+            # cycle arc perm[k] -> perm[k+1], set in receiver row, sender column
+            adj[steps[keep], np.roll(perm, -1)[keep], perm[keep]] = True
             if p_extra > 0.0:
                 for t in range(b * window, min((b + 1) * window, horizon)):
-                    draws = rng.random((n, n))
-                    for j in range(n):
-                        for i in range(n):
-                            if j != i and draws[j, i] < p_extra:
-                                arcs_by_step[t].add((j, i))
-        graphs = tuple(DirectedGraph.from_arcs(n, a) for a in arcs_by_step)
-        return GraphSequence(graphs, claimed_window=2 * window - 1)
+                    # draws[j, i] < p adds the arc j -> i
+                    adj[t] |= (rng.random((n, n)) < p_extra).T
+        return GraphSequence(map(DirectedGraph._wrap, adj), claimed_window=2 * window - 1)
 
     if kind == "doubly-stochastic-compatible":
         reject_unknown({"topology"})
         topology = params.get("topology", "ring")
-        if topology == "ring":
-            g = undirected_ring(n)
-        elif topology == "complete":
-            g = complete_graph(n)
-        else:
+        if topology not in ("ring", "complete"):
             raise ValueError(f"unknown topology {topology!r}")
-        return GraphSequence((g,) * horizon, claimed_window=1)
+        return static(undirected_ring(n) if topology == "ring" else complete_graph(n))
 
     raise ValueError(f"unknown generator kind {kind!r}; expected one of {GENERATOR_KINDS}")
+
+
+def _self_loops(horizon: int, n: int) -> np.ndarray:
+    """A (horizon, n, n) stack of receive matrices holding only self-loops.
+    Wrapped step by step, equal steps share one graph, a view of the stack."""
+    adj = np.zeros((horizon, n, n), dtype=bool)
+    adj[:, np.arange(n), np.arange(n)] = True
+    return adj
 
 
 def save_sequence(path: str, seq: GraphSequence) -> None:
     """Write a sequence as ``n horizon`` followed by one ``t j i`` line
     per non-loop arc. Self-loops are implied and omitted on disk."""
     lines = [f"{seq.n} {len(seq)}"]
-    for t, g in enumerate(seq.graphs):
-        for j, i in sorted(g.arcs):
-            if j != i:
-                lines.append(f"{t} {j} {i}")
+    lines += [f"{t} {j} {i}" for t, g in enumerate(seq.graphs) for j, i in sorted(g.arcs) if j != i]
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -365,7 +379,7 @@ def load_sequence(path: str) -> GraphSequence:
     n, horizon = int(head[0]), int(head[1])
     if n < 1 or horizon < 1:
         raise ValueError(f"{path}: header values must be positive, got {rows[0]!r}")
-    arcs_by_step: list[set[Arc]] = [set() for _ in range(horizon)]
+    adj = _self_loops(horizon, n)
     for lineno, ln in enumerate(rows[1:], start=2):
         parts = ln.split()
         if len(parts) != 3:
@@ -375,6 +389,5 @@ def load_sequence(path: str) -> GraphSequence:
             raise ValueError(f"{path}:{lineno}: step {t} outside horizon {horizon}")
         if not (0 <= j < n and 0 <= i < n):
             raise ValueError(f"{path}:{lineno}: arc ({j}, {i}) out of range for n={n}")
-        arcs_by_step[t].add((j, i))
-    graphs = tuple(DirectedGraph.from_arcs(n, a) for a in arcs_by_step)
-    return GraphSequence(graphs)
+        adj[t, i, j] = True
+    return GraphSequence(map(DirectedGraph._wrap, adj))

@@ -16,12 +16,12 @@ what the verification helpers consume.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .graphs import DirectedGraph, GraphSequence
+from .graphs import GraphSequence
 from .weights import WeightMatrix, default_weights, validate_weights
 
 __all__ = [
@@ -187,6 +187,7 @@ class Trace:
     gs: np.ndarray | None = None
     sigmas: np.ndarray | None = None
     seed: int | None = None
+    _s_stack: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.xs = np.asarray(self.xs, dtype=float)
@@ -246,10 +247,18 @@ class Trace:
 
     def s_mat(self, k: int) -> np.ndarray:
         """Induced row-stochastic matrix for step k (list position)."""
-        return s_matrix(self.w_mats[k], self.ys[k], self.ys[k + 1])
+        return self.s_matrices()[k]
 
     def s_matrices(self) -> np.ndarray:
-        return np.stack([self.s_mat(k) for k in range(self.steps)])
+        """The induced matrix of every step, shape (steps, n, n). Built
+        once, on first use, from the recorded w_mats and ys; read-only."""
+        if self._s_stack is None:
+            stack = np.empty_like(self.w_mats)
+            for k in range(self.steps):
+                stack[k] = s_matrix(self.w_mats[k], self.ys[k], self.ys[k + 1])
+            stack.setflags(write=False)
+            self._s_stack = stack
+        return self._s_stack
 
 
 def resolve_weight_sequence(
@@ -259,8 +268,8 @@ def resolve_weight_sequence(
 ) -> list[np.ndarray]:
     """Materialize one mixing matrix per step.
 
-    ``weights`` is the policy: "default" builds equal-split weights from
-    each step's graph; a single WeightMatrix is used at every step; a
+    ``weights`` is the policy: "default" builds equal-split weights once
+    per distinct graph; a single WeightMatrix is used at every step; a
     sequence supplies one matrix per step. Custom matrices must validate
     against the graphs they are used with, before any state is touched.
     """
@@ -268,28 +277,22 @@ def resolve_weight_sequence(
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     if horizon > len(seq):
         raise ValueError(f"horizon {horizon} exceeds sequence length {len(seq)}")
+    ids = seq.ids[:horizon].tolist()
+    distinct = dict.fromkeys(ids)  # table ids in the order of their first step
 
     if isinstance(weights, str):
         if weights != "default":
             raise ValueError(f"unknown weight policy {weights!r}")
-        cache: dict[DirectedGraph, np.ndarray] = {}
-        out = []
-        for k in range(horizon):
-            g = seq[k]
-            if g not in cache:
-                cache[g] = default_weights(g).matrix
-            out.append(cache[g])
-        return out
+        mats = {i: default_weights(seq.table[i]).matrix for i in distinct}
+        return [mats[i] for i in ids]
 
     if isinstance(weights, WeightMatrix):
-        checked: set[DirectedGraph] = set()
-        for k in range(horizon):
-            g = seq[k]
-            if g not in checked:
-                report = validate_weights(weights, g)
-                if not report.ok:
-                    raise ValueError(f"custom weights invalid at step {k}: {report.describe()}")
-                checked.add(g)
+        for i in distinct:
+            report = validate_weights(weights, seq.table[i])
+            if not report.ok:
+                raise ValueError(
+                    f"custom weights invalid at step {ids.index(i)}: {report.describe()}"
+                )
         return [weights.matrix] * horizon
 
     mats = list(weights)
@@ -434,8 +437,7 @@ def absolute_probability_violation(
 def verify_absolute_probability(trace: Trace, kappa: float | None = None) -> float:
     """Max violation of pi(t)^T = pi(t+1)^T S(t) over the whole trace."""
     kappa = trace.kappa if kappa is None else kappa
-    s_mats = [trace.s_mat(k) for k in range(trace.steps)]
-    return absolute_probability_violation(trace.ys, s_mats, kappa)
+    return absolute_probability_violation(trace.ys, trace.s_matrices(), kappa)
 
 
 def verify_ratio_identity(trace: Trace, t: int, tau: int) -> float:
@@ -447,9 +449,8 @@ def verify_ratio_identity(trace: Trace, t: int, tau: int) -> float:
     ti, taui = trace.index_of(t), trace.index_of(tau)
     if ti < taui:
         raise ValueError(f"need t >= tau, got t={t}, tau={tau}")
-    s_mats = [trace.s_mat(k) for k in range(taui, ti)]
-    phi_s = phi_product(s_mats, len(s_mats), 0) if s_mats else np.eye(trace.n)
-    phi_w = phi_product(trace.w_mats[taui:ti], ti - taui, 0) if s_mats else np.eye(trace.n)
+    phi_s = phi_product(trace.s_matrices(), ti, taui)
+    phi_w = phi_product(trace.w_mats, ti, taui)
     lhs = phi_s * trace.ys[ti][:, np.newaxis]
     rhs = phi_w * trace.ys[taui][np.newaxis, :]
     return float(np.max(np.abs(lhs - rhs)))
@@ -464,7 +465,6 @@ def verify_product_limit(
     ti, taui = trace.index_of(t), trace.index_of(tau)
     if ti < taui:
         raise ValueError(f"need t >= tau, got t={t}, tau={tau}")
-    s_mats = [trace.s_mat(k) for k in range(taui, ti)]
-    phi_s = phi_product(s_mats, len(s_mats), 0) if s_mats else np.eye(trace.n)
+    phi_s = phi_product(trace.s_matrices(), ti, taui)
     limit = np.tile(trace.ys[taui] / kappa, (trace.n, 1))
     return float(np.max(np.abs(phi_s - limit)))

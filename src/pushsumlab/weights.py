@@ -122,34 +122,17 @@ def validate_weights(w: WeightMatrix, g: DirectedGraph, beta: float | None = Non
     if m.shape[0] != g.n:
         raise ValueError(f"matrix size {m.shape[0]} does not match graph n={g.n}")
 
-    col = []
+    def found(mask: np.ndarray, values: np.ndarray) -> tuple:
+        # (index..., value) of every flagged entry, in row-major order
+        where = np.nonzero(mask)
+        return tuple(zip(*(a.tolist() for a in where), values[where].tolist()))
+
     sums = m.sum(axis=0)
-    for j in range(g.n):
-        if abs(sums[j] - 1.0) > COLUMN_SUM_TOL:
-            col.append((j, float(sums[j])))
-
-    adj = g.receive_matrix() > 0.0
-    sparsity = []
-    low = []
-    for i in range(g.n):
-        for j in range(g.n):
-            v = float(m[i, j])
-            if adj[i, j]:
-                if v < beta:
-                    low.append((i, j, v))
-            elif v > 0.0:
-                sparsity.append((i, j, v))
-
-    diag = []
-    for i in range(g.n):
-        if m[i, i] <= 0.0:
-            diag.append((i, float(m[i, i])))
-
     return WeightReport(
-        column_sum_violations=tuple(col),
-        sparsity_violations=tuple(sparsity),
-        diagonal_violations=tuple(diag),
-        beta_violations=tuple(low),
+        column_sum_violations=found(np.abs(sums - 1.0) > COLUMN_SUM_TOL, sums),
+        sparsity_violations=found(~g.adj & (m > 0.0), m),
+        diagonal_violations=found(m.diagonal() <= 0.0, m.diagonal()),
+        beta_violations=found(g.adj & (m < beta), m),
     )
 
 

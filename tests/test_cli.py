@@ -4,8 +4,10 @@ import os
 import numpy as np
 import pytest
 
+import pushsumlab.cli as cli
+import pushsumlab.pushsum as pushsum
 from pushsumlab.cli import main
-from pushsumlab.graphs import is_uniformly_strongly_connected
+from pushsumlab.graphs import GraphSequence, complete_graph
 from pushsumlab.report import read_csv_columns
 
 
@@ -64,6 +66,38 @@ def heterogeneous_cfg(tmp_path):
     )
 
 
+@pytest.fixture
+def window_too_short(monkeypatch):
+    """Every run's graph sequence claims a window one step shorter than
+    the generator guarantees; on the rotating edge the first window fails."""
+    build = cli.build_graph_sequence
+
+    def shortened(cfg):
+        seq = build(cfg)
+        return GraphSequence(seq.table, claimed_window=seq.claimed_window - 1, ids=seq.ids)
+
+    monkeypatch.setattr(cli, "build_graph_sequence", shortened)
+
+
+def counting(monkeypatch, module, name):
+    """Replace module.name by a wrapper that appends each call's args."""
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+FAILED_WINDOW = (
+    "connectivity FAILED for claimed window 3: the window at offset 0 "
+    "(graph steps 0..2) is not strongly connected"
+)
+
+
 class TestRun:
     def test_writes_outputs(self, pushsum_cfg, tmp_path, capsys):
         out = str(tmp_path / "out")
@@ -120,16 +154,26 @@ class TestRun:
         assert summary["bounds"]["varying_final_apriori"] is None
         assert summary["bounds"]["fixed_realized"] is not None
 
+    def test_failed_window_reported(self, pushsum_cfg, window_too_short, tmp_path, capsys):
+        out = str(tmp_path / "out")
+        assert main(["run", "--config", pushsum_cfg, "--out", out]) == 0
+        assert FAILED_WINDOW in capsys.readouterr().out
+        summary = json.loads(open(os.path.join(out, "summary.json")).read())
+        assert summary["connectivity"] == {
+            "claimed_window": 3,
+            "verified": False,
+            "first_failing_window": 0,
+        }
+        assert main(["run", "--config", pushsum_cfg, "--out", out, "--strict"]) == 1
+
+    def test_passing_check_writes_no_offset(self, pushsum_cfg, tmp_path):
+        out = str(tmp_path / "out")
+        assert main(["run", "--config", pushsum_cfg, "--out", out]) == 0
+        summary = json.loads(open(os.path.join(out, "summary.json")).read())
+        assert "first_failing_window" not in summary["connectivity"]
+
     def test_connectivity_checked_once(self, optimizer_cfg, tmp_path, monkeypatch):
-        import pushsumlab.cli as cli
-
-        calls = []
-
-        def counting(seq, window):
-            calls.append(window)
-            return is_uniformly_strongly_connected(seq, window)
-
-        monkeypatch.setattr(cli, "is_uniformly_strongly_connected", counting)
+        calls = counting(monkeypatch, cli, "is_uniformly_strongly_connected")
         assert main(["run", "--config", optimizer_cfg, "--out", str(tmp_path / "out")]) == 0
         assert len(calls) == 1
 
@@ -208,6 +252,31 @@ class TestVerify:
         report = json.loads(open(os.path.join(out, "verify.json")).read())
         assert "absolute_probability" in report["failed"]
 
+    def test_failed_window_reported(self, pushsum_cfg, window_too_short, tmp_path, capsys):
+        out = str(tmp_path / "v")
+        assert main(["verify", "--config", pushsum_cfg, "--out", out]) == 1
+        assert FAILED_WINDOW in capsys.readouterr().out
+        report = json.loads(open(os.path.join(out, "verify.json")).read())
+        assert report["failed"] == ["connectivity"]
+
+    def test_each_s_matrix_built_once(self, pushsum_cfg, tmp_path, monkeypatch):
+        builds = counting(monkeypatch, pushsum, "s_matrix")
+        assert main(["verify", "--config", pushsum_cfg, "--out", str(tmp_path / "v")]) == 0
+        assert len(builds) == 60
+
+    def test_weights_off_the_graph_fail(self, pushsum_cfg, tmp_path, monkeypatch, capsys):
+        run = cli.execute_run
+
+        def checked_on_complete_graph(cfg):
+            # the run mixes over the rotating edge
+            arts = run(cfg)
+            arts.seq = GraphSequence((complete_graph(4),), ids=[0] * 60)
+            return arts
+
+        monkeypatch.setattr(cli, "execute_run", checked_on_complete_graph)
+        assert main(["verify", "--config", pushsum_cfg, "--out", str(tmp_path / "v")]) == 1
+        assert "[FAIL] weights_match_graph" in capsys.readouterr().out
+
     def test_balanced_y_check_on_complete_graph(self, tmp_path, capsys):
         cfg = write_cfg(
             tmp_path,
@@ -264,6 +333,20 @@ class TestSweep:
         mean_cols = read_csv_columns(os.path.join(out, "sweep_mean.csv"))
         assert mean_cols["t"][0] == 1.0
         assert mean_cols["mean_sq_error"][-1] < mean_cols["mean_sq_error"][0]
+
+    def test_seeds_axis_builds_and_checks_graphs_once(self, pushsum_cfg, tmp_path, monkeypatch):
+        builds = counting(monkeypatch, cli, "build_graph_sequence")
+        checks = counting(monkeypatch, cli, "is_uniformly_strongly_connected")
+        out = str(tmp_path / "sw")
+        args = ["sweep", "--config", pushsum_cfg, "--axis", "seeds", "--values", "0,1,2"]
+        assert main(args + ["--out", out]) == 0
+        assert len(builds) == 1 and len(checks) == 1
+
+    def test_failed_window_reported(self, pushsum_cfg, window_too_short, tmp_path, capsys):
+        for axis, values in (("seeds", "0,1"), ("horizon", "20,40")):
+            args = ["sweep", "--config", pushsum_cfg, "--axis", axis, "--values", values]
+            assert main(args + ["--out", str(tmp_path / axis), "--strict"]) == 1
+            assert FAILED_WINDOW in capsys.readouterr().out
 
     def test_seeds_axis_needs_values(self, optimizer_cfg, tmp_path):
         out = str(tmp_path / "sw")

@@ -6,12 +6,12 @@ from pushsumlab.graphs import (
     GraphSequence,
     complete_graph,
     directed_ring,
+    first_failing_window,
     generate_sequence,
     is_strongly_connected,
     is_uniformly_strongly_connected,
     load_sequence,
     save_sequence,
-    strongly_connected_components,
     undirected_ring,
     union_graph,
 )
@@ -47,6 +47,28 @@ def random_graph(rng, n):
     return DirectedGraph.from_arcs(n, arcs)
 
 
+def random_spanning_reference(n, horizon, seed, window, p_extra):
+    # the arc-by-arc form of the random-spanning generator: same RNG
+    # calls in the same order, one Python test per (j, i) pair
+    rng = np.random.default_rng(seed)
+    arcs_by_step = [set() for _ in range(horizon)]
+    for b in range(-(-horizon // window)):
+        perm = rng.permutation(n)
+        slots = rng.integers(0, window, size=n)
+        for k in range(n):
+            t = b * window + int(slots[k])
+            if t < horizon:
+                arcs_by_step[t].add((int(perm[k]), int(perm[(k + 1) % n])))
+        if p_extra > 0.0:
+            for t in range(b * window, min((b + 1) * window, horizon)):
+                draws = rng.random((n, n))
+                for j in range(n):
+                    for i in range(n):
+                        if j != i and draws[j, i] < p_extra:
+                            arcs_by_step[t].add((j, i))
+    return [DirectedGraph.from_arcs(n, a) for a in arcs_by_step]
+
+
 class TestDirectedGraph:
     def test_requires_self_loops(self):
         with pytest.raises(ValueError):
@@ -80,6 +102,19 @@ class TestDirectedGraph:
         g = complete_graph(2)
         with pytest.raises(ValueError):
             g.in_neighbors(2)
+
+    def test_equal_arcs_give_equal_graphs(self):
+        a = DirectedGraph.from_arcs(3, [(0, 1), (2, 1)])
+        b = DirectedGraph(3, {(2, 1), (1, 1), (0, 0), (0, 1), (2, 2)})
+        assert a == b and hash(a) == hash(b)
+        assert a != DirectedGraph.from_arcs(3, [(1, 0), (2, 1)])
+        assert a != DirectedGraph.from_arcs(4, [(0, 1), (2, 1)])
+
+    def test_adjacency_is_read_only(self):
+        g = directed_ring(3)
+        assert g.adj.dtype == bool and g.adj[1, 0] and not g.adj[0, 1]
+        with pytest.raises(ValueError):
+            g.adj[0, 1] = True
 
 
 class TestBuiltinsAndUnion:
@@ -117,32 +152,35 @@ class TestBuiltinsAndUnion:
 
 
 class TestStronglyConnectedComponents:
+    # strong connectivity means one strongly connected component
+
     def test_single_component(self):
-        comps = strongly_connected_components(directed_ring(5))
-        assert comps == [set(range(5))] or sorted(map(sorted, comps)) == [list(range(5))]
+        assert is_strongly_connected(directed_ring(5))
 
     def test_two_components(self):
         # 0 <-> 1 feeding into 2 <-> 3
-        g = DirectedGraph.from_arcs(4, [(0, 1), (1, 0), (1, 2), (2, 3), (3, 2)])
-        comps = {frozenset(c) for c in strongly_connected_components(g)}
-        assert comps == {frozenset({0, 1}), frozenset({2, 3})}
+        arcs = [(0, 1), (1, 0), (1, 2), (2, 3), (3, 2)]
+        assert len(components_brute_force(DirectedGraph.from_arcs(4, arcs))) == 2
+        assert not is_strongly_connected(DirectedGraph.from_arcs(4, arcs))
+        assert is_strongly_connected(DirectedGraph.from_arcs(4, arcs + [(3, 0)]))
 
     def test_matches_brute_force_on_random_graphs(self):
         rng = np.random.default_rng(42)
+        verdicts = []
         for _ in range(60):
             n = int(rng.integers(1, 7))
             g = random_graph(rng, n)
-            got = {frozenset(c) for c in strongly_connected_components(g)}
-            want = {frozenset(c) for c in components_brute_force(g)}
-            assert got == want
+            verdicts.append(is_strongly_connected(g))
+            assert verdicts[-1] == (len(components_brute_force(g)) == 1)
+        assert any(verdicts) and not all(verdicts)
 
     def test_deep_chain_does_not_recurse(self):
-        # iterative traversal must survive a path longer than any
-        # plausible recursion limit
+        # the search must survive a path longer than any plausible
+        # recursion limit, in both directions
         n = 5000
-        g = DirectedGraph.from_arcs(n, [(i, i + 1) for i in range(n - 1)])
-        comps = strongly_connected_components(g)
-        assert len(comps) == n
+        chain = [(i, i + 1) for i in range(n - 1)]
+        assert not is_strongly_connected(DirectedGraph.from_arcs(n, chain))
+        assert is_strongly_connected(DirectedGraph.from_arcs(n, chain + [(n - 1, 0)]))
 
 
 class TestUniformConnectivity:
@@ -162,6 +200,51 @@ class TestUniformConnectivity:
         with pytest.raises(ValueError):
             is_uniformly_strongly_connected(seq, 0)
 
+    def test_rotating_edge_short_window_fails_at_offset_0(self):
+        n = 6
+        seq = generate_sequence("rotating-single-edge", n=n, horizon=5 * n)
+        assert first_failing_window(seq, n - 1) == 0
+        assert first_failing_window(seq, n) is None
+
+    def test_first_failing_window_is_the_first(self):
+        loops = DirectedGraph.from_arcs(3, [])
+        ring = directed_ring(3)
+        seq = GraphSequence([ring] * 5 + [loops] * 3 + [ring] * 4)
+        assert first_failing_window(seq, 1) == 5
+        assert first_failing_window(seq, 2) == 5
+        assert first_failing_window(seq, 3) == 5
+        assert first_failing_window(seq, 4) is None
+        assert first_failing_window(GraphSequence([loops] * 2 + [ring]), 2) == 0
+
+    def test_each_distinct_window_checked_once(self, monkeypatch):
+        import pushsumlab.graphs as graphs
+
+        checked, unions = [], []
+        check, union = graphs.is_strongly_connected, graphs.union_graph
+        monkeypatch.setattr(graphs, "is_strongly_connected", lambda g: checked.append(1) or check(g))
+        monkeypatch.setattr(graphs, "union_graph", lambda gs: unions.append(1) or union(gs))
+        a, b, c = directed_ring(4), complete_graph(4), undirected_ring(4)
+        # windows of two cycle through {a, b}, {b, c} and {c, a}; the
+        # first two have the same union, the complete graph
+        assert first_failing_window(GraphSequence([a, b, c] * 10), 2) is None
+        assert len(unions) == 3 and len(checked) == 2
+        checked.clear()
+        assert is_uniformly_strongly_connected(generate_sequence("static-ring", 3, 10_000), 1)
+        assert len(checked) == 1
+
+    def test_matches_union_of_every_window(self):
+        rng = np.random.default_rng(5)
+        for _ in range(40):
+            n = int(rng.integers(2, 5))
+            pool = [random_graph(rng, n) for _ in range(3)]
+            seq = GraphSequence([pool[int(k)] for k in rng.integers(0, 3, size=12)])
+            window = int(rng.integers(1, 5))
+            failing = [
+                s for s in range(len(seq) - window + 1)
+                if not is_strongly_connected(union_graph(seq.graphs[s : s + window]))
+            ]
+            assert first_failing_window(seq, window) == (failing[0] if failing else None)
+
 
 class TestGenerators:
     def test_unknown_kind_raises(self):
@@ -179,6 +262,30 @@ class TestGenerators:
             assert seq.claimed_window == 1
             assert all(g is seq[0] for g in seq.graphs)
             assert is_strongly_connected(seq[0])
+
+    def test_rotating_edge_holds_n_distinct_graphs(self):
+        n, horizon = 200, 10_000
+        seq = generate_sequence("rotating-single-edge", n=n, horizon=horizon)
+        assert len(seq) == horizon
+        assert len(seq.table) == n
+        assert len({id(g) for g in seq.graphs}) == n
+        assert seq[n + 3] is seq[3]
+        assert seq[7].arcs - {(v, v) for v in range(n)} == {(7, 8)}
+
+    def test_random_spanning_matches_arc_by_arc_reference(self):
+        for n in (1, 2, 5, 9):
+            for window in (1, 2, 3):
+                for p_extra in (0.0, 0.1, 0.5):
+                    for seed in (0, 3):
+                        # horizons ending on, one before and one after a block edge
+                        for horizon in (1, 3 * window, 3 * window + 1, 4 * window - 1):
+                            seq = generate_sequence(
+                                "random-spanning", n=n, horizon=horizon, seed=seed,
+                                params={"window": window, "extra_arc_prob": p_extra},
+                            )
+                            want = random_spanning_reference(n, horizon, seed, window, p_extra)
+                            assert len(seq) == horizon
+                            assert all(g.arcs == w.arcs for g, w in zip(seq.graphs, want))
 
     def test_random_spanning_respects_claimed_window(self):
         for seed in range(10):
@@ -235,6 +342,15 @@ class TestSequenceIO:
         with pytest.raises(ValueError, match="header"):
             load_sequence(str(path))
 
+    def test_load_shares_identical_steps(self, tmp_path):
+        seq = generate_sequence("rotating-single-edge", n=4, horizon=10)
+        path = tmp_path / "seq.txt"
+        save_sequence(str(path), seq)
+        loaded = load_sequence(str(path))
+        assert len(loaded.table) == 4
+        assert loaded[5] is loaded[1]
+        assert all(a.arcs == b.arcs for a, b in zip(loaded.graphs, seq.graphs))
+
     def test_step_out_of_horizon(self, tmp_path):
         path = tmp_path / "seq.txt"
         path.write_text("2 2\n2 0 1\n")
@@ -250,6 +366,16 @@ class TestGraphSequence:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             GraphSequence(())
+
+    def test_equal_steps_are_interned(self):
+        seq = GraphSequence([directed_ring(3), complete_graph(3), directed_ring(3)])
+        assert len(seq.table) == 2
+        assert seq.ids.tolist() == [0, 1, 0]
+        assert seq[2] is seq[0]
+
+    def test_ids_must_index_the_table(self):
+        with pytest.raises(ValueError):
+            GraphSequence((directed_ring(3),), ids=[0, 1])
 
     def test_indexing(self):
         seq = generate_sequence("rotating-single-edge", n=3, horizon=6)

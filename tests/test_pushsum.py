@@ -12,6 +12,7 @@ from pushsumlab.pushsum import (
     Trace,
     absolute_probability,
     phi_product,
+    resolve_weight_sequence,
     run_pushsum,
     run_weighted_pushsum,
     s_matrix,
@@ -240,6 +241,25 @@ class TestRunners:
             run_weighted_pushsum(seq, "default", [0.0, 1.0], [0.0, 2.0], 5)
 
 
+class TestResolveWeights:
+    def test_default_weights_built_once_per_distinct_graph(self):
+        seq = generate_sequence("rotating-single-edge", n=3, horizon=10)
+        mats = resolve_weight_sequence(seq, "default", 8)
+        assert len(mats) == 8
+        assert len({id(m) for m in mats}) == 3
+        for k, m in enumerate(mats):
+            assert np.array_equal(m, default_weights(seq[k]).matrix)
+
+    def test_fixed_matrix_error_names_the_first_bad_step(self):
+        ring = generate_sequence("static-ring", n=3, horizon=1)[0]
+        loops = DirectedGraph.from_arcs(3, [])
+        seq = GraphSequence([complete_graph(3)] * 4 + [ring, loops, ring])
+        w = default_weights(complete_graph(3))
+        assert len(resolve_weight_sequence(seq, w, 4)) == 4
+        with pytest.raises(ValueError, match="at step 4:"):
+            resolve_weight_sequence(seq, w, 7)
+
+
 class TestTrace:
     def make_trace(self):
         seq = generate_sequence("rotating-single-edge", n=3, horizon=12)
@@ -278,3 +298,11 @@ class TestTrace:
         stack = tr.s_matrices()
         assert stack.shape == (12, 3, 3)
         assert np.allclose(stack.sum(axis=2), 1.0, atol=1e-12)
+
+    def test_s_matrices_built_once_and_read_only(self):
+        tr = self.make_trace()
+        stack = tr.s_matrices()
+        assert tr.s_matrices() is stack
+        assert not stack.flags.writeable
+        for k in range(tr.steps):
+            assert np.array_equal(tr.s_mat(k), s_matrix(tr.w_mats[k], tr.ys[k], tr.ys[k + 1]))

@@ -3,12 +3,25 @@ import pytest
 
 from pushsumlab.graphs import DirectedGraph, complete_graph, directed_ring
 from pushsumlab.weights import (
+    COLUMN_SUM_TOL,
     WeightMatrix,
     default_weights,
     load_weights,
     save_weights,
     validate_weights,
 )
+
+
+def violations_reference(m, g, beta, tol):
+    # entry-by-entry form of validate_weights, row-major like the original loops
+    sums = m.sum(axis=0)
+    col = [(j, float(sums[j])) for j in range(g.n) if abs(sums[j] - 1.0) > tol]
+    arc = g.receive_matrix() > 0.0
+    cells = [(i, j, float(m[i, j])) for i in range(g.n) for j in range(g.n)]
+    sparsity = [(i, j, v) for i, j, v in cells if not arc[i, j] and v > 0.0]
+    low = [(i, j, v) for i, j, v in cells if arc[i, j] and v < beta]
+    diag = [(i, float(m[i, i])) for i in range(g.n) if m[i, i] <= 0.0]
+    return tuple(col), tuple(sparsity), tuple(diag), tuple(low)
 
 
 class TestWeightMatrix:
@@ -104,6 +117,20 @@ class TestValidateWeights:
         report = validate_weights(WeightMatrix(m, beta=0.01), g, beta=0.1)
         assert not report.ok
         assert report.beta_violations
+
+    def test_matches_entry_by_entry_reference(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            n = int(rng.integers(1, 6))
+            arcs = [(j, i) for j in range(n) for i in range(n) if rng.random() < 0.5]
+            g = DirectedGraph.from_arcs(n, arcs)
+            m = rng.random((n, n)) * (rng.random((n, n)) < 0.6)
+            if rng.random() < 0.5:
+                m = m / np.maximum(m.sum(axis=0), 1e-9)
+            beta = float(rng.uniform(0.0, 0.5))
+            r = validate_weights(WeightMatrix(m, beta=0.5), g, beta=beta)
+            got = (r.column_sum_violations, r.sparsity_violations, r.diagonal_violations, r.beta_violations)
+            assert got == violations_reference(m, g, beta, COLUMN_SUM_TOL)
 
     def test_beta_defaults_to_matrix_declaration(self):
         g = complete_graph(2)
