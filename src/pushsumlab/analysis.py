@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .optim import GradientOracle, Objective, StepSchedule
+from .optim import GradientOracle, Objective, StepSchedule, _row_dots
 from .pushsum import Trace
 
 __all__ = [
@@ -184,7 +184,7 @@ def bound_inputs_from_trace(
         if grad_bound is None or grad_bound <= 0.0:
             raise ValueError("cannot infer a positive gradient bound; pass grad_bound")
     z0 = trace.zs[0]
-    g0 = np.stack([obj.subgradient(i, z0[i]) for i in range(trace.n)])
+    g0 = obj.subgradients(z0)
     z_star, _ = obj.optimum()
     return BoundInputs(
         n=trace.n,
@@ -425,14 +425,11 @@ def estimate_k1(
     x1 = np.asarray(x1, dtype=float)
     if x1.ndim == 1:
         x1 = x1[:, np.newaxis]
-    n = x1.shape[0]
     vals = np.empty(draws)
     for m in range(draws):
-        total = 0.0
-        for i in range(n):
-            gt = oracle.gradient(obj, i, x1[i], 1, draw=m + 1)
-            total += float(np.linalg.norm(x1[i] + alpha1 * gt))
-        vals[m] = total
+        rows = x1 + alpha1 * oracle.gradients(obj, x1, 1, draw=m + 1)
+        # the agents' norms, added one after another from the first agent
+        vals[m] = np.cumsum(np.sqrt(_row_dots(rows)))[-1]
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(draws)) if draws > 1 else 0.0
     return mean, stderr
@@ -688,8 +685,8 @@ def compute_metrics(
         lyap = lyapunov_series(trace, z_star)
         if trace.alphas is not None:
             net, per_agent = running_average_iterates(trace)
-            f_gap_avg = np.array([obj.value(v) - f_star for v in net])
-            f_gap_agent = np.array([obj.value(v) - f_star for v in per_agent[:, agent]])
+            f_gap_avg = obj.values(net) - f_star
+            f_gap_agent = obj.values(per_agent[:, agent]) - f_star
             if mu is not None and trace.algorithm != "sgp":
                 inputs = bound_inputs_from_trace(trace, obj, mu=mu, eta=eta)
                 het = trace.algorithm in ("heterogeneous", "push_subgradient")

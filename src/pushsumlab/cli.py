@@ -3,8 +3,8 @@
 Subcommands
 -----------
 run     execute one scenario, write trace.csv / metrics.csv / summary.json
-verify  rerun with full recording and check every exact identity the
-        dynamics must satisfy; nonzero exit on violation
+verify  rerun with full recording, check every exact identity the
+        dynamics must satisfy and write verify.json; nonzero exit on violation
 sweep   rerun a scenario across horizons or seeds and fit the decay rate
 rates   fit power/geometric rates on a column of an existing metrics CSV
 
@@ -129,6 +129,19 @@ def _connectivity(seq: GraphSequence) -> dict:
     conn = {"claimed_window": window, "verified": verified}
     if not verified:
         conn["first_failing_window"] = first_failing_window(seq, window)
+    return conn
+
+
+def _prefix_connectivity(conn: dict, steps: int) -> dict:
+    """The report for the first ``steps`` graphs, from the report ``conn``
+    of a longer sequence: the prefix fails iff that sequence's first
+    failing window fits inside it."""
+    window = conn["claimed_window"]
+    if window is None or window > steps:
+        return {"claimed_window": window, "verified": None}
+    first = conn.get("first_failing_window")
+    if first is None or first + window > steps:
+        return {"claimed_window": window, "verified": True}
     return conn
 
 
@@ -400,19 +413,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if not conn_ok:
         failed.append("connectivity")
 
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        write_summary_json(
-            os.path.join(args.out, "verify.json"),
-            {
-                "checks": {
-                    name: {"value": value, "tolerance": tol, "ok": ok}
-                    for name, value, tol, ok in checks
-                },
-                "connectivity_ok": conn_ok,
-                "failed": failed,
+    os.makedirs(args.out, exist_ok=True)
+    write_summary_json(
+        os.path.join(args.out, "verify.json"),
+        {
+            "checks": {
+                name: {"value": value, "tolerance": tol, "ok": ok}
+                for name, value, tol, ok in checks
             },
-        )
+            "connectivity_ok": conn_ok,
+            "failed": failed,
+        },
+    )
     if failed:
         print(f"verification FAILED: {', '.join(failed)}")
         return 1
@@ -452,9 +464,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.axis == "horizon":
         lines.append("horizon,final_f_gap_avg,final_f_gap_agent,final_consensus_error,bound_fixed_realized")
         gaps = []
+        # every generator's sequence at a shorter horizon is a prefix of the
+        # longest one: build and check that once, and run each horizon on its
+        # first steps (a graph file is checked whole, as by run)
+        longest = build_graph_sequence(cfg.with_horizon(max(values)))
+        longest.default_matrices = {}
+        conn = _connectivity(longest)
         for v in sorted(values):
-            arts = execute_run(cfg, horizon=v)
-            ok, msg = _check_connectivity(_connectivity(arts.seq), args.strict)
+            arts = execute_run(cfg, horizon=v, seq=longest)
+            checked = len(longest) if cfg.graph_file is not None else v
+            ok, msg = _check_connectivity(_prefix_connectivity(conn, checked), args.strict)
             if not ok:
                 print(msg)
                 return 1
@@ -505,8 +524,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         lines.append("seed,final_mean_sq_error")
         series = []
         times = None
-        # the graph sequence does not follow the run seed: build and check it once
+        # the graph sequence does not follow the run seed: build and check it
+        # once, and build its default weights once for all seeds
         seq = build_graph_sequence(cfg)
+        seq.default_matrices = {}
         ok, msg = _check_connectivity(_connectivity(seq), args.strict)
         if not ok:
             print(msg)
@@ -606,7 +627,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_run.set_defaults(func=cmd_run)
 
-    p_verify = sub.add_parser("verify", help="check the exact identities on a recorded run")
+    verify_help = "check the exact identities on a recorded run; always writes <out>/verify.json"
+    p_verify = sub.add_parser("verify", help=verify_help, description=verify_help)
     add_common(p_verify)
     p_verify.add_argument(
         "--perturb-y",

@@ -149,32 +149,53 @@ class Objective:
             return float(self.delta) * math.sqrt(self.d)
         return None
 
-    def component_value(self, i: int, z: np.ndarray) -> float:
-        z = np.asarray(z, dtype=float).reshape(self.d)
-        r = z - self.anchors[i]
+    def _component_values(self, r: np.ndarray, s: np.ndarray | float) -> np.ndarray:
+        """f_i at the residuals r = z - a_i, one value per row along the
+        last axis; ``s`` holds each row's scale. The one copy of every
+        kind's value formula."""
         if self.kind == "abs":
-            return float(np.sum(np.abs(r)))
+            return np.abs(r).sum(axis=-1)
         if self.kind == "quadratic":
-            return float(0.5 * self.scales[i] * np.dot(r, r))
+            return 0.5 * s * _row_dots(r)
         delta = float(self.delta)
         small = np.abs(r) <= delta
-        quad = 0.5 * r[small] ** 2
-        lin = delta * (np.abs(r[~small]) - 0.5 * delta)
-        return float(np.sum(quad) + np.sum(lin))
+        quad = _masked_row_sums(0.5 * r**2, small)
+        lin = _masked_row_sums(delta * (np.abs(r) - 0.5 * delta), ~small)
+        return quad + lin
 
-    def value(self, z: np.ndarray) -> float:
-        return float(np.mean([self.component_value(i, z) for i in range(self.n)]))
-
-    def subgradient(self, i: int, z: np.ndarray) -> np.ndarray:
-        """A subgradient of f_i at z; at kinks of abs the minimum-norm
-        element (zero) is returned, so sign(0) = 0 is deliberate."""
-        z = np.asarray(z, dtype=float).reshape(self.d)
-        r = z - self.anchors[i]
+    def _gradients(self, r: np.ndarray, s: np.ndarray | float) -> np.ndarray:
+        """A subgradient of f_i at the residuals r = z - a_i, row by row;
+        the one copy of every kind's gradient formula. At kinks of abs the
+        minimum-norm element (zero) is returned, so sign(0) = 0 is
+        deliberate."""
         if self.kind == "abs":
             return np.sign(r)
         if self.kind == "quadratic":
-            return self.scales[i] * r
+            return s * r
         return np.clip(r, -float(self.delta), float(self.delta))
+
+    def component_value(self, i: int, z: np.ndarray) -> float:
+        r = np.asarray(z, dtype=float).reshape(1, self.d) - self.anchors[i]
+        return float(self._component_values(r, self.scales[i])[0])
+
+    def values(self, points: np.ndarray) -> np.ndarray:
+        """f at every row of a (P, d) array of points, in one call."""
+        p = np.asarray(points, dtype=float).reshape(-1, self.d)
+        r = p[:, np.newaxis, :] - self.anchors[np.newaxis, :, :]
+        return self._component_values(r, self.scales).mean(axis=-1)
+
+    def value(self, z: np.ndarray) -> float:
+        return float(self.values(np.asarray(z, dtype=float).reshape(1, self.d))[0])
+
+    def subgradients(self, z: np.ndarray) -> np.ndarray:
+        """The (n, d) rows of subgradients of f_i at z_i, in one call."""
+        r = np.asarray(z, dtype=float).reshape(self.n, self.d) - self.anchors
+        return self._gradients(r, self.scales[:, np.newaxis])
+
+    def subgradient(self, i: int, z: np.ndarray) -> np.ndarray:
+        """A subgradient of f_i at z (see ``_gradients``)."""
+        r = np.asarray(z, dtype=float).reshape(self.d) - self.anchors[i]
+        return self._gradients(r, self.scales[i])
 
     def optimum(self) -> tuple[np.ndarray, float]:
         """A minimizer of f and its value. For abs the per-coordinate
@@ -189,10 +210,8 @@ class Objective:
         return z, self.value(z)
 
     def _huber_root(self, col: np.ndarray) -> float:
-        delta = float(self.delta)
-
         def mean_grad(v: float) -> float:
-            return float(np.mean(np.clip(v - col, -delta, delta)))
+            return float(np.mean(self._gradients(v - col, 1.0)))
 
         lo, hi = float(col.min()) - 1.0, float(col.max()) + 1.0
         for _ in range(200):
@@ -204,6 +223,30 @@ class Objective:
             else:
                 hi = mid
         return 0.5 * (lo + hi)
+
+
+def _row_dots(r: np.ndarray) -> np.ndarray:
+    """r . r for every row along the last axis, as one stacked matmul.
+    Each entry equals np.dot of that row with itself, bit for bit; a
+    plain (r * r).sum(axis=-1) rounds differently once d >= 2."""
+    return np.matmul(r[..., np.newaxis, :], r[..., :, np.newaxis])[..., 0, 0]
+
+
+def _masked_row_sums(v: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """For every row along the last axis, the sum of v where mask holds,
+    equal bit for bit to np.sum(v_row[mask_row]).
+
+    numpy sums pairwise, so the grouping depends on how many entries a
+    row selects: each row's selected entries are packed to the front in
+    order, and the rows are summed in one call per distinct count.
+    """
+    packed = np.take_along_axis(v, np.argsort(~mask, axis=-1, kind="stable"), axis=-1)
+    counts = mask.sum(axis=-1)
+    out = np.zeros(counts.shape)
+    for c in np.unique(counts).tolist():
+        rows = counts == c
+        out[rows] = packed[rows][:, :c].sum(axis=-1)
+    return out
 
 
 def absolute_deviation_objective(anchors: np.ndarray) -> Objective:
@@ -328,26 +371,42 @@ class SwitchingSignal:
                 raise ValueError("table must be a (steps, n) array of 0/1 values")
             object.__setattr__(self, "table", tab)
 
-    def row(self, t: int, n: int) -> np.ndarray:
-        """sigma(t) for all agents as a float 0/1 vector."""
+    def rows(self, t0: int, steps: int, n: int) -> np.ndarray:
+        """sigma(t0) .. sigma(t0 + steps - 1) for all agents as a float 0/1
+        (steps, n) table.
+
+        A bernoulli entry (t, i) is the first uniform of the Philox stream
+        with counter (t, i, 0, 0) under the signal's key. Philox advances
+        its counter before each block, so word 0 of the blocks that one
+        generator per agent emits from counter (t0, i, 0, 0) are exactly
+        those draws for t = t0, t0 + 1, ...
+        """
         if self.kind == "all-ones":
-            return np.ones(n)
+            return np.ones((steps, n))
         if self.kind == "all-zeros":
-            return np.zeros(n)
+            return np.zeros((steps, n))
         if self.kind == "alternating":
             # adversarial stress: neighbors always disagree and flip each step
-            return np.array([(i + t) % 2 for i in range(n)], dtype=float)
+            return (np.add.outer(np.arange(t0, t0 + steps), np.arange(n)) % 2).astype(float)
         if self.kind == "table":
-            if not (0 <= t < self.table.shape[0]):
-                raise ValueError(f"switching table has no row for t={t}")
+            last = self.table.shape[0] - 1
+            if not (0 <= t0 and t0 + steps - 1 <= last):
+                raise ValueError(
+                    f"switching table covers t=0..{last}, not t={t0}..{t0 + steps - 1}"
+                )
             if self.table.shape[1] != n:
                 raise ValueError("switching table width does not match n")
-            return self.table[t].copy()
-        out = np.empty(n)
+            return self.table[t0 : t0 + steps].copy()
+        out = np.empty((steps, n))
         for i in range(n):
-            gen = np.random.Generator(np.random.Philox(key=self.seed, counter=[t, i, 0, 0]))
-            out[i] = 1.0 if gen.random() < self.p else 0.0
+            raw = np.random.Philox(key=self.seed, counter=[t0, i, 0, 0]).random_raw(4 * steps)
+            # Generator.random(): the top 53 bits of one word, scaled to [0, 1)
+            out[:, i] = (raw[::4] >> 11) * 2.0**-53 < self.p
         return out
+
+    def row(self, t: int, n: int) -> np.ndarray:
+        """sigma(t) for all agents as a float 0/1 vector."""
+        return self.rows(t, 1, n)[0]
 
 
 def all_ones_signal() -> SwitchingSignal:
@@ -381,7 +440,8 @@ class GradientOracle:
 
     Draws are addressed, not streamed: the Philox counter is
     (t, agent, draw, 0) under a single run key, so any subset of draws
-    can be regenerated independently and in any order.
+    can be regenerated independently and in any order. One generator is
+    kept per oracle and reset to each address before its draw.
     """
 
     noise_bounds: np.ndarray
@@ -392,25 +452,50 @@ class GradientOracle:
         if c.ndim != 1 or np.any(c < 0.0) or not np.all(np.isfinite(c)):
             raise ValueError("noise bounds must be a finite nonnegative (n,) array")
         object.__setattr__(self, "noise_bounds", c)
+        # the reused generator, and the state of a fresh one, whose counter
+        # each draw sets to its address (neither is a dataclass field)
+        bits = np.random.Philox(key=self.seed)
+        object.__setattr__(self, "_gen", np.random.Generator(bits))
+        object.__setattr__(self, "_fresh", bits.state)
 
-    def noise(self, i: int, t: int, d: int, draw: int = 0) -> np.ndarray:
+    def _draw(self, i: int, t: int, d: int, draw: int) -> np.ndarray:
         c = float(self.noise_bounds[i])
         if c == 0.0:
             return np.zeros(d)
-        gen = np.random.Generator(np.random.Philox(key=self.seed, counter=[t, i, draw, 0]))
-        direction = gen.standard_normal(d)
-        norm = float(np.linalg.norm(direction))
+        self._fresh["state"]["counter"][:3] = (t, i, draw)
+        self._gen.bit_generator.state = self._fresh
+        direction = self._gen.standard_normal(d)
+        norm = math.sqrt(direction.dot(direction))  # what np.linalg.norm computes
         if norm == 0.0:
             return np.zeros(d)
-        radius = c * float(gen.random()) ** (1.0 / d)
+        radius = c * float(self._gen.random()) ** (1.0 / d)
         return direction * (radius / norm)
 
-    def gradient(self, obj: Objective, i: int, z: np.ndarray, t: int, draw: int = 0) -> np.ndarray:
+    def noise(self, i: int, t: int, d: int, draw: int = 0) -> np.ndarray:
+        """Agent i's noise at address (t, i, draw)."""
+        return self._draw(i, t, d, draw)
+
+    def noise_rows(self, t: int, d: int, draw: int = 0) -> np.ndarray:
+        """The (n, d) noise rows of every agent at time t, in one call."""
+        out = np.empty((len(self.noise_bounds), d))
+        for i in range(len(out)):
+            out[i] = self._draw(i, t, d, draw)
+        return out
+
+    def _require_smooth(self, obj: Objective) -> None:
         if not obj.smooth:
             raise ValueError(
                 f"stochastic oracle needs a differentiable objective, got kind {obj.kind!r}"
             )
-        return obj.subgradient(i, z) + self.noise(i, t, obj.d, draw)
+
+    def gradient(self, obj: Objective, i: int, z: np.ndarray, t: int, draw: int = 0) -> np.ndarray:
+        self._require_smooth(obj)
+        return obj.subgradient(i, z) + self._draw(i, t, obj.d, draw)
+
+    def gradients(self, obj: Objective, z: np.ndarray, t: int, draw: int = 0) -> np.ndarray:
+        """The (n, d) noisy gradient rows at the agents' points z, in one call."""
+        self._require_smooth(obj)
+        return obj.subgradients(z) + self.noise_rows(t, obj.d, draw)
 
 
 # ---------------------------------------------------------------------------
@@ -503,15 +588,14 @@ def run_optimizer(
             f"the ratio x / y is meaningless"
         )
 
+    sigmas = None if sigma is None else sigma.rows(t0, horizon, n)
+
     def correction(t: int, w: np.ndarray, x: np.ndarray, y: np.ndarray):
         alpha = schedule.alpha(t)
         z = x / y[:, np.newaxis]
-        if oracle is not None:
-            g = np.stack([oracle.gradient(obj, i, z[i], t) for i in range(n)])
-        else:
-            g = np.stack([obj.subgradient(i, z[i]) for i in range(n)])
-        sigma_row = None if sigma is None else sigma.row(t, n)
+        g = obj.subgradients(z) if oracle is None else oracle.gradients(obj, z, t)
+        sigma_row = None if sigmas is None else sigmas[t - t0]
         x, y = _kernel(algorithm, w, x, y, g, alpha, sigma_row)
-        return x, y, g, alpha, sigma_row
+        return x, y, g, alpha
 
-    return run_dynamics(algorithm, w_list, x, y, t0, correction, seed)
+    return run_dynamics(algorithm, w_list, x, y, t0, correction, seed, sigmas)

@@ -269,7 +269,8 @@ def resolve_weight_sequence(
     """Materialize one mixing matrix per step.
 
     ``weights`` is the policy: "default" builds equal-split weights once
-    per distinct graph; a single WeightMatrix is used at every step; a
+    per distinct graph (and keeps them in ``seq.default_matrices`` when
+    that is a dict); a single WeightMatrix is used at every step; a
     sequence supplies one matrix per step. Custom matrices must validate
     against the graphs they are used with, before any state is touched.
     """
@@ -283,7 +284,10 @@ def resolve_weight_sequence(
     if isinstance(weights, str):
         if weights != "default":
             raise ValueError(f"unknown weight policy {weights!r}")
-        mats = {i: default_weights(seq.table[i]).matrix for i in distinct}
+        mats = {} if seq.default_matrices is None else seq.default_matrices
+        for i in distinct:
+            if i not in mats:
+                mats[i] = default_weights(seq.table[i]).matrix
         return [mats[i] for i in ids]
 
     if isinstance(weights, WeightMatrix):
@@ -328,19 +332,21 @@ def run_dynamics(
     t0: int = 0,
     correction: Callable[[int, np.ndarray, np.ndarray, np.ndarray], tuple] | None = None,
     seed: int | None = None,
+    sigmas: np.ndarray | None = None,
 ) -> Trace:
     """The push-sum loop shared by every algorithm, one step per matrix.
 
     Without ``correction`` each step is x <- W x, y <- W y. With one,
     the step at time t is ``correction(t, W, x, y)``, which returns the
-    next (x, y) together with the gradient rows, the step size and the
-    switching row (or None) it used; the trace records those too. The
+    next (x, y) together with the gradient rows and the step size it
+    used; the trace records those too, and keeps ``sigmas``, the
+    (steps, n) switching table the correction reads, as it is. The
     inputs x (n, d) and y (n,) must already be validated.
     """
     horizon, (n, d) = len(w_list), x.shape
     xs = np.empty((horizon + 1, n, d))
     ys = np.empty((horizon + 1, n))
-    gs = alphas = sigmas = None
+    gs = alphas = None
     if correction is not None:
         gs = np.empty((horizon, n, d))
         alphas = np.empty(horizon)
@@ -350,11 +356,7 @@ def run_dynamics(
             x = w @ x
             y = w @ y
         else:
-            x, y, gs[k], alphas[k], sigma_row = correction(t0 + k, w, x, y)
-            if sigma_row is not None:
-                if sigmas is None:
-                    sigmas = np.empty((horizon, n))
-                sigmas[k] = sigma_row
+            x, y, gs[k], alphas[k] = correction(t0 + k, w, x, y)
         if float(y.min()) <= DEGENERATE_Y:
             worst = int(np.argmin(y))
             raise DegenerateStateError(

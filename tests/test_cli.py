@@ -7,7 +7,7 @@ import pytest
 import pushsumlab.cli as cli
 import pushsumlab.pushsum as pushsum
 from pushsumlab.cli import main
-from pushsumlab.graphs import GraphSequence, complete_graph
+from pushsumlab.graphs import GraphSequence, complete_graph, generate_sequence
 from pushsumlab.report import read_csv_columns
 
 
@@ -341,6 +341,48 @@ class TestSweep:
         args = ["sweep", "--config", pushsum_cfg, "--axis", "seeds", "--values", "0,1,2"]
         assert main(args + ["--out", out]) == 0
         assert len(builds) == 1 and len(checks) == 1
+
+    def test_seeds_axis_builds_default_weights_once(self, tmp_path, monkeypatch):
+        params = {"window": 2, "extra_arc_prob": 0.2}
+        cfg = write_cfg(
+            tmp_path,
+            "het.json",
+            {
+                "algorithm": "heterogeneous",
+                "n": 5,
+                "horizon": 40,
+                "graph": {"kind": "random-spanning", "params": params},
+                "init": {"x0": [[1.0], [2.0], [3.0], [4.0], [5.0]]},
+                "objective": {"kind": "abs", "anchors": [[0.0], [1.0], [2.0], [3.0], [4.0]]},
+                "stepsize": {"kind": "harmonic", "scale": 1.0, "power": 0.75},
+                "sigma": {"kind": "bernoulli", "p": 0.5},
+            },
+        )
+        distinct = set(generate_sequence("random-spanning", 5, 40, 0, params).graphs)
+        built = counting(monkeypatch, pushsum, "default_weights")
+        args = ["sweep", "--config", cfg, "--axis", "seeds", "--values", "0,1,2"]
+        assert main(args + ["--out", str(tmp_path / "sw")]) == 0
+        assert len(built) == len(distinct) > 1
+
+    def test_horizon_axis_builds_and_checks_graphs_once(self, pushsum_cfg, tmp_path, monkeypatch):
+        builds = counting(monkeypatch, cli, "build_graph_sequence")
+        checks = counting(monkeypatch, cli, "is_uniformly_strongly_connected")
+        built = counting(monkeypatch, pushsum, "default_weights")
+        out = str(tmp_path / "sw")
+        args = ["sweep", "--config", pushsum_cfg, "--axis", "horizon", "--values", "20,5,40"]
+        assert main(args + ["--out", out]) == 0
+        assert len(builds) == 1 and builds[0][0].horizon == 40
+        assert len(checks) == 1 and len(checks[0][0]) == 40
+        assert len(built) == 4  # the rotating edge on 4 agents
+
+    def test_prefix_connectivity(self):
+        failing = {"claimed_window": 3, "verified": False, "first_failing_window": 5}
+        assert cli._prefix_connectivity(failing, 2) == {"claimed_window": 3, "verified": None}
+        assert cli._prefix_connectivity(failing, 7) == {"claimed_window": 3, "verified": True}
+        assert cli._prefix_connectivity(failing, 8) == failing
+        passing = {"claimed_window": 3, "verified": True}
+        assert cli._prefix_connectivity(passing, 8) == passing
+        assert cli._prefix_connectivity({"claimed_window": None, "verified": None}, 8)["verified"] is None
 
     def test_failed_window_reported(self, pushsum_cfg, window_too_short, tmp_path, capsys):
         for axis, values in (("seeds", "0,1"), ("horizon", "20,40")):

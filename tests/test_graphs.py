@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pushsumlab.graphs import (
+    GENERATOR_KINDS,
     DirectedGraph,
     GraphSequence,
     complete_graph,
@@ -310,6 +311,16 @@ class TestGenerators:
         )
         count = lambda s: sum(len(g.arcs) for g in s.graphs)
         assert count(dense) > count(plain)
+
+    @pytest.mark.parametrize("kind", GENERATOR_KINDS)
+    def test_shorter_horizon_is_a_prefix(self, kind):
+        params = {"random-spanning": {"window": 3, "extra_arc_prob": 0.2}}.get(kind)
+        longest = generate_sequence(kind, n=5, horizon=40, seed=4, params=params)
+        for horizon in (1, 4, 9, 17, 39, 40):
+            seq = generate_sequence(kind, n=5, horizon=horizon, seed=4, params=params)
+            assert len(seq) == horizon
+            assert seq.claimed_window == longest.claimed_window
+            assert seq.graphs == longest.graphs[:horizon]
 
     def test_doubly_stochastic_kind_gives_balanced_weights(self):
         for topology in ("ring", "complete"):

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from pushsumlab.analysis import estimate_k1
 from pushsumlab.graphs import generate_sequence
 from pushsumlab.optim import (
     GradientOracle,
     Objective,
+    SwitchingSignal,
     absolute_deviation_objective,
     all_ones_signal,
     all_zeros_signal,
@@ -383,3 +385,184 @@ class TestDescentRecursion:
                 oracle=GradientOracle([0.3, 0.3, 0.3], seed=2),
             )
         )
+
+
+# ---------------------------------------------------------------------------
+# the per-agent forms the batched code replaced, kept as references
+
+
+def reference_component_value(obj, i, z):
+    z = np.asarray(z, dtype=float).reshape(obj.d)
+    r = z - obj.anchors[i]
+    if obj.kind == "abs":
+        return float(np.sum(np.abs(r)))
+    if obj.kind == "quadratic":
+        return float(0.5 * obj.scales[i] * np.dot(r, r))
+    delta = float(obj.delta)
+    small = np.abs(r) <= delta
+    quad = 0.5 * r[small] ** 2
+    lin = delta * (np.abs(r[~small]) - 0.5 * delta)
+    return float(np.sum(quad) + np.sum(lin))
+
+
+def reference_value(obj, z):
+    return float(np.mean([reference_component_value(obj, i, z) for i in range(obj.n)]))
+
+
+def reference_subgradient(obj, i, z):
+    z = np.asarray(z, dtype=float).reshape(obj.d)
+    r = z - obj.anchors[i]
+    if obj.kind == "abs":
+        return np.sign(r)
+    if obj.kind == "quadratic":
+        return obj.scales[i] * r
+    return np.clip(r, -float(obj.delta), float(obj.delta))
+
+
+def reference_bernoulli_row(seed, p, t, n):
+    out = np.empty(n)
+    for i in range(n):
+        gen = np.random.Generator(np.random.Philox(key=seed, counter=[t, i, 0, 0]))
+        out[i] = 1.0 if gen.random() < p else 0.0
+    return out
+
+
+def reference_noise(bounds, seed, i, t, d, draw=0):
+    """The draw at address (t, i, draw) from a generator built for it alone;
+    also returns how many 64-bit words its normals took (d unless the
+    ziggurat rejected a candidate)."""
+    c = float(bounds[i])
+    if c == 0.0:
+        return np.zeros(d), d
+    gen = np.random.Generator(np.random.Philox(key=seed, counter=[t, i, draw, 0]))
+    direction = gen.standard_normal(d)
+    state = gen.bit_generator.state
+    words = 4 * (int(state["state"]["counter"][0]) - t - 1) + state["buffer_pos"]
+    norm = float(np.linalg.norm(direction))
+    if norm == 0.0:
+        return np.zeros(d), words
+    radius = c * float(gen.random()) ** (1.0 / d)
+    return direction * (radius / norm), words
+
+
+def reference_estimate_k1(obj, oracle, x1, alpha1, draws):
+    vals = np.empty(draws)
+    for m in range(draws):
+        total = 0.0
+        for i in range(x1.shape[0]):
+            gt = obj.subgradient(i, x1[i]) + reference_noise(
+                oracle.noise_bounds, oracle.seed, i, 1, obj.d, draw=m + 1
+            )[0]
+            total += float(np.linalg.norm(x1[i] + alpha1 * gt))
+        vals[m] = total
+    return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(draws))
+
+
+def objectives(rng, n, d):
+    anchors = rng.uniform(-0.5, 0.5, size=(n, d))
+    yield absolute_deviation_objective(anchors)
+    yield quadratic_objective(anchors, scales=rng.uniform(0.5, 3.0, size=n))
+    yield huber_objective(anchors, delta=1.0)
+
+
+def sample_points(rng, obj, count=40):
+    """Points near and far from the anchors: with delta = 1, rows at scale
+    0.1 hold only small huber residuals, rows at scale 30 only large ones
+    and the others mix both sides; some coordinates sit exactly on an
+    anchor (a kink of abs). ``count`` is a multiple of the agent count."""
+    scale = rng.choice([0.1, 1.0, 3.0, 30.0], size=(count, 1))
+    pts = rng.standard_normal((count, obj.d)) * scale
+    pts[::4] = obj.anchors[rng.integers(0, obj.n, size=len(pts[::4]))]
+    pts[1::4, 0] = obj.anchors[0, 0]
+    return pts
+
+
+class TestBatchedFormsMatchReferences:
+    @pytest.mark.parametrize("d", [1, 2, 3, 9])
+    def test_objective_values_and_subgradients(self, d):
+        rng = np.random.default_rng(d)
+        for obj in objectives(rng, 5, d):
+            pts = sample_points(rng, obj)
+            want = np.array([reference_value(obj, p) for p in pts])
+            assert np.array_equal(obj.values(pts), want), obj.kind
+            assert all(obj.value(p) == w for p, w in zip(pts, want))
+            for i in range(obj.n):
+                assert all(
+                    obj.component_value(i, p) == reference_component_value(obj, i, p) for p in pts
+                )
+            for z in pts.reshape(-1, obj.n, d):
+                rows = np.stack([reference_subgradient(obj, i, z[i]) for i in range(obj.n)])
+                assert np.array_equal(obj.subgradients(z), rows)
+                assert all(np.array_equal(obj.subgradient(i, z[i]), rows[i]) for i in range(obj.n))
+
+    def test_points_cover_both_huber_sides_and_abs_kinks(self):
+        rng = np.random.default_rng(9)
+        obj = huber_objective(rng.uniform(-0.5, 0.5, size=(5, 9)), delta=1.0)
+        pts = sample_points(rng, obj)
+        small = (np.abs(pts[:, None, :] - obj.anchors) <= 1.0).sum(axis=-1)
+        # all nine small (numpy's 8-way pairwise sum), none small, and mixed rows
+        assert small.max() == 9 and small.min() == 0 and ((small > 0) & (small < 9)).any()
+        assert (pts[:, None, :] == obj.anchors).any()
+
+    @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("t0", [0, 1])
+    def test_bernoulli_rows(self, p, t0):
+        for seed in (0, 5):
+            sig = bernoulli_signal(p, seed=seed)
+            want = np.stack([reference_bernoulli_row(seed, p, t, 7) for t in range(t0, t0 + 60)])
+            assert np.array_equal(sig.rows(t0, 60, 7), want)
+            assert np.array_equal(sig.row(t0 + 3, 7), want[3])
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_oracle_noise_rows(self, d):
+        bounds = [0.0, 0.4, 1.5]
+        oracle = GradientOracle(bounds, seed=3)
+        rejected = 0
+        for t in range(300):
+            for draw in (0, 2):
+                drawn = [reference_noise(bounds, 3, i, t, d, draw) for i in range(3)]
+                want = np.stack([row for row, _ in drawn])
+                rejected += sum(words > d for _, words in drawn)
+                assert np.array_equal(oracle.noise_rows(t, d, draw), want)
+                assert all(np.array_equal(oracle.noise(i, t, d, draw), want[i]) for i in range(3))
+        assert rejected > 0  # the ziggurat's rejection path was taken
+
+    def test_oracle_gradients_and_k1(self):
+        obj = quadratic_objective([[0.0, 1.0, 2.0], [2.0, 0.0, 1.0], [1.0, 1.0, -1.0]])
+        oracle = GradientOracle([0.5, 0.0, 0.25], seed=8)
+        z = np.array([[0.3, -1.0, 2.5], [1.0, 1.0, 1.0], [-2.0, 0.5, 0.0]])
+        want = np.stack(
+            [obj.subgradient(i, z[i]) + reference_noise(oracle.noise_bounds, 8, i, 4, 3)[0] for i in range(3)]
+        )
+        assert np.array_equal(oracle.gradients(obj, z, 4), want)
+        assert estimate_k1(obj, oracle, z, 0.7, draws=50) == reference_estimate_k1(obj, oracle, z, 0.7, 50)
+
+    def test_heterogeneous_trace_holds_the_reference_signal(self):
+        seq = generate_sequence("static-ring", n=5, horizon=40)
+        obj = absolute_deviation_objective(np.arange(5.0)[:, None])
+        tr = run_optimizer("heterogeneous", seq, obj, harmonic(0.5, 1.0), x0=np.zeros((5, 1)), seed=4)
+        assert np.array_equal(tr.sigmas, np.stack([reference_bernoulli_row(4, 0.5, t, 5) for t in range(40)]))
+
+
+def test_step_loop_makes_no_per_agent_calls(monkeypatch):
+    calls = []
+    for cls, name in ((Objective, "subgradient"), (SwitchingSignal, "row"), (GradientOracle, "noise")):
+        original = getattr(cls, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, counted)
+    seq = generate_sequence("random-spanning", n=6, horizon=30, seed=1, params={"window": 2})
+    obj_abs = absolute_deviation_objective(np.arange(6.0)[:, None])
+    obj_q = quadratic_objective(np.arange(6.0)[:, None])
+    run_optimizer(
+        "heterogeneous", seq, obj_abs, harmonic(0.5, 1.0), x0=np.zeros((6, 1)),
+        sigma=bernoulli_signal(0.5, seed=2),
+    )
+    run_optimizer(
+        "sgp", seq, obj_q, sgp_strong(obj_q.lambda_bar), x0=np.zeros((6, 1)),
+        oracle=GradientOracle(np.full(6, 0.3), seed=2),
+    )
+    assert calls == []
