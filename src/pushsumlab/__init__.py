@@ -3,179 +3,29 @@ directed, time-varying, unbalanced graphs.
 
 The package simulates ratio consensus (push-sum) and four subgradient
 schemes built on it, checks the exact identities the dynamics satisfy,
-and evaluates the finite-time error bounds the schemes come with.
+and evaluates the finite-time error bounds the schemes come with. The
+top level holds the names of the README's library example; everything
+else is imported from its module (``pushsumlab.analysis``,
+``pushsumlab.graphs``, ...).
 """
 
-from .analysis import (
-    BoundInputs,
-    RateFit,
-    RunMetrics,
-    SgpConstants,
-    bound_heterogeneous,
-    bound_inputs_from_trace,
-    bound_per_agent,
-    bound_sgp,
-    bound_subgradient_push_fixed,
-    bound_subgradient_push_varying,
-    compute_metrics,
-    consensus_error,
-    consensus_error_series,
-    estimate_k1,
-    fit_rate,
-    k2_constant,
-    lyapunov_series,
-    running_average_iterates,
-    sgp_constants,
-    verify_descent_recursion,
-)
-from .config import (
-    ConfigError,
-    ExperimentConfig,
-    build_graph_sequence,
-    build_objective,
-    build_oracle,
-    build_schedule,
-    build_sigma,
-    build_weights,
-    load_config,
-    parse_config,
-)
-from .graphs import (
-    DirectedGraph,
-    GraphSequence,
-    complete_graph,
-    directed_ring,
-    generate_sequence,
-    is_strongly_connected,
-    is_uniformly_strongly_connected,
-    load_sequence,
-    save_sequence,
-    undirected_ring,
-    union_graph,
-)
-from .optim import (
-    ALGORITHMS,
-    GradientOracle,
-    Objective,
-    StepSchedule,
-    SwitchingSignal,
-    absolute_deviation_objective,
-    all_ones_signal,
-    all_zeros_signal,
-    alternating_signal,
-    bernoulli_signal,
-    constant_step,
-    fixed_inv_sqrt,
-    harmonic,
-    huber_objective,
-    quadratic_objective,
-    run_optimizer,
-    sgp_strong,
-    table_signal,
-)
-from .pushsum import (
-    DegenerateStateError,
-    TheoreticalConstants,
-    Trace,
-    absolute_probability,
-    absolute_probability_violation,
-    phi_product,
-    run_pushsum,
-    run_weighted_pushsum,
-    s_matrix,
-    theoretical_constants,
-    verify_absolute_probability,
-    verify_product_limit,
-    verify_ratio_identity,
-)
-from .weights import (
-    WeightMatrix,
-    WeightReport,
-    default_weights,
-    load_weights,
-    save_weights,
-    validate_weights,
-)
+from .analysis import bound_inputs_from_trace, bound_sgp, estimate_k1
+from .graphs import generate_sequence
+from .optim import GradientOracle, quadratic_objective, run_optimizer, sgp_strong
+from .pushsum import run_pushsum, theoretical_constants, verify_absolute_probability
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALGORITHMS",
-    "BoundInputs",
-    "ConfigError",
-    "DegenerateStateError",
-    "DirectedGraph",
-    "ExperimentConfig",
     "GradientOracle",
-    "GraphSequence",
-    "Objective",
-    "RateFit",
-    "RunMetrics",
-    "SgpConstants",
-    "StepSchedule",
-    "SwitchingSignal",
-    "TheoreticalConstants",
-    "Trace",
-    "WeightMatrix",
-    "WeightReport",
-    "absolute_deviation_objective",
-    "absolute_probability",
-    "absolute_probability_violation",
-    "all_ones_signal",
-    "all_zeros_signal",
-    "alternating_signal",
-    "bernoulli_signal",
-    "bound_heterogeneous",
     "bound_inputs_from_trace",
-    "bound_per_agent",
     "bound_sgp",
-    "bound_subgradient_push_fixed",
-    "bound_subgradient_push_varying",
-    "build_graph_sequence",
-    "build_objective",
-    "build_oracle",
-    "build_schedule",
-    "build_sigma",
-    "build_weights",
-    "complete_graph",
-    "compute_metrics",
-    "consensus_error",
-    "consensus_error_series",
-    "constant_step",
-    "default_weights",
-    "directed_ring",
     "estimate_k1",
-    "fit_rate",
-    "fixed_inv_sqrt",
     "generate_sequence",
-    "harmonic",
-    "huber_objective",
-    "is_strongly_connected",
-    "is_uniformly_strongly_connected",
-    "k2_constant",
-    "load_config",
-    "load_sequence",
-    "load_weights",
-    "lyapunov_series",
-    "parse_config",
-    "phi_product",
     "quadratic_objective",
     "run_optimizer",
     "run_pushsum",
-    "run_weighted_pushsum",
-    "running_average_iterates",
-    "s_matrix",
-    "save_sequence",
-    "save_weights",
-    "sgp_constants",
     "sgp_strong",
-    "table_signal",
     "theoretical_constants",
-    "undirected_ring",
-    "union_graph",
-    "validate_weights",
     "verify_absolute_probability",
-    "verify_descent_recursion",
-    "verify_product_limit",
-    "verify_ratio_identity",
 ]

@@ -4,8 +4,11 @@ The bound evaluators implement the finite-time guarantees for the four
 algorithms as stated, term by term, with no re-derivation: callers
 supply the contraction pair (eta, mu), the gradient bound G, and the
 initial data, and get back the certified ceiling for the chosen error
-notion. Geometric sums use the 0^0 = 1 convention so the rank-one case
-mu = 0 keeps its surviving tau = 0 terms.
+notion. Each deterministic bound has one evaluator per step rule, a
+vectorized varying-step series and a fixed-step formula; the public
+bound_* functions are entry points into them. Geometric sums use the
+0^0 = 1 convention so the rank-one case mu = 0 keeps its surviving
+tau = 0 terms.
 
 Everything here is pure post-processing of recorded traces; nothing
 re-runs dynamics.
@@ -29,6 +32,7 @@ __all__ = [
     "running_average_iterates",
     "BoundInputs",
     "bound_inputs_from_trace",
+    "HET_BOUND_ALGORITHMS",
     "bound_subgradient_push_fixed",
     "bound_subgradient_push_varying",
     "bound_per_agent",
@@ -206,193 +210,125 @@ def bound_inputs_from_trace(
 
 # ---------------------------------------------------------------------------
 # deterministic-algorithm bounds
+#
+# One evaluator per step rule. ``het`` selects the switching analysis
+# (heterogeneous and push-subgradient runs), which carries an extra 1/mu
+# and replaces the corrected initial sum with sum_i ||x_i(0)||; at mu = 0
+# that form is vacuous and the rank-one ceiling is used instead (a single
+# mixing step erases disagreement, so the network term collapses to a
+# neighboring-step-size sum). ``k`` applies the ceiling to agent k's own
+# running average: the initial-spread term is split between the network
+# average and agent k's start, at scale 1 instead of 2.
+
+HET_BOUND_ALGORITHMS = ("heterogeneous", "push_subgradient")
 
 
-def _geometric_sums(alphas: np.ndarray, mu: float, t: int) -> tuple[float, float, float, float]:
-    """The four weighted sums the varying-step bounds share.
-
-    Returns (A, A2, S1, S2) with A = sum_{tau<=t} alpha, A2 the same for
-    alpha^2, S1 = sum_{tau<t} alpha(tau) mu^tau and
-    S2 = sum_{tau<t} alpha(tau) (alpha(0) mu^(tau/2) + alpha(ceil(tau/2))).
-    0^0 = 1 applies inside S1 and S2.
-    """
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    a = alphas[: t + 1]
-    if len(a) != t + 1:
-        raise ValueError(f"need step sizes up to t={t}, have {len(alphas)}")
-    big_a = float(np.sum(a))
-    big_a2 = float(np.sum(a * a))
-    s1 = 0.0
-    s2 = 0.0
-    for tau in range(t):
-        s1 += a[tau] * mu**tau
-        s2 += a[tau] * (a[0] * mu ** (tau / 2.0) + alphas[math.ceil(tau / 2)])
-    return big_a, big_a2, s1, s2
+def _spread(inputs: BoundInputs, k: int | None) -> tuple[float, float]:
+    """The initial-spread term's scale and sum, for the network or agent k."""
+    if k is None:
+        return 2.0, inputs.sum_initial_spread()
+    if not (0 <= k < inputs.n):
+        raise ValueError(f"agent index {k} out of range")
+    return 1.0, inputs.sum_initial_spread() + inputs.sum_agent_spread(k)
 
 
-def _varying_bound_series(inputs: BoundInputs, het: bool) -> np.ndarray:
-    """All varying-step ceilings for t = 0 .. horizon-1 in one pass.
+def _varying_bound_series(
+    inputs: BoundInputs, het: bool, k: int | None = None, steps: int | None = None
+) -> np.ndarray:
+    """Varying-step ceilings for t = 0 .. steps-1 (default: the horizon),
+    each applied to f of the alpha-weighted running average up to t.
 
-    Same quantities as the scalar functions, evaluated with cumulative
-    sums so the whole series costs O(T) instead of O(T^2).
+    With A = sum_{tau<=t} alpha, A2 the same for alpha^2,
+    S1 = sum_{tau<t} alpha(tau) mu^tau and
+    S2 = sum_{tau<t} alpha(tau) (alpha(0) mu^(tau/2) + alpha(ceil(tau/2))),
+    all as cumulative sums, so the whole series costs O(T).
     """
     if inputs.alphas is None:
         raise ValueError("varying-step bound needs the step sizes")
-    if inputs.horizon is None or inputs.horizon < 1:
+    if steps is None:
+        steps = inputs.horizon
+    if steps is None or steps < 1:
         raise ValueError("bound series needs the horizon")
+    if len(inputs.alphas) < steps:
+        raise ValueError(f"need step sizes up to t={steps - 1}, have {len(inputs.alphas)}")
     g, eta, mu, n = inputs.grad_bound, inputs.eta, inputs.mu, inputs.n
-    steps = inputs.horizon
+    scale, spread = _spread(inputs, k)
     a = np.asarray(inputs.alphas, dtype=float)[:steps]
-    tau = np.arange(steps)
-    big_a = np.cumsum(a)
-    big_a2 = np.cumsum(a * a)
-    s1 = np.concatenate(([0.0], np.cumsum(a * mu**tau)[:-1]))
-    half = a[np.ceil(tau / 2.0).astype(int)]
-    s2 = np.concatenate(([0.0], np.cumsum(a * (a[0] * mu ** (tau / 2.0) + half))[:-1]))
     alpha0 = float(a[0])
-    head = (inputs.initial_gap_sq() + g * g * big_a2) / (2.0 * big_a)
-    if het:
-        head = head + 2.0 * g * alpha0 * inputs.sum_initial_spread() / (n * big_a)
-        if mu == 0.0:
+    big_a = np.cumsum(a)
+    # a constant that saturates to inf times a zero sum at t = 0 gives nan there
+    with np.errstate(invalid="ignore"):
+        head = (inputs.initial_gap_sq() + g * g * np.cumsum(a * a)) / (2.0 * big_a) + (
+            scale * g * alpha0 * spread / (n * big_a)
+        )
+        if het and mu == 0.0:
             s3 = np.concatenate(([0.0], np.cumsum(a[1:] * a[:-1])))
             return head + (4.0 * n * g * g / eta) * (s3 / big_a)
-        return (
-            head
-            + (32.0 * g * inputs.sum_x0_norm() / eta) * (s1 / big_a)
-            + (32.0 * n * g * g / (eta * mu * (1.0 - mu))) * (s2 / big_a)
-        )
-    return (
-        head
-        + 2.0 * g * alpha0 * inputs.sum_initial_spread() / (n * big_a)
-        + (32.0 * g / eta) * (s1 / big_a) * inputs.sum_corrected_init(alpha0)
-        + (32.0 * n * g * g / (eta * (1.0 - mu))) * (s2 / big_a)
-    )
+        tau = np.arange(steps)
+        s1 = np.concatenate(([0.0], np.cumsum(a * mu**tau)[:-1]))
+        half = a[np.ceil(tau / 2.0).astype(int)]
+        s2 = np.concatenate(([0.0], np.cumsum(a * (a[0] * mu ** (tau / 2.0) + half))[:-1]))
+        if het:
+            init = (32.0 * g * inputs.sum_x0_norm() / eta) * (s1 / big_a)
+        else:
+            init = (32.0 * g / eta) * (s1 / big_a) * inputs.sum_corrected_init(alpha0)
+        mix = 32.0 * n * g * g / (eta * (mu if het else 1.0) * (1.0 - mu))
+        return head + init + mix * (s2 / big_a)
 
 
-def bound_subgradient_push_fixed(inputs: BoundInputs) -> float:
+def _fixed_bound(inputs: BoundInputs, het: bool, k: int | None = None) -> float:
     """Gap ceiling for the horizon-tuned constant step alpha = 1/sqrt(T),
     applied to f of the plain running average over the first T states."""
     if inputs.horizon is None or inputs.horizon < 1:
         raise ValueError("fixed-step bound needs the horizon T")
-    big_t = float(inputs.horizon)
     g, eta, mu, n = inputs.grad_bound, inputs.eta, inputs.mu, inputs.n
-    alpha0 = 1.0 / math.sqrt(big_t)
+    scale, spread = _spread(inputs, k)
+    big_t = float(inputs.horizon)
+    root_t = math.sqrt(big_t)
+    head = scale * g * spread / (n * big_t) + (inputs.initial_gap_sq() + g * g) / (2.0 * root_t)
+    if het and mu == 0.0:
+        return head + 4.0 * n * g * g / (eta * root_t)
+    init = inputs.sum_x0_norm() if het else inputs.sum_corrected_init(1.0 / root_t)
     return (
-        2.0 * g * inputs.sum_initial_spread() / (n * big_t)
-        + (inputs.initial_gap_sq() + g * g) / (2.0 * math.sqrt(big_t))
-        + 32.0 * g * inputs.sum_corrected_init(alpha0) / (eta * (1.0 - mu) * big_t)
-        + 32.0 * n * g * g / (eta * (1.0 - mu) * math.sqrt(big_t))
+        head
+        + 32.0 * g * init / (eta * (1.0 - mu) * big_t)
+        + 32.0 * n * g * g / (eta * (mu if het else 1.0) * (1.0 - mu) * root_t)
     )
+
+
+def _bound(inputs: BoundInputs, het: bool, variant: str, k: int | None, t: int | None) -> float:
+    """The fixed-step ceiling, or the varying-step series' entry at t."""
+    if variant == "fixed":
+        return _fixed_bound(inputs, het, k)
+    if variant != "varying":
+        raise ValueError(f"unknown variant {variant!r}; expected 'fixed' or 'varying'")
+    if t is None:
+        raise ValueError("varying-step bound needs t")
+    if t < 0:
+        raise ValueError(f"t must be >= 0, got {t}")
+    return float(_varying_bound_series(inputs, het, k, steps=t + 1)[-1])
+
+
+def bound_subgradient_push_fixed(inputs: BoundInputs) -> float:
+    """Subgradient-push ceiling for the constant step 1/sqrt(T)."""
+    return _fixed_bound(inputs, het=False)
 
 
 def bound_subgradient_push_varying(inputs: BoundInputs, t: int) -> float:
-    """Gap ceiling at time t for an arbitrary positive step sequence,
-    applied to f of the alpha-weighted running average up to t."""
-    if inputs.alphas is None:
-        raise ValueError("varying-step bound needs the step sizes")
-    g, eta, mu, n = inputs.grad_bound, inputs.eta, inputs.mu, inputs.n
-    big_a, big_a2, s1, s2 = _geometric_sums(inputs.alphas, mu, t)
-    alpha0 = float(inputs.alphas[0])
-    return (
-        (inputs.initial_gap_sq() + g * g * big_a2) / (2.0 * big_a)
-        + 2.0 * g * alpha0 * inputs.sum_initial_spread() / (n * big_a)
-        + (32.0 * g / eta) * (s1 / big_a) * inputs.sum_corrected_init(alpha0)
-        + (32.0 * n * g * g / (eta * (1.0 - mu))) * (s2 / big_a)
-    )
+    """Subgradient-push ceiling at time t for the recorded step sequence."""
+    return _bound(inputs, False, "varying", None, t)
 
 
 def bound_per_agent(inputs: BoundInputs, k: int, variant: str = "fixed", t: int | None = None) -> float:
-    """Per-agent version: same ceiling applied to agent k's own running
-    average, with the initial-spread term split between the network
-    average and agent k's start."""
-    if not (0 <= k < inputs.n):
-        raise ValueError(f"agent index {k} out of range")
-    g, eta, mu, n = inputs.grad_bound, inputs.eta, inputs.mu, inputs.n
-    spread = inputs.sum_initial_spread() + inputs.sum_agent_spread(k)
-    if variant == "fixed":
-        if inputs.horizon is None or inputs.horizon < 1:
-            raise ValueError("fixed-step bound needs the horizon T")
-        big_t = float(inputs.horizon)
-        alpha0 = 1.0 / math.sqrt(big_t)
-        return (
-            g * spread / (n * big_t)
-            + (inputs.initial_gap_sq() + g * g) / (2.0 * math.sqrt(big_t))
-            + 32.0 * g * inputs.sum_corrected_init(alpha0) / (eta * (1.0 - mu) * big_t)
-            + 32.0 * n * g * g / (eta * (1.0 - mu) * math.sqrt(big_t))
-        )
-    if variant == "varying":
-        if inputs.alphas is None:
-            raise ValueError("varying-step bound needs the step sizes")
-        if t is None:
-            raise ValueError("varying-step bound needs t")
-        big_a, big_a2, s1, s2 = _geometric_sums(inputs.alphas, mu, t)
-        alpha0 = float(inputs.alphas[0])
-        return (
-            (inputs.initial_gap_sq() + g * g * big_a2) / (2.0 * big_a)
-            + g * alpha0 * spread / (n * big_a)
-            + (32.0 * g / eta) * (s1 / big_a) * inputs.sum_corrected_init(alpha0)
-            + (32.0 * n * g * g / (eta * (1.0 - mu))) * (s2 / big_a)
-        )
-    raise ValueError(f"unknown variant {variant!r}; expected 'fixed' or 'varying'")
+    """Subgradient-push ceiling on agent k's own running average."""
+    return _bound(inputs, False, variant, k, t)
 
 
 def bound_heterogeneous(
     inputs: BoundInputs, variant: str = "fixed", k: int | None = None, t: int | None = None
 ) -> float:
-    """Gap ceiling for the switching algorithm, any switching signal.
-
-    The generic form carries an extra 1/mu and replaces the corrected
-    initial sum with sum_i ||x_i(0)||. At mu = 0 the generic form is
-    vacuous, and the dedicated rank-one-case ceiling is used instead
-    (single mixing step erases disagreement, so the network term
-    collapses to a neighboring-step-size sum).
-    """
-    if variant not in ("fixed", "varying"):
-        raise ValueError(f"unknown variant {variant!r}; expected 'fixed' or 'varying'")
-    g, eta, mu, n = inputs.grad_bound, inputs.eta, inputs.mu, inputs.n
-    if k is None:
-        spread_term_scale = 2.0
-        spread = inputs.sum_initial_spread()
-    else:
-        if not (0 <= k < inputs.n):
-            raise ValueError(f"agent index {k} out of range")
-        spread_term_scale = 1.0
-        spread = inputs.sum_initial_spread() + inputs.sum_agent_spread(k)
-
-    if variant == "fixed":
-        if inputs.horizon is None or inputs.horizon < 1:
-            raise ValueError("fixed-step bound needs the horizon T")
-        big_t = float(inputs.horizon)
-        head = spread_term_scale * g * spread / (n * big_t) + (
-            inputs.initial_gap_sq() + g * g
-        ) / (2.0 * math.sqrt(big_t))
-        if mu == 0.0:
-            return head + 4.0 * n * g * g / (eta * math.sqrt(big_t))
-        return (
-            head
-            + 32.0 * g * inputs.sum_x0_norm() / (eta * (1.0 - mu) * big_t)
-            + 32.0 * n * g * g / (eta * mu * (1.0 - mu) * math.sqrt(big_t))
-        )
-
-    if inputs.alphas is None:
-        raise ValueError("varying-step bound needs the step sizes")
-    if t is None:
-        raise ValueError("varying-step bound needs t")
-    big_a, big_a2, s1, s2 = _geometric_sums(inputs.alphas, mu, t)
-    alpha0 = float(inputs.alphas[0])
-    head = (inputs.initial_gap_sq() + g * g * big_a2) / (2.0 * big_a) + (
-        spread_term_scale * g * alpha0 * spread / (n * big_a)
-    )
-    if mu == 0.0:
-        a = inputs.alphas[: t + 1]
-        s3 = float(np.sum(a[1:] * a[:-1]))
-        return head + (4.0 * n * g * g / eta) * (s3 / big_a)
-    return (
-        head
-        + (32.0 * g * inputs.sum_x0_norm() / eta) * (s1 / big_a)
-        + (32.0 * n * g * g / (eta * mu * (1.0 - mu))) * (s2 / big_a)
-    )
+    """Ceiling for the switching algorithm, any switching signal."""
+    return _bound(inputs, True, variant, k, t)
 
 
 # ---------------------------------------------------------------------------
@@ -610,11 +546,9 @@ def verify_descent_recursion(trace: Trace) -> float:
     if trace.gs is None or trace.alphas is None:
         raise ValueError("trace has no recorded gradients; not an optimizer trace")
     zw = trace.z_weighted
-    worst = 0.0
-    for k in range(trace.steps):
-        predicted = zw[k] - (trace.alphas[k] / trace.kappa) * trace.gs[k].sum(axis=0)
-        worst = max(worst, float(np.max(np.abs(zw[k + 1] - predicted))))
-    return worst
+    scaled = np.asarray(trace.alphas, dtype=float) / trace.kappa
+    predicted = zw[:-1] - scaled[:, np.newaxis] * trace.gs.sum(axis=1)
+    return float(np.max(np.abs(zw[1:] - predicted)))
 
 
 # ---------------------------------------------------------------------------
@@ -689,13 +623,10 @@ def compute_metrics(
             f_gap_agent = obj.values(per_agent[:, agent]) - f_star
             if mu is not None and trace.algorithm != "sgp":
                 inputs = bound_inputs_from_trace(trace, obj, mu=mu, eta=eta)
-                het = trace.algorithm in ("heterogeneous", "push_subgradient")
-                bound_varying = _varying_bound_series(inputs, het=het)
+                het = trace.algorithm in HET_BOUND_ALGORITHMS
+                bound_varying = _varying_bound_series(inputs, het)
                 if schedule is not None and schedule.kind == "fixed_inv_sqrt":
-                    if het:
-                        bound_fixed = bound_heterogeneous(inputs, "fixed")
-                    else:
-                        bound_fixed = bound_subgradient_push_fixed(inputs)
+                    bound_fixed = _fixed_bound(inputs, het)
 
     return RunMetrics(
         times=times,

@@ -22,12 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import (
+    HET_BOUND_ALGORITHMS,
     RunMetrics,
-    bound_heterogeneous,
+    _fixed_bound,
+    _varying_bound_series,
     bound_inputs_from_trace,
-    bound_per_agent,
-    bound_subgradient_push_fixed,
-    bound_subgradient_push_varying,
     compute_metrics,
     consensus_error_series,
     fit_rate,
@@ -57,6 +56,7 @@ from .pushsum import (
 )
 from .report import (
     read_csv_columns,
+    write_csv,
     write_metrics_csv,
     write_s_matrices_csv,
     write_summary_json,
@@ -167,16 +167,16 @@ def _try_fit(values, times=None, tail=0.5, min_points=20) -> dict | None:
     }
 
 
-def _uses_het_bound(algorithm: str) -> bool:
-    # mix-then-correct steps fall under the switching analysis
-    return algorithm in ("heterogeneous", "push_subgradient")
-
-
 def _bounds_section(arts: RunArtifacts, metrics: RunMetrics, mu: float, eta_lb: float) -> dict | None:
+    """The bound ceilings of an optimizer run. The realized network values
+    are the ones ``metrics`` holds (the final varying-step value is the
+    last entry of its series); the a-priori and per-agent ones come from
+    the same evaluators."""
     trace, obj = arts.trace, arts.obj
-    if obj is None or trace.algorithm == "sgp" or trace.alphas is None:
+    if metrics.bound_varying is None:
         return None
     agent = metrics.agent
+    het = trace.algorithm in HET_BOUND_ALGORITHMS
     realized = bound_inputs_from_trace(trace, obj, mu=mu)
     apriori = bound_inputs_from_trace(
         trace,
@@ -185,31 +185,21 @@ def _bounds_section(arts: RunArtifacts, metrics: RunMetrics, mu: float, eta_lb: 
         eta=eta_lb,
         grad_bound=obj.grad_norm_bound or None,
     )
-    t_last = trace.steps - 1
-    out: dict = {"mu_used": mu, "eta_realized": realized.eta, "eta_apriori": eta_lb}
-    if _uses_het_bound(trace.algorithm):
-        out["varying_final_realized"] = bound_heterogeneous(realized, "varying", t=t_last)
-        out["varying_final_apriori"] = bound_heterogeneous(apriori, "varying", t=t_last)
-        out["varying_final_agent_realized"] = bound_heterogeneous(
-            realized, "varying", k=agent, t=t_last
-        )
-        if arts.schedule is not None and arts.schedule.kind == "fixed_inv_sqrt":
-            out["fixed_realized"] = bound_heterogeneous(realized, "fixed")
-            out["fixed_apriori"] = bound_heterogeneous(apriori, "fixed")
-            out["fixed_agent_realized"] = bound_heterogeneous(realized, "fixed", k=agent)
-    else:
-        out["varying_final_realized"] = bound_subgradient_push_varying(realized, t_last)
-        out["varying_final_apriori"] = bound_subgradient_push_varying(apriori, t_last)
-        out["varying_final_agent_realized"] = bound_per_agent(realized, agent, "varying", t=t_last)
-        if arts.schedule is not None and arts.schedule.kind == "fixed_inv_sqrt":
-            out["fixed_realized"] = bound_subgradient_push_fixed(realized)
-            out["fixed_apriori"] = bound_subgradient_push_fixed(apriori)
-            out["fixed_agent_realized"] = bound_per_agent(realized, agent, "fixed")
-    if metrics.f_gap_avg is not None and len(metrics.f_gap_avg):
-        gap = float(metrics.f_gap_avg[-1])
-        out["final_gap_below_varying_realized"] = bool(gap <= out["varying_final_realized"])
-        if "fixed_realized" in out:
-            out["final_gap_below_fixed_realized"] = bool(gap <= out["fixed_realized"])
+    out: dict = {
+        "mu_used": mu,
+        "eta_realized": realized.eta,
+        "eta_apriori": eta_lb,
+        "varying_final_realized": float(metrics.bound_varying[-1]),
+        "varying_final_apriori": float(_varying_bound_series(apriori, het)[-1]),
+        "varying_final_agent_realized": float(_varying_bound_series(realized, het, k=agent)[-1]),
+    }
+    gap = float(metrics.f_gap_avg[-1])
+    out["final_gap_below_varying_realized"] = bool(gap <= out["varying_final_realized"])
+    if metrics.bound_fixed is not None:
+        out["fixed_realized"] = metrics.bound_fixed
+        out["fixed_apriori"] = _fixed_bound(apriori, het)
+        out["fixed_agent_realized"] = _fixed_bound(realized, het, k=agent)
+        out["final_gap_below_fixed_realized"] = bool(gap <= metrics.bound_fixed)
     return out
 
 
@@ -460,9 +450,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     os.makedirs(args.out, exist_ok=True)
 
     rows: list[dict] = []
-    lines = ["# schema=1"]
+    lines: list[str] = []
     if args.axis == "horizon":
-        lines.append("horizon,final_f_gap_avg,final_f_gap_agent,final_consensus_error,bound_fixed_realized")
+        header = "horizon,final_f_gap_avg,final_f_gap_agent,final_consensus_error,bound_fixed_realized"
         gaps = []
         # every generator's sequence at a shorter horizon is a prefix of the
         # longest one: build and check that once, and run each horizon on its
@@ -490,16 +480,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 "final_consensus_error": float(metrics.consensus[-1]),
                 "final_f_gap_avg": None,
                 "final_f_gap_agent": None,
-                "bound_fixed_realized": None,
+                "bound_fixed_realized": metrics.bound_fixed,
             }
             if metrics.f_gap_avg is not None and len(metrics.f_gap_avg):
                 row["final_f_gap_avg"] = float(metrics.f_gap_avg[-1])
                 row["final_f_gap_agent"] = float(metrics.f_gap_agent[-1])
                 gaps.append((v, row["final_f_gap_avg"]))
-            if theo is not None:
-                bounds = _bounds_section(arts, metrics, mu=theo["mu_ub"], eta_lb=theo["eta_lb"])
-                if bounds and "fixed_realized" in bounds:
-                    row["bound_fixed_realized"] = bounds["fixed_realized"]
             rows.append(row)
             cells = [str(v)] + [
                 "" if row[k] is None else repr(row[k])
@@ -521,7 +507,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             )
         summary = {"axis": "horizon", "values": sorted(values), "rows": rows, "gap_fit": fit}
     elif args.axis == "seeds":
-        lines.append("seed,final_mean_sq_error")
+        header = "seed,final_mean_sq_error"
         series = []
         times = None
         # the graph sequence does not follow the run seed: build and check it
@@ -540,11 +526,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             rows.append({"seed": s, "final_mean_sq_error": float(mse[-1])})
             lines.append(f"{s},{float(mse[-1])!r}")
         mean_series = np.mean(np.stack(series), axis=0)
-        mean_lines = ["# schema=1", "t,mean_sq_error"]
-        for t, v in zip(times, mean_series):
-            mean_lines.append(f"{int(t)},{float(v)!r}")
-        with open(os.path.join(args.out, "sweep_mean.csv"), "w", encoding="ascii") as fh:
-            fh.write("\n".join(mean_lines) + "\n")
+        write_csv(
+            os.path.join(args.out, "sweep_mean.csv"),
+            "t,mean_sq_error",
+            (f"{int(t)},{float(v)!r}" for t, v in zip(times, mean_series)),
+        )
         fit = _try_fit(mean_series, times=times)
         summary = {
             "axis": "seeds",
@@ -557,11 +543,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         print(f"unknown sweep axis {args.axis!r}", file=sys.stderr)
         return 2
 
-    with open(os.path.join(args.out, "sweep.csv"), "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(os.path.join(args.out, "sweep.csv"), header, lines)
     write_summary_json(os.path.join(args.out, "sweep_summary.json"), summary)
 
-    for ln in lines[1:]:
+    for ln in [header, *lines]:
         print(ln)
     fit = summary.get("gap_fit") or summary.get("t_fit")
     if fit:

@@ -15,7 +15,7 @@ meaningful.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any
 
 import numpy as np
@@ -84,6 +84,13 @@ def _as_float(value: Any, where: str) -> float:
     return float(value)
 
 
+def _horizon(value: Any) -> int:
+    horizon = _as_int(value, "config.horizon")
+    if horizon < 1:
+        raise ConfigError(f"config.horizon must be >= 1, got {horizon}")
+    return horizon
+
+
 def _as_vector(value: Any, n: int, where: str) -> np.ndarray:
     arr = np.asarray(value, dtype=float)
     if arr.shape != (n,):
@@ -139,88 +146,10 @@ class ExperimentConfig:
     record_s: bool
 
     def with_seed(self, seed: int) -> "ExperimentConfig":
-        data = self.to_dict()
-        data["seed"] = int(seed)
-        return parse_config(data)
+        return replace(self, seed=_as_int(seed, "config.seed"))
 
     def with_horizon(self, horizon: int) -> "ExperimentConfig":
-        data = self.to_dict()
-        data["horizon"] = int(horizon)
-        return parse_config(data)
-
-    def to_dict(self) -> dict:
-        """Canonical nested form; parse_config(to_dict(cfg)) round-trips."""
-        out: dict[str, Any] = {
-            "algorithm": self.algorithm,
-            "n": self.n,
-            "horizon": self.horizon,
-            "seed": self.seed,
-        }
-        graph: dict[str, Any] = {"kind": self.graph_kind}
-        if self.graph_file is not None:
-            graph = {"kind": "file", "path": self.graph_file}
-        else:
-            if self.graph_seed != 0:
-                graph["seed"] = self.graph_seed
-            if self.graph_params:
-                graph["params"] = dict(self.graph_params)
-        out["graph"] = graph
-        weights: dict[str, Any] = {"policy": self.weights_policy}
-        if self.weights_path is not None:
-            weights["path"] = self.weights_path
-        if self.weights_beta is not None:
-            weights["beta"] = self.weights_beta
-        out["weights"] = weights
-        init: dict[str, Any] = {}
-        if self.x0 is not None:
-            init["x0"] = self.x0.tolist()
-        if self.c is not None:
-            init["c"] = self.c.tolist()
-        if self.x_init is not None:
-            init["x_init"] = self.x_init.tolist()
-        out["init"] = init
-        if self.objective_kind is not None:
-            objective: dict[str, Any] = {
-                "kind": self.objective_kind,
-                "anchors": self.anchors.tolist(),
-            }
-            if self.scales is not None:
-                objective["scales"] = self.scales.tolist()
-            if self.delta is not None:
-                objective["delta"] = self.delta
-            out["objective"] = objective
-        if self.step_kind is not None:
-            step: dict[str, Any] = {"kind": self.step_kind}
-            if self.step_scale is not None:
-                key = "alpha" if self.step_kind == "constant" else "scale"
-                step[key] = self.step_scale
-            if self.step_power is not None:
-                step["power"] = self.step_power
-            if self.step_lambda_bar is not None:
-                step["lambda_bar"] = self.step_lambda_bar
-            out["stepsize"] = step
-        if self.sigma_kind is not None:
-            sigma: dict[str, Any] = {"kind": self.sigma_kind}
-            if self.sigma_kind == "bernoulli":
-                sigma["p"] = self.sigma_p
-                if self.sigma_seed is not None:
-                    sigma["seed"] = self.sigma_seed
-            out["sigma"] = sigma
-        if self.noise_bounds is not None:
-            oracle: dict[str, Any] = {"noise_bounds": self.noise_bounds.tolist()}
-            if self.oracle_seed is not None:
-                oracle["seed"] = self.oracle_seed
-            out["oracle"] = oracle
-        if self.seeds is not None:
-            out["seeds"] = list(self.seeds)
-        record: dict[str, Any] = {}
-        if self.record_agent != 0:
-            record["agent"] = self.record_agent
-        if self.record_s:
-            record["record_s"] = True
-        if record:
-            out["record"] = record
-        return out
+        return replace(self, horizon=_horizon(horizon))
 
 
 def parse_config(data: dict) -> ExperimentConfig:
@@ -255,11 +184,9 @@ def parse_config(data: dict) -> ExperimentConfig:
     if algorithm not in RUN_KINDS:
         raise ConfigError(f"config.algorithm must be one of {RUN_KINDS}, got {algorithm!r}")
     n = _as_int(_require(data, "n", "config"), "config.n")
-    horizon = _as_int(_require(data, "horizon", "config"), "config.horizon")
     if n < 1:
         raise ConfigError(f"config.n must be >= 1, got {n}")
-    if horizon < 1:
-        raise ConfigError(f"config.horizon must be >= 1, got {horizon}")
+    horizon = _horizon(_require(data, "horizon", "config"))
     seed = _as_int(data.get("seed", 0), "config.seed")
 
     # graph section
@@ -560,21 +487,17 @@ def build_schedule(cfg: ExperimentConfig, obj: Objective | None) -> StepSchedule
     return constant_step(cfg.step_scale)
 
 
-def build_sigma(cfg: ExperimentConfig, seed: int | None = None) -> SwitchingSignal | None:
+def build_sigma(cfg: ExperimentConfig) -> SwitchingSignal | None:
     if cfg.sigma_kind is None:
         return None
     if cfg.sigma_kind == "bernoulli":
-        sigma_seed = cfg.sigma_seed
-        if sigma_seed is None:
-            sigma_seed = cfg.seed if seed is None else seed
-        return SwitchingSignal("bernoulli", p=cfg.sigma_p, seed=sigma_seed)
+        seed = cfg.seed if cfg.sigma_seed is None else cfg.sigma_seed
+        return SwitchingSignal("bernoulli", p=cfg.sigma_p, seed=seed)
     return SwitchingSignal(cfg.sigma_kind)
 
 
-def build_oracle(cfg: ExperimentConfig, seed: int | None = None) -> GradientOracle | None:
+def build_oracle(cfg: ExperimentConfig) -> GradientOracle | None:
     if cfg.noise_bounds is None:
         return None
-    oracle_seed = cfg.oracle_seed
-    if oracle_seed is None:
-        oracle_seed = cfg.seed if seed is None else seed
-    return GradientOracle(noise_bounds=cfg.noise_bounds, seed=oracle_seed)
+    seed = cfg.seed if cfg.oracle_seed is None else cfg.oracle_seed
+    return GradientOracle(noise_bounds=cfg.noise_bounds, seed=seed)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from typing import Any
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -24,6 +24,8 @@ from .pushsum import Trace
 __all__ = [
     "SCHEMA_LINE",
     "format_float",
+    "csv_text",
+    "write_csv",
     "trace_csv_text",
     "write_trace_csv",
     "write_s_matrices_csv",
@@ -45,11 +47,23 @@ def sha256_text(text: str) -> str:
     return hashlib.sha256(text.encode("ascii")).hexdigest()
 
 
-def trace_csv_text(trace: Trace) -> str:
+def csv_text(header: str, rows: Iterable[str]) -> str:
+    """A schema-1 CSV: the schema line, the header, then one line per row."""
+    return "\n".join([SCHEMA_LINE, header, *rows]) + "\n"
+
+
+def write_csv(path: str, header: str, rows: Iterable[str]) -> str:
+    """Write a schema-1 CSV and return the sha256 of the written text."""
+    text = csv_text(header, rows)
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(text)
+    return sha256_text(text)
+
+
+def _trace_table(trace: Trace) -> tuple[str, list[str]]:
     """Rows (t, agent, y, z_0..z_{d-1}) for every recorded state."""
-    d = trace.d
-    header = "t,agent,y," + ",".join(f"z_{k}" for k in range(d))
-    lines = [SCHEMA_LINE, header]
+    header = "t,agent,y," + ",".join(f"z_{k}" for k in range(trace.d))
+    rows = []
     times = trace.times()
     zs = trace.zs
     for k in range(trace.steps + 1):
@@ -57,16 +71,17 @@ def trace_csv_text(trace: Trace) -> str:
         for i in range(trace.n):
             cells = [str(t), str(i), format_float(trace.ys[k, i])]
             cells.extend(format_float(v) for v in zs[k, i])
-            lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+            rows.append(",".join(cells))
+    return header, rows
+
+
+def trace_csv_text(trace: Trace) -> str:
+    return csv_text(*_trace_table(trace))
 
 
 def write_trace_csv(path: str, trace: Trace) -> str:
     """Write the trace and return the sha256 of the written text."""
-    text = trace_csv_text(trace)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(text)
-    return sha256_text(text)
+    return write_csv(path, *_trace_table(trace))
 
 
 def write_s_matrices_csv(path: str, trace: Trace) -> None:
@@ -74,7 +89,7 @@ def write_s_matrices_csv(path: str, trace: Trace) -> None:
     rows (t, row, s_0..s_{n-1}), t being the step's start time."""
     n = trace.n
     header = "t,row," + ",".join(f"s_{j}" for j in range(n))
-    lines = [SCHEMA_LINE, header]
+    rows = []
     times = trace.times()
     for k in range(trace.steps):
         s = trace.s_mat(k)
@@ -82,16 +97,15 @@ def write_s_matrices_csv(path: str, trace: Trace) -> None:
         for i in range(n):
             cells = [str(t), str(i)]
             cells.extend(format_float(v) for v in s[i])
-            lines.append(",".join(cells))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+            rows.append(",".join(cells))
+    write_csv(path, header, rows)
 
 
-def metrics_csv_text(metrics: RunMetrics) -> str:
+def _metrics_table(metrics: RunMetrics) -> tuple[str, list[str]]:
     """Per-time metric table; cells that do not apply stay empty (the
     final state has no step attached, pure mixing runs have no f-gaps)."""
     header = "t,consensus_error,lyapunov,f_gap_avg,f_gap_agent_k,bound_fixed,bound_varying"
-    lines = [SCHEMA_LINE, header]
+    rows = []
     steps = len(metrics.consensus) - 1
 
     def cell(series: Any, k: int) -> str:
@@ -111,15 +125,16 @@ def metrics_csv_text(metrics: RunMetrics) -> str:
             "" if metrics.bound_fixed is None else format_float(metrics.bound_fixed),
             cell(metrics.bound_varying, k),
         ]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+        rows.append(",".join(cells))
+    return header, rows
+
+
+def metrics_csv_text(metrics: RunMetrics) -> str:
+    return csv_text(*_metrics_table(metrics))
 
 
 def write_metrics_csv(path: str, metrics: RunMetrics) -> str:
-    text = metrics_csv_text(metrics)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(text)
-    return sha256_text(text)
+    return write_csv(path, *_metrics_table(metrics))
 
 
 def _jsonable(value: Any, path: str, non_finite: list[str]) -> Any:

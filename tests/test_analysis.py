@@ -72,6 +72,46 @@ def simple_inputs(**overrides):
     return BoundInputs(**base)
 
 
+def reference_varying_bound(inputs, t, het=False, k=None):
+    """The varying-step ceiling at t with its weighted sums as plain
+    loops, term by term as stated; the reference for the series."""
+    g, eta, mu, n = inputs.grad_bound, inputs.eta, inputs.mu, inputs.n
+    a = [float(v) for v in inputs.alphas[: t + 1]]
+    big_a = sum(a)
+    big_a2 = sum(v * v for v in a)
+    s1 = sum(a[tau] * mu**tau for tau in range(t))
+    s2 = sum(a[tau] * (a[0] * mu ** (tau / 2.0) + a[math.ceil(tau / 2)]) for tau in range(t))
+    if k is None:
+        spread = 2.0 * inputs.sum_initial_spread()
+    else:
+        spread = inputs.sum_initial_spread() + inputs.sum_agent_spread(k)
+    head = (inputs.initial_gap_sq() + g * g * big_a2) / (2.0 * big_a) + g * a[0] * spread / (n * big_a)
+    if het and mu == 0.0:
+        s3 = sum(a[j] * a[j - 1] for j in range(1, t + 1))
+        return head + (4.0 * n * g * g / eta) * s3 / big_a
+    if het:
+        return (
+            head
+            + (32.0 * g * inputs.sum_x0_norm() / eta) * s1 / big_a
+            + (32.0 * n * g * g / (eta * mu * (1.0 - mu))) * s2 / big_a
+        )
+    return (
+        head
+        + (32.0 * g / eta) * s1 / big_a * inputs.sum_corrected_init(a[0])
+        + (32.0 * n * g * g / (eta * (1.0 - mu))) * s2 / big_a
+    )
+
+
+def reference_descent_violation(trace):
+    """The descent-recursion check as a per-step loop."""
+    zw = trace.z_weighted
+    worst = 0.0
+    for k in range(trace.steps):
+        predicted = zw[k] - (trace.alphas[k] / trace.kappa) * trace.gs[k].sum(axis=0)
+        worst = max(worst, float(np.max(np.abs(zw[k + 1] - predicted))))
+    return worst
+
+
 class TestSeries:
     def test_consensus_error_hand_example(self):
         tr = make_trace([[0.0, 2.0], [1.0, 1.0]], alphas=[1.0], n=2)
@@ -176,6 +216,61 @@ class TestVaryingStepBound:
                 assert series_h[t] == pytest.approx(
                     bound_heterogeneous(inputs, "varying", t=t), rel=1e-12
                 )
+
+
+    def test_entry_points_match_the_loop_reference(self):
+        # cumulative sums add in another order than the loops: agree to 1e-12
+        rng = np.random.default_rng(5)
+        alphas = rng.uniform(0.05, 1.0, size=40)
+        for mu in (0.0, 0.3, 0.9):
+            inputs = simple_inputs(
+                n=3,
+                mu=mu,
+                z_bar0=np.array([0.2]),
+                z0=rng.standard_normal((3, 1)),
+                x0=rng.standard_normal((3, 1)),
+                g0=rng.standard_normal((3, 1)),
+                alphas=alphas,
+                horizon=40,
+            )
+            for t in (0, 1, 17, 39):
+                for k in (None, 1):
+                    expected = reference_varying_bound(inputs, t, het=True, k=k)
+                    got = bound_heterogeneous(inputs, "varying", k=k, t=t)
+                    assert got == pytest.approx(expected, rel=1e-12)
+                assert bound_subgradient_push_varying(inputs, t) == pytest.approx(
+                    reference_varying_bound(inputs, t), rel=1e-12
+                )
+                assert bound_per_agent(inputs, 1, "varying", t=t) == pytest.approx(
+                    reference_varying_bound(inputs, t, k=1), rel=1e-12
+                )
+
+    def test_scalar_is_the_series_entry(self):
+        # every varying-step entry point reads the one series, bit for bit
+        rng = np.random.default_rng(3)
+        alphas = rng.uniform(0.05, 1.0, size=30)
+        for mu in (0.0, 0.6):
+            inputs = simple_inputs(
+                n=3,
+                mu=mu,
+                z_bar0=np.array([0.5]),
+                z0=rng.standard_normal((3, 1)),
+                x0=rng.standard_normal((3, 1)),
+                g0=rng.standard_normal((3, 1)),
+                alphas=alphas,
+                horizon=30,
+            )
+            for het in (False, True):
+                for k in (None, 2):
+                    series = _varying_bound_series(inputs, het, k=k)
+                    for t in (0, 1, 14, 29):
+                        if het:
+                            scalar = bound_heterogeneous(inputs, "varying", k=k, t=t)
+                        elif k is None:
+                            scalar = bound_subgradient_push_varying(inputs, t)
+                        else:
+                            scalar = bound_per_agent(inputs, k, "varying", t=t)
+                        assert scalar == series[t]
 
 
 class TestPerAgentBound:
@@ -434,6 +529,28 @@ class TestDescentRecursionCheck:
         tr = run_optimizer("subgradient_push", seq, obj, fixed_inv_sqrt(20), x0=[[4.0], [6.0]])
         tr.gs[5] += 1.0
         assert verify_descent_recursion(tr) > 1e-3
+
+    def test_matches_the_loop_reference_bit_for_bit(self):
+        rng = np.random.default_rng(2)
+        for trial, algorithm in enumerate(
+            ["subgradient_push", "push_subgradient", "heterogeneous", "sgp"] * 3
+        ):
+            n, d = int(rng.integers(1, 12)), int(rng.integers(1, 4))
+            seq = generate_sequence(
+                "random-spanning", n=n, horizon=40, seed=trial, params={"window": 2}
+            )
+            anchors = rng.standard_normal((n, d))
+            extra = {}
+            if algorithm == "sgp":
+                obj = quadratic_objective(anchors)
+                extra["oracle"] = GradientOracle(np.full(n, 0.3), seed=trial)
+            else:
+                obj = absolute_deviation_objective(anchors)
+            tr = run_optimizer(
+                algorithm, seq, obj, harmonic(0.5, 0.75), x0=3.0 * rng.standard_normal((n, d)),
+                seed=trial, **extra,
+            )
+            assert verify_descent_recursion(tr) == reference_descent_violation(tr)
 
     def test_needs_optimizer_trace(self):
         seq = generate_sequence("static-complete", n=2, horizon=5)

@@ -10,6 +10,7 @@ from pushsumlab.cli import main
 from pushsumlab.graphs import GraphSequence, complete_graph, generate_sequence
 from pushsumlab.report import read_csv_columns
 
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
 
 def write_cfg(tmp_path, name, data):
     path = tmp_path / name
@@ -190,6 +191,23 @@ class TestRun:
         bounds = summary["bounds"]
         assert bounds["final_gap_below_fixed_realized"] is True
         assert summary["final"]["f_gap_avg"] <= bounds["fixed_realized"]
+
+    @pytest.mark.parametrize(
+        "name", ["doubly_stochastic", "heterogeneous", "push_subgradient", "subgradient_push_fixed"]
+    )
+    def test_summary_bounds_are_the_metrics_cells(self, name, tmp_path):
+        out = str(tmp_path / "out")
+        assert main(["run", "--config", os.path.join(CONFIGS, f"{name}.json"), "--out", out]) == 0
+        with open(os.path.join(out, "summary.json")) as fh:
+            bounds = json.load(fh)["bounds"]
+        with open(os.path.join(out, "metrics.csv")) as fh:
+            lines = [ln.rstrip("\n") for ln in fh if not ln.startswith("#")]
+        header = lines[0].split(",")
+        rows = [dict(zip(header, ln.split(","))) for ln in lines[1:]]
+        varying = [row["bound_varying"] for row in rows if row["bound_varying"] != ""]
+        assert bounds["varying_final_realized"] == float(varying[-1])
+        if "fixed_realized" in bounds:
+            assert bounds["fixed_realized"] == float(rows[0]["bound_fixed"])
 
     def test_seed_override_changes_sigma_path(self, heterogeneous_cfg, tmp_path):
         out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
@@ -389,6 +407,11 @@ class TestSweep:
             args = ["sweep", "--config", pushsum_cfg, "--axis", axis, "--values", values]
             assert main(args + ["--out", str(tmp_path / axis), "--strict"]) == 1
             assert FAILED_WINDOW in capsys.readouterr().out
+
+    def test_horizon_below_one_is_a_config_error(self, optimizer_cfg, tmp_path, capsys):
+        args = ["sweep", "--config", optimizer_cfg, "--axis", "horizon", "--values", "0,200"]
+        assert main(args + ["--out", str(tmp_path / "sw")]) == 2
+        assert "config.horizon must be >= 1" in capsys.readouterr().err
 
     def test_seeds_axis_needs_values(self, optimizer_cfg, tmp_path):
         out = str(tmp_path / "sw")
