@@ -44,6 +44,7 @@ __all__ = [
     "bound_sgp",
     "RateFit",
     "fit_rate",
+    "descent_residuals",
     "verify_descent_recursion",
     "RunMetrics",
     "compute_metrics",
@@ -535,20 +536,28 @@ def fit_rate(
 # exact-recursion verification
 
 
-def verify_descent_recursion(trace: Trace) -> float:
-    """Max violation of the exact mass-average recursion
-    <z(t+1)> = <z(t)> - (alpha(t)/kappa) sum_i g_i(t).
+def descent_residuals(trace: Trace) -> np.ndarray:
+    """Per step and coordinate, |<z(t+1)> - <z(t)> + (alpha(t)/kappa)
+    sum_i g_i(t)|, shape (steps, d): the violations of the exact
+    mass-average recursion.
 
-    Holds pathwise for all four algorithms (for the stochastic one with
-    the sampled gradients as recorded), because every mixing matrix is
-    column stochastic. kappa equals n under the standard y(0) = 1 start.
+    The recursion holds pathwise for all four algorithms (for the
+    stochastic one with the sampled gradients as recorded), because
+    every mixing matrix is column stochastic. kappa equals n under the
+    standard y(0) = 1 start.
     """
     if trace.gs is None or trace.alphas is None:
         raise ValueError("trace has no recorded gradients; not an optimizer trace")
     zw = trace.z_weighted
     scaled = np.asarray(trace.alphas, dtype=float) / trace.kappa
     predicted = zw[:-1] - scaled[:, np.newaxis] * trace.gs.sum(axis=1)
-    return float(np.max(np.abs(zw[1:] - predicted)))
+    return np.abs(zw[1:] - predicted)
+
+
+def verify_descent_recursion(trace: Trace) -> float:
+    """Max violation of the exact mass-average recursion
+    <z(t+1)> = <z(t)> - (alpha(t)/kappa) sum_i g_i(t)."""
+    return float(np.max(descent_residuals(trace)))
 
 
 # ---------------------------------------------------------------------------

@@ -29,8 +29,8 @@ from .analysis import (
     bound_inputs_from_trace,
     compute_metrics,
     consensus_error_series,
+    descent_residuals,
     fit_rate,
-    verify_descent_recursion,
 )
 from .config import (
     ConfigError,
@@ -46,13 +46,14 @@ from .config import (
 from .graphs import GraphSequence, first_failing_window, is_uniformly_strongly_connected
 from .optim import Objective, StepSchedule, run_optimizer
 from .pushsum import (
+    Finding,
     Trace,
-    absolute_probability_violation,
+    locate,
     run_pushsum,
     run_weighted_pushsum,
+    scan_induced,
     theoretical_constants,
-    verify_product_limit,
-    verify_ratio_identity,
+    weight_checks,
 )
 from .report import (
     read_csv_columns,
@@ -326,49 +327,39 @@ def cmd_verify(args: argparse.Namespace) -> int:
         cfg = cfg.with_seed(args.seed)
     arts = execute_run(cfg)
     trace, seq = arts.trace, arts.seq
-    checks: list[tuple[str, float, float, bool]] = []
+    # (name, finding, tolerance, ok); a failed check reports where
+    checks: list[tuple[str, Finding, float, bool]] = []
+
+    def check(name: str, found: Finding, tol: float, ok: bool | None = None) -> None:
+        checks.append((name, found, tol, found.value <= tol if ok is None else ok))
 
     conn_ok, conn_msg = _check_connectivity(_connectivity(seq), strict=True)
     print(conn_msg)
 
-    # column stochasticity and graph compliance of the applied weights
-    col_dev = float(np.max(np.abs(trace.w_mats.sum(axis=1) - 1.0)))
-    checks.append(("column_stochastic", col_dev, TOL_COLUMN_STOCHASTIC, col_dev <= TOL_COLUMN_STOCHASTIC))
-    adj = np.stack([seq[k].adj for k in range(trace.steps)])
-    sparsity_ok = np.array_equal(trace.w_mats > 0.0, adj)
-    checks.append(("weights_match_graph", 0.0 if sparsity_ok else 1.0, 0.0, sparsity_ok))
+    # column stochasticity and graph compliance of the applied weights,
+    # once per distinct (matrix, graph) pair
+    weights = weight_checks(trace, seq)
+    check("column_stochastic", weights.columns, TOL_COLUMN_STOCHASTIC)
+    check("weights_match_graph", weights.graph, 0.0)
 
     # conservation (pure mixing only; optimizer runs inject gradients)
+    times = trace.times()
     if trace.algorithm in ("pushsum", "weighted_pushsum"):
         x_tot = trace.xs.sum(axis=1)
-        mass_x = float(np.max(np.abs(x_tot - x_tot[0])))
-        checks.append(("mass_conservation_x", mass_x, TOL_MASS, mass_x <= TOL_MASS))
+        drift = np.abs(x_tot - x_tot[0])
+        check("mass_conservation_x", locate(drift, times, ("t", "coordinate")), TOL_MASS)
     y_tot = trace.ys.sum(axis=1)
-    mass_y = float(np.max(np.abs(y_tot - y_tot[0])))
-    checks.append(("mass_conservation_y", mass_y, TOL_MASS, mass_y <= TOL_MASS))
+    check("mass_conservation_y", locate(np.abs(y_tot - y_tot[0]), times, ("t",)), TOL_MASS)
 
-    # induced ratio matrices: rows, sparsity, entry floor
-    s_all = trace.s_matrices()
-    row_dev = float(np.max(np.abs(s_all.sum(axis=2) - 1.0)))
-    checks.append(("s_row_stochastic", row_dev, TOL_ROW_STOCHASTIC, row_dev <= TOL_ROW_STOCHASTIC))
-    s_sparsity_ok = np.array_equal(s_all > 0.0, trace.w_mats > 0.0)
-    checks.append(("s_matches_weights", 0.0 if s_sparsity_ok else 1.0, 0.0, s_sparsity_ok))
-    beta_min = float(trace.w_mats[trace.w_mats > 0.0].min())
-    gamma = beta_min * float(trace.ys.min()) / float(trace.ys.max())
-    s_floor = float(s_all[s_all > 0.0].min())
-    floor_ok = s_floor >= gamma * (1.0 - 1e-9)
-    checks.append(("s_entry_floor", s_floor, gamma, floor_ok))
-
-    # the probability recursion, optionally against corrupted y records
+    # one pass over the induced ratio matrices: rows, sparsity, entry
+    # floor, the probability recursion (optionally against corrupted y
+    # records), and the backward products of the ratio identity over a
+    # spread of (t, tau) pairs and of the product limit
     ys_check = trace.ys
     if args.perturb_y:
         ys_check = trace.ys.copy()
         ys_check[1:, 0] += args.perturb_y
         print(f"fault injection: y[agent 0] shifted by {args.perturb_y:g} from t>=1")
-    ap_dev = absolute_probability_violation(ys_check, s_all, trace.kappa)
-    checks.append(("absolute_probability", ap_dev, TOL_ABS_PROBABILITY, ap_dev <= TOL_ABS_PROBABILITY))
-
-    # ratio identity over a spread of (t, tau) pairs
     t_end = trace.t0 + trace.steps
     pairs = {(t_end, trace.t0), (t_end, (trace.t0 + t_end) // 2)}
     rng = np.random.default_rng(cfg.seed)
@@ -376,44 +367,52 @@ def cmd_verify(args: argparse.Namespace) -> int:
         tau = int(rng.integers(trace.t0, t_end))
         t = int(rng.integers(tau, t_end + 1))
         pairs.add((t, tau))
-    ri_dev = max(verify_ratio_identity(trace, t, tau) for t, tau in pairs)
-    checks.append(("ratio_identity", ri_dev, TOL_RATIO_IDENTITY, ri_dev <= TOL_RATIO_IDENTITY))
+    limits = []
+    if trace.steps >= 4 and conn_ok:
+        limits = [(t_end, trace.t0), (trace.t0 + trace.steps // 2, trace.t0)]
+    induced = scan_induced(trace, ys=ys_check, ratio_pairs=sorted(pairs), limit_pairs=limits)
+
+    check("s_row_stochastic", induced.row_sums, TOL_ROW_STOCHASTIC)
+    check("s_matches_weights", induced.sparsity, 0.0)
+    gamma = weights.beta_min * float(trace.ys.min()) / float(trace.ys.max())
+    floor = induced.floor
+    check("s_entry_floor", floor, gamma, floor.value >= gamma * (1.0 - 1e-9))
+    check("absolute_probability", induced.probability, TOL_ABS_PROBABILITY)
+    ratio = max(induced.ratio.values(), key=lambda f: f.value)  # the first pair on a tie
+    check("ratio_identity", ratio, TOL_RATIO_IDENTITY)
 
     # backward products must approach the rank-one limit
-    if trace.steps >= 4 and conn_ok:
-        dev_full = verify_product_limit(trace, trace.t0, t_end)
-        dev_half = verify_product_limit(trace, trace.t0, trace.t0 + trace.steps // 2)
-        decay_ok = dev_full <= dev_half + 1e-12
-        checks.append(("product_limit_decay", dev_full, dev_half + 1e-12, decay_ok))
+    if limits:
+        dev_full, dev_half = (induced.limit[pair] for pair in limits)
+        check("product_limit_decay", Finding(dev_full, {}), dev_half + 1e-12)
 
     if trace.gs is not None:
-        dr_dev = verify_descent_recursion(trace)
-        checks.append(("descent_recursion", dr_dev, TOL_DESCENT, dr_dev <= TOL_DESCENT))
+        residuals = descent_residuals(trace)
+        check("descent_recursion", locate(residuals, times, ("step", "coordinate")), TOL_DESCENT)
 
     # balanced special case: doubly stochastic weights freeze y at 1
-    row_sums = trace.w_mats.sum(axis=2)
-    if float(np.max(np.abs(row_sums - 1.0))) <= TOL_COLUMN_STOCHASTIC and trace.kappa == trace.n:
-        y_dev = float(np.max(np.abs(trace.ys - 1.0)))
-        checks.append(("balanced_y_equals_one", y_dev, TOL_Y_ONE, y_dev <= TOL_Y_ONE))
+    if weights.rows <= TOL_COLUMN_STOCHASTIC and trace.kappa == trace.n:
+        off = np.abs(trace.ys - 1.0)
+        check("balanced_y_equals_one", locate(off, times, ("t", "agent")), TOL_Y_ONE)
 
     failed = [name for name, _, _, ok in checks if not ok]
-    for name, value, tol, ok in checks:
-        status = "PASS" if ok else "FAIL"
-        print(f"[{status}] {name}: {value:.6e} (tolerance {tol:.6e})")
+    for name, found, tol, ok in checks:
+        line = f"[{'PASS' if ok else 'FAIL'}] {name}: {found.value:.6e} (tolerance {tol:.6e})"
+        if not ok and found.where:
+            line += " at " + ", ".join(f"{key} {v}" for key, v in found.where.items())
+        print(line)
     if not conn_ok:
         failed.append("connectivity")
 
+    entries = {}
+    for name, found, tol, ok in checks:
+        entries[name] = {"value": found.value, "tolerance": tol, "ok": ok}
+        if not ok and found.where:
+            entries[name]["where"] = found.where
     os.makedirs(args.out, exist_ok=True)
     write_summary_json(
         os.path.join(args.out, "verify.json"),
-        {
-            "checks": {
-                name: {"value": value, "tolerance": tol, "ok": ok}
-                for name, value, tol, ok in checks
-            },
-            "connectivity_ok": conn_ok,
-            "failed": failed,
-        },
+        {"checks": entries, "connectivity_ok": conn_ok, "failed": failed},
     )
     if failed:
         print(f"verification FAILED: {', '.join(failed)}")
@@ -458,7 +457,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         # longest one: build and check that once, and run each horizon on its
         # first steps (a graph file is checked whole, as by run)
         longest = build_graph_sequence(cfg.with_horizon(max(values)))
-        longest.default_matrices = {}
         conn = _connectivity(longest)
         for v in sorted(values):
             arts = execute_run(cfg, horizon=v, seq=longest)
@@ -511,9 +509,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         series = []
         times = None
         # the graph sequence does not follow the run seed: build and check it
-        # once, and build its default weights once for all seeds
+        # once for all seeds
         seq = build_graph_sequence(cfg)
-        seq.default_matrices = {}
         ok, msg = _check_connectivity(_connectivity(seq), args.strict)
         if not ok:
             print(msg)

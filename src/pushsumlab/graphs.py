@@ -128,12 +128,6 @@ class GraphSequence:
     uniform strong connectivity: every window of that many consecutive
     steps should have a strongly connected union. The claim is checkable
     with :func:`is_uniformly_strongly_connected`; it is not trusted.
-
-    ``default_matrices`` is None, or a dict in which
-    ``pushsum.resolve_weight_sequence`` keeps the equal-split mixing
-    matrix of each table id it builds. A caller that runs one sequence
-    many times (a sweep) sets it to {} so that each matrix is built once;
-    a single run leaves it None and holds no matrices beyond its trace.
     """
 
     def __init__(
@@ -161,7 +155,6 @@ class GraphSequence:
         self.table: tuple[DirectedGraph, ...] = table
         self.ids = step_ids
         self.claimed_window = claimed_window
-        self.default_matrices: dict[int, np.ndarray] | None = None
 
     @property
     def n(self) -> int:

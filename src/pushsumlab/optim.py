@@ -573,7 +573,7 @@ def run_optimizer(
     if algorithm != "sgp" and oracle is not None:
         raise ValueError(f"{algorithm} takes no gradient oracle")
 
-    w_list = resolve_weight_sequence(seq, weights, horizon)
+    mixing = resolve_weight_sequence(seq, weights, horizon)
     n = seq.n
     x = _agent_rows(x0, n, "x0")
     if x.shape[1] != obj.d:
@@ -598,4 +598,4 @@ def run_optimizer(
         x, y = _kernel(algorithm, w, x, y, g, alpha, sigma_row)
         return x, y, g, alpha
 
-    return run_dynamics(algorithm, w_list, x, y, t0, correction, seed, sigmas)
+    return run_dynamics(algorithm, mixing, x, y, t0, correction, seed, sigmas)

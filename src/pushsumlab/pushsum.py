@@ -11,33 +11,46 @@ The ratio dynamics are equivalently z(t+1) = S(t) z(t) for the induced
 row-stochastic matrix s_ij(t) = w_ij(t) y_j(t) / y_i(t+1); everything
 needed to reconstruct S exactly is recorded in the run trace, which is
 what the verification helpers consume.
+
+No dense per-step matrix stack is stored: a trace keeps its mixing
+matrices as a table plus a step-to-id array (default weights as the
+graph table alone), and the dynamics loop and the checks walk the steps
+in chunks of bounded size.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .graphs import GraphSequence
-from .weights import WeightMatrix, default_weights, validate_weights
+from .weights import WeightMatrix, equal_split, validate_weights
 
 __all__ = [
     "DEGENERATE_Y",
+    "CHUNK_BYTES",
     "DegenerateStateError",
+    "MixingSequence",
     "Trace",
     "TheoreticalConstants",
+    "BackwardProduct",
+    "Finding",
+    "InducedChecks",
+    "WeightChecks",
     "s_matrix",
-    "phi_product",
     "absolute_probability",
     "theoretical_constants",
+    "induced_chunks",
+    "locate",
+    "scan_induced",
+    "weight_checks",
     "resolve_weight_sequence",
     "run_dynamics",
     "run_pushsum",
     "run_weighted_pushsum",
-    "absolute_probability_violation",
     "verify_absolute_probability",
     "verify_ratio_identity",
     "verify_product_limit",
@@ -87,26 +100,6 @@ def s_matrix(
     if float(np.min(y_next)) <= DEGENERATE_Y:
         raise DegenerateStateError("cannot induce the ratio matrix: y_next hits the floor")
     return m * y[np.newaxis, :] / y_next[:, np.newaxis]
-
-
-def phi_product(mats: Sequence[np.ndarray] | np.ndarray, t: int, tau: int) -> np.ndarray:
-    """Backward product mats[t-1] @ ... @ mats[tau] (identity if t == tau).
-
-    Indices are positions in ``mats``. The product is formed by explicit
-    left-multiplication with no re-normalization; accumulated rounding
-    is part of what callers measure.
-    """
-    if tau < 0 or t > len(mats):
-        raise ValueError(f"product range [{tau}, {t}) outside 0..{len(mats)}")
-    if t < tau:
-        raise ValueError(f"product needs t >= tau, got t={t}, tau={tau}")
-    n = np.asarray(mats[0]).shape[0] if len(mats) else 0
-    if n == 0:
-        raise ValueError("empty matrix sequence")
-    out = np.eye(n)
-    for k in range(tau, t):
-        out = np.asarray(mats[k]) @ out
-    return out
 
 
 def absolute_probability(y: np.ndarray, kappa: float) -> np.ndarray:
@@ -167,38 +160,122 @@ def theoretical_constants(n: int, window: int) -> TheoreticalConstants:
     return TheoreticalConstants(eta, mu)
 
 
+# Steps are walked in chunks sized so that one dense (steps, n, n) float
+# block stays under this many bytes. run and verify hold a few such
+# blocks at a time, never one matrix per step of the whole horizon.
+CHUNK_BYTES = 2**19
+
+
+def _chunk_steps(n: int) -> int:
+    """Steps per chunk for n agents (at least one)."""
+    return max(1, CHUNK_BYTES // (8 * n * n))
+
+
+class MixingSequence:
+    """The mixing matrix of every step, read-only: a step-to-id array
+    plus one source per id. With ``graphs``, id i is the equal-split
+    matrix of ``graphs[i]``, built only when a step or a chunk needs it,
+    so no float is stored; with ``table``, id i is the stored matrix
+    ``table[i]``.
+
+    ``len``, ``[k]`` (one (n, n) matrix), ``shape`` and ``nbytes`` (the
+    stored floats only) read like a (steps, n, n) array that is never
+    formed.
+    """
+
+    def __init__(
+        self,
+        ids: Sequence[int] | np.ndarray,
+        graphs: Sequence | None = None,
+        table: np.ndarray | None = None,
+    ) -> None:
+        if (graphs is None) == (table is None):
+            raise ValueError("a mixing sequence needs either graphs or a matrix table")
+        self.ids = np.asarray(ids, dtype=np.intp).view()
+        self.ids.setflags(write=False)
+        self.graphs = graphs
+        self.table = table
+        if table is not None and (table.ndim != 3 or table.shape[1] != table.shape[2]):
+            raise ValueError("w_mats must be (steps, n, n)")
+        self.n = table.shape[1] if graphs is None else graphs[0].n
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        return (len(self.ids), self.n, self.n)
+
+    @property
+    def nbytes(self) -> int:
+        return 0 if self.table is None else self.table.nbytes
+
+    def matrices(self, ids: Sequence[int] | np.ndarray) -> np.ndarray:
+        """The matrices of the given table ids, shape (len(ids), n, n)."""
+        if self.table is not None:
+            return self.table[ids]
+        return equal_split(np.stack([self.graphs[i].adj for i in np.asarray(ids).tolist()]))
+
+    def __getitem__(self, k: int) -> np.ndarray:
+        m = self.matrices([self.ids[k]])[0]
+        m.setflags(write=False)
+        return m
+
+    def chunks(self):
+        """(k0, mats, local) for consecutive chunks of steps, as many as
+        fit in ``CHUNK_BYTES`` of n x n floats (at least one): step
+        k0 + j applies mats[local[j]].
+        A chunk builds only the equal-split matrices its steps use, and
+        reuses the previous chunk's when they are the same (a static
+        graph is built once)."""
+        size = _chunk_steps(self.n)
+        used = mats = None
+        for k0 in range(0, len(self.ids), size):
+            ids = self.ids[k0 : k0 + size]
+            if self.table is not None:
+                yield k0, self.table, ids
+                continue
+            previous = used
+            used, local = np.unique(ids, return_inverse=True)
+            if previous is None or not np.array_equal(used, previous):
+                mats = self.matrices(used)
+            yield k0, mats, local
+
+
 @dataclass
 class Trace:
     """Complete record of one run: states, mixing matrices, step data.
 
     States are indexed t0..t0+steps; w_mats[k] is the matrix applied
-    between states k and k+1 (list position, not time label). Optimizer
-    runs additionally carry step sizes, the gradients actually applied,
-    and, for the heterogeneous algorithm, the switching rows.
+    between states k and k+1 (list position, not time label). w_mats is
+    a MixingSequence; a dense (steps, n, n) array is wrapped into one.
+    Optimizer runs additionally carry step sizes, the gradients actually
+    applied, and, for the heterogeneous algorithm, the switching rows.
     """
 
     algorithm: str
     t0: int
     xs: np.ndarray
     ys: np.ndarray
-    w_mats: np.ndarray
+    w_mats: MixingSequence
     kappa: float
     alphas: np.ndarray | None = None
     gs: np.ndarray | None = None
     sigmas: np.ndarray | None = None
     seed: int | None = None
-    _s_stack: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.xs = np.asarray(self.xs, dtype=float)
         self.ys = np.asarray(self.ys, dtype=float)
-        self.w_mats = np.asarray(self.w_mats, dtype=float)
-        steps, n = self.w_mats.shape[0], self.xs.shape[1]
+        if not isinstance(self.w_mats, MixingSequence):
+            mats = np.asarray(self.w_mats, dtype=float)
+            self.w_mats = MixingSequence(np.arange(len(mats)), table=mats)
+        steps, n = len(self.w_mats), self.xs.shape[1]
         if self.xs.ndim != 3:
             raise ValueError("xs must be (steps+1, n, d)")
         if self.ys.shape != (steps + 1, n) or self.xs.shape[0] != steps + 1:
             raise ValueError("trace arrays disagree on steps or n")
-        if self.w_mats.shape[1:] != (n, n):
+        if self.w_mats.n != n:
             raise ValueError("w_mats must be (steps, n, n)")
         if self.alphas is not None and len(self.alphas) != steps:
             raise ValueError("alphas must have one entry per step")
@@ -207,7 +284,7 @@ class Trace:
 
     @property
     def steps(self) -> int:
-        return self.w_mats.shape[0]
+        return len(self.w_mats)
 
     @property
     def n(self) -> int:
@@ -247,71 +324,298 @@ class Trace:
 
     def s_mat(self, k: int) -> np.ndarray:
         """Induced row-stochastic matrix for step k (list position)."""
-        return self.s_matrices()[k]
+        return s_matrix(self.w_mats[k], self.ys[k], self.ys[k + 1])
 
-    def s_matrices(self) -> np.ndarray:
-        """The induced matrix of every step, shape (steps, n, n). Built
-        once, on first use, from the recorded w_mats and ys; read-only."""
-        if self._s_stack is None:
-            stack = np.empty_like(self.w_mats)
-            for k in range(self.steps):
-                stack[k] = s_matrix(self.w_mats[k], self.ys[k], self.ys[k + 1])
-            stack.setflags(write=False)
-            self._s_stack = stack
-        return self._s_stack
+
+def induced_chunks(trace: Trace):
+    """(k0, w, s) for consecutive chunks of steps k0..k0+c-1: w holds
+    their mixing matrices W(k) and s the induced S(k), both (c, n, n).
+
+    S(k) is formed by the same elementwise operations as
+    :func:`s_matrix`, so its bits are the same. Each recorded y(k+1) must
+    equal W(k) y(k) within ``S_CONSISTENCY_TOL`` at the scale of y(k),
+    and stay above ``DEGENERATE_Y``; the first step that fails is named.
+    """
+    ys = trace.ys
+    for k0, mats, local in trace.w_mats.chunks():
+        k1 = k0 + len(local)
+        w = mats[local]
+        y, y_next = ys[k0:k1], ys[k0 + 1 : k1 + 1]
+        computed = np.matmul(w, y[:, :, np.newaxis])[:, :, 0]
+        scale = np.maximum(1.0, np.max(np.abs(y), axis=1))
+        err = np.max(np.abs(y_next - computed), axis=1)
+        bad = np.flatnonzero(err > S_CONSISTENCY_TOL * scale)
+        if bad.size:
+            j = int(bad[0])
+            raise ValueError(
+                f"y(k+1) is not W(k) y(k) at step {k0 + j}: max deviation {err[j]:.3e} "
+                f"exceeds {S_CONSISTENCY_TOL:.0e} at scale {scale[j]:g}"
+            )
+        low = np.flatnonzero(y_next.min(axis=1) <= DEGENERATE_Y)
+        if low.size:
+            raise DegenerateStateError(
+                f"cannot induce the ratio matrix of step {k0 + int(low[0])}: y(k+1) hits the floor"
+            )
+        yield k0, w, w * y[:, np.newaxis, :] / y_next[:, :, np.newaxis]
+
+
+class BackwardProduct:
+    """The backward products Phi(t, tau) = M(t-1) @ ... @ M(tau) for one
+    tau, kept at each requested t (the identity at t == tau).
+
+    :meth:`step` takes the matrix of every step k in order and
+    left-multiplies the steps tau <= k < max(ts), as an explicit product
+    would, with no re-normalization: accumulated rounding is part of
+    what callers measure.
+    """
+
+    def __init__(self, n: int, tau: int, ts: Iterable[int]) -> None:
+        want = set(ts)
+        if not want or min(want) < tau:
+            raise ValueError(f"products need t >= tau, got t in {sorted(want)} and tau={tau}")
+        self.tau, self.end, self._want = tau, max(want), want
+        self.product = np.eye(n)
+        self.kept = {tau: self.product} if tau in want else {}
+
+    def step(self, k: int, m: np.ndarray) -> None:
+        if self.tau <= k < self.end:
+            self.product = m @ self.product
+            if k + 1 in self._want:
+                self.kept[k + 1] = self.product
+
+
+class Finding(NamedTuple):
+    """A check's extreme value and where it occurs. ``where`` maps axis
+    names to positions: ``step`` is the time t at which a step starts,
+    ``t`` the time of a recorded state, and ``agent``, ``row``,
+    ``column`` or ``coordinate`` index within it."""
+
+    value: float
+    where: dict
+
+
+def locate(
+    values: np.ndarray, labels: Sequence[int] | np.ndarray, names: tuple[str, ...], pick=np.argmax
+) -> Finding:
+    """The entry of ``values`` that ``pick`` selects (the first in
+    row-major order on a tie). ``names`` name the axes in ``where``;
+    the first axis is reported by its label in ``labels``."""
+    index = np.unravel_index(int(pick(values)), values.shape)
+    at = (int(labels[index[0]]), *(int(i) for i in index[1:]))
+    return Finding(float(values[index]), dict(zip(names, at)))
+
+
+def _larger(best: Finding | None, found: Finding) -> Finding:
+    # the earlier finding wins a tie
+    return found if best is None or found.value > best.value else best
+
+
+def _smaller(best: Finding | None, found: Finding) -> Finding:
+    return found if best is None or found.value < best.value else best
+
+
+NO_MISMATCH = Finding(0.0, {})
+
+
+class InducedChecks(NamedTuple):
+    """What one pass over the induced matrices S(k) of a trace found.
+
+    ``row_sums``: largest |sum_j S_ij(k) - 1| (step, row).
+    ``sparsity``: 1.0 at the first entry where S(k) > 0 and W(k) > 0
+    disagree (step, row, column), else 0.0.
+    ``floor``: smallest positive entry of any S(k) (step, row, column).
+    ``probability``: largest |S(k)^T pi(k+1) - pi(k)| (step, agent).
+    ``ratio``: per (t, tau), the largest violation of
+    [Phi_S(t,tau)]_ij y_i(t) = [Phi_W(t,tau)]_ij y_j(tau) (t, tau, row,
+    column).
+    ``limit``: per (t, tau), the largest deviation of Phi_S(t, tau) from
+    its rank-one limit, every row y(tau)^T / kappa.
+    """
+
+    row_sums: Finding
+    sparsity: Finding
+    floor: Finding
+    probability: Finding
+    ratio: dict[tuple[int, int], Finding]
+    limit: dict[tuple[int, int], float]
+
+
+def scan_induced(
+    trace: Trace,
+    ys: np.ndarray | None = None,
+    kappa: float | None = None,
+    ratio_pairs: Iterable[tuple[int, int]] = (),
+    limit_pairs: Iterable[tuple[int, int]] = (),
+) -> InducedChecks:
+    """Check the induced matrices of ``trace`` in one pass over bounded
+    chunks of steps; no (steps, n, n) array is formed.
+
+    The probability recursion pi = y / kappa is checked against ``ys``
+    (the recorded y rows by default), so corrupted records can be tested
+    against honestly induced matrices; everything else reads the
+    recorded rows. ``ratio_pairs`` and ``limit_pairs`` hold (t, tau) time
+    labels. Each distinct tau gets one S chain (shared by both checks)
+    and, for the ratio identity, one W chain.
+    """
+    kappa = trace.kappa if kappa is None else kappa
+    ys_prob = trace.ys if ys is None else np.asarray(ys, dtype=float)
+
+    def positions(pairs: Iterable[tuple[int, int]]) -> dict:
+        out = {}
+        for t, tau in pairs:
+            ti, taui = trace.index_of(t), trace.index_of(tau)
+            if ti < taui:
+                raise ValueError(f"need t >= tau, got t={t}, tau={tau}")
+            out[(t, tau)] = (ti, taui)
+        return out
+
+    def chains(at: Iterable[tuple[int, int]]) -> dict[int, BackwardProduct]:
+        ts: dict[int, set[int]] = {}
+        for ti, taui in at:
+            ts.setdefault(taui, set()).add(ti)
+        return {taui: BackwardProduct(trace.n, taui, want) for taui, want in ts.items()}
+
+    ratio_at, limit_at = positions(ratio_pairs), positions(limit_pairs)
+    s_chains = chains([*ratio_at.values(), *limit_at.values()])
+    w_chains = chains(ratio_at.values())
+    last = max((c.end for c in (*s_chains.values(), *w_chains.values())), default=0)
+
+    row = sparsity = floor = prob = None
+    labels = trace.times()
+    for k0, w, s in induced_chunks(trace):
+        k1 = k0 + len(s)
+        steps = labels[k0:k1]
+        dev = np.abs(s.sum(axis=2) - 1.0)
+        row = _larger(row, locate(dev, steps, ("step", "row")))
+        mismatch = (s > 0.0) != (w > 0.0)
+        if sparsity is None and mismatch.any():
+            sparsity = locate(mismatch, steps, ("step", "row", "column"))
+        positive = np.where(s > 0.0, s, np.inf)
+        floor = _smaller(floor, locate(positive, steps, ("step", "row", "column"), np.argmin))
+        pi = absolute_probability(ys_prob[k0 : k1 + 1], kappa)
+        dev = np.abs(np.matmul(s.transpose(0, 2, 1), pi[1:, :, np.newaxis])[:, :, 0] - pi[:-1])
+        prob = _larger(prob, locate(dev, steps, ("step", "agent")))
+        for j in range(max(0, min(k1, last) - k0)):
+            for chain in s_chains.values():
+                chain.step(k0 + j, s[j])
+            for chain in w_chains.values():
+                chain.step(k0 + j, w[j])
+
+    ratio = {}
+    for (t, tau), (ti, taui) in ratio_at.items():
+        lhs = s_chains[taui].kept[ti] * trace.ys[ti][:, np.newaxis]
+        rhs = w_chains[taui].kept[ti] * trace.ys[taui][np.newaxis, :]
+        found = locate(np.abs(lhs - rhs), range(trace.n), ("row", "column"))
+        ratio[(t, tau)] = Finding(found.value, {"t": t, "tau": tau, **found.where})
+    limit = {
+        pair: float(np.max(np.abs(s_chains[taui].kept[ti] - trace.ys[taui] / kappa)))
+        for pair, (ti, taui) in limit_at.items()
+    }
+    return InducedChecks(row, sparsity or NO_MISMATCH, floor, prob, ratio, limit)
+
+
+class WeightChecks(NamedTuple):
+    """The mixing matrices of a trace checked against their graphs.
+
+    ``columns``: largest |sum_i W_ij - 1| (step, column).
+    ``graph``: 1.0 at the first step whose positive entries differ from
+    its graph's arcs (step, row, column), else 0.0.
+    ``beta_min``: smallest positive entry. ``rows``: largest
+    |sum_j W_ij - 1|, zero up to rounding for doubly stochastic weights.
+    """
+
+    columns: Finding
+    graph: Finding
+    beta_min: float
+    rows: float
+
+
+def weight_checks(trace: Trace, seq: GraphSequence) -> WeightChecks:
+    """Check each distinct pair (mixing matrix, graph) of ``trace`` once,
+    step k being paired with ``seq[k]``; a finding names the first step
+    that uses its pair."""
+    mixing = trace.w_mats
+    pairs, first = np.unique(
+        np.stack([mixing.ids, seq.ids[: trace.steps]], axis=1), axis=0, return_index=True
+    )
+    order = np.argsort(first)  # pairs in the order of their first step
+    pairs, steps = pairs[order], trace.times()[first[order]]
+    columns = graph = None
+    beta_min, rows = math.inf, 0.0
+    size = _chunk_steps(trace.n)
+    for c0 in range(0, len(pairs), size):
+        part = pairs[c0 : c0 + size]
+        w = mixing.matrices(part[:, 0])
+        adj = np.stack([seq.table[g].adj for g in part[:, 1].tolist()])
+        dev = np.abs(w.sum(axis=1) - 1.0)
+        columns = _larger(columns, locate(dev, steps[c0:], ("step", "column")))
+        mismatch = (w > 0.0) != adj
+        if graph is None and mismatch.any():
+            graph = locate(mismatch, steps[c0:], ("step", "row", "column"))
+        beta_min = min(beta_min, float(w[w > 0.0].min()))
+        rows = max(rows, float(np.max(np.abs(w.sum(axis=2) - 1.0))))
+    return WeightChecks(columns, graph or NO_MISMATCH, beta_min, rows)
 
 
 def resolve_weight_sequence(
     seq: GraphSequence,
     weights: str | WeightMatrix | Sequence[WeightMatrix],
     horizon: int,
-) -> list[np.ndarray]:
-    """Materialize one mixing matrix per step.
+) -> MixingSequence:
+    """The mixing matrix of every step, as a :class:`MixingSequence`.
 
-    ``weights`` is the policy: "default" builds equal-split weights once
-    per distinct graph (and keeps them in ``seq.default_matrices`` when
-    that is a dict); a single WeightMatrix is used at every step; a
-    sequence supplies one matrix per step. Custom matrices must validate
-    against the graphs they are used with, before any state is touched.
+    ``weights`` is the policy: "default" stores no matrix, and a step's
+    equal-split weights are built from its graph when needed; a single
+    WeightMatrix is used at every step; a sequence supplies one matrix
+    per step, and equal matrices are stored once. Custom matrices must
+    validate against the graphs they are used with, before any state is
+    touched.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     if horizon > len(seq):
         raise ValueError(f"horizon {horizon} exceeds sequence length {len(seq)}")
-    ids = seq.ids[:horizon].tolist()
-    distinct = dict.fromkeys(ids)  # table ids in the order of their first step
+    ids = seq.ids[:horizon]
 
     if isinstance(weights, str):
         if weights != "default":
             raise ValueError(f"unknown weight policy {weights!r}")
-        mats = {} if seq.default_matrices is None else seq.default_matrices
-        for i in distinct:
-            if i not in mats:
-                mats[i] = default_weights(seq.table[i]).matrix
-        return [mats[i] for i in ids]
+        return MixingSequence(ids, graphs=seq.table)
 
     if isinstance(weights, WeightMatrix):
-        for i in distinct:
+        steps = ids.tolist()
+        for i in dict.fromkeys(steps):  # table ids in the order of their first step
             report = validate_weights(weights, seq.table[i])
             if not report.ok:
                 raise ValueError(
-                    f"custom weights invalid at step {ids.index(i)}: {report.describe()}"
+                    f"custom weights invalid at step {steps.index(i)}: {report.describe()}"
                 )
-        return [weights.matrix] * horizon
+        return MixingSequence(np.zeros(horizon, dtype=np.intp), table=weights.matrix[np.newaxis])
 
     mats = list(weights)
     if len(mats) < horizon:
         raise ValueError(f"need {horizon} weight matrices, got {len(mats)}")
-    out = []
+    index: dict[bytes, int] = {}
+    table: list[np.ndarray] = []
+    step_ids = np.empty(horizon, dtype=np.intp)
+    checked: set[tuple[int, float, int]] = set()
     for k in range(horizon):
         wm = mats[k]
         if not isinstance(wm, WeightMatrix):
             raise TypeError("per-step weights must be WeightMatrix instances")
-        report = validate_weights(wm, seq[k])
-        if not report.ok:
-            raise ValueError(f"custom weights invalid at step {k}: {report.describe()}")
-        out.append(wm.matrix)
-    return out
+        i = step_ids[k] = index.setdefault(wm.matrix.tobytes(), len(table))
+        if i == len(table):
+            table.append(wm.matrix)
+        # a report depends only on the matrix, its floor and the graph
+        key = (i, wm.beta, int(ids[k]))
+        if key not in checked:
+            report = validate_weights(wm, seq[k])
+            if not report.ok:
+                raise ValueError(f"custom weights invalid at step {k}: {report.describe()}")
+            checked.add(key)
+    stack = np.stack(table)
+    stack.setflags(write=False)
+    return MixingSequence(step_ids, table=stack)
 
 
 def _agent_rows(values: np.ndarray, n: int, name: str) -> np.ndarray:
@@ -326,7 +630,7 @@ def _agent_rows(values: np.ndarray, n: int, name: str) -> np.ndarray:
 
 def run_dynamics(
     algorithm: str,
-    w_list: Sequence[np.ndarray],
+    mixing: MixingSequence,
     x: np.ndarray,
     y: np.ndarray,
     t0: int = 0,
@@ -334,7 +638,8 @@ def run_dynamics(
     seed: int | None = None,
     sigmas: np.ndarray | None = None,
 ) -> Trace:
-    """The push-sum loop shared by every algorithm, one step per matrix.
+    """The push-sum loop shared by every algorithm, one step per matrix
+    of ``mixing``, walked chunk by chunk.
 
     Without ``correction`` each step is x <- W x, y <- W y. With one,
     the step at time t is ``correction(t, W, x, y)``, which returns the
@@ -343,7 +648,7 @@ def run_dynamics(
     (steps, n) switching table the correction reads, as it is. The
     inputs x (n, d) and y (n,) must already be validated.
     """
-    horizon, (n, d) = len(w_list), x.shape
+    horizon, (n, d) = len(mixing), x.shape
     xs = np.empty((horizon + 1, n, d))
     ys = np.empty((horizon + 1, n))
     gs = alphas = None
@@ -351,29 +656,31 @@ def run_dynamics(
         gs = np.empty((horizon, n, d))
         alphas = np.empty(horizon)
     xs[0], ys[0] = x, y
-    for k, w in enumerate(w_list):
-        if correction is None:
-            x = w @ x
-            y = w @ y
-        else:
-            x, y, gs[k], alphas[k] = correction(t0 + k, w, x, y)
-        if float(y.min()) <= DEGENERATE_Y:
-            worst = int(np.argmin(y))
-            raise DegenerateStateError(
-                f"y[{worst}] collapsed to {y[worst]:.3e} after step {k}; "
-                f"check connectivity of the graph sequence"
-            )
-        if not np.all(np.isfinite(x)):
-            raise RuntimeError(
-                f"state diverged at step {k} (non-finite x); reduce the step size"
-            )
-        xs[k + 1], ys[k + 1] = x, y
+    for k0, mats, local in mixing.chunks():
+        for k, i in enumerate(local.tolist(), k0):
+            w = mats[i]
+            if correction is None:
+                x = w @ x
+                y = w @ y
+            else:
+                x, y, gs[k], alphas[k] = correction(t0 + k, w, x, y)
+            if float(y.min()) <= DEGENERATE_Y:
+                worst = int(np.argmin(y))
+                raise DegenerateStateError(
+                    f"y[{worst}] collapsed to {y[worst]:.3e} after step {k}; "
+                    f"check connectivity of the graph sequence"
+                )
+            if not np.all(np.isfinite(x)):
+                raise RuntimeError(
+                    f"state diverged at step {k} (non-finite x); reduce the step size"
+                )
+            xs[k + 1], ys[k + 1] = x, y
     return Trace(
         algorithm=algorithm,
         t0=t0,
         xs=xs,
         ys=ys,
-        w_mats=np.stack(w_list),
+        w_mats=mixing,
         kappa=float(np.sum(ys[0])),
         alphas=alphas,
         gs=gs,
@@ -392,8 +699,8 @@ def run_pushsum(
     if x0 is None:
         raise ValueError("x0 is required")
     horizon = len(seq) if horizon is None else horizon
-    w_list = resolve_weight_sequence(seq, weights, horizon)
-    return run_dynamics("pushsum", w_list, _agent_rows(x0, seq.n, "x0"), np.ones(seq.n))
+    mixing = resolve_weight_sequence(seq, weights, horizon)
+    return run_dynamics("pushsum", mixing, _agent_rows(x0, seq.n, "x0"), np.ones(seq.n))
 
 
 def run_weighted_pushsum(
@@ -417,29 +724,13 @@ def run_weighted_pushsum(
         raise ValueError("importance weights c must be finite and strictly positive")
     x0 = c[:, np.newaxis] * _agent_rows(x_init, seq.n, "x_init")
     horizon = len(seq) if horizon is None else horizon
-    w_list = resolve_weight_sequence(seq, weights, horizon)
-    return run_dynamics("weighted_pushsum", w_list, x0, c)
-
-
-def absolute_probability_violation(
-    ys: np.ndarray, s_mats: Sequence[np.ndarray], kappa: float
-) -> float:
-    """Max violation of pi(t)^T = pi(t+1)^T S(t) for given weight rows
-    and ratio matrices; ys is (steps+1, n), s_mats has one matrix per
-    step. Exposed separately so corrupted y records can be checked
-    against honestly recorded matrices."""
-    worst = 0.0
-    for k, s in enumerate(s_mats):
-        pi_now = absolute_probability(ys[k], kappa)
-        pi_next = absolute_probability(ys[k + 1], kappa)
-        worst = max(worst, float(np.max(np.abs(s.T @ pi_next - pi_now))))
-    return worst
+    mixing = resolve_weight_sequence(seq, weights, horizon)
+    return run_dynamics("weighted_pushsum", mixing, x0, c)
 
 
 def verify_absolute_probability(trace: Trace, kappa: float | None = None) -> float:
     """Max violation of pi(t)^T = pi(t+1)^T S(t) over the whole trace."""
-    kappa = trace.kappa if kappa is None else kappa
-    return absolute_probability_violation(trace.ys, trace.s_matrices(), kappa)
+    return scan_induced(trace, kappa=kappa).probability.value
 
 
 def verify_ratio_identity(trace: Trace, t: int, tau: int) -> float:
@@ -448,14 +739,7 @@ def verify_ratio_identity(trace: Trace, t: int, tau: int) -> float:
     Both backward products are formed explicitly from the recorded
     matrices; t and tau are time labels of the trace.
     """
-    ti, taui = trace.index_of(t), trace.index_of(tau)
-    if ti < taui:
-        raise ValueError(f"need t >= tau, got t={t}, tau={tau}")
-    phi_s = phi_product(trace.s_matrices(), ti, taui)
-    phi_w = phi_product(trace.w_mats, ti, taui)
-    lhs = phi_s * trace.ys[ti][:, np.newaxis]
-    rhs = phi_w * trace.ys[taui][np.newaxis, :]
-    return float(np.max(np.abs(lhs - rhs)))
+    return scan_induced(trace, ratio_pairs=[(t, tau)]).ratio[(t, tau)].value
 
 
 def verify_product_limit(
@@ -463,10 +747,4 @@ def verify_product_limit(
 ) -> float:
     """Max entrywise deviation of Phi_S(t, tau) from its rank-one limit
     (each row equal to y(tau)^T / kappa, with y(tau) as recorded)."""
-    kappa = trace.kappa if kappa is None else kappa
-    ti, taui = trace.index_of(t), trace.index_of(tau)
-    if ti < taui:
-        raise ValueError(f"need t >= tau, got t={t}, tau={tau}")
-    phi_s = phi_product(trace.s_matrices(), ti, taui)
-    limit = np.tile(trace.ys[taui] / kappa, (trace.n, 1))
-    return float(np.max(np.abs(phi_s - limit)))
+    return scan_induced(trace, kappa=kappa, limit_pairs=[(t, tau)]).limit[(t, tau)]

@@ -19,7 +19,7 @@ from typing import Any, Iterable
 import numpy as np
 
 from .analysis import RunMetrics
-from .pushsum import Trace
+from .pushsum import Trace, induced_chunks
 
 __all__ = [
     "SCHEMA_LINE",
@@ -60,18 +60,33 @@ def write_csv(path: str, header: str, rows: Iterable[str]) -> str:
     return sha256_text(text)
 
 
+# Tables are formatted column-wise in blocks of about this many rows, so
+# the per-column lists of Python numbers stay small.
+BLOCK_ROWS = 4096
+
+
+def _block_lines(times: np.ndarray, n: int, columns: list[np.ndarray]) -> list[str]:
+    """CSV lines (t, index, cells...) for the steps with time labels
+    ``times``, n lines per step. Each array in ``columns`` holds one
+    float cell per line, shape (len(times), n)."""
+    cells = [
+        map(str, np.repeat(times, n).tolist()),
+        map(str, np.tile(np.arange(n), len(times)).tolist()),
+        *(map(repr, c.ravel().tolist()) for c in columns),
+    ]
+    return list(map(",".join, zip(*cells)))
+
+
 def _trace_table(trace: Trace) -> tuple[str, list[str]]:
     """Rows (t, agent, y, z_0..z_{d-1}) for every recorded state."""
     header = "t,agent,y," + ",".join(f"z_{k}" for k in range(trace.d))
-    rows = []
-    times = trace.times()
-    zs = trace.zs
-    for k in range(trace.steps + 1):
-        t = int(times[k])
-        for i in range(trace.n):
-            cells = [str(t), str(i), format_float(trace.ys[k, i])]
-            cells.extend(format_float(v) for v in zs[k, i])
-            rows.append(",".join(cells))
+    times, zs = trace.times(), trace.zs
+    size = max(1, BLOCK_ROWS // trace.n)
+    rows: list[str] = []
+    for k0 in range(0, len(times), size):
+        block = slice(k0, k0 + size)
+        columns = [trace.ys[block], *(zs[block, :, j] for j in range(trace.d))]
+        rows += _block_lines(times[block], trace.n, columns)
     return header, rows
 
 
@@ -89,15 +104,10 @@ def write_s_matrices_csv(path: str, trace: Trace) -> None:
     rows (t, row, s_0..s_{n-1}), t being the step's start time."""
     n = trace.n
     header = "t,row," + ",".join(f"s_{j}" for j in range(n))
-    rows = []
+    rows: list[str] = []
     times = trace.times()
-    for k in range(trace.steps):
-        s = trace.s_mat(k)
-        t = int(times[k])
-        for i in range(n):
-            cells = [str(t), str(i)]
-            cells.extend(format_float(v) for v in s[i])
-            rows.append(",".join(cells))
+    for k0, _, s in induced_chunks(trace):
+        rows += _block_lines(times[k0 : k0 + len(s)], n, [s[:, :, j] for j in range(n)])
     write_csv(path, header, rows)
 
 

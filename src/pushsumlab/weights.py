@@ -17,6 +17,7 @@ __all__ = [
     "WeightMatrix",
     "WeightReport",
     "default_weights",
+    "equal_split",
     "validate_weights",
     "save_weights",
     "load_weights",
@@ -61,11 +62,17 @@ def default_weights(g: DirectedGraph) -> WeightMatrix:
     renderings of the rationals 1/k. The declared floor is 1/n, the
     smallest value an entry can take.
     """
-    a = g.receive_matrix()
-    out_deg = a.sum(axis=0)
-    # every column has at least the self-loop, so out_deg >= 1
-    w = a / out_deg[np.newaxis, :]
-    return WeightMatrix(w, beta=1.0 / g.n)
+    return WeightMatrix(equal_split(g.adj), beta=1.0 / g.n)
+
+
+def equal_split(adj: np.ndarray) -> np.ndarray:
+    """The equal-split matrix of a boolean receive matrix (n, n), or of
+    each one in a stack (m, n, n): column j holds 1/|out(j)| at every
+    receiver of j. Out-degrees count the self-loop, so none is zero;
+    they are exact small integers, so the entries do not depend on how
+    many matrices are built at once."""
+    a = adj.astype(float)
+    return a / a.sum(axis=-2, keepdims=True)
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,15 @@
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import pushsumlab.cli as cli
 import pushsumlab.pushsum as pushsum
+import pushsumlab.weights as weights
 from pushsumlab.cli import main
-from pushsumlab.graphs import GraphSequence, complete_graph, generate_sequence
+from pushsumlab.graphs import GraphSequence, complete_graph
 from pushsumlab.report import read_csv_columns
 
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
@@ -270,6 +272,20 @@ class TestVerify:
         report = json.loads(open(os.path.join(out, "verify.json")).read())
         assert "absolute_probability" in report["failed"]
 
+    def test_failure_location_reported(self, tmp_path, capsys):
+        # agent 0's y is shifted from t = 1 on; at step 0 agent 0 hears only
+        # itself on the rotating edge, so pi(0) misses S(0)^T pi(1) there by
+        # the whole shift over kappa = 4, more than at any later step
+        out = str(tmp_path / "v")
+        ring = os.path.join(CONFIGS, "pushsum_ring.json")
+        assert main(["verify", "--config", ring, "--out", out, "--perturb-y", "1e-6"]) == 1
+        assert "[FAIL] absolute_probability: 2.500000e-07 (tolerance 1.000000e-10) at step 0, agent 0" in (
+            capsys.readouterr().out
+        )
+        checks = json.loads(open(os.path.join(out, "verify.json")).read())["checks"]
+        assert checks["absolute_probability"]["where"] == {"step": 0, "agent": 0}
+        assert [name for name, entry in checks.items() if "where" in entry] == ["absolute_probability"]
+
     def test_failed_window_reported(self, pushsum_cfg, window_too_short, tmp_path, capsys):
         out = str(tmp_path / "v")
         assert main(["verify", "--config", pushsum_cfg, "--out", out]) == 1
@@ -278,9 +294,18 @@ class TestVerify:
         assert report["failed"] == ["connectivity"]
 
     def test_each_s_matrix_built_once(self, pushsum_cfg, tmp_path, monkeypatch):
-        builds = counting(monkeypatch, pushsum, "s_matrix")
+        built = []
+        chunks = pushsum.induced_chunks
+
+        def recorded(trace):
+            for k0, w, s in chunks(trace):
+                built.extend(range(k0, k0 + len(s)))
+                yield k0, w, s
+
+        monkeypatch.setattr(pushsum, "induced_chunks", recorded)
+        single = counting(monkeypatch, pushsum, "s_matrix")
         assert main(["verify", "--config", pushsum_cfg, "--out", str(tmp_path / "v")]) == 0
-        assert len(builds) == 60
+        assert built == list(range(60)) and not single
 
     def test_weights_off_the_graph_fail(self, pushsum_cfg, tmp_path, monkeypatch, capsys):
         run = cli.execute_run
@@ -292,8 +317,12 @@ class TestVerify:
             return arts
 
         monkeypatch.setattr(cli, "execute_run", checked_on_complete_graph)
-        assert main(["verify", "--config", pushsum_cfg, "--out", str(tmp_path / "v")]) == 1
+        out = str(tmp_path / "v")
+        assert main(["verify", "--config", pushsum_cfg, "--out", out]) == 1
         assert "[FAIL] weights_match_graph" in capsys.readouterr().out
+        # step 0 mixes over the lone arc 0 -> 1, so agent 0 ignores agent 1
+        report = json.loads(open(os.path.join(out, "verify.json")).read())
+        assert report["checks"]["weights_match_graph"]["where"] == {"step": 0, "row": 0, "column": 1}
 
     def test_balanced_y_check_on_complete_graph(self, tmp_path, capsys):
         cfg = write_cfg(
@@ -360,7 +389,7 @@ class TestSweep:
         assert main(args + ["--out", out]) == 0
         assert len(builds) == 1 and len(checks) == 1
 
-    def test_seeds_axis_builds_default_weights_once(self, tmp_path, monkeypatch):
+    def test_seeds_axis_stores_no_weight_matrices(self, tmp_path, monkeypatch):
         params = {"window": 2, "extra_arc_prob": 0.2}
         cfg = write_cfg(
             tmp_path,
@@ -376,22 +405,29 @@ class TestSweep:
                 "sigma": {"kind": "bernoulli", "p": 0.5},
             },
         )
-        distinct = set(generate_sequence("random-spanning", 5, 40, 0, params).graphs)
-        built = counting(monkeypatch, pushsum, "default_weights")
+        built = counting(monkeypatch, weights, "default_weights")
+        runs = []
+        run = cli.execute_run
+
+        def recorded(*args, **kwargs):
+            runs.append(run(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(cli, "execute_run", recorded)
         args = ["sweep", "--config", cfg, "--axis", "seeds", "--values", "0,1,2"]
         assert main(args + ["--out", str(tmp_path / "sw")]) == 0
-        assert len(built) == len(distinct) > 1
+        # each seed's weights are its graphs' ids into the one shared table
+        assert len(runs) == 3 and not built
+        assert all(r.trace.w_mats.nbytes == 0 and r.trace.w_mats.graphs is r.seq.table for r in runs)
 
     def test_horizon_axis_builds_and_checks_graphs_once(self, pushsum_cfg, tmp_path, monkeypatch):
         builds = counting(monkeypatch, cli, "build_graph_sequence")
         checks = counting(monkeypatch, cli, "is_uniformly_strongly_connected")
-        built = counting(monkeypatch, pushsum, "default_weights")
         out = str(tmp_path / "sw")
         args = ["sweep", "--config", pushsum_cfg, "--axis", "horizon", "--values", "20,5,40"]
         assert main(args + ["--out", out]) == 0
         assert len(builds) == 1 and builds[0][0].horizon == 40
         assert len(checks) == 1 and len(checks[0][0]) == 40
-        assert len(built) == 4  # the rotating edge on 4 agents
 
     def test_prefix_connectivity(self):
         failing = {"claimed_window": 3, "verified": False, "first_failing_window": 5}
@@ -457,3 +493,31 @@ class TestErrorPaths:
             },
         )
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+class TestMemory:
+    def test_run_and_verify_hold_no_dense_stack(self, tmp_path):
+        # one float matrix per step would take this many bytes
+        n, horizon = 60, 1000
+        dense = horizon * n * n * 8
+        cfg = write_cfg(
+            tmp_path,
+            "random.json",
+            {
+                "algorithm": "pushsum",
+                "n": n,
+                "horizon": horizon,
+                "graph": {"kind": "random-spanning", "params": {"window": 2, "extra_arc_prob": 0.1}},
+                "init": {"x0": [float(i) for i in range(n)]},
+            },
+        )
+        peaks = {}
+        tracemalloc.start()
+        try:
+            for command in ("run", "verify"):
+                tracemalloc.reset_peak()
+                assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 0
+                peaks[command] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert max(peaks.values()) < dense, peaks

@@ -7,15 +7,19 @@ from pushsumlab.graphs import (
     complete_graph,
     generate_sequence,
 )
+from pushsumlab import pushsum
 from pushsumlab.pushsum import (
+    BackwardProduct,
     DegenerateStateError,
+    MixingSequence,
     Trace,
     absolute_probability,
-    phi_product,
+    induced_chunks,
     resolve_weight_sequence,
     run_pushsum,
     run_weighted_pushsum,
     s_matrix,
+    scan_induced,
     theoretical_constants,
     verify_absolute_probability,
     verify_product_limit,
@@ -100,18 +104,23 @@ class TestInducedMatrix:
 
 class TestPhiProduct:
     def test_empty_product_is_identity(self):
-        mats = [np.full((3, 3), 1.0 / 3.0)]
-        assert np.array_equal(phi_product(mats, 0, 0), np.eye(3))
+        chain = BackwardProduct(3, 0, [0])
+        chain.step(0, np.full((3, 3), 1.0 / 3.0))
+        assert np.array_equal(chain.kept[0], np.eye(3))
 
     def test_order_is_latest_on_the_left(self):
         a = np.array([[1.0, 1.0], [0.0, 1.0]])
         b = np.array([[1.0, 0.0], [1.0, 1.0]])
-        got = phi_product([a, b], 2, 0)
-        assert np.array_equal(got, b @ a)
+        chain = BackwardProduct(2, 1, [1, 3])
+        for k, m in enumerate([b, a, b, a]):
+            chain.step(k, m)
+        assert chain.kept.keys() == {1, 3}
+        assert np.array_equal(chain.kept[1], np.eye(2))
+        assert np.array_equal(chain.kept[3], b @ a)
 
     def test_rejects_reversed_interval(self):
         with pytest.raises(ValueError):
-            phi_product([np.eye(2)], 0, 1)
+            BackwardProduct(2, 1, [0])
 
 
 class TestAbsoluteProbability:
@@ -132,6 +141,17 @@ class TestAbsoluteProbability:
         seq = generate_sequence("rotating-single-edge", n=5, horizon=60)
         tr = run_pushsum(seq, "default", np.arange(5.0), 60)
         assert verify_absolute_probability(tr) < 1e-12
+
+    def test_scan_names_the_step_and_agent(self):
+        seq = generate_sequence("rotating-single-edge", n=4, horizon=12)
+        tr = run_pushsum(seq, "default", np.arange(4.0), 12)
+        bad = tr.ys.copy()
+        bad[6, 2] += 1e-6
+        found = scan_induced(tr, ys=bad).probability
+        # step 5 sees the shift through row 2 of S(5), which mixes agents 1
+        # and 2; step 6 misses it by the whole shift over kappa = 4
+        assert found.where == {"step": 6, "agent": 2}
+        assert found.value == pytest.approx(1e-6 / 4, rel=1e-9)
 
 
 class TestRatioIdentityAndLimit:
@@ -242,13 +262,30 @@ class TestRunners:
 
 
 class TestResolveWeights:
-    def test_default_weights_built_once_per_distinct_graph(self):
+    def test_default_weights_store_only_the_graph_table(self):
         seq = generate_sequence("rotating-single-edge", n=3, horizon=10)
         mats = resolve_weight_sequence(seq, "default", 8)
-        assert len(mats) == 8
-        assert len({id(m) for m in mats}) == 3
-        for k, m in enumerate(mats):
-            assert np.array_equal(m, default_weights(seq[k]).matrix)
+        assert len(mats) == 8 and mats.shape == (8, 3, 3) and mats.nbytes == 0
+        assert mats.graphs is seq.table and np.array_equal(mats.ids, seq.ids[:8])
+        for k in range(8):
+            assert np.array_equal(mats[k], default_weights(seq[k]).matrix)
+            assert not mats[k].flags.writeable
+
+    def test_weight_list_is_interned(self):
+        seq = generate_sequence("static-complete", n=3, horizon=5)
+        a = default_weights(complete_graph(3))
+        b = WeightMatrix(np.full((3, 3), 0.25) + np.diag([0.25, 0.25, 0.25]), beta=0.25)
+        same_as_a = WeightMatrix(a.matrix.copy(), beta=a.beta)
+        mats = resolve_weight_sequence(seq, [a, b, same_as_a, b, a], 5)
+        assert mats.ids.tolist() == [0, 1, 0, 1, 0]
+        assert mats.table.shape == (2, 3, 3) and mats.nbytes == 2 * 9 * 8
+        assert np.array_equal(mats[3], b.matrix)
+
+    def test_one_matrix_is_stored_once(self):
+        seq = generate_sequence("static-complete", n=3, horizon=6)
+        w = default_weights(complete_graph(3))
+        mats = resolve_weight_sequence(seq, w, 6)
+        assert mats.nbytes == 9 * 8 and mats.ids.tolist() == [0] * 6
 
     def test_fixed_matrix_error_names_the_first_bad_step(self):
         ring = generate_sequence("static-ring", n=3, horizon=1)[0]
@@ -295,14 +332,34 @@ class TestTrace:
 
     def test_s_matrices_stack(self):
         tr = self.make_trace()
-        stack = tr.s_matrices()
+        stack = np.concatenate([s for _, _, s in induced_chunks(tr)])
         assert stack.shape == (12, 3, 3)
         assert np.allclose(stack.sum(axis=2), 1.0, atol=1e-12)
 
-    def test_s_matrices_built_once_and_read_only(self):
+    def test_chunked_s_matches_s_matrix(self, monkeypatch):
         tr = self.make_trace()
-        stack = tr.s_matrices()
-        assert tr.s_matrices() is stack
-        assert not stack.flags.writeable
-        for k in range(tr.steps):
-            assert np.array_equal(tr.s_mat(k), s_matrix(tr.w_mats[k], tr.ys[k], tr.ys[k + 1]))
+        monkeypatch.setattr(pushsum, "CHUNK_BYTES", 5 * 3 * 3 * 8)
+        starts = []
+        for k0, w, s in induced_chunks(tr):
+            starts.append(k0)
+            for j, k in enumerate(range(k0, k0 + len(s))):
+                assert np.array_equal(w[j], tr.w_mats[k])
+                assert np.array_equal(s[j], s_matrix(tr.w_mats[k], tr.ys[k], tr.ys[k + 1]))
+                assert np.array_equal(s[j], tr.s_mat(k))
+        assert starts == [0, 5, 10]
+
+    def test_inconsistent_record_names_its_step(self):
+        tr = self.make_trace()
+        tr.ys[8, 1] += 1e-6
+        with pytest.raises(ValueError, match="at step 7:"):
+            list(induced_chunks(tr))
+
+    def test_dense_matrices_are_wrapped(self):
+        tr = self.make_trace()
+        dense = np.stack([tr.w_mats[k] for k in range(tr.steps)])
+        hand = Trace("pushsum", 0, tr.xs, tr.ys, dense, tr.kappa)
+        assert isinstance(hand.w_mats, MixingSequence) and hand.w_mats.table is dense
+        assert hand.w_mats.nbytes == dense.nbytes
+        assert verify_absolute_probability(hand) == verify_absolute_probability(tr)
+        with pytest.raises(ValueError, match="w_mats"):
+            Trace("pushsum", 0, tr.xs, tr.ys, dense[:, :2, :2], tr.kappa)
