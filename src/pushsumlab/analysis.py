@@ -57,13 +57,11 @@ __all__ = [
 
 def consensus_error(trace: Trace, t: int) -> float:
     """max_i ||z_i(t) - <z(t)>|| where <z> is the mass-weighted average."""
-    k = trace.index_of(t)
-    z = trace.zs[k]
-    center = trace.z_weighted[k]
-    return float(np.max(np.linalg.norm(z - center[np.newaxis, :], axis=1)))
+    return float(consensus_error_series(trace)[trace.index_of(t)])
 
 
 def consensus_error_series(trace: Trace) -> np.ndarray:
+    """consensus_error at every recorded time."""
     z = trace.zs
     center = trace.z_weighted[:, np.newaxis, :]
     return np.max(np.linalg.norm(z - center, axis=2), axis=1)
@@ -414,41 +412,31 @@ def bound_sgp(inputs: BoundInputs, t: int, which: str = "state") -> float:
       "f_average"     E f(mean_k x_k(t)) - f*        (t >= 1)
       "state_average" E ||<z(t)> - z*||^2            (t >= 1)
     """
+    if which not in ("state", "f_agent", "f_average", "state_average"):
+        raise ValueError(f"unknown bound selector {which!r}")
+    scale = 1.0
+    if which.startswith("f_"):
+        # a gamma_bar-smooth f gives f(z) - f* <= (gamma_bar / 2) ||z - z*||^2
+        if inputs.gamma_bar is None:
+            raise ValueError("function-value bounds need gamma_bar (smooth objective)")
+        scale = inputs.gamma_bar / 2.0
     sc = sgp_constants(inputs)
     g, eta, mu, n = inputs.grad_bound, inputs.eta, inputs.mu, inputs.n
     lam = inputs.lambda_bar
-    if which in ("f_agent", "f_average"):
-        if inputs.gamma_bar is None:
-            raise ValueError("function-value bounds need gamma_bar (smooth objective)")
-        gam = inputs.gamma_bar
-
-    if which == "state":
+    if which in ("state", "f_agent"):
         if t < 2:
-            raise ValueError(f"state bound needs t >= 2, got {t}")
-        return (
+            raise ValueError(f"{which} bound needs t >= 2, got {t}")
+        return scale * (
             8.0 * sc.c * g * g / (lam * lam * t)
             + 128.0 * n * g / (eta * (1.0 - mu) * lam * (t - 1.0))
             + (32.0 * sc.k1 / eta) * mu ** (t - 2.0)
             + (64.0 * n * g / (eta * (1.0 - mu) * lam)) * mu ** ((t - 1.0) / 2.0)
         )
-    if which == "f_agent":
-        if t < 2:
-            raise ValueError(f"f_agent bound needs t >= 2, got {t}")
-        return (
-            4.0 * sc.c * g * g * gam / (lam * lam * t)
-            + 64.0 * n * g * gam / (eta * (1.0 - mu) * lam * (t - 1.0))
-            + (16.0 * gam * sc.k1 / eta) * mu ** (t - 2.0)
-            + (32.0 * n * g * gam / (eta * (1.0 - mu) * lam)) * mu ** ((t - 1.0) / 2.0)
-        )
+    if t < 1:
+        raise ValueError(f"{which} bound needs t >= 1, got {t}")
     if which == "f_average":
-        if t < 1:
-            raise ValueError(f"f_average bound needs t >= 1, got {t}")
-        return 2.0 * sc.c * g * g * gam / (lam * lam * (t + 1.0))
-    if which == "state_average":
-        if t < 1:
-            raise ValueError(f"state_average bound needs t >= 1, got {t}")
-        return 4.0 * sc.c * g * g / (lam * lam * t)
-    raise ValueError(f"unknown bound selector {which!r}")
+        t += 1  # the function value at t is bounded through the state at t + 1
+    return scale * 4.0 * sc.c * g * g / (lam * lam * t)
 
 
 # ---------------------------------------------------------------------------
@@ -594,7 +582,6 @@ def compute_metrics(
     schedule: StepSchedule | None = None,
     agent: int = 0,
     mu: float | None = None,
-    eta: float | None = None,
 ) -> RunMetrics:
     """Post-process a trace into the standard metric series.
 
@@ -631,7 +618,7 @@ def compute_metrics(
             f_gap_avg = obj.values(net) - f_star
             f_gap_agent = obj.values(per_agent[:, agent]) - f_star
             if mu is not None and trace.algorithm != "sgp":
-                inputs = bound_inputs_from_trace(trace, obj, mu=mu, eta=eta)
+                inputs = bound_inputs_from_trace(trace, obj, mu=mu)
                 het = trace.algorithm in HET_BOUND_ALGORITHMS
                 bound_varying = _varying_bound_series(inputs, het)
                 if schedule is not None and schedule.kind == "fixed_inv_sqrt":

@@ -17,7 +17,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -56,6 +57,7 @@ from .pushsum import (
     weight_checks,
 )
 from .report import (
+    csv_blocks,
     read_csv_columns,
     write_csv,
     write_metrics_csv,
@@ -85,40 +87,48 @@ class RunArtifacts:
     schedule: StepSchedule | None
 
 
-def execute_run(
-    cfg: ExperimentConfig,
-    seed: int | None = None,
-    horizon: int | None = None,
-    seq: GraphSequence | None = None,
-) -> RunArtifacts:
+@contextmanager
+def _config_values():
+    """A ValueError the library raises on a config's values (weights off
+    the graph, unknown generator params, an objective the algorithm
+    cannot use) becomes a ConfigError with the same message."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _load(args: argparse.Namespace) -> ExperimentConfig:
+    cfg = load_config(args.config)
+    return cfg if args.seed is None else cfg.with_seed(args.seed)
+
+
+def execute_run(cfg: ExperimentConfig, seq: GraphSequence | None = None) -> RunArtifacts:
     """Build everything a config describes (or reuse its graphs ``seq``) and run it once."""
-    if horizon is not None and horizon != cfg.horizon:
-        cfg = cfg.with_horizon(horizon)
-    if seed is not None and seed != cfg.seed:
-        cfg = cfg.with_seed(seed)
-    if seq is None:
-        seq = build_graph_sequence(cfg)
-    weights = build_weights(cfg)
-    obj = build_objective(cfg)
-    schedule = build_schedule(cfg, obj)
-    if cfg.algorithm == "pushsum":
-        trace = run_pushsum(seq, weights, cfg.x0, cfg.horizon)
-    elif cfg.algorithm == "weighted_pushsum":
-        trace = run_weighted_pushsum(seq, weights, cfg.c, cfg.x_init, cfg.horizon)
-    else:
-        trace = run_optimizer(
-            cfg.algorithm,
-            seq,
-            obj,
-            schedule,
-            weights=weights,
-            x0=cfg.x0,
-            y0=cfg.c,
-            sigma=build_sigma(cfg),
-            oracle=build_oracle(cfg),
-            horizon=cfg.horizon,
-            seed=cfg.seed,
-        )
+    with _config_values():
+        if seq is None:
+            seq = build_graph_sequence(cfg)
+        weights = build_weights(cfg)
+        obj = build_objective(cfg)
+        schedule = build_schedule(cfg, obj)
+        if cfg.algorithm == "pushsum":
+            trace = run_pushsum(seq, weights, cfg.x0, cfg.horizon)
+        elif cfg.algorithm == "weighted_pushsum":
+            trace = run_weighted_pushsum(seq, weights, cfg.c, cfg.x_init, cfg.horizon)
+        else:
+            trace = run_optimizer(
+                cfg.algorithm,
+                seq,
+                obj,
+                schedule,
+                weights=weights,
+                x0=cfg.x0,
+                y0=cfg.c,
+                sigma=build_sigma(cfg),
+                oracle=build_oracle(cfg),
+                horizon=cfg.horizon,
+                seed=cfg.seed,
+            )
     return RunArtifacts(cfg=cfg, seq=seq, trace=trace, obj=obj, schedule=schedule)
 
 
@@ -153,19 +163,17 @@ def _theoretical(seq: GraphSequence) -> dict | None:
     return {"eta_lb": tc.eta_lb, "mu_ub": tc.mu_ub, "c": tc.c, "window": seq.claimed_window}
 
 
+def _metrics(arts: RunArtifacts, theo: dict | None) -> RunMetrics:
+    mu = None if theo is None else theo["mu_ub"]
+    return compute_metrics(arts.trace, arts.obj, arts.schedule, agent=arts.cfg.record_agent, mu=mu)
+
+
 def _try_fit(values, times=None, tail=0.5, min_points=20) -> dict | None:
     try:
         fit = fit_rate(values, times=times, tail_fraction=tail, min_points=min_points)
     except ValueError:
         return None
-    return {
-        "power_slope": fit.power_slope,
-        "power_r2": fit.power_r2,
-        "geo_rate": fit.geo_rate,
-        "geo_r2": fit.geo_r2,
-        "n_used": fit.n_used,
-        "n_filtered": fit.n_filtered,
-    }
+    return asdict(fit)
 
 
 def _bounds_section(arts: RunArtifacts, metrics: RunMetrics, mu: float, eta_lb: float) -> dict | None:
@@ -204,9 +212,10 @@ def _bounds_section(arts: RunArtifacts, metrics: RunMetrics, mu: float, eta_lb: 
     return out
 
 
-def _summarize(arts: RunArtifacts, metrics: RunMetrics, shas: dict, conn: dict) -> dict:
+def _summarize(
+    arts: RunArtifacts, metrics: RunMetrics, shas: dict, conn: dict, theo: dict | None
+) -> dict:
     trace = arts.trace
-    theo = _theoretical(arts.seq)
     summary: dict = {
         "algorithm": trace.algorithm,
         "n": trace.n,
@@ -267,9 +276,7 @@ def _check_connectivity(conn: dict, strict: bool) -> tuple[bool, str]:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg = cfg.with_seed(args.seed)
+    cfg = _load(args)
     arts = execute_run(cfg)
     conn = _connectivity(arts.seq)
     ok, msg = _check_connectivity(conn, args.strict)
@@ -278,13 +285,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         return 1
 
     theo = _theoretical(arts.seq)
-    metrics = compute_metrics(
-        arts.trace,
-        arts.obj,
-        arts.schedule,
-        agent=cfg.record_agent,
-        mu=None if theo is None else theo["mu_ub"],
-    )
+    metrics = _metrics(arts, theo)
     os.makedirs(args.out, exist_ok=True)
     trace_path = os.path.join(args.out, "trace.csv")
     metrics_path = os.path.join(args.out, "metrics.csv")
@@ -294,7 +295,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     }
     if args.record_s or cfg.record_s:
         write_s_matrices_csv(os.path.join(args.out, "s_matrices.csv"), arts.trace)
-    summary = _summarize(arts, metrics, shas, conn)
+    summary = _summarize(arts, metrics, shas, conn, theo)
     write_summary_json(os.path.join(args.out, "summary.json"), summary)
 
     print(
@@ -322,9 +323,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg = cfg.with_seed(args.seed)
+    cfg = _load(args)
     arts = execute_run(cfg)
     trace, seq = arts.trace, arts.seq
     # (name, finding, tolerance, ok); a failed check reports where
@@ -395,20 +394,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
         off = np.abs(trace.ys - 1.0)
         check("balanced_y_equals_one", locate(off, times, ("t", "agent")), TOL_Y_ONE)
 
-    failed = [name for name, _, _, ok in checks if not ok]
+    failed, entries = [], {}
     for name, found, tol, ok in checks:
+        entries[name] = {"value": found.value, "tolerance": tol, "ok": ok}
         line = f"[{'PASS' if ok else 'FAIL'}] {name}: {found.value:.6e} (tolerance {tol:.6e})"
-        if not ok and found.where:
-            line += " at " + ", ".join(f"{key} {v}" for key, v in found.where.items())
+        if not ok:
+            failed.append(name)
+            if found.where:
+                entries[name]["where"] = found.where
+                line += " at " + ", ".join(f"{key} {v}" for key, v in found.where.items())
         print(line)
     if not conn_ok:
         failed.append("connectivity")
-
-    entries = {}
-    for name, found, tol, ok in checks:
-        entries[name] = {"value": found.value, "tolerance": tol, "ok": ok}
-        if not ok and found.where:
-            entries[name]["where"] = found.where
     os.makedirs(args.out, exist_ok=True)
     write_summary_json(
         os.path.join(args.out, "verify.json"),
@@ -433,9 +430,7 @@ def _seed_sweep_series(arts: RunArtifacts) -> np.ndarray:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg = cfg.with_seed(args.seed)
+    cfg = _load(args)
     if args.values:
         values = [int(v) for v in args.values.split(",") if v.strip() != ""]
     elif args.axis == "seeds" and cfg.seeds:
@@ -448,85 +443,62 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         return 2
     os.makedirs(args.out, exist_ok=True)
 
+    # the graph sequence does not follow the run seed, and every generator's
+    # sequence at a shorter horizon is a prefix of the longest one: build
+    # and check one sequence for the whole sweep
+    longest = cfg.with_horizon(max(values)) if args.axis == "horizon" else cfg
+    with _config_values():
+        seq = build_graph_sequence(longest)
+    conn = _connectivity(seq)
     rows: list[dict] = []
-    lines: list[str] = []
     if args.axis == "horizon":
         header = "horizon,final_f_gap_avg,final_f_gap_agent,final_consensus_error,bound_fixed_realized"
-        gaps = []
-        # every generator's sequence at a shorter horizon is a prefix of the
-        # longest one: build and check that once, and run each horizon on its
-        # first steps (a graph file is checked whole, as by run)
-        longest = build_graph_sequence(cfg.with_horizon(max(values)))
-        conn = _connectivity(longest)
+        theo = _theoretical(seq)
         for v in sorted(values):
-            arts = execute_run(cfg, horizon=v, seq=longest)
-            checked = len(longest) if cfg.graph_file is not None else v
+            # a horizon runs on the first v steps; a graph file is checked whole, as by run
+            checked = len(seq) if cfg.graph_file is not None else v
             ok, msg = _check_connectivity(_prefix_connectivity(conn, checked), args.strict)
             if not ok:
                 print(msg)
                 return 1
-            theo = _theoretical(arts.seq)
-            metrics = compute_metrics(
-                arts.trace,
-                arts.obj,
-                arts.schedule,
-                agent=cfg.record_agent,
-                mu=None if theo is None else theo["mu_ub"],
+            metrics = _metrics(execute_run(cfg.with_horizon(v), seq), theo)
+            gap = metrics.f_gap_avg is not None  # one entry per step, so never empty
+            rows.append(
+                {
+                    "horizon": v,
+                    "final_f_gap_avg": float(metrics.f_gap_avg[-1]) if gap else None,
+                    "final_f_gap_agent": float(metrics.f_gap_agent[-1]) if gap else None,
+                    "final_consensus_error": float(metrics.consensus[-1]),
+                    "bound_fixed_realized": metrics.bound_fixed,
+                }
             )
-            row = {
-                "horizon": v,
-                "final_consensus_error": float(metrics.consensus[-1]),
-                "final_f_gap_avg": None,
-                "final_f_gap_agent": None,
-                "bound_fixed_realized": metrics.bound_fixed,
-            }
-            if metrics.f_gap_avg is not None and len(metrics.f_gap_avg):
-                row["final_f_gap_avg"] = float(metrics.f_gap_avg[-1])
-                row["final_f_gap_agent"] = float(metrics.f_gap_agent[-1])
-                gaps.append((v, row["final_f_gap_avg"]))
-            rows.append(row)
-            cells = [str(v)] + [
-                "" if row[k] is None else repr(row[k])
-                for k in (
-                    "final_f_gap_avg",
-                    "final_f_gap_agent",
-                    "final_consensus_error",
-                    "bound_fixed_realized",
-                )
-            ]
-            lines.append(",".join(cells))
+        gaps = [row for row in rows if row["final_f_gap_avg"] is not None]
         fit = None
         if len(gaps) >= 3:
             fit = _try_fit(
-                [g for _, g in gaps],
-                times=[t for t, _ in gaps],
+                [row["final_f_gap_avg"] for row in gaps],
+                times=[row["horizon"] for row in gaps],
                 tail=1.0,
-                min_points=min(len(gaps), 3),
+                min_points=3,
             )
         summary = {"axis": "horizon", "values": sorted(values), "rows": rows, "gap_fit": fit}
-    elif args.axis == "seeds":
+    else:
         header = "seed,final_mean_sq_error"
-        series = []
-        times = None
-        # the graph sequence does not follow the run seed: build and check it
-        # once for all seeds
-        seq = build_graph_sequence(cfg)
-        ok, msg = _check_connectivity(_connectivity(seq), args.strict)
+        ok, msg = _check_connectivity(conn, args.strict)
         if not ok:
             print(msg)
             return 1
+        series = []
         for s in values:
-            arts = execute_run(cfg, seed=s, seq=seq)
-            mse = _seed_sweep_series(arts)
-            series.append(mse)
-            times = arts.trace.times()
-            rows.append({"seed": s, "final_mean_sq_error": float(mse[-1])})
-            lines.append(f"{s},{float(mse[-1])!r}")
+            arts = execute_run(cfg.with_seed(s), seq)
+            series.append(_seed_sweep_series(arts))
+            rows.append({"seed": s, "final_mean_sq_error": float(series[-1][-1])})
+        times = arts.trace.times()
         mean_series = np.mean(np.stack(series), axis=0)
         write_csv(
             os.path.join(args.out, "sweep_mean.csv"),
             "t,mean_sq_error",
-            (f"{int(t)},{float(v)!r}" for t, v in zip(times, mean_series)),
+            csv_blocks([times, mean_series]),
         )
         fit = _try_fit(mean_series, times=times)
         summary = {
@@ -536,16 +508,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             "mean_final": float(mean_series[-1]),
             "t_fit": fit,
         }
-    else:
-        print(f"unknown sweep axis {args.axis!r}", file=sys.stderr)
-        return 2
 
-    write_csv(os.path.join(args.out, "sweep.csv"), header, lines)
+    # a column is empty on every row or on none: the swept value changes
+    # neither the algorithm nor the kind of step rule
+    columns = [[row[k] for row in rows] for k in header.split(",")]
+    blocks = csv_blocks([None if c[0] is None else c for c in columns])
+    lines = [line for block in blocks for line in block]
+    write_csv(os.path.join(args.out, "sweep.csv"), header, [lines])
     write_summary_json(os.path.join(args.out, "sweep_summary.json"), summary)
 
-    for ln in [header, *lines]:
-        print(ln)
-    fit = summary.get("gap_fit") or summary.get("t_fit")
+    print("\n".join([header, *lines]))
     if fit:
         print(
             f"fit: power slope {fit['power_slope']:.4f} (r2={fit['power_r2']:.3f}), "

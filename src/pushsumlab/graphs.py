@@ -229,7 +229,7 @@ def first_failing_window(seq: GraphSequence, window: int) -> int | None:
         raise ValueError(f"window must lie in 1..{len(seq)} (the sequence length), got {window}")
     ids = seq.ids.tolist()
     passed_ids: set[frozenset[int]] = set()
-    passed_unions: set[DirectedGraph] = set()
+    passed_unions: set[bytes] = set()  # packed adjacency bits, n*n/8 bytes each
     for start in range(len(ids) - window + 1):
         if start and ids[start - 1] == ids[start + window - 1]:
             continue  # the same graphs as the window before, which passed
@@ -237,10 +237,11 @@ def first_failing_window(seq: GraphSequence, window: int) -> int | None:
         if members in passed_ids:
             continue
         union = union_graph([seq.table[i] for i in members])
-        if union not in passed_unions:
+        key = np.packbits(union.adj).tobytes()
+        if key not in passed_unions:
             if not is_strongly_connected(union):
                 return start
-            passed_unions.add(union)
+            passed_unions.add(key)
         passed_ids.add(members)
     return None
 

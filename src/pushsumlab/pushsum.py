@@ -309,11 +309,6 @@ class Trace:
         return self.xs / self.ys[:, :, np.newaxis]
 
     @property
-    def z_mean(self) -> np.ndarray:
-        """Plain agent average of the ratios, shape (steps+1, d)."""
-        return self.zs.mean(axis=1)
-
-    @property
     def z_weighted(self) -> np.ndarray:
         """Mass-weighted average sum_i x_i / kappa, shape (steps+1, d).
 
@@ -443,7 +438,6 @@ class InducedChecks(NamedTuple):
 def scan_induced(
     trace: Trace,
     ys: np.ndarray | None = None,
-    kappa: float | None = None,
     ratio_pairs: Iterable[tuple[int, int]] = (),
     limit_pairs: Iterable[tuple[int, int]] = (),
 ) -> InducedChecks:
@@ -457,7 +451,6 @@ def scan_induced(
     labels. Each distinct tau gets one S chain (shared by both checks)
     and, for the ratio identity, one W chain.
     """
-    kappa = trace.kappa if kappa is None else kappa
     ys_prob = trace.ys if ys is None else np.asarray(ys, dtype=float)
 
     def positions(pairs: Iterable[tuple[int, int]]) -> dict:
@@ -492,7 +485,7 @@ def scan_induced(
             sparsity = locate(mismatch, steps, ("step", "row", "column"))
         positive = np.where(s > 0.0, s, np.inf)
         floor = _smaller(floor, locate(positive, steps, ("step", "row", "column"), np.argmin))
-        pi = absolute_probability(ys_prob[k0 : k1 + 1], kappa)
+        pi = absolute_probability(ys_prob[k0 : k1 + 1], trace.kappa)
         dev = np.abs(np.matmul(s.transpose(0, 2, 1), pi[1:, :, np.newaxis])[:, :, 0] - pi[:-1])
         prob = _larger(prob, locate(dev, steps, ("step", "agent")))
         for j in range(max(0, min(k1, last) - k0)):
@@ -508,7 +501,7 @@ def scan_induced(
         found = locate(np.abs(lhs - rhs), range(trace.n), ("row", "column"))
         ratio[(t, tau)] = Finding(found.value, {"t": t, "tau": tau, **found.where})
     limit = {
-        pair: float(np.max(np.abs(s_chains[taui].kept[ti] - trace.ys[taui] / kappa)))
+        pair: float(np.max(np.abs(s_chains[taui].kept[ti] - trace.ys[taui] / trace.kappa)))
         for pair, (ti, taui) in limit_at.items()
     }
     return InducedChecks(row, sparsity or NO_MISMATCH, floor, prob, ratio, limit)
@@ -728,9 +721,9 @@ def run_weighted_pushsum(
     return run_dynamics("weighted_pushsum", mixing, x0, c)
 
 
-def verify_absolute_probability(trace: Trace, kappa: float | None = None) -> float:
+def verify_absolute_probability(trace: Trace) -> float:
     """Max violation of pi(t)^T = pi(t+1)^T S(t) over the whole trace."""
-    return scan_induced(trace, kappa=kappa).probability.value
+    return scan_induced(trace).probability.value
 
 
 def verify_ratio_identity(trace: Trace, t: int, tau: int) -> float:
@@ -742,9 +735,7 @@ def verify_ratio_identity(trace: Trace, t: int, tau: int) -> float:
     return scan_induced(trace, ratio_pairs=[(t, tau)]).ratio[(t, tau)].value
 
 
-def verify_product_limit(
-    trace: Trace, tau: int, t: int, kappa: float | None = None
-) -> float:
+def verify_product_limit(trace: Trace, tau: int, t: int) -> float:
     """Max entrywise deviation of Phi_S(t, tau) from its rank-one limit
     (each row equal to y(tau)^T / kappa, with y(tau) as recorded)."""
-    return scan_induced(trace, kappa=kappa, limit_pairs=[(t, tau)]).limit[(t, tau)]
+    return scan_induced(trace, limit_pairs=[(t, tau)]).limit[(t, tau)]

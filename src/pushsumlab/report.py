@@ -14,7 +14,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from typing import Any, Iterable
+from itertools import chain, repeat
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .pushsum import Trace, induced_chunks
 __all__ = [
     "SCHEMA_LINE",
     "format_float",
+    "csv_blocks",
     "csv_text",
     "write_csv",
     "trace_csv_text",
@@ -47,47 +49,78 @@ def sha256_text(text: str) -> str:
     return hashlib.sha256(text.encode("ascii")).hexdigest()
 
 
-def csv_text(header: str, rows: Iterable[str]) -> str:
-    """A schema-1 CSV: the schema line, the header, then one line per row."""
-    return "\n".join([SCHEMA_LINE, header, *rows]) + "\n"
-
-
-def write_csv(path: str, header: str, rows: Iterable[str]) -> str:
-    """Write a schema-1 CSV and return the sha256 of the written text."""
-    text = csv_text(header, rows)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(text)
-    return sha256_text(text)
-
-
-# Tables are formatted column-wise in blocks of about this many rows, so
-# the per-column lists of Python numbers stay small.
+# Tables are formatted in blocks of at most this many lines, so the
+# per-column lists of Python numbers and the block's text stay small.
 BLOCK_ROWS = 4096
 
 
-def _block_lines(times: np.ndarray, n: int, columns: list[np.ndarray]) -> list[str]:
-    """CSV lines (t, index, cells...) for the steps with time labels
-    ``times``, n lines per step. Each array in ``columns`` holds one
-    float cell per line, shape (len(times), n)."""
-    cells = [
-        map(str, np.repeat(times, n).tolist()),
-        map(str, np.tile(np.arange(n), len(times)).tolist()),
-        *(map(repr, c.ravel().tolist()) for c in columns),
-    ]
-    return list(map(",".join, zip(*cells)))
+def csv_blocks(columns: Sequence[Any]) -> Iterator[list[str]]:
+    """The lines of a table, in blocks of at most ``BLOCK_ROWS``.
+
+    Each column is None (an empty cell on every line), a float (its repr
+    on every line) or a 1-D array or list of numbers, whose ints print as
+    ints and floats by repr; lines past its end get an empty cell. The
+    longest column sets the number of lines.
+    """
+    rows = max(len(c) for c in columns if c is not None and not isinstance(c, float))
+    for a in range(0, rows, BLOCK_ROWS):
+        size = min(BLOCK_ROWS, rows - a)
+        cells = []
+        for c in columns:
+            if c is None:
+                cells.append(repeat("", size))
+            elif isinstance(c, float):
+                cells.append(repeat(format_float(c), size))
+            else:
+                part = np.asarray(c[a : a + size]).tolist()
+                cells.append(chain(map(repr, part), repeat("", size - len(part))))
+        yield list(map(",".join, zip(*cells)))
 
 
-def _trace_table(trace: Trace) -> tuple[str, list[str]]:
+def _texts(header: str, blocks: Iterable[list[str]]) -> Iterator[str]:
+    for block in chain([[SCHEMA_LINE, header]], blocks):
+        yield "\n".join(block) + "\n"
+
+
+def csv_text(header: str, blocks: Iterable[list[str]]) -> str:
+    """A schema-1 CSV: the schema line, the header, then the lines of
+    ``blocks`` (see :func:`csv_blocks`)."""
+    return "".join(_texts(header, blocks))
+
+
+def write_csv(path: str, header: str, blocks: Iterable[list[str]]) -> str:
+    """Write :func:`csv_text` block by block and return its sha256; the
+    whole text is never held."""
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        for text in _texts(header, blocks):
+            data = text.encode("ascii")
+            fh.write(data)
+            digest.update(data)
+    return digest.hexdigest()
+
+
+def _per_step(
+    times: np.ndarray, n: int, chunks: Iterable[tuple[int, np.ndarray]]
+) -> Iterator[list[str]]:
+    """Lines (t, index, cells...), n per step, from chunks (k0, cells) of
+    the steps from k0 on; ``cells`` has shape (steps, n, columns)."""
+    for k0, cells in chunks:
+        steps = times[k0 : k0 + len(cells)]
+        columns = [np.repeat(steps, n), np.tile(np.arange(n), len(steps))]
+        yield from csv_blocks(columns + [cells[:, :, j].ravel() for j in range(cells.shape[2])])
+
+
+def _trace_table(trace: Trace) -> tuple[str, Iterator[list[str]]]:
     """Rows (t, agent, y, z_0..z_{d-1}) for every recorded state."""
     header = "t,agent,y," + ",".join(f"z_{k}" for k in range(trace.d))
-    times, zs = trace.times(), trace.zs
     size = max(1, BLOCK_ROWS // trace.n)
-    rows: list[str] = []
-    for k0 in range(0, len(times), size):
-        block = slice(k0, k0 + size)
-        columns = [trace.ys[block], *(zs[block, :, j] for j in range(trace.d))]
-        rows += _block_lines(times[block], trace.n, columns)
-    return header, rows
+
+    def chunk(k0: int) -> tuple[int, np.ndarray]:
+        ys = trace.ys[k0 : k0 + size, :, np.newaxis]
+        return k0, np.concatenate([ys, trace.xs[k0 : k0 + size] / ys], axis=2)  # z as in Trace.zs
+
+    return header, _per_step(trace.times(), trace.n, map(chunk, range(0, trace.steps + 1, size)))
 
 
 def trace_csv_text(trace: Trace) -> str:
@@ -102,41 +135,18 @@ def write_trace_csv(path: str, trace: Trace) -> str:
 def write_s_matrices_csv(path: str, trace: Trace) -> None:
     """Sidecar with the induced row-stochastic matrix of every step:
     rows (t, row, s_0..s_{n-1}), t being the step's start time."""
-    n = trace.n
-    header = "t,row," + ",".join(f"s_{j}" for j in range(n))
-    rows: list[str] = []
-    times = trace.times()
-    for k0, _, s in induced_chunks(trace):
-        rows += _block_lines(times[k0 : k0 + len(s)], n, [s[:, :, j] for j in range(n)])
-    write_csv(path, header, rows)
+    header = "t,row," + ",".join(f"s_{j}" for j in range(trace.n))
+    chunks = ((k0, s) for k0, _, s in induced_chunks(trace))
+    write_csv(path, header, _per_step(trace.times(), trace.n, chunks))
 
 
-def _metrics_table(metrics: RunMetrics) -> tuple[str, list[str]]:
+def _metrics_table(metrics: RunMetrics) -> tuple[str, Iterator[list[str]]]:
     """Per-time metric table; cells that do not apply stay empty (the
     final state has no step attached, pure mixing runs have no f-gaps)."""
     header = "t,consensus_error,lyapunov,f_gap_avg,f_gap_agent_k,bound_fixed,bound_varying"
-    rows = []
-    steps = len(metrics.consensus) - 1
-
-    def cell(series: Any, k: int) -> str:
-        if series is None:
-            return ""
-        if k >= len(series):
-            return ""
-        return format_float(series[k])
-
-    for k in range(steps + 1):
-        cells = [
-            str(int(metrics.times[k])),
-            format_float(metrics.consensus[k]),
-            cell(metrics.lyapunov, k),
-            cell(metrics.f_gap_avg, k),
-            cell(metrics.f_gap_agent, k),
-            "" if metrics.bound_fixed is None else format_float(metrics.bound_fixed),
-            cell(metrics.bound_varying, k),
-        ]
-        rows.append(",".join(cells))
-    return header, rows
+    columns = [metrics.times, metrics.consensus, metrics.lyapunov, metrics.f_gap_avg]
+    columns += [metrics.f_gap_agent, metrics.bound_fixed, metrics.bound_varying]
+    return header, csv_blocks(columns)
 
 
 def metrics_csv_text(metrics: RunMetrics) -> str:

@@ -11,6 +11,7 @@ import pushsumlab.weights as weights
 from pushsumlab.cli import main
 from pushsumlab.graphs import GraphSequence, complete_graph
 from pushsumlab.report import read_csv_columns
+from pushsumlab.weights import save_weights
 
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
 
@@ -493,6 +494,47 @@ class TestErrorPaths:
             },
         )
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+    def test_values_the_library_rejects_are_config_errors(self, tmp_path, capsys):
+        weights_path = tmp_path / "w.txt"
+        block = [[0.5, 0.5], [0.5, 0.5]]
+        save_weights(str(weights_path), np.kron(np.eye(2), block))  # arcs off the ring
+        ring = {"algorithm": "pushsum", "n": 4, "horizon": 20, "init": {"x0": [1.0, 2.0, 3.0, 4.0]}}
+        cases = {
+            "custom weights invalid at step 0": {
+                **ring,
+                "graph": {"kind": "static-ring"},
+                "weights": {"policy": "file", "path": str(weights_path)},
+            },
+            "unknown params for kind 'random-spanning'": {
+                **ring,
+                "graph": {"kind": "random-spanning", "params": {"windw": 2}},
+            },
+            "sgp needs a differentiable objective": {
+                "algorithm": "sgp",
+                "n": 2,
+                "horizon": 20,
+                "graph": {"kind": "static-complete"},
+                "init": {"x0": [[4.0], [6.0]]},
+                "objective": {"kind": "abs", "anchors": [[0.0], [2.0]]},
+                "stepsize": {"kind": "sgp_strong", "lambda_bar": 1.0},
+                "oracle": {"noise_bounds": [0.5, 0.5]},
+            },
+        }
+        commands = (
+            ["run"],
+            ["verify"],
+            ["sweep", "--axis", "seeds", "--values", "0,1"],
+            ["sweep", "--axis", "horizon", "--values", "5,10"],
+        )
+        for i, (message, data) in enumerate(cases.items()):
+            cfg = write_cfg(tmp_path, f"bad{i}.json", data)
+            for command in commands:
+                out = str(tmp_path / f"o{i}")
+                assert main([*command, "--config", cfg, "--out", out]) == 2, (message, command)
+                err = capsys.readouterr().err
+                assert err.startswith("config error: ") and message in err, err
+                assert err.count("\n") == 1
 
 
 class TestMemory:

@@ -1,5 +1,6 @@
 """Property tests: the chunked trace storage and the one-pass checks
-give the same bits as per-step work, whatever the chunk size.
+give the same bits as per-step work, whatever the chunk size, and every
+exact identity that ``verify`` checks holds for every algorithm.
 
 Inputs are random window-connected graph sequences on at most 8 agents,
 default or custom per-step weights with a declared floor, y(0) != 1 and
@@ -15,10 +16,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pushsumlab.pushsum as pushsum
+from pushsumlab import cli
+from pushsumlab.analysis import descent_residuals
 from pushsumlab.graphs import DirectedGraph, generate_sequence
-from pushsumlab.optim import constant_step, quadratic_objective, run_optimizer
+from pushsumlab.optim import (
+    ALGORITHMS,
+    GradientOracle,
+    SwitchingSignal,
+    constant_step,
+    quadratic_objective,
+    run_optimizer,
+    sgp_strong,
+)
 from pushsumlab.pushsum import (
     induced_chunks,
+    run_pushsum,
     run_weighted_pushsum,
     s_matrix,
     scan_induced,
@@ -62,8 +74,9 @@ def custom_weights(g: DirectedGraph, rng: np.random.Generator) -> WeightMatrix:
     return WeightMatrix(m, beta=float(m[g.adj].min()))
 
 
-def simulate(sc: Scenario):
-    """The scenario's graph sequence, per-step weights and trace."""
+def graphs_and_weights(sc: Scenario):
+    """The scenario's graph sequence and per-step weights, and the
+    generator that drew them, for the draws that follow."""
     rng = np.random.default_rng(sc.seed)
     params = {"window": sc.window, "extra_arc_prob": sc.extra_arc_prob}
     seq = generate_sequence("random-spanning", sc.n, sc.horizon, sc.seed, params)
@@ -72,6 +85,12 @@ def simulate(sc: Scenario):
         # one matrix per distinct graph, so repeated graphs share a table entry
         per_graph = {g: custom_weights(g, rng) for g in seq.table}
         weights = [per_graph[g] for g in seq.graphs]
+    return seq, weights, rng
+
+
+def simulate(sc: Scenario):
+    """The scenario's graph sequence, per-step weights and trace."""
+    seq, weights, rng = graphs_and_weights(sc)
     y0 = rng.uniform(0.5, 2.0, sc.n)
     x0 = rng.standard_normal((sc.n, sc.d))
     if sc.optimizer:
@@ -174,3 +193,50 @@ def test_one_pass_matches_per_step_reference(sc):
         assert found.ratio[(t, tau)].value <= 1e-9
         limit = np.tile(trace.ys[taui] / trace.kappa, (trace.n, 1))
         assert found.limit[(t, tau)] == float(np.max(np.abs(phi_s - limit)))
+
+
+def run_algorithm(sc: Scenario, algorithm: str):
+    """The trace of ``algorithm`` on the scenario's graphs and weights:
+    plain push-sum from y(0) = 1, the others from a drawn y(0); a drawn
+    Bernoulli switching table for the heterogeneous method and nonzero
+    noise bounds for sgp."""
+    seq, weights, rng = graphs_and_weights(sc)
+    y0 = rng.uniform(0.5, 2.0, sc.n)
+    x0 = rng.standard_normal((sc.n, sc.d))
+    if algorithm == "pushsum":
+        return run_pushsum(seq, weights, x0)
+    if algorithm == "weighted_pushsum":
+        return run_weighted_pushsum(seq, weights, y0, x0)
+    obj = quadratic_objective(rng.standard_normal((sc.n, sc.d)))
+    schedule, sigma, oracle = constant_step(0.05), None, None
+    if algorithm == "heterogeneous":
+        table = (rng.random((sc.horizon, sc.n)) < rng.uniform(0.2, 0.8)).astype(float)
+        sigma = SwitchingSignal("table", table=table)
+    if algorithm == "sgp":
+        schedule = sgp_strong(obj.lambda_bar)
+        oracle = GradientOracle(rng.uniform(0.1, 1.0, sc.n), seed=sc.seed)
+    return run_optimizer(
+        algorithm, seq, obj, schedule, weights=weights, x0=x0, y0=y0, sigma=sigma, oracle=oracle
+    )
+
+
+@PROPERTY
+@given(scenarios())
+def test_verify_identities_hold(sc):
+    """Conservation, S(t) row sums and sparsity, the probability
+    recursion, the ratio identity and the descent recursion, each within
+    the tolerance ``verify`` applies, for every algorithm."""
+    for algorithm in ("pushsum", "weighted_pushsum") + ALGORITHMS:
+        trace = run_algorithm(sc, algorithm)
+        y_tot = trace.ys.sum(axis=1)
+        assert np.max(np.abs(y_tot - y_tot[0])) <= cli.TOL_MASS
+        if trace.gs is None:
+            x_tot = trace.xs.sum(axis=1)
+            assert np.max(np.abs(x_tot - x_tot[0])) <= cli.TOL_MASS
+        found = scan_induced(trace, ratio_pairs=pairs_of(trace))
+        assert found.row_sums.value <= cli.TOL_ROW_STOCHASTIC
+        assert found.sparsity.value == 0.0
+        assert found.probability.value <= cli.TOL_ABS_PROBABILITY
+        assert max(f.value for f in found.ratio.values()) <= cli.TOL_RATIO_IDENTITY
+        if trace.gs is not None:
+            assert np.max(descent_residuals(trace)) <= cli.TOL_DESCENT

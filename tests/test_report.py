@@ -1,4 +1,6 @@
 import json
+import os
+import tracemalloc
 
 import numpy as np
 
@@ -46,6 +48,23 @@ class TestTraceCsv:
         path = tmp_path / "trace.csv"
         sha = write_trace_csv(str(path), tr)
         assert sha == sha256_text(path.read_text())
+
+    def test_written_in_blocks(self, tmp_path):
+        # 100k lines of changing y and z: the writer's peak stays below the
+        # size of the file it writes, so it never holds the whole text
+        n, horizon = 20, 5000
+        seq = generate_sequence("rotating-single-edge", n, horizon)
+        tr = run_pushsum(seq, "default", np.random.default_rng(0).standard_normal(n), horizon)
+        path = tmp_path / "trace.csv"
+        tracemalloc.start()
+        try:
+            sha = write_trace_csv(str(path), tr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = os.path.getsize(path)
+        assert size > 4_000_000 and peak < size, (peak, size)
+        assert sha == sha256_text(path.read_text()) and path.read_text() == trace_csv_text(tr)
 
     def test_round_trip_through_reader(self, tmp_path):
         tr = small_trace()
