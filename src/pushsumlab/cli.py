@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -37,15 +36,12 @@ from .config import (
     ConfigError,
     ExperimentConfig,
     build_graph_sequence,
-    build_objective,
-    build_oracle,
-    build_schedule,
-    build_sigma,
     build_weights,
+    config_values,
     load_config,
 )
 from .graphs import GraphSequence, first_failing_window, is_uniformly_strongly_connected
-from .optim import Objective, StepSchedule, run_optimizer
+from .optim import run_optimizer
 from .pushsum import (
     Finding,
     Trace,
@@ -83,19 +79,6 @@ class RunArtifacts:
     cfg: ExperimentConfig
     seq: GraphSequence
     trace: Trace
-    obj: Objective | None
-    schedule: StepSchedule | None
-
-
-@contextmanager
-def _config_values():
-    """A ValueError the library raises on a config's values (weights off
-    the graph, unknown generator params, an objective the algorithm
-    cannot use) becomes a ConfigError with the same message."""
-    try:
-        yield
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def _load(args: argparse.Namespace) -> ExperimentConfig:
@@ -105,12 +88,10 @@ def _load(args: argparse.Namespace) -> ExperimentConfig:
 
 def execute_run(cfg: ExperimentConfig, seq: GraphSequence | None = None) -> RunArtifacts:
     """Build everything a config describes (or reuse its graphs ``seq``) and run it once."""
-    with _config_values():
+    with config_values():
         if seq is None:
             seq = build_graph_sequence(cfg)
         weights = build_weights(cfg)
-        obj = build_objective(cfg)
-        schedule = build_schedule(cfg, obj)
         if cfg.algorithm == "pushsum":
             trace = run_pushsum(seq, weights, cfg.x0, cfg.horizon)
         elif cfg.algorithm == "weighted_pushsum":
@@ -119,17 +100,16 @@ def execute_run(cfg: ExperimentConfig, seq: GraphSequence | None = None) -> RunA
             trace = run_optimizer(
                 cfg.algorithm,
                 seq,
-                obj,
-                schedule,
+                cfg.objective,
+                cfg.schedule,
                 weights=weights,
                 x0=cfg.x0,
                 y0=cfg.c,
-                sigma=build_sigma(cfg),
-                oracle=build_oracle(cfg),
+                sigma=cfg.sigma,
+                oracle=cfg.oracle,
                 horizon=cfg.horizon,
-                seed=cfg.seed,
             )
-    return RunArtifacts(cfg=cfg, seq=seq, trace=trace, obj=obj, schedule=schedule)
+    return RunArtifacts(cfg=cfg, seq=seq, trace=trace)
 
 
 def _connectivity(seq: GraphSequence) -> dict:
@@ -165,7 +145,8 @@ def _theoretical(seq: GraphSequence) -> dict | None:
 
 def _metrics(arts: RunArtifacts, theo: dict | None) -> RunMetrics:
     mu = None if theo is None else theo["mu_ub"]
-    return compute_metrics(arts.trace, arts.obj, arts.schedule, agent=arts.cfg.record_agent, mu=mu)
+    cfg = arts.cfg
+    return compute_metrics(arts.trace, cfg.objective, cfg.schedule, agent=cfg.record_agent, mu=mu)
 
 
 def _try_fit(values, times=None, tail=0.5, min_points=20) -> dict | None:
@@ -181,7 +162,7 @@ def _bounds_section(arts: RunArtifacts, metrics: RunMetrics, mu: float, eta_lb: 
     are the ones ``metrics`` holds (the final varying-step value is the
     last entry of its series); the a-priori and per-agent ones come from
     the same evaluators."""
-    trace, obj = arts.trace, arts.obj
+    trace, obj = arts.trace, arts.cfg.objective
     if metrics.bound_varying is None:
         return None
     agent = metrics.agent
@@ -251,10 +232,11 @@ def _summarize(
         summary["rates"]["f_gap_avg"] = _try_fit(
             metrics.f_gap_avg, times=metrics.times[: len(metrics.f_gap_avg)]
         )
-    if arts.schedule is not None:
+    schedule = arts.cfg.schedule
+    if schedule is not None:
         summary["schedule"] = {
-            "kind": arts.schedule.kind,
-            "diminishing_compliant": arts.schedule.satisfies_diminishing_conditions,
+            "kind": schedule.kind,
+            "diminishing_compliant": schedule.satisfies_diminishing_conditions,
         }
     if theo is not None:
         bounds = _bounds_section(arts, metrics, mu=theo["mu_ub"], eta_lb=theo["eta_lb"])
@@ -421,7 +403,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def _seed_sweep_series(arts: RunArtifacts) -> np.ndarray:
     """Per-time mean over agents of the squared distance to the optimum
     (falls back to squared consensus error for pure mixing runs)."""
-    trace, obj = arts.trace, arts.obj
+    trace, obj = arts.trace, arts.cfg.objective
     if obj is not None:
         z_star, _ = obj.optimum()
         diff = trace.zs - z_star[np.newaxis, np.newaxis, :]
@@ -447,7 +429,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # sequence at a shorter horizon is a prefix of the longest one: build
     # and check one sequence for the whole sweep
     longest = cfg.with_horizon(max(values)) if args.axis == "horizon" else cfg
-    with _config_values():
+    with config_values():
         seq = build_graph_sequence(longest)
     conn = _connectivity(seq)
     rows: list[dict] = []

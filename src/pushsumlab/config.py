@@ -15,7 +15,8 @@ meaningful.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from contextlib import contextmanager
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -28,27 +29,22 @@ from .optim import (
     Objective,
     StepSchedule,
     SwitchingSignal,
-    absolute_deviation_objective,
     fixed_inv_sqrt,
     harmonic,
-    huber_objective,
-    quadratic_objective,
     sgp_strong,
     constant_step,
 )
+from .pushsum import DEGENERATE_Y
 from .weights import WeightMatrix, load_weights
 
 __all__ = [
     "ConfigError",
     "ExperimentConfig",
+    "config_values",
     "parse_config",
     "load_config",
     "build_graph_sequence",
     "build_weights",
-    "build_objective",
-    "build_schedule",
-    "build_sigma",
-    "build_oracle",
 ]
 
 RUN_KINDS = ("pushsum", "weighted_pushsum") + ALGORITHMS
@@ -58,6 +54,20 @@ SIGMA_KINDS = ("all-ones", "all-zeros", "bernoulli", "alternating")
 
 class ConfigError(ValueError):
     """Configuration rejected; the message names the offending key."""
+
+
+@contextmanager
+def config_values():
+    """A ValueError the library raises on a config's values (a step rule
+    out of range, weights off the graph, unknown generator params, an
+    objective the algorithm cannot use) becomes a ConfigError with the
+    same message."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _require(section: dict, key: str, where: str) -> Any:
@@ -84,13 +94,6 @@ def _as_float(value: Any, where: str) -> float:
     return float(value)
 
 
-def _horizon(value: Any) -> int:
-    horizon = _as_int(value, "config.horizon")
-    if horizon < 1:
-        raise ConfigError(f"config.horizon must be >= 1, got {horizon}")
-    return horizon
-
-
 def _as_vector(value: Any, n: int, where: str) -> np.ndarray:
     arr = np.asarray(value, dtype=float)
     if arr.shape != (n,):
@@ -112,7 +115,14 @@ def _as_rows(value: Any, n: int, where: str) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
-    """Validated scenario description; see parse_config for the schema."""
+    """Validated scenario description; see parse_config for the schema.
+
+    The objective, step rule, switching signal and oracle are built at
+    parse time (None where the algorithm takes none). ``source`` is the
+    dict the config was parsed from: an override re-parses it with one
+    key replaced, so it is checked and followed like the same value in
+    the file.
+    """
 
     algorithm: str
     n: int
@@ -127,37 +137,33 @@ class ExperimentConfig:
     x0: np.ndarray | None
     c: np.ndarray | None
     x_init: np.ndarray | None
-    objective_kind: str | None
-    anchors: np.ndarray | None
-    scales: np.ndarray | None
-    delta: float | None
-    step_kind: str | None
-    step_scale: float | None
-    step_power: float | None
-    step_lambda_bar: float | None
-    sigma_kind: str | None
-    sigma_p: float | None
-    sigma_seed: int | None
-    noise_bounds: np.ndarray | None
-    oracle_seed: int | None
+    objective: Objective | None
+    schedule: StepSchedule | None
+    sigma: SwitchingSignal | None
+    oracle: GradientOracle | None
     seed: int
     seeds: tuple[int, ...] | None
     record_agent: int
     record_s: bool
+    source: dict
 
     def with_seed(self, seed: int) -> "ExperimentConfig":
-        return replace(self, seed=_as_int(seed, "config.seed"))
+        return parse_config({**self.source, "seed": seed})
 
     def with_horizon(self, horizon: int) -> "ExperimentConfig":
-        return replace(self, horizon=_horizon(horizon))
+        return parse_config({**self.source, "horizon": horizon})
 
 
+@config_values()
 def parse_config(data: dict) -> ExperimentConfig:
-    """Validate a nested dict (typically json.load output).
+    """Validate a nested dict (typically json.load output) and build the
+    run objects it describes.
 
     Top-level sections: algorithm, n, horizon, seed, graph, weights,
     init, objective, stepsize, sigma, oracle, seeds, record. Unknown
     keys anywhere are errors, as are sections the algorithm ignores.
+    Values only the library checks (a harmonic power above 1, say) are
+    ConfigErrors too.
     """
     if not isinstance(data, dict):
         raise ConfigError("config root must be an object")
@@ -186,7 +192,9 @@ def parse_config(data: dict) -> ExperimentConfig:
     n = _as_int(_require(data, "n", "config"), "config.n")
     if n < 1:
         raise ConfigError(f"config.n must be >= 1, got {n}")
-    horizon = _horizon(_require(data, "horizon", "config"))
+    horizon = _as_int(_require(data, "horizon", "config"), "config.horizon")
+    if horizon < 1:
+        raise ConfigError(f"config.horizon must be >= 1, got {horizon}")
     seed = _as_int(data.get("seed", 0), "config.seed")
 
     # graph section
@@ -239,8 +247,8 @@ def parse_config(data: dict) -> ExperimentConfig:
     x0 = _as_rows(init["x0"], n, "init.x0") if "x0" in init else None
     c = _as_vector(init["c"], n, "init.c") if "c" in init else None
     x_init = _as_rows(init["x_init"], n, "init.x_init") if "x_init" in init else None
-    if c is not None and np.any(c <= 0.0):
-        raise ConfigError("init.c entries must be strictly positive")
+    if c is not None and np.any(c <= DEGENERATE_Y):
+        raise ConfigError(f"init.c entries must be positive and exceed {DEGENERATE_Y:g}")
 
     is_optimizer = algorithm in ALGORITHMS
     if algorithm == "pushsum":
@@ -260,39 +268,42 @@ def parse_config(data: dict) -> ExperimentConfig:
             raise ConfigError("init.x_init only applies to weighted_pushsum")
 
     # objective section
-    objective_kind = anchors = scales = delta = None
+    objective = None
     if "objective" in data:
         if not is_optimizer:
             raise ConfigError(f"config.objective does not apply to algorithm {algorithm!r}")
-        objective = data["objective"]
-        if not isinstance(objective, dict):
+        section = data["objective"]
+        if not isinstance(section, dict):
             raise ConfigError("config.objective must be an object")
-        _reject_unknown(objective, {"kind", "anchors", "scales", "delta"}, "objective")
-        objective_kind = _require(objective, "kind", "objective")
+        _reject_unknown(section, {"kind", "anchors", "scales", "delta"}, "objective")
+        objective_kind = _require(section, "kind", "objective")
         if objective_kind not in OBJECTIVE_KINDS:
             raise ConfigError(
                 f"objective.kind must be one of {OBJECTIVE_KINDS}, got {objective_kind!r}"
             )
-        anchors = _as_rows(_require(objective, "anchors", "objective"), n, "objective.anchors")
-        if "scales" in objective:
+        anchors = _as_rows(_require(section, "anchors", "objective"), n, "objective.anchors")
+        scales = np.ones(n)
+        if "scales" in section:
             if objective_kind != "quadratic":
                 raise ConfigError("objective.scales only applies to quadratic objectives")
-            scales = _as_vector(objective["scales"], n, "objective.scales")
+            scales = _as_vector(section["scales"], n, "objective.scales")
             if np.any(scales <= 0.0):
                 raise ConfigError("objective.scales must be strictly positive")
-        if "delta" in objective:
+        delta = None
+        if "delta" in section:
             if objective_kind != "huber":
                 raise ConfigError("objective.delta only applies to huber objectives")
-            delta = _as_float(objective["delta"], "objective.delta")
+            delta = _as_float(section["delta"], "objective.delta")
             if not (delta > 0.0):
                 raise ConfigError(f"objective.delta must be positive, got {delta}")
         if objective_kind == "huber" and delta is None:
             delta = 1.0
+        objective = Objective(objective_kind, anchors, scales, delta)
     elif is_optimizer:
         raise ConfigError(f"{algorithm} needs a config.objective section")
 
     # stepsize section
-    step_kind = step_scale = step_power = step_lambda_bar = None
+    schedule = None
     if "stepsize" in data:
         if not is_optimizer:
             raise ConfigError(f"config.stepsize does not apply to algorithm {algorithm!r}")
@@ -302,62 +313,72 @@ def parse_config(data: dict) -> ExperimentConfig:
         step_kind = _require(step, "kind", "stepsize")
         if step_kind == "fixed_inv_sqrt":
             _reject_unknown(step, {"kind"}, "stepsize")
+            schedule = fixed_inv_sqrt(horizon)
         elif step_kind == "harmonic":
             _reject_unknown(step, {"kind", "scale", "power"}, "stepsize")
-            step_scale = _as_float(_require(step, "scale", "stepsize"), "stepsize.scale")
-            step_power = _as_float(_require(step, "power", "stepsize"), "stepsize.power")
+            scale = _as_float(_require(step, "scale", "stepsize"), "stepsize.scale")
+            power = _as_float(_require(step, "power", "stepsize"), "stepsize.power")
+            schedule = harmonic(scale, power)
         elif step_kind == "sgp_strong":
             _reject_unknown(step, {"kind", "lambda_bar"}, "stepsize")
             if "lambda_bar" in step:
-                step_lambda_bar = _as_float(step["lambda_bar"], "stepsize.lambda_bar")
+                lam = _as_float(step["lambda_bar"], "stepsize.lambda_bar")
+            elif objective.lambda_bar is None:
+                raise ConfigError(
+                    "stepsize.lambda_bar missing and the objective has no strong convexity"
+                )
+            else:
+                lam = objective.lambda_bar
+            schedule = sgp_strong(lam)
         elif step_kind == "constant":
             _reject_unknown(step, {"kind", "alpha"}, "stepsize")
-            step_scale = _as_float(_require(step, "alpha", "stepsize"), "stepsize.alpha")
+            alpha = _as_float(_require(step, "alpha", "stepsize"), "stepsize.alpha")
+            schedule = constant_step(alpha)
         else:
             raise ConfigError(f"stepsize.kind must be one of {STEP_KINDS}, got {step_kind!r}")
     elif is_optimizer:
         raise ConfigError(f"{algorithm} needs a config.stepsize section")
 
-    # sigma section
-    sigma_kind = sigma_p = sigma_seed = None
+    # sigma section; a bernoulli seed follows the run seed unless pinned
+    sigma = None
     if "sigma" in data:
         if algorithm != "heterogeneous":
             raise ConfigError("config.sigma only applies to the heterogeneous algorithm")
-        sigma = data["sigma"]
-        if not isinstance(sigma, dict):
+        section = data["sigma"]
+        if not isinstance(section, dict):
             raise ConfigError("config.sigma must be an object")
-        sigma_kind = _require(sigma, "kind", "sigma")
+        sigma_kind = _require(section, "kind", "sigma")
         if sigma_kind == "bernoulli":
-            _reject_unknown(sigma, {"kind", "p", "seed"}, "sigma")
-            sigma_p = _as_float(sigma.get("p", 0.5), "sigma.p")
-            if not (0.0 <= sigma_p <= 1.0):
-                raise ConfigError(f"sigma.p must lie in [0, 1], got {sigma_p}")
-            if "seed" in sigma:
-                sigma_seed = _as_int(sigma["seed"], "sigma.seed")
+            _reject_unknown(section, {"kind", "p", "seed"}, "sigma")
+            p = _as_float(section.get("p", 0.5), "sigma.p")
+            if not (0.0 <= p <= 1.0):
+                raise ConfigError(f"sigma.p must lie in [0, 1], got {p}")
+            sigma_seed = _as_int(section.get("seed", seed), "sigma.seed")
+            sigma = SwitchingSignal("bernoulli", p=p, seed=sigma_seed)
         elif sigma_kind in SIGMA_KINDS:
-            _reject_unknown(sigma, {"kind"}, "sigma")
+            _reject_unknown(section, {"kind"}, "sigma")
+            sigma = SwitchingSignal(sigma_kind)
         else:
             raise ConfigError(f"sigma.kind must be one of {SIGMA_KINDS}, got {sigma_kind!r}")
     elif algorithm == "heterogeneous":
-        sigma_kind = "bernoulli"
-        sigma_p = 0.5
+        sigma = SwitchingSignal("bernoulli", p=0.5, seed=seed)
 
-    # oracle section
-    noise_bounds = oracle_seed = None
+    # oracle section; its seed follows the run seed unless pinned
+    oracle = None
     if "oracle" in data:
         if algorithm != "sgp":
             raise ConfigError("config.oracle only applies to the sgp algorithm")
-        oracle = data["oracle"]
-        if not isinstance(oracle, dict):
+        section = data["oracle"]
+        if not isinstance(section, dict):
             raise ConfigError("config.oracle must be an object")
-        _reject_unknown(oracle, {"noise_bounds", "seed"}, "oracle")
+        _reject_unknown(section, {"noise_bounds", "seed"}, "oracle")
         noise_bounds = _as_vector(
-            _require(oracle, "noise_bounds", "oracle"), n, "oracle.noise_bounds"
+            _require(section, "noise_bounds", "oracle"), n, "oracle.noise_bounds"
         )
         if np.any(noise_bounds < 0.0):
             raise ConfigError("oracle.noise_bounds must be nonnegative")
-        if "seed" in oracle:
-            oracle_seed = _as_int(oracle["seed"], "oracle.seed")
+        oracle_seed = _as_int(section.get("seed", seed), "oracle.seed")
+        oracle = GradientOracle(noise_bounds=noise_bounds, seed=oracle_seed)
     elif algorithm == "sgp":
         raise ConfigError("sgp needs a config.oracle section")
 
@@ -397,23 +418,15 @@ def parse_config(data: dict) -> ExperimentConfig:
         x0=x0,
         c=c,
         x_init=x_init,
-        objective_kind=objective_kind,
-        anchors=anchors,
-        scales=scales,
-        delta=delta,
-        step_kind=step_kind,
-        step_scale=step_scale,
-        step_power=step_power,
-        step_lambda_bar=step_lambda_bar,
-        sigma_kind=sigma_kind,
-        sigma_p=sigma_p,
-        sigma_seed=sigma_seed,
-        noise_bounds=noise_bounds,
-        oracle_seed=oracle_seed,
+        objective=objective,
+        schedule=schedule,
+        sigma=sigma,
+        oracle=oracle,
         seed=seed,
         seeds=seeds,
         record_agent=record_agent,
         record_s=record_s,
+        source=dict(data),
     )
 
 
@@ -456,48 +469,3 @@ def build_weights(cfg: ExperimentConfig) -> str | WeightMatrix:
             raise ConfigError("weight file has no positive entries")
         beta = float(positive.min())
     return WeightMatrix(matrix, beta=beta)
-
-
-def build_objective(cfg: ExperimentConfig) -> Objective | None:
-    if cfg.objective_kind is None:
-        return None
-    if cfg.objective_kind == "abs":
-        return absolute_deviation_objective(cfg.anchors)
-    if cfg.objective_kind == "quadratic":
-        return quadratic_objective(cfg.anchors, cfg.scales)
-    return huber_objective(cfg.anchors, cfg.delta)
-
-
-def build_schedule(cfg: ExperimentConfig, obj: Objective | None) -> StepSchedule | None:
-    if cfg.step_kind is None:
-        return None
-    if cfg.step_kind == "fixed_inv_sqrt":
-        return fixed_inv_sqrt(cfg.horizon)
-    if cfg.step_kind == "harmonic":
-        return harmonic(cfg.step_scale, cfg.step_power)
-    if cfg.step_kind == "sgp_strong":
-        lam = cfg.step_lambda_bar
-        if lam is None:
-            if obj is None or obj.lambda_bar is None:
-                raise ConfigError(
-                    "stepsize.lambda_bar missing and the objective has no strong convexity"
-                )
-            lam = obj.lambda_bar
-        return sgp_strong(lam)
-    return constant_step(cfg.step_scale)
-
-
-def build_sigma(cfg: ExperimentConfig) -> SwitchingSignal | None:
-    if cfg.sigma_kind is None:
-        return None
-    if cfg.sigma_kind == "bernoulli":
-        seed = cfg.seed if cfg.sigma_seed is None else cfg.sigma_seed
-        return SwitchingSignal("bernoulli", p=cfg.sigma_p, seed=seed)
-    return SwitchingSignal(cfg.sigma_kind)
-
-
-def build_oracle(cfg: ExperimentConfig) -> GradientOracle | None:
-    if cfg.noise_bounds is None:
-        return None
-    seed = cfg.seed if cfg.oracle_seed is None else cfg.oracle_seed
-    return GradientOracle(noise_bounds=cfg.noise_bounds, seed=seed)

@@ -28,10 +28,9 @@ import numpy as np
 
 from .graphs import GraphSequence
 from .pushsum import (
-    DEGENERATE_Y,
-    DegenerateStateError,
     Trace,
     _agent_rows,
+    _initial_mass,
     resolve_weight_sequence,
     run_dynamics,
 )
@@ -578,15 +577,7 @@ def run_optimizer(
     x = _agent_rows(x0, n, "x0")
     if x.shape[1] != obj.d:
         raise ValueError(f"x0 has d={x.shape[1]} but the objective has d={obj.d}")
-    y = np.ones(n) if y0 is None else np.asarray(y0, dtype=float)
-    if y.shape != (n,) or np.any(y <= 0.0) or not np.all(np.isfinite(y)):
-        raise ValueError("y0 must be a finite, strictly positive (n,) vector")
-    if float(y.min()) <= DEGENERATE_Y:
-        worst = int(np.argmin(y))
-        raise DegenerateStateError(
-            f"y0[{worst}] = {y[worst]:.3e} is at the floating-point floor; "
-            f"the ratio x / y is meaningless"
-        )
+    y = np.ones(n) if y0 is None else _initial_mass(y0, n, "y0")
 
     sigmas = None if sigma is None else sigma.rows(t0, horizon, n)
 
@@ -598,4 +589,4 @@ def run_optimizer(
         x, y = _kernel(algorithm, w, x, y, g, alpha, sigma_row)
         return x, y, g, alpha
 
-    return run_dynamics(algorithm, mixing, x, y, t0, correction, seed, sigmas)
+    return run_dynamics(algorithm, mixing, x, y, t0, correction, sigmas)

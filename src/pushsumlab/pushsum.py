@@ -262,7 +262,6 @@ class Trace:
     alphas: np.ndarray | None = None
     gs: np.ndarray | None = None
     sigmas: np.ndarray | None = None
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         self.xs = np.asarray(self.xs, dtype=float)
@@ -621,6 +620,20 @@ def _agent_rows(values: np.ndarray, n: int, name: str) -> np.ndarray:
     return x
 
 
+def _initial_mass(values: np.ndarray, n: int, name: str) -> np.ndarray:
+    """A finite, positive (n,) mass vector y(0) above ``DEGENERATE_Y``."""
+    y = np.asarray(values, dtype=float)
+    if y.shape != (n,) or np.any(y <= 0.0) or not np.all(np.isfinite(y)):
+        raise ValueError(f"{name} must be a finite, strictly positive (n,) vector with n={n}")
+    if float(y.min()) <= DEGENERATE_Y:
+        worst = int(np.argmin(y))
+        raise DegenerateStateError(
+            f"{name}[{worst}] = {y[worst]:.3e} is at the floating-point floor; "
+            f"the ratio x / y is meaningless"
+        )
+    return y
+
+
 def run_dynamics(
     algorithm: str,
     mixing: MixingSequence,
@@ -628,7 +641,6 @@ def run_dynamics(
     y: np.ndarray,
     t0: int = 0,
     correction: Callable[[int, np.ndarray, np.ndarray, np.ndarray], tuple] | None = None,
-    seed: int | None = None,
     sigmas: np.ndarray | None = None,
 ) -> Trace:
     """The push-sum loop shared by every algorithm, one step per matrix
@@ -678,7 +690,6 @@ def run_dynamics(
         alphas=alphas,
         gs=gs,
         sigmas=sigmas,
-        seed=seed,
     )
 
 
@@ -710,11 +721,7 @@ def run_weighted_pushsum(
     """
     if c is None or x_init is None:
         raise ValueError("both c and x_init are required")
-    c = np.asarray(c, dtype=float)
-    if c.ndim != 1 or c.shape[0] != seq.n:
-        raise ValueError(f"c must be shape (n,) with n={seq.n}")
-    if np.any(c <= 0.0) or not np.all(np.isfinite(c)):
-        raise ValueError("importance weights c must be finite and strictly positive")
+    c = _initial_mass(c, seq.n, "c")
     x0 = c[:, np.newaxis] * _agent_rows(x_init, seq.n, "x_init")
     horizon = len(seq) if horizon is None else horizon
     mixing = resolve_weight_sequence(seq, weights, horizon)

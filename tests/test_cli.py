@@ -96,6 +96,38 @@ def counting(monkeypatch, module, name):
     return calls
 
 
+OUTPUTS = ("trace.csv", "metrics.csv", "summary.json")
+
+# randomized configs whose switching or noise seed is not pinned
+UNPINNED = {
+    "heterogeneous": {
+        "algorithm": "heterogeneous",
+        "n": 3,
+        "horizon": 50,
+        "graph": {"kind": "static-ring"},
+        "init": {"x0": [[0.0], [0.0], [0.0]]},
+        "objective": {"kind": "abs", "anchors": [[0.0], [1.0], [5.0]]},
+        "stepsize": {"kind": "harmonic", "scale": 1.0, "power": 0.75},
+        "sigma": {"kind": "bernoulli", "p": 0.3},
+    },
+    "sgp": {
+        "algorithm": "sgp",
+        "n": 2,
+        "horizon": 20,
+        "graph": {"kind": "static-complete"},
+        "init": {"x0": [[4.0], [6.0]]},
+        "objective": {"kind": "quadratic", "anchors": [[0.0], [2.0]]},
+        "stepsize": {"kind": "sgp_strong"},
+        "oracle": {"noise_bounds": [0.5, 0.5]},
+    },
+}
+
+
+def _bytes(out, name):
+    with open(os.path.join(out, name), "rb") as fh:
+        return fh.read()
+
+
 FAILED_WINDOW = (
     "connectivity FAILED for claimed window 3: the window at offset 0 "
     "(graph steps 0..2) is not strongly connected"
@@ -219,6 +251,28 @@ class TestRun:
         with open(os.path.join(out_a, "trace.csv"), "rb") as fa:
             with open(os.path.join(out_b, "trace.csv"), "rb") as fb:
                 assert fa.read() != fb.read()
+
+    @pytest.mark.parametrize("name", sorted(UNPINNED))
+    def test_seed_flag_equals_the_seed_in_the_file(self, name, tmp_path):
+        data = UNPINNED[name]
+        flagged = write_cfg(tmp_path, "flagged.json", data)
+        in_file = write_cfg(tmp_path, "in_file.json", {**data, "seed": 3})
+        outs = {key: str(tmp_path / key) for key in ("flag", "file", "zero")}
+        assert main(["run", "--config", flagged, "--seed", "3", "--out", outs["flag"]]) == 0
+        assert main(["run", "--config", in_file, "--out", outs["file"]]) == 0
+        assert main(["run", "--config", in_file, "--seed", "0", "--out", outs["zero"]]) == 0
+        for output in OUTPUTS:
+            assert _bytes(outs["flag"], output) == _bytes(outs["file"], output), output
+        # the unpinned switching or noise seed followed the run seed
+        assert _bytes(outs["zero"], "trace.csv") != _bytes(outs["file"], "trace.csv")
+
+    def test_pinned_sigma_seed_ignores_the_seed_flag(self, tmp_path):
+        data = UNPINNED["heterogeneous"]
+        pinned = write_cfg(tmp_path, "pinned.json", {**data, "sigma": {"kind": "bernoulli", "seed": 7}})
+        for seed in ("0", "3"):
+            assert main(["run", "--config", pinned, "--seed", seed, "--out", str(tmp_path / seed)]) == 0
+        for output in ("trace.csv", "metrics.csv"):
+            assert _bytes(str(tmp_path / "0"), output) == _bytes(str(tmp_path / "3"), output), output
 
     def test_trace_csv_columns(self, pushsum_cfg, tmp_path):
         out = str(tmp_path / "out")
@@ -500,34 +554,71 @@ class TestErrorPaths:
         block = [[0.5, 0.5], [0.5, 0.5]]
         save_weights(str(weights_path), np.kron(np.eye(2), block))  # arcs off the ring
         ring = {"algorithm": "pushsum", "n": 4, "horizon": 20, "init": {"x0": [1.0, 2.0, 3.0, 4.0]}}
-        cases = {
-            "custom weights invalid at step 0": {
-                **ring,
-                "graph": {"kind": "static-ring"},
-                "weights": {"policy": "file", "path": str(weights_path)},
-            },
-            "unknown params for kind 'random-spanning'": {
-                **ring,
-                "graph": {"kind": "random-spanning", "params": {"windw": 2}},
-            },
-            "sgp needs a differentiable objective": {
-                "algorithm": "sgp",
-                "n": 2,
-                "horizon": 20,
-                "graph": {"kind": "static-complete"},
-                "init": {"x0": [[4.0], [6.0]]},
-                "objective": {"kind": "abs", "anchors": [[0.0], [2.0]]},
-                "stepsize": {"kind": "sgp_strong", "lambda_bar": 1.0},
-                "oracle": {"noise_bounds": [0.5, 0.5]},
-            },
+        pair = {
+            "n": 2,
+            "horizon": 20,
+            "graph": {"kind": "static-complete"},
+            "init": {"x0": [[4.0], [6.0]]},
         }
+        floor = "init.c entries must be positive and exceed 1e-300"
+        cases = [
+            (
+                "custom weights invalid at step 0",
+                {
+                    **ring,
+                    "graph": {"kind": "static-ring"},
+                    "weights": {"policy": "file", "path": str(weights_path)},
+                },
+            ),
+            (
+                "unknown params for kind 'random-spanning'",
+                {**ring, "graph": {"kind": "random-spanning", "params": {"windw": 2}}},
+            ),
+            (
+                "sgp needs a differentiable objective",
+                {
+                    **pair,
+                    "algorithm": "sgp",
+                    "objective": {"kind": "abs", "anchors": [[0.0], [2.0]]},
+                    "stepsize": {"kind": "sgp_strong", "lambda_bar": 1.0},
+                    "oracle": {"noise_bounds": [0.5, 0.5]},
+                },
+            ),
+            (
+                "harmonic needs power in (0, 1]",
+                {
+                    **pair,
+                    "algorithm": "subgradient_push",
+                    "objective": {"kind": "abs", "anchors": [[0.0], [2.0]]},
+                    "stepsize": {"kind": "harmonic", "scale": 1.0, "power": 2.0},
+                },
+            ),
+            (
+                floor,
+                {
+                    **pair,
+                    "algorithm": "weighted_pushsum",
+                    "init": {"c": [1e-310, 1.0], "x_init": [0.3, 4.0]},
+                },
+            ),
+            (
+                floor,
+                {
+                    **pair,
+                    "algorithm": "subgradient_push",
+                    "init": {"x0": [[4.0], [6.0]], "c": [1e-310, 1.0]},
+                    "objective": {"kind": "abs", "anchors": [[0.0], [2.0]]},
+                    "stepsize": {"kind": "fixed_inv_sqrt"},
+                },
+            ),
+        ]
         commands = (
             ["run"],
             ["verify"],
             ["sweep", "--axis", "seeds", "--values", "0,1"],
             ["sweep", "--axis", "horizon", "--values", "5,10"],
         )
-        for i, (message, data) in enumerate(cases.items()):
+        for i, (message, data) in enumerate(cases):
             cfg = write_cfg(tmp_path, f"bad{i}.json", data)
             for command in commands:
                 out = str(tmp_path / f"o{i}")

@@ -6,10 +6,6 @@ import pytest
 from pushsumlab.config import (
     ConfigError,
     build_graph_sequence,
-    build_objective,
-    build_oracle,
-    build_schedule,
-    build_sigma,
     build_weights,
     load_config,
     parse_config,
@@ -137,7 +133,7 @@ class TestSectionApplicability:
         with pytest.raises(ConfigError, match="sigma"):
             parse_config(optimizer_data(sigma={"kind": "bernoulli"}))
         cfg = parse_config(optimizer_data(algorithm="heterogeneous"))
-        assert cfg.sigma_kind == "bernoulli" and cfg.sigma_p == 0.5
+        assert cfg.sigma.kind == "bernoulli" and cfg.sigma.p == 0.5
 
     def test_oracle_only_sgp(self):
         with pytest.raises(ConfigError, match="oracle"):
@@ -182,7 +178,7 @@ class TestObjectiveAndStepParsing:
         cfg = parse_config(
             optimizer_data(objective={"kind": "huber", "anchors": [[0.0], [2.0]]})
         )
-        assert cfg.delta == 1.0
+        assert cfg.objective.delta == 1.0
 
     def test_anchor_rows_checked(self):
         data = optimizer_data(objective={"kind": "abs", "anchors": [[0.0]]})
@@ -222,8 +218,7 @@ class TestRoundTripAndOverrides:
         cfg2 = cfg.with_horizon(64)
         assert cfg2.horizon == 64
         # fixed_inv_sqrt steps track the new horizon
-        sched = build_schedule(cfg2, build_objective(cfg2))
-        assert sched.alpha(0) == 0.125
+        assert cfg2.schedule.alpha(0) == 0.125
 
 
 class TestLoadConfig:
@@ -300,23 +295,21 @@ class TestBuilders:
             oracle={"noise_bounds": [0.1, 0.1]},
         )
         cfg = parse_config(data)
-        sched = build_schedule(cfg, build_objective(cfg))
-        assert sched.alpha(1) == pytest.approx(2.0 / 2.0)
+        assert cfg.schedule.alpha(1) == pytest.approx(2.0 / 2.0)
 
     def test_schedule_lambda_bar_needs_source(self):
         data = optimizer_data(stepsize={"kind": "sgp_strong"})
-        cfg = parse_config(data)
         with pytest.raises(ConfigError, match="lambda_bar"):
-            build_schedule(cfg, build_objective(cfg))
+            parse_config(data)
 
     def test_sigma_seed_defaults_to_run_seed(self):
         data = optimizer_data(algorithm="heterogeneous", seed=9)
         cfg = parse_config(data)
-        assert build_sigma(cfg).seed == 9
+        assert cfg.sigma.seed == 9
         explicit = parse_config(
             optimizer_data(algorithm="heterogeneous", seed=9, sigma={"kind": "bernoulli", "seed": 1})
         )
-        assert build_sigma(explicit).seed == 1
+        assert explicit.sigma.seed == 1
 
     def test_oracle_seed_defaults_to_run_seed(self):
         data = optimizer_data(
@@ -327,11 +320,11 @@ class TestBuilders:
             oracle={"noise_bounds": [0.1, 0.1]},
         )
         cfg = parse_config(data)
-        assert build_oracle(cfg).seed == 5
+        assert cfg.oracle.seed == 5
 
     def test_non_optimizer_builders_return_none(self):
         cfg = parse_config(pushsum_data())
-        assert build_objective(cfg) is None
-        assert build_schedule(cfg, None) is None
-        assert build_sigma(cfg) is None
-        assert build_oracle(cfg) is None
+        assert cfg.objective is None
+        assert cfg.schedule is None
+        assert cfg.sigma is None
+        assert cfg.oracle is None

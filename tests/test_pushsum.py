@@ -213,6 +213,11 @@ class TestRunners:
         with pytest.raises(DegenerateStateError):
             run_pushsum(seq, w, [1.0, 1.0], 3)
 
+    def test_mass_at_the_floor_fails_before_the_first_step(self):
+        seq = generate_sequence("static-complete", n=2, horizon=3)
+        with pytest.raises(DegenerateStateError, match="c\\[0\\]"):
+            run_weighted_pushsum(seq, "default", [1e-310, 1.0], [0.3, 4.0], 3)
+
     def test_explicit_weight_list(self):
         g = complete_graph(2)
         w = default_weights(g)
