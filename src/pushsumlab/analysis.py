@@ -572,8 +572,6 @@ class RunMetrics:
     realized_grad_bound: float | None
     realized_eta: float
     realized_y_max: float
-    z_star: np.ndarray | None
-    f_star: float | None
 
 
 def compute_metrics(
@@ -604,8 +602,6 @@ def compute_metrics(
     bound_fixed = None
     bound_varying = None
     realized_g = None
-    z_star = None
-    f_star = None
 
     if trace.gs is not None:
         realized_g = float(np.max(np.linalg.norm(trace.gs, axis=2)))
@@ -636,6 +632,4 @@ def compute_metrics(
         realized_grad_bound=realized_g,
         realized_eta=realized_eta,
         realized_y_max=realized_y_max,
-        z_star=z_star,
-        f_star=f_star,
     )

@@ -61,6 +61,7 @@ from .report import (
     write_summary_json,
     write_trace_csv,
 )
+from .weights import COLUMN_SUM_TOL
 
 __all__ = ["main", "execute_run", "RunArtifacts"]
 
@@ -69,7 +70,6 @@ TOL_ABS_PROBABILITY = 1e-10
 TOL_RATIO_IDENTITY = 1e-9
 TOL_MASS = 1e-10
 TOL_ROW_STOCHASTIC = 1e-12
-TOL_COLUMN_STOCHASTIC = 1e-12
 TOL_DESCENT = 1e-10
 TOL_Y_ONE = 1e-14
 
@@ -320,7 +320,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # column stochasticity and graph compliance of the applied weights,
     # once per distinct (matrix, graph) pair
     weights = weight_checks(trace, seq)
-    check("column_stochastic", weights.columns, TOL_COLUMN_STOCHASTIC)
+    check("column_stochastic", weights.columns, COLUMN_SUM_TOL)
     check("weights_match_graph", weights.graph, 0.0)
 
     # conservation (pure mixing only; optimizer runs inject gradients)
@@ -372,7 +372,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         check("descent_recursion", locate(residuals, times, ("step", "coordinate")), TOL_DESCENT)
 
     # balanced special case: doubly stochastic weights freeze y at 1
-    if weights.rows <= TOL_COLUMN_STOCHASTIC and trace.kappa == trace.n:
+    if weights.rows <= COLUMN_SUM_TOL and trace.kappa == trace.n:
         off = np.abs(trace.ys - 1.0)
         check("balanced_y_equals_one", locate(off, times, ("t", "agent")), TOL_Y_ONE)
 

@@ -94,8 +94,21 @@ def _as_float(value: Any, where: str) -> float:
     return float(value)
 
 
+def _as_path(value: Any, where: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{where} must be a string, got {value!r}")
+    return value
+
+
+def _as_array(value: Any, where: str) -> np.ndarray:
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where} must hold numbers only, got {value!r}") from None
+
+
 def _as_vector(value: Any, n: int, where: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
+    arr = _as_array(value, where)
     if arr.shape != (n,):
         raise ConfigError(f"{where} must be a flat list of {n} numbers")
     return arr
@@ -103,7 +116,7 @@ def _as_vector(value: Any, n: int, where: str) -> np.ndarray:
 
 def _as_rows(value: Any, n: int, where: str) -> np.ndarray:
     """Accept a flat list (d = 1) or a list of per-agent rows."""
-    arr = np.asarray(value, dtype=float)
+    arr = _as_array(value, where)
     if arr.ndim == 1:
         arr = arr[:, np.newaxis]
     if arr.ndim != 2 or arr.shape[0] != n:
@@ -207,7 +220,7 @@ def parse_config(data: dict) -> ExperimentConfig:
     graph_params: dict = {}
     if kind == "file":
         _reject_unknown(graph, {"kind", "path"}, "graph")
-        graph_file = _require(graph, "path", "graph")
+        graph_file = _as_path(_require(graph, "path", "graph"), "graph.path")
     else:
         _reject_unknown(graph, {"kind", "seed", "params"}, "graph")
         if kind not in GENERATOR_KINDS:
@@ -231,7 +244,7 @@ def parse_config(data: dict) -> ExperimentConfig:
         if "path" in weights:
             raise ConfigError("weights.path only applies to policy 'file'")
     elif policy == "file":
-        weights_path = _require(weights, "path", "weights")
+        weights_path = _as_path(_require(weights, "path", "weights"), "weights.path")
         if "beta" in weights:
             weights_beta = _as_float(weights["beta"], "weights.beta")
             if not (0.0 < weights_beta <= 1.0):
@@ -463,9 +476,6 @@ def build_weights(cfg: ExperimentConfig) -> str | WeightMatrix:
     if matrix.shape[0] != cfg.n:
         raise ConfigError(f"weight file has n={matrix.shape[0]} but config.n={cfg.n}")
     beta = cfg.weights_beta
-    if beta is None:
-        positive = matrix[matrix > 0.0]
-        if positive.size == 0:
-            raise ConfigError("weight file has no positive entries")
-        beta = float(positive.min())
+    if beta is None:  # the smallest positive entry; a matrix with none fails its column sums
+        beta = float(np.min(matrix, where=matrix > 0.0, initial=1.0))
     return WeightMatrix(matrix, beta=beta)

@@ -13,6 +13,7 @@ and the table index of every step in ``ids``.
 
 from __future__ import annotations
 
+import numbers
 from functools import cached_property
 from itertools import chain
 from typing import Iterable, Sequence
@@ -319,12 +320,14 @@ def generate_sequence(
 
     if kind == "random-spanning":
         reject_unknown({"window", "extra_arc_prob"})
-        window = int(params.get("window", n))
-        if window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
-        p_extra = float(params.get("extra_arc_prob", 0.0))
-        if not (0.0 <= p_extra <= 1.0):
-            raise ValueError(f"extra_arc_prob must lie in [0, 1], got {p_extra}")
+        window = params.get("window", n)
+        if isinstance(window, bool) or not isinstance(window, numbers.Integral) or window < 1:
+            raise ValueError(f"window must be an integer >= 1, got {window!r}")
+        p_extra = params.get("extra_arc_prob", 0.0)
+        real = isinstance(p_extra, numbers.Real) and not isinstance(p_extra, bool)
+        if not (real and 0.0 <= p_extra <= 1.0):
+            raise ValueError(f"extra_arc_prob must be a number in [0, 1], got {p_extra!r}")
+        window, p_extra = int(window), float(p_extra)
         rng = np.random.default_rng(seed)
         adj = _self_loops(horizon, n)
         n_blocks = -(-horizon // window)

@@ -27,7 +27,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .graphs import GraphSequence
-from .weights import WeightMatrix, equal_split, validate_weights
+from .weights import WeightMatrix, equal_split
 
 __all__ = [
     "DEGENERATE_Y",
@@ -526,19 +526,24 @@ def weight_checks(trace: Trace, seq: GraphSequence) -> WeightChecks:
     """Check each distinct pair (mixing matrix, graph) of ``trace`` once,
     step k being paired with ``seq[k]``; a finding names the first step
     that uses its pair."""
-    mixing = trace.w_mats
-    pairs, first = np.unique(
-        np.stack([mixing.ids, seq.ids[: trace.steps]], axis=1), axis=0, return_index=True
-    )
+    return _pair_checks(trace.w_mats, seq.table, seq.ids[: trace.steps], trace.times())
+
+
+def _pair_checks(
+    mixing: MixingSequence, graphs: Sequence, graph_ids: np.ndarray, labels: np.ndarray
+) -> WeightChecks:
+    """The pass of :func:`weight_checks`, step k pairing ``mixing[k]``
+    with ``graphs[graph_ids[k]]``, findings naming steps by ``labels``."""
+    pairs, first = np.unique(np.stack([mixing.ids, graph_ids], axis=1), axis=0, return_index=True)
     order = np.argsort(first)  # pairs in the order of their first step
-    pairs, steps = pairs[order], trace.times()[first[order]]
+    pairs, steps = pairs[order], labels[first[order]]
     columns = graph = None
     beta_min, rows = math.inf, 0.0
-    size = _chunk_steps(trace.n)
+    size = _chunk_steps(mixing.n)
     for c0 in range(0, len(pairs), size):
         part = pairs[c0 : c0 + size]
         w = mixing.matrices(part[:, 0])
-        adj = np.stack([seq.table[g].adj for g in part[:, 1].tolist()])
+        adj = np.stack([graphs[g].adj for g in part[:, 1].tolist()])
         dev = np.abs(w.sum(axis=1) - 1.0)
         columns = _larger(columns, locate(dev, steps[c0:], ("step", "column")))
         mismatch = (w > 0.0) != adj
@@ -559,9 +564,10 @@ def resolve_weight_sequence(
     ``weights`` is the policy: "default" stores no matrix, and a step's
     equal-split weights are built from its graph when needed; a single
     WeightMatrix is used at every step; a sequence supplies one matrix
-    per step, and equal matrices are stored once. Custom matrices must
-    validate against the graphs they are used with, before any state is
-    touched.
+    per step, and equal matrices are stored once. A WeightMatrix is
+    column-stochastic above its floor by construction; that its positive
+    entries are exactly its graph's arcs is checked once per distinct
+    (matrix, graph) pair, before any state is touched.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -574,40 +580,31 @@ def resolve_weight_sequence(
             raise ValueError(f"unknown weight policy {weights!r}")
         return MixingSequence(ids, graphs=seq.table)
 
-    if isinstance(weights, WeightMatrix):
-        steps = ids.tolist()
-        for i in dict.fromkeys(steps):  # table ids in the order of their first step
-            report = validate_weights(weights, seq.table[i])
-            if not report.ok:
-                raise ValueError(
-                    f"custom weights invalid at step {steps.index(i)}: {report.describe()}"
-                )
-        return MixingSequence(np.zeros(horizon, dtype=np.intp), table=weights.matrix[np.newaxis])
-
-    mats = list(weights)
-    if len(mats) < horizon:
-        raise ValueError(f"need {horizon} weight matrices, got {len(mats)}")
-    index: dict[bytes, int] = {}
-    table: list[np.ndarray] = []
-    step_ids = np.empty(horizon, dtype=np.intp)
-    checked: set[tuple[int, float, int]] = set()
-    for k in range(horizon):
-        wm = mats[k]
+    def sized(wm: WeightMatrix) -> np.ndarray:
         if not isinstance(wm, WeightMatrix):
             raise TypeError("per-step weights must be WeightMatrix instances")
-        i = step_ids[k] = index.setdefault(wm.matrix.tobytes(), len(table))
-        if i == len(table):
-            table.append(wm.matrix)
-        # a report depends only on the matrix, its floor and the graph
-        key = (i, wm.beta, int(ids[k]))
-        if key not in checked:
-            report = validate_weights(wm, seq[k])
-            if not report.ok:
-                raise ValueError(f"custom weights invalid at step {k}: {report.describe()}")
-            checked.add(key)
-    stack = np.stack(table)
-    stack.setflags(write=False)
-    return MixingSequence(step_ids, table=stack)
+        if wm.n != seq.n:
+            raise ValueError(f"matrix size {wm.n} does not match graph n={seq.n}")
+        return wm.matrix
+
+    if isinstance(weights, WeightMatrix):
+        mixing = MixingSequence(np.zeros(horizon, dtype=np.intp), table=sized(weights)[np.newaxis])
+    else:
+        mats = list(weights)[:horizon]
+        if len(mats) < horizon:
+            raise ValueError(f"need {horizon} weight matrices, got {len(mats)}")
+        index: dict[bytes, tuple[int, np.ndarray]] = {}  # equal matrices share an id
+        step_ids = [index.setdefault(m.tobytes(), (len(index), m))[0] for m in map(sized, mats)]
+        table = np.stack([m for _, m in index.values()])
+        table.setflags(write=False)
+        mixing = MixingSequence(step_ids, table=table)
+
+    found = _pair_checks(mixing, seq.table, ids, np.arange(horizon)).graph
+    if found.where:
+        k, i, j = found.where.values()
+        what = "is positive off the graph" if mixing[k][i, j] > 0.0 else "is zero on an arc"
+        raise ValueError(f"custom weights invalid at step {k}: entry (row {i}, column {j}) {what}")
+    return mixing
 
 
 def _agent_rows(values: np.ndarray, n: int, name: str) -> np.ndarray:

@@ -7,7 +7,7 @@ column-stochasticity means every sender splits its mass exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,10 +15,8 @@ from .graphs import DirectedGraph
 
 __all__ = [
     "WeightMatrix",
-    "WeightReport",
     "default_weights",
     "equal_split",
-    "validate_weights",
     "save_weights",
     "load_weights",
     "COLUMN_SUM_TOL",
@@ -30,7 +28,11 @@ COLUMN_SUM_TOL = 1e-12
 
 @dataclass(frozen=True)
 class WeightMatrix:
-    """A dense mixing matrix together with its declared entry floor beta."""
+    """A dense column-stochastic mixing matrix together with its declared
+    entry floor beta: every column sums to 1 within ``COLUMN_SUM_TOL`` and
+    every positive entry is at least beta. Whether the positive entries
+    are exactly the arcs of a graph is checked where the matrix meets
+    its graphs (``pushsum.resolve_weight_sequence``)."""
 
     matrix: np.ndarray
     beta: float
@@ -45,6 +47,16 @@ class WeightMatrix:
             raise ValueError("weight matrix contains negative entries")
         if not (0.0 < self.beta <= 1.0):
             raise ValueError(f"beta must lie in (0, 1], got {self.beta}")
+        sums = m.sum(axis=0)
+        off = np.flatnonzero(np.abs(sums - 1.0) > COLUMN_SUM_TOL)
+        if off.size:
+            j = int(off[0])
+            raise ValueError(f"weight column {j} sums to {float(sums[j])}, not 1")
+        low = np.argwhere((m > 0.0) & (m < self.beta))
+        if low.size:
+            i, j = low[0].tolist()
+            v, beta = float(m[i, j]), float(self.beta)
+            raise ValueError(f"weight entry (row {i}, column {j}) = {v} is below beta = {beta}")
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -73,74 +85,6 @@ def equal_split(adj: np.ndarray) -> np.ndarray:
     many matrices are built at once."""
     a = adj.astype(float)
     return a / a.sum(axis=-2, keepdims=True)
-
-
-@dataclass(frozen=True)
-class WeightReport:
-    """Validation outcome; empty violation lists mean the matrix is
-    column stochastic, graph compliant, and floor compliant."""
-
-    column_sum_violations: tuple[tuple[int, float], ...] = ()
-    sparsity_violations: tuple[tuple[int, int, float], ...] = ()
-    diagonal_violations: tuple[tuple[int, float], ...] = ()
-    beta_violations: tuple[tuple[int, int, float], ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return not (
-            self.column_sum_violations
-            or self.sparsity_violations
-            or self.diagonal_violations
-            or self.beta_violations
-        )
-
-    def describe(self) -> str:
-        if self.ok:
-            return "weights ok"
-        parts = []
-        if self.column_sum_violations:
-            parts.append(f"column sums off at {[j for j, _ in self.column_sum_violations]}")
-        if self.sparsity_violations:
-            parts.append(
-                f"positive entries off the graph at {[(i, j) for i, j, _ in self.sparsity_violations]}"
-            )
-        if self.diagonal_violations:
-            parts.append(f"non-positive diagonal at {[i for i, _ in self.diagonal_violations]}")
-        if self.beta_violations:
-            parts.append(
-                f"edge weights below beta at {[(i, j) for i, j, _ in self.beta_violations]}"
-            )
-        return "; ".join(parts)
-
-
-def validate_weights(w: WeightMatrix, g: DirectedGraph, beta: float | None = None) -> WeightReport:
-    """Check a weight matrix against its graph and entry floor.
-
-    Violation categories:
-
-    * column sums further than ``COLUMN_SUM_TOL`` from 1,
-    * positive entries where the graph has no arc,
-    * non-positive diagonal entries,
-    * entries below ``beta`` (including zeros) where the graph has an arc.
-    """
-    if beta is None:
-        beta = w.beta
-    m = w.matrix
-    if m.shape[0] != g.n:
-        raise ValueError(f"matrix size {m.shape[0]} does not match graph n={g.n}")
-
-    def found(mask: np.ndarray, values: np.ndarray) -> tuple:
-        # (index..., value) of every flagged entry, in row-major order
-        where = np.nonzero(mask)
-        return tuple(zip(*(a.tolist() for a in where), values[where].tolist()))
-
-    sums = m.sum(axis=0)
-    return WeightReport(
-        column_sum_violations=found(np.abs(sums - 1.0) > COLUMN_SUM_TOL, sums),
-        sparsity_violations=found(~g.adj & (m > 0.0), m),
-        diagonal_violations=found(m.diagonal() <= 0.0, m.diagonal()),
-        beta_violations=found(g.adj & (m < beta), m),
-    )
 
 
 def save_weights(path: str, w: WeightMatrix | np.ndarray) -> None:

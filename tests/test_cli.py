@@ -574,6 +574,37 @@ class TestErrorPaths:
                 "unknown params for kind 'random-spanning'",
                 {**ring, "graph": {"kind": "random-spanning", "params": {"windw": 2}}},
             ),
+            # values of the wrong JSON type
+            (
+                "objective.anchors must hold numbers only",
+                {
+                    **pair,
+                    "algorithm": "subgradient_push",
+                    "objective": {"kind": "abs", "anchors": {"a": 1}},
+                    "stepsize": {"kind": "fixed_inv_sqrt"},
+                },
+            ),
+            (
+                "weights.path must be a string",
+                {
+                    **ring,
+                    "graph": {"kind": "static-ring"},
+                    "weights": {"policy": "file", "path": ["a"]},
+                },
+            ),
+            ("graph.path must be a string", {**ring, "graph": {"kind": "file", "path": 7}}),
+            # generator params that would otherwise be coerced
+            *(
+                (
+                    f"{key} must be {what}, got {value!r}",
+                    {**ring, "graph": {"kind": "random-spanning", "params": {key: value}}},
+                )
+                for key, what, value in (
+                    ("window", "an integer >= 1", 2.7),
+                    ("window", "an integer >= 1", True),
+                    ("extra_arc_prob", "a number in [0, 1]", "0.5"),
+                )
+            ),
             (
                 "sgp needs a differentiable objective",
                 {

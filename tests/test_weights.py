@@ -1,19 +1,20 @@
 import numpy as np
 import pytest
 
-from pushsumlab.graphs import DirectedGraph, complete_graph, directed_ring
+from pushsumlab.graphs import DirectedGraph, GraphSequence, complete_graph, directed_ring
+from pushsumlab.pushsum import resolve_weight_sequence
 from pushsumlab.weights import (
     COLUMN_SUM_TOL,
     WeightMatrix,
     default_weights,
     load_weights,
     save_weights,
-    validate_weights,
 )
 
 
 def violations_reference(m, g, beta, tol):
-    # entry-by-entry form of validate_weights, row-major like the original loops
+    # the weight checks entry by entry: column sums, positive entries off the
+    # graph, a non-positive diagonal, and arc entries below beta
     sums = m.sum(axis=0)
     col = [(j, float(sums[j])) for j in range(g.n) if abs(sums[j] - 1.0) > tol]
     arc = g.receive_matrix() > 0.0
@@ -81,62 +82,86 @@ class TestDefaultWeights:
         assert np.all(np.diag(w.matrix) > 0.0)
 
 
+def accepts(m, g, beta):
+    """Whether m constructs with floor beta and resolves as the weights over g."""
+    try:
+        resolve_weight_sequence(GraphSequence((g,)), WeightMatrix(m, beta=beta), 1)
+    except ValueError:
+        return False
+    return True
+
+
 class TestValidateWeights:
+    # a WeightMatrix is column-stochastic above its floor by construction;
+    # resolve_weight_sequence checks that its positive entries are the arcs
+
     def test_default_weights_validate(self):
         g = directed_ring(4)
-        report = validate_weights(default_weights(g), g)
-        assert report.ok
-        assert "ok" in report.describe()
+        w = default_weights(g)
+        assert accepts(w.matrix, g, w.beta)
 
     def test_column_sum_violation(self):
-        g = complete_graph(2)
-        w = WeightMatrix(np.array([[0.5, 0.5], [0.4, 0.5]]), beta=0.1)
-        report = validate_weights(w, g)
-        assert not report.ok
-        assert report.column_sum_violations
-        assert "column" in report.describe()
+        m = np.array([[0.5, 0.5], [0.4, 0.5]])
+        with pytest.raises(ValueError, match=r"^weight column 0 sums to 0\.9, not 1$"):
+            WeightMatrix(m, beta=0.1)
+        # within the tolerance is column-stochastic
+        WeightMatrix(np.array([[0.5, 0.5], [0.5 + COLUMN_SUM_TOL / 2, 0.5]]), beta=0.1)
 
     def test_sparsity_violation(self):
-        # positive entry where the graph has no arc
+        # a positive entry where the graph has no arc, first met at step 1
         g = DirectedGraph.from_arcs(2, [(0, 1)])
-        m = np.array([[0.5, 0.5], [0.5, 0.5]])
-        report = validate_weights(WeightMatrix(m, beta=0.25), g)
-        assert not report.ok
-        assert report.sparsity_violations
+        seq = GraphSequence([complete_graph(2), g, g])
+        w = WeightMatrix(np.full((2, 2), 0.5), beta=0.25)
+        assert len(resolve_weight_sequence(seq, w, 1)) == 1
+        message = r"^custom weights invalid at step 1: entry \(row 0, column 1\) is positive off the graph$"
+        with pytest.raises(ValueError, match=message):
+            resolve_weight_sequence(seq, w, 3)
 
     def test_zero_diagonal_violation(self):
-        g = complete_graph(2)
-        m = np.array([[0.0, 1.0], [1.0, 0.0]])
-        report = validate_weights(WeightMatrix(m, beta=0.5), g)
-        assert not report.ok
-        assert report.diagonal_violations
+        # a zero on an arc (here a self-loop), per-step list policy
+        seq = GraphSequence([complete_graph(2)] * 3)
+        ok = default_weights(complete_graph(2))
+        swap = WeightMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]), beta=0.5)
+        message = r"^custom weights invalid at step 2: entry \(row 0, column 0\) is zero on an arc$"
+        with pytest.raises(ValueError, match=message):
+            resolve_weight_sequence(seq, [ok, ok, swap], 3)
 
     def test_beta_floor_violation(self):
-        g = complete_graph(2)
         m = np.array([[0.99, 0.01], [0.01, 0.99]])
-        report = validate_weights(WeightMatrix(m, beta=0.01), g, beta=0.1)
-        assert not report.ok
-        assert report.beta_violations
+        message = r"^weight entry \(row 0, column 1\) = 0\.01 is below beta = 0\.1$"
+        with pytest.raises(ValueError, match=message):
+            WeightMatrix(m, beta=0.1)
 
     def test_matches_entry_by_entry_reference(self):
+        # accepted exactly when the old per-category checks found nothing
         rng = np.random.default_rng(11)
-        for _ in range(200):
+        outcomes = []
+        for _ in range(300):
             n = int(rng.integers(1, 6))
             arcs = [(j, i) for j in range(n) for i in range(n) if rng.random() < 0.5]
             g = DirectedGraph.from_arcs(n, arcs)
-            m = rng.random((n, n)) * (rng.random((n, n)) < 0.6)
             if rng.random() < 0.5:
-                m = m / np.maximum(m.sum(axis=0), 1e-9)
-            beta = float(rng.uniform(0.0, 0.5))
-            r = validate_weights(WeightMatrix(m, beta=0.5), g, beta=beta)
-            got = (r.column_sum_violations, r.sparsity_violations, r.diagonal_violations, r.beta_violations)
-            assert got == violations_reference(m, g, beta, COLUMN_SUM_TOL)
+                # on the arcs of g, normalized
+                m = g.receive_matrix() * rng.uniform(0.05, 1.0, (n, n))
+                m = m / m.sum(axis=0)
+            else:
+                m = rng.random((n, n)) * (rng.random((n, n)) < 0.6)
+                if rng.random() < 0.5:
+                    m = m / np.maximum(m.sum(axis=0), 1e-9)
+            beta = 0.5 - float(rng.uniform(0.0, 0.5))
+            smallest = m[m > 0.0].min(initial=1.0)
+            if rng.random() < 0.25 and smallest <= 0.5:
+                beta = float(smallest)  # the floor at an entry
+            ok = not any(violations_reference(m, g, beta, COLUMN_SUM_TOL))
+            assert accepts(m, g, beta) == ok, (m, arcs, beta)
+            outcomes.append(ok)
+        assert 0.2 < np.mean(outcomes) < 0.8
 
     def test_beta_defaults_to_matrix_declaration(self):
         g = complete_graph(2)
         m = np.array([[0.9, 0.1], [0.1, 0.9]])
-        assert validate_weights(WeightMatrix(m, beta=0.1), g).ok
-        assert not validate_weights(WeightMatrix(m, beta=0.2), g).ok
+        assert accepts(m, g, 0.1)
+        assert not accepts(m, g, 0.2)
 
 
 class TestWeightsIO:
