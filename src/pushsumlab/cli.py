@@ -43,6 +43,7 @@ from .config import (
 from .graphs import GraphSequence, first_failing_window, is_uniformly_strongly_connected
 from .optim import run_optimizer
 from .pushsum import (
+    DegenerateStateError,
     Finding,
     Trace,
     locate,
@@ -605,6 +606,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 2
+    except DegenerateStateError as exc:
+        print(f"run error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

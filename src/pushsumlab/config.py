@@ -100,11 +100,21 @@ def _as_path(value: Any, where: str) -> str:
     return value
 
 
+def _numbers_only(value: Any) -> bool:
+    """Whether ``value`` is a number or nested lists of numbers; a JSON
+    true or false is not a number here, though numpy would read it as one."""
+    if isinstance(value, (list, tuple)):
+        return all(map(_numbers_only, value))
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _as_array(value: Any, where: str) -> np.ndarray:
-    try:
-        return np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where} must hold numbers only, got {value!r}") from None
+    if _numbers_only(value):
+        try:
+            return np.asarray(value, dtype=float)
+        except (ValueError, OverflowError):  # ragged rows, an int beyond float range
+            pass
+    raise ConfigError(f"{where} must hold numbers only, got {value!r}")
 
 
 def _as_vector(value: Any, n: int, where: str) -> np.ndarray:

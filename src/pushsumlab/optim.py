@@ -1,19 +1,18 @@
 """Distributed subgradient optimization on top of push-sum mixing.
 
-All four algorithms share the linear mixing pair (x, y) from the
-push-sum engine and differ only in where the gradient correction enters
-the x update:
+All four algorithms share the mixing pair (x, y) of the push-sum engine
+and one update: with g the gradient rows at the ratios z = x / y and a
+0/1 switching signal sigma_i(t), x <- W (x - sigma alpha g) - (1 - sigma)
+alpha g, so an agent with sigma_i = 1 corrects, then mixes, and one with
+0 mixes, then corrects. The algorithms differ in sigma and g only:
 
-* subgradient_push: x <- W (x - alpha g), correct locally, then mix.
-* push_subgradient: x <- W x - alpha g, mix, then correct locally.
-* heterogeneous: each agent picks one of the two orders per step via a
-  0/1 switching signal sigma_i(t); sigma identically 1 or 0 recovers
-  the two algorithms above exactly.
-* sgp: subgradient_push driven by a stochastic first-order oracle with
-  bounded zero-mean noise, time starting at t = 1.
+* subgradient_push: sigma = 1, x <- W (x - alpha g).
+* push_subgradient: sigma = 0, x <- W x - alpha g.
+* heterogeneous: sigma drawn per agent and step (Bernoulli by default).
+* sgp: subgradient_push with g from a stochastic first-order oracle
+  with bounded zero-mean noise, time starting at t = 1.
 
-Gradients are always evaluated at the ratios z = x / y, and the mass
-average sum_i x_i / kappa obeys the exact recursion
+The mass average sum_i x_i / kappa obeys the exact recursion
 <z(t+1)> = <z(t)> - (alpha(t)/kappa) sum_i g_i(t) regardless of graph,
 weights, or switching; that recursion is what the verifier checks.
 """
@@ -380,10 +379,9 @@ class SwitchingSignal:
         generator per agent emits from counter (t0, i, 0, 0) are exactly
         those draws for t = t0, t0 + 1, ...
         """
-        if self.kind == "all-ones":
-            return np.ones((steps, n))
-        if self.kind == "all-zeros":
-            return np.zeros((steps, n))
+        if self.kind in ("all-ones", "all-zeros"):
+            # a read-only view of one number: no (steps, n) table is stored
+            return np.broadcast_to(float(self.kind == "all-ones"), (steps, n))
         if self.kind == "alternating":
             # adversarial stress: neighbors always disagree and flip each step
             return (np.add.outer(np.arange(t0, t0 + steps), np.arange(n)) % 2).astype(float)
@@ -501,27 +499,6 @@ class GradientOracle:
 # runner
 
 
-def _kernel(
-    algorithm: str,
-    m: np.ndarray,
-    x: np.ndarray,
-    y: np.ndarray,
-    g: np.ndarray,
-    alpha: float,
-    sigma_row: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    if algorithm in ("subgradient_push", "sgp"):
-        x_next = m @ (x - alpha * g)
-    elif algorithm == "push_subgradient":
-        x_next = m @ x - alpha * g
-    elif algorithm == "heterogeneous":
-        sig = sigma_row[:, np.newaxis]
-        x_next = m @ (x - alpha * g * sig) - alpha * g * (1.0 - sig)
-    else:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
-    return x_next, m @ y
-
-
 def run_optimizer(
     algorithm: str,
     seq: GraphSequence,
@@ -539,8 +516,8 @@ def run_optimizer(
 
     The trace stores states at times t0..t0+horizon (t0 = 1 for sgp,
     otherwise 0), the mixing matrix, step size, gradient rows actually
-    applied at every step, and switching rows for the heterogeneous
-    algorithm. Identical inputs give identical traces.
+    applied and switching row of every step. Identical inputs give
+    identical traces.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
@@ -569,6 +546,8 @@ def run_optimizer(
             sigma = bernoulli_signal(0.5, seed=0 if seed is None else seed)
     elif sigma is not None:
         raise ValueError(f"{algorithm} takes no switching signal")
+    else:
+        sigma = all_zeros_signal() if algorithm == "push_subgradient" else all_ones_signal()
     if algorithm != "sgp" and oracle is not None:
         raise ValueError(f"{algorithm} takes no gradient oracle")
 
@@ -579,14 +558,9 @@ def run_optimizer(
         raise ValueError(f"x0 has d={x.shape[1]} but the objective has d={obj.d}")
     y = np.ones(n) if y0 is None else _initial_mass(y0, n, "y0")
 
-    sigmas = None if sigma is None else sigma.rows(t0, horizon, n)
+    alphas = np.array([schedule.alpha(t) for t in range(t0, t0 + horizon)])
 
-    def correction(t: int, w: np.ndarray, x: np.ndarray, y: np.ndarray):
-        alpha = schedule.alpha(t)
-        z = x / y[:, np.newaxis]
-        g = obj.subgradients(z) if oracle is None else oracle.gradients(obj, z, t)
-        sigma_row = None if sigmas is None else sigmas[t - t0]
-        x, y = _kernel(algorithm, w, x, y, g, alpha, sigma_row)
-        return x, y, g, alpha
+    def gradient(t: int, z: np.ndarray) -> np.ndarray:
+        return obj.subgradients(z) if oracle is None else oracle.gradients(obj, z, t)
 
-    return run_dynamics(algorithm, mixing, x, y, t0, correction, sigmas)
+    return run_dynamics(algorithm, mixing, x, y, t0, gradient, alphas, sigma.rows(t0, horizon, n))

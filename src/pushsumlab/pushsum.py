@@ -65,7 +65,8 @@ S_CONSISTENCY_TOL = 1e-10
 
 
 class DegenerateStateError(RuntimeError):
-    """Raised when some y_i collapses to the floating-point floor."""
+    """Raised when the state left the range where x / y means anything:
+    some y_i at the floating-point floor, or some x not finite."""
 
 
 def _as_matrix(w: WeightMatrix | np.ndarray) -> np.ndarray:
@@ -249,8 +250,8 @@ class Trace:
     States are indexed t0..t0+steps; w_mats[k] is the matrix applied
     between states k and k+1 (list position, not time label). w_mats is
     a MixingSequence; a dense (steps, n, n) array is wrapped into one.
-    Optimizer runs additionally carry step sizes, the gradients actually
-    applied, and, for the heterogeneous algorithm, the switching rows.
+    Optimizer runs additionally carry step sizes, the applied gradients
+    and the switching rows, a read-only view storing nothing if constant.
     """
 
     algorithm: str
@@ -631,52 +632,61 @@ def _initial_mass(values: np.ndarray, n: int, name: str) -> np.ndarray:
     return y
 
 
+def _check_state(xs: np.ndarray, ys: np.ndarray, k0: int, k1: int) -> None:
+    """Name the first of steps k0..k1-1 after which some y_i is at the
+    floor or some x is not finite; a y collapse wins at the same step."""
+    low = ys[k0 + 1 : k1 + 1].min(axis=1) <= DEGENERATE_Y
+    bad = low | ~np.isfinite(xs[k0 + 1 : k1 + 1]).all(axis=(1, 2))
+    if bad.any():
+        k = k0 + int(np.argmax(bad))
+        worst = int(np.argmin(ys[k + 1]))
+        raise DegenerateStateError(
+            f"y[{worst}] collapsed to {ys[k + 1, worst]:.3e} after step {k}; "
+            "check connectivity of the graph sequence"
+            if low[k - k0]
+            else f"state diverged at step {k} (non-finite x); reduce the step size"
+        )
+
+
 def run_dynamics(
     algorithm: str,
     mixing: MixingSequence,
     x: np.ndarray,
     y: np.ndarray,
     t0: int = 0,
-    correction: Callable[[int, np.ndarray, np.ndarray, np.ndarray], tuple] | None = None,
+    gradient: Callable[[int, np.ndarray], np.ndarray] | None = None,
+    alphas: np.ndarray | None = None,
     sigmas: np.ndarray | None = None,
 ) -> Trace:
-    """The push-sum loop shared by every algorithm, one step per matrix
-    of ``mixing``, walked chunk by chunk.
+    """The loop shared by every algorithm, one step per matrix of
+    ``mixing``, walked chunk by chunk; x (n, d) and y (n,) must be valid.
 
-    Without ``correction`` each step is x <- W x, y <- W y. With one,
-    the step at time t is ``correction(t, W, x, y)``, which returns the
-    next (x, y) together with the gradient rows and the step size it
-    used; the trace records those too, and keeps ``sigmas``, the
-    (steps, n) switching table the correction reads, as it is. The
-    inputs x (n, d) and y (n,) must already be validated.
+    A step is y <- W y and, without ``gradient``, push-sum's x <- W x.
+    With one, step k (time t = t0 + k) applies x <- W (x - s sigma) -
+    s (1 - sigma) for s = alphas[k] gradient(t, x / y) and the switching
+    row sigma = sigmas[k]; the trace records the gradient rows, alphas
+    and sigmas. Each chunk runs with floating-point warnings off, then
+    ``_check_state`` checks it once.
     """
     horizon, (n, d) = len(mixing), x.shape
     xs = np.empty((horizon + 1, n, d))
     ys = np.empty((horizon + 1, n))
-    gs = alphas = None
-    if correction is not None:
-        gs = np.empty((horizon, n, d))
-        alphas = np.empty(horizon)
+    gs = None if gradient is None else np.empty((horizon, n, d))
     xs[0], ys[0] = x, y
-    for k0, mats, local in mixing.chunks():
-        for k, i in enumerate(local.tolist(), k0):
-            w = mats[i]
-            if correction is None:
-                x = w @ x
+    with np.errstate(all="ignore"):
+        for k0, mats, local in mixing.chunks():
+            for k, i in enumerate(local.tolist(), k0):
+                w = mats[i]
+                if gradient is None:
+                    x = w @ x
+                else:
+                    g = gs[k] = gradient(t0 + k, x / y[:, np.newaxis])
+                    s = alphas[k] * g
+                    sig = sigmas[k][:, np.newaxis]
+                    x = w @ (x - s * sig) - s * (1.0 - sig)
                 y = w @ y
-            else:
-                x, y, gs[k], alphas[k] = correction(t0 + k, w, x, y)
-            if float(y.min()) <= DEGENERATE_Y:
-                worst = int(np.argmin(y))
-                raise DegenerateStateError(
-                    f"y[{worst}] collapsed to {y[worst]:.3e} after step {k}; "
-                    f"check connectivity of the graph sequence"
-                )
-            if not np.all(np.isfinite(x)):
-                raise RuntimeError(
-                    f"state diverged at step {k} (non-finite x); reduce the step size"
-                )
-            xs[k + 1], ys[k + 1] = x, y
+                xs[k + 1], ys[k + 1] = x, y
+            _check_state(xs, ys, k0, k0 + len(local))
     return Trace(
         algorithm=algorithm,
         t0=t0,

@@ -593,6 +593,21 @@ class TestErrorPaths:
                 },
             ),
             ("graph.path must be a string", {**ring, "graph": {"kind": "file", "path": 7}}),
+            # JSON booleans, which numpy would read as 1.0 and 0.0
+            (
+                "init.x0 must hold numbers only",
+                {**pair, "algorithm": "pushsum", "horizon": 5, "init": {"x0": [[True], [2.0]]}},
+            ),
+            (
+                "oracle.noise_bounds must hold numbers only",
+                {
+                    **pair,
+                    "algorithm": "sgp",
+                    "objective": {"kind": "quadratic", "anchors": [[0.0], [2.0]]},
+                    "stepsize": {"kind": "sgp_strong", "lambda_bar": 1.0},
+                    "oracle": {"noise_bounds": [0.5, False]},
+                },
+            ),
             # generator params that would otherwise be coerced
             *(
                 (
@@ -657,6 +672,27 @@ class TestErrorPaths:
                 err = capsys.readouterr().err
                 assert err.startswith("config error: ") and message in err, err
                 assert err.count("\n") == 1
+
+    def test_diverging_run_is_a_run_error(self, tmp_path, capsys):
+        cfg = write_cfg(
+            tmp_path,
+            "diverge.json",
+            {
+                "algorithm": "push_subgradient",
+                "n": 2,
+                "horizon": 2000,
+                "graph": {"kind": "static-complete"},
+                "init": {"x0": [[4.0], [6.0]]},
+                "objective": {"kind": "quadratic", "anchors": [[0.0], [2.0]]},
+                "stepsize": {"kind": "constant", "alpha": 4.0},
+            },
+        )
+        for command in ("run", "verify"):
+            assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 1
+            err = capsys.readouterr().err
+            assert err == (
+                "run error: state diverged at step 513 (non-finite x); reduce the step size\n"
+            ), err
 
 
 class TestMemory:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -117,6 +119,20 @@ class TestSwitchingSignals:
     def test_all_ones_and_zeros(self):
         assert np.array_equal(all_ones_signal().row(5, 3), np.ones(3))
         assert np.array_equal(all_zeros_signal().row(5, 3), np.zeros(3))
+
+    def test_constant_tables_store_nothing(self):
+        # a dense (10_000, 200) float table would take 16 MB
+        tracemalloc.start()
+        try:
+            for sig, value in ((all_ones_signal(), 1.0), (all_zeros_signal(), 0.0)):
+                tracemalloc.reset_peak()
+                rows = sig.rows(0, 10_000, 200)
+                peak = tracemalloc.get_traced_memory()[1]
+                assert peak < 1_000_000, peak
+                assert rows.shape == (10_000, 200) and not rows.flags.writeable
+                assert np.all(rows == value)
+        finally:
+            tracemalloc.stop()
 
     def test_alternating(self):
         sig = alternating_signal()
@@ -339,12 +355,21 @@ class TestRunner:
             )
 
     def test_divergence_detected(self):
+        # every algorithm names its first non-finite step, and no
+        # floating-point warning escapes the run (warnings are errors here)
         seq = generate_sequence("static-complete", n=2, horizon=2000)
         obj = quadratic_objective([[0.0], [2.0]])
-        with np.errstate(over="ignore"), pytest.raises(RuntimeError):
-            run_optimizer(
-                "push_subgradient", seq, obj, constant_step(4.0), x0=[[4.0], [6.0]]
-            )
+        for algorithm, step in (
+            ("subgradient_push", 644),
+            ("push_subgradient", 513),
+            ("heterogeneous", 643),
+            ("sgp", 644),
+        ):
+            oracle = GradientOracle([0.5, 0.5]) if algorithm == "sgp" else None
+            with pytest.raises(DegenerateStateError, match=f"diverged at step {step} "):
+                run_optimizer(
+                    algorithm, seq, obj, constant_step(4.0), x0=[[4.0], [6.0]], oracle=oracle
+                )
 
     def test_seed_controls_default_sigma(self):
         seq, _, obj = two_agent_setup(horizon=30)

@@ -195,18 +195,14 @@ def test_one_pass_matches_per_step_reference(sc):
         assert found.limit[(t, tau)] == float(np.max(np.abs(phi_s - limit)))
 
 
-def run_algorithm(sc: Scenario, algorithm: str):
-    """The trace of ``algorithm`` on the scenario's graphs and weights:
-    plain push-sum from y(0) = 1, the others from a drawn y(0); a drawn
-    Bernoulli switching table for the heterogeneous method and nonzero
-    noise bounds for sgp."""
+def optimizer_inputs(sc: Scenario, algorithm: str) -> dict:
+    """The keyword arguments of ``run_optimizer`` for ``algorithm`` on the
+    scenario's graphs and weights, from a drawn y(0): a drawn Bernoulli
+    switching table for the heterogeneous method and nonzero noise bounds
+    for sgp."""
     seq, weights, rng = graphs_and_weights(sc)
     y0 = rng.uniform(0.5, 2.0, sc.n)
     x0 = rng.standard_normal((sc.n, sc.d))
-    if algorithm == "pushsum":
-        return run_pushsum(seq, weights, x0)
-    if algorithm == "weighted_pushsum":
-        return run_weighted_pushsum(seq, weights, y0, x0)
     obj = quadratic_objective(rng.standard_normal((sc.n, sc.d)))
     schedule, sigma, oracle = constant_step(0.05), None, None
     if algorithm == "heterogeneous":
@@ -215,9 +211,72 @@ def run_algorithm(sc: Scenario, algorithm: str):
     if algorithm == "sgp":
         schedule = sgp_strong(obj.lambda_bar)
         oracle = GradientOracle(rng.uniform(0.1, 1.0, sc.n), seed=sc.seed)
-    return run_optimizer(
-        algorithm, seq, obj, schedule, weights=weights, x0=x0, y0=y0, sigma=sigma, oracle=oracle
-    )
+    return {
+        "algorithm": algorithm,
+        "seq": seq,
+        "obj": obj,
+        "schedule": schedule,
+        "weights": weights,
+        "x0": x0,
+        "y0": y0,
+        "sigma": sigma,
+        "oracle": oracle,
+    }
+
+
+def run_algorithm(sc: Scenario, algorithm: str):
+    """The trace of ``algorithm`` on the scenario: plain push-sum from
+    y(0) = 1, weighted push-sum and the optimizers from a drawn y(0)."""
+    if algorithm not in ("pushsum", "weighted_pushsum"):
+        return run_optimizer(**optimizer_inputs(sc, algorithm))
+    seq, weights, rng = graphs_and_weights(sc)
+    y0 = rng.uniform(0.5, 2.0, sc.n)
+    x0 = rng.standard_normal((sc.n, sc.d))
+    if algorithm == "pushsum":
+        return run_pushsum(seq, weights, x0)
+    return run_weighted_pushsum(seq, weights, y0, x0)
+
+
+def reference_optimizer(algorithm, seq, obj, schedule, weights, x0, y0, sigma, oracle):
+    """xs, ys, gs and alphas of a per-step loop with one update formula
+    per algorithm: subgradient-push and sgp correct, then mix;
+    push-subgradient mixes, then corrects; the heterogeneous method
+    picks one order per agent from its switching row."""
+    t0 = 1 if algorithm == "sgp" else 0
+    x, y = np.asarray(x0, dtype=float), np.asarray(y0, dtype=float)
+    xs, ys, gs, alphas = [x], [y], [], []
+    for k in range(len(seq)):
+        m = default_weights(seq[k]).matrix if weights == "default" else weights[k].matrix
+        t = t0 + k
+        alpha = schedule.alpha(t)
+        z = x / y[:, np.newaxis]
+        g = obj.subgradients(z) if oracle is None else oracle.gradients(obj, z, t)
+        if algorithm in ("subgradient_push", "sgp"):
+            x = m @ (x - alpha * g)
+        elif algorithm == "push_subgradient":
+            x = m @ x - alpha * g
+        else:
+            sig = sigma.row(t, seq.n)[:, np.newaxis]
+            x = m @ (x - alpha * g * sig) - alpha * g * (1.0 - sig)
+        y = m @ y
+        xs.append(x)
+        ys.append(y)
+        gs.append(g)
+        alphas.append(alpha)
+    return np.stack(xs), np.stack(ys), np.stack(gs), np.array(alphas)
+
+
+@PROPERTY
+@given(scenarios())
+def test_one_update_matches_per_algorithm_formulas(sc):
+    """The single switched update reproduces each algorithm's own
+    formula bit for bit: the arrays are compared byte for byte."""
+    for algorithm in ALGORITHMS:
+        inputs = optimizer_inputs(sc, algorithm)
+        trace = run_optimizer(**inputs)
+        expected = reference_optimizer(**inputs)
+        for got, want in zip((trace.xs, trace.ys, trace.gs, trace.alphas), expected):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), algorithm
 
 
 @PROPERTY
