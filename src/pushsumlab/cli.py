@@ -335,23 +335,25 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     # one pass over the induced ratio matrices: rows, sparsity, entry
     # floor, the probability recursion (optionally against corrupted y
-    # records), and the backward products of the ratio identity over a
-    # spread of (t, tau) pairs and of the product limit
+    # records), and the backward products of the ratio identity and of
+    # the product limit. Every pair starts at t0, so the scan builds one
+    # S chain and one W chain; the chain to t_end multiplies in every
+    # S(k), and S(k) = Y(k+1)^-1 W(k) Y(k) telescopes for any tau, so a
+    # faulty step shows in every later Phi(t, t0).
     ys_check = trace.ys
     if args.perturb_y:
         ys_check = trace.ys.copy()
         ys_check[1:, 0] += args.perturb_y
         print(f"fault injection: y[agent 0] shifted by {args.perturb_y:g} from t>=1")
-    t_end = trace.t0 + trace.steps
-    pairs = {(t_end, trace.t0), (t_end, (trace.t0 + t_end) // 2)}
+    t0, t_end = trace.t0, trace.t0 + trace.steps
+    mid = t0 + trace.steps // 2
+    pairs = {(t_end, t0), (mid, t0)}
     rng = np.random.default_rng(cfg.seed)
     for _ in range(3):
-        tau = int(rng.integers(trace.t0, t_end))
-        t = int(rng.integers(tau, t_end + 1))
-        pairs.add((t, tau))
+        pairs.add((int(rng.integers(t0 + 1, t_end + 1)), t0))
     limits = []
     if trace.steps >= 4 and conn_ok:
-        limits = [(t_end, trace.t0), (trace.t0 + trace.steps // 2, trace.t0)]
+        limits = [(t_end, t0), (mid, t0)]
     induced = scan_induced(trace, ys=ys_check, ratio_pairs=sorted(pairs), limit_pairs=limits)
 
     check("s_row_stochastic", induced.row_sums, TOL_ROW_STOCHASTIC)

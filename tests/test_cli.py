@@ -362,6 +362,34 @@ class TestVerify:
         assert main(["verify", "--config", pushsum_cfg, "--out", str(tmp_path / "v")]) == 0
         assert built == list(range(60)) and not single
 
+    def test_backward_products_cost_two_chains(self, tmp_path, monkeypatch):
+        # every checked pair starts at t0: one S chain and one W chain of T
+        # products each, whatever pairs the seed draws
+        horizon = 60
+        cfg = write_cfg(
+            tmp_path,
+            "spanning.json",
+            {
+                "algorithm": "pushsum",
+                "n": 12,
+                "horizon": horizon,
+                "graph": {"kind": "random-spanning", "params": {"window": 2}},
+                "init": {"x0": [float(i) for i in range(12)]},
+            },
+        )
+        chains, products = set(), []
+        step = pushsum.BackwardProduct.step
+
+        def counted(self, k, m):
+            chains.add(self)
+            if self.tau <= k < self.end:
+                products.append(k)
+            step(self, k, m)
+
+        monkeypatch.setattr(pushsum.BackwardProduct, "step", counted)
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 0
+        assert len(chains) == 2 and len(products) == 2 * horizon
+
     def test_weights_off_the_graph_fail(self, pushsum_cfg, tmp_path, monkeypatch, capsys):
         run = cli.execute_run
 

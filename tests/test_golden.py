@@ -6,7 +6,9 @@ An intended output change regenerates the file with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and states its reason in CHANGES.md.
+which first prints each (case, file) whose digest changed, appeared or
+disappeared, and a count of the unchanged ones; the change states its
+reason in CHANGES.md.
 """
 
 import hashlib
@@ -71,6 +73,22 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         for case in sorted(CASES):
             recorded[case] = produce(case, os.path.join(tmp, case.replace("/", "_")))
+    # name every (case, file) whose digest moved, so a declared output
+    # change can list exactly what it changed
+    before = load_digests() if os.path.exists(DIGESTS) else {}
+    unchanged = 0
+    for case in sorted(before.keys() | recorded.keys()):
+        old, new = before.get(case, {}), recorded.get(case, {})
+        for name in sorted(old.keys() | new.keys()):
+            if name not in new:
+                print(f"removed {case} {name}", file=sys.stderr)
+            elif name not in old:
+                print(f"added   {case} {name}", file=sys.stderr)
+            elif old[name] != new[name]:
+                print(f"changed {case} {name}", file=sys.stderr)
+            else:
+                unchanged += 1
+    print(f"{unchanged} unchanged", file=sys.stderr)
     with open(DIGESTS, "w", encoding="ascii") as fh:
         json.dump(recorded, fh, indent=2, sort_keys=True)
         fh.write("\n")

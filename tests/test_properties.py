@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import pushsumlab.pushsum as pushsum
 from pushsumlab import cli
 from pushsumlab.analysis import descent_residuals
-from pushsumlab.graphs import DirectedGraph, generate_sequence
+from pushsumlab.graphs import DirectedGraph, GraphSequence, generate_sequence
 from pushsumlab.optim import (
     ALGORITHMS,
     GradientOracle,
@@ -299,3 +299,42 @@ def test_verify_identities_hold(sc):
         assert max(f.value for f in found.ratio.values()) <= cli.TOL_RATIO_IDENTITY
         if trace.gs is not None:
             assert np.max(descent_residuals(trace)) <= cli.TOL_DESCENT
+
+
+@st.composite
+def skewed_sequences(draw):
+    """A random sparsity pattern with self-loops at every step, and
+    weights u^3 normalized per column, so a few entries dominate."""
+    n, horizon = draw(st.integers(2, 6)), draw(st.integers(1, 12))
+    density, seed = draw(st.sampled_from([0.2, 0.5, 0.9])), draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    graphs, weights = [], []
+    for _ in range(horizon):
+        adj = rng.random((n, n)) < density
+        np.fill_diagonal(adj, True)
+        receivers, senders = np.nonzero(adj)
+        graphs.append(DirectedGraph(n, zip(senders.tolist(), receivers.tolist())))
+        raw = np.where(adj, (1.0 - rng.random((n, n))) ** 3, 0.0)
+        m = raw / raw.sum(axis=0)
+        weights.append(WeightMatrix(m, beta=float(m[adj].min())))
+    return GraphSequence(graphs), weights, rng.standard_normal((n, 1))
+
+
+@PROPERTY
+@given(skewed_sequences())
+def test_longer_products_from_tau_are_nearer_rank_one(case):
+    """The product-limit check of ``verify`` cannot fail a correct run.
+
+    For fixed tau the deviation factors exactly:
+    Phi_S(t_end, tau) - 1 pi(tau)^T = Phi_S(t_end, mid) (Phi_S(mid, tau) - 1 pi(tau)^T),
+    and every row of Phi_S(t_end, mid) is a probability vector, so no
+    entry grows. The fixed-t ordering, Phi_S(t_end, t0) at least as near
+    rank one as Phi_S(t_end, mid), has no such factorization and fails on
+    valid column-stochastic sequences, so it is not checked.
+    """
+    seq, weights, x0 = case
+    trace = run_pushsum(seq, weights, x0)
+    t0, t_end = trace.t0, trace.t0 + trace.steps
+    mid = t0 + trace.steps // 2
+    limit = scan_induced(trace, limit_pairs=[(t_end, t0), (mid, t0)]).limit
+    assert limit[(t_end, t0)] <= limit[(mid, t0)] + 1e-12
