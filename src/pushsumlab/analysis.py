@@ -17,13 +17,13 @@ re-runs dynamics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .optim import GradientOracle, Objective, StepSchedule, _row_dots
-from .pushsum import Trace
+from .pushsum import TheoreticalConstants, Trace
 
 __all__ = [
     "consensus_error",
@@ -554,7 +554,8 @@ def verify_descent_recursion(trace: Trace) -> float:
 
 @dataclass
 class RunMetrics:
-    """Per-step series and realized constants for one recorded run.
+    """Per-step series, realized constants and bound ceilings for one
+    recorded run; ``bounds`` is a run summary's ``bounds`` section.
 
     f-gap and varying-bound series have one entry per step (the state a
     step size is attached to); consensus and Lyapunov series cover every
@@ -572,6 +573,7 @@ class RunMetrics:
     realized_grad_bound: float | None
     realized_eta: float
     realized_y_max: float
+    bounds: dict | None
 
 
 def compute_metrics(
@@ -579,15 +581,15 @@ def compute_metrics(
     obj: Objective | None = None,
     schedule: StepSchedule | None = None,
     agent: int = 0,
-    mu: float | None = None,
+    constants: TheoreticalConstants | None = None,
 ) -> RunMetrics:
     """Post-process a trace into the standard metric series.
 
     For optimizer traces with a known optimum, running-average f-gaps
-    and (when mu is supplied) the matching bound series are included.
-    Bounds follow the algorithm recorded in the trace; the stochastic
-    algorithm gets no per-run bound columns here since its guarantees
-    are expectations (see bound_sgp).
+    and (given the a-priori ``constants``) every bound ceiling are
+    included. Bounds follow the algorithm recorded in the trace; the
+    stochastic algorithm gets none here since its guarantees are
+    expectations (see bound_sgp).
     """
     if not (0 <= agent < trace.n):
         raise ValueError(f"agent index {agent} out of range")
@@ -601,6 +603,7 @@ def compute_metrics(
     f_gap_agent = None
     bound_fixed = None
     bound_varying = None
+    bounds = None
     realized_g = None
 
     if trace.gs is not None:
@@ -613,12 +616,30 @@ def compute_metrics(
             net, per_agent = running_average_iterates(trace)
             f_gap_avg = obj.values(net) - f_star
             f_gap_agent = obj.values(per_agent[:, agent]) - f_star
-            if mu is not None and trace.algorithm != "sgp":
-                inputs = bound_inputs_from_trace(trace, obj, mu=mu)
+            if constants is not None and trace.algorithm != "sgp":
                 het = trace.algorithm in HET_BOUND_ALGORITHMS
-                bound_varying = _varying_bound_series(inputs, het)
+                realized = bound_inputs_from_trace(trace, obj, mu=constants.mu_ub)
+                # a-priori: the same initial data under eta_lb and G
+                g = obj.grad_norm_bound or realized.grad_bound
+                apriori = replace(realized, eta=constants.eta_lb, grad_bound=g)
+                bound_varying = _varying_bound_series(realized, het)
+                agent_varying = _varying_bound_series(realized, het, k=agent)
+                gap = float(f_gap_avg[-1])
+                bounds = {
+                    "mu_used": constants.mu_ub,
+                    "eta_realized": realized.eta,
+                    "eta_apriori": constants.eta_lb,
+                    "varying_final_realized": float(bound_varying[-1]),
+                    "varying_final_apriori": float(_varying_bound_series(apriori, het)[-1]),
+                    "varying_final_agent_realized": float(agent_varying[-1]),
+                    "final_gap_below_varying_realized": bool(gap <= bound_varying[-1]),
+                }
                 if schedule is not None and schedule.kind == "fixed_inv_sqrt":
-                    bound_fixed = _fixed_bound(inputs, het)
+                    bound_fixed = _fixed_bound(realized, het)
+                    bounds["fixed_realized"] = bound_fixed
+                    bounds["fixed_apriori"] = _fixed_bound(apriori, het)
+                    bounds["fixed_agent_realized"] = _fixed_bound(realized, het, k=agent)
+                    bounds["final_gap_below_fixed_realized"] = bool(gap <= bound_fixed)
 
     return RunMetrics(
         times=times,
@@ -632,4 +653,5 @@ def compute_metrics(
         realized_grad_bound=realized_g,
         realized_eta=realized_eta,
         realized_y_max=realized_y_max,
+        bounds=bounds,
     )

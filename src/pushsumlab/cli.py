@@ -18,15 +18,12 @@ import argparse
 import os
 import sys
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .analysis import (
-    HET_BOUND_ALGORITHMS,
     RunMetrics,
-    _fixed_bound,
-    _varying_bound_series,
-    bound_inputs_from_trace,
     compute_metrics,
     consensus_error_series,
     descent_residuals,
@@ -45,6 +42,7 @@ from .optim import run_optimizer
 from .pushsum import (
     DegenerateStateError,
     Finding,
+    TheoreticalConstants,
     Trace,
     locate,
     run_pushsum,
@@ -80,6 +78,12 @@ class RunArtifacts:
     cfg: ExperimentConfig
     seq: GraphSequence
     trace: Trace
+
+    @cached_property
+    def constants(self) -> TheoreticalConstants | None:
+        """The a-priori constants of the graphs' claimed window, if any."""
+        window = self.seq.claimed_window
+        return None if window is None else theoretical_constants(self.seq.n, window)
 
 
 def _load(args: argparse.Namespace) -> ExperimentConfig:
@@ -137,17 +141,9 @@ def _prefix_connectivity(conn: dict, steps: int) -> dict:
     return conn
 
 
-def _theoretical(seq: GraphSequence) -> dict | None:
-    if seq.claimed_window is None:
-        return None
-    tc = theoretical_constants(seq.n, seq.claimed_window)
-    return {"eta_lb": tc.eta_lb, "mu_ub": tc.mu_ub, "c": tc.c, "window": seq.claimed_window}
-
-
-def _metrics(arts: RunArtifacts, theo: dict | None) -> RunMetrics:
-    mu = None if theo is None else theo["mu_ub"]
-    cfg = arts.cfg
-    return compute_metrics(arts.trace, cfg.objective, cfg.schedule, agent=cfg.record_agent, mu=mu)
+def _metrics(arts: RunArtifacts) -> RunMetrics:
+    cfg, tc = arts.cfg, arts.constants
+    return compute_metrics(arts.trace, cfg.objective, cfg.schedule, cfg.record_agent, tc)
 
 
 def _try_fit(values, times=None, tail=0.5, min_points=20) -> dict | None:
@@ -158,46 +154,8 @@ def _try_fit(values, times=None, tail=0.5, min_points=20) -> dict | None:
     return asdict(fit)
 
 
-def _bounds_section(arts: RunArtifacts, metrics: RunMetrics, mu: float, eta_lb: float) -> dict | None:
-    """The bound ceilings of an optimizer run. The realized network values
-    are the ones ``metrics`` holds (the final varying-step value is the
-    last entry of its series); the a-priori and per-agent ones come from
-    the same evaluators."""
-    trace, obj = arts.trace, arts.cfg.objective
-    if metrics.bound_varying is None:
-        return None
-    agent = metrics.agent
-    het = trace.algorithm in HET_BOUND_ALGORITHMS
-    realized = bound_inputs_from_trace(trace, obj, mu=mu)
-    apriori = bound_inputs_from_trace(
-        trace,
-        obj,
-        mu=mu,
-        eta=eta_lb,
-        grad_bound=obj.grad_norm_bound or None,
-    )
-    out: dict = {
-        "mu_used": mu,
-        "eta_realized": realized.eta,
-        "eta_apriori": eta_lb,
-        "varying_final_realized": float(metrics.bound_varying[-1]),
-        "varying_final_apriori": float(_varying_bound_series(apriori, het)[-1]),
-        "varying_final_agent_realized": float(_varying_bound_series(realized, het, k=agent)[-1]),
-    }
-    gap = float(metrics.f_gap_avg[-1])
-    out["final_gap_below_varying_realized"] = bool(gap <= out["varying_final_realized"])
-    if metrics.bound_fixed is not None:
-        out["fixed_realized"] = metrics.bound_fixed
-        out["fixed_apriori"] = _fixed_bound(apriori, het)
-        out["fixed_agent_realized"] = _fixed_bound(realized, het, k=agent)
-        out["final_gap_below_fixed_realized"] = bool(gap <= metrics.bound_fixed)
-    return out
-
-
-def _summarize(
-    arts: RunArtifacts, metrics: RunMetrics, shas: dict, conn: dict, theo: dict | None
-) -> dict:
-    trace = arts.trace
+def _summarize(arts: RunArtifacts, metrics: RunMetrics, shas: dict, conn: dict) -> dict:
+    trace, tc = arts.trace, arts.constants
     summary: dict = {
         "algorithm": trace.algorithm,
         "n": trace.n,
@@ -206,7 +164,7 @@ def _summarize(
         "seed": arts.cfg.seed,
         "kappa": trace.kappa,
         "connectivity": conn,
-        "constants": theo,
+        "constants": None if tc is None else {**asdict(tc), "window": conn["claimed_window"]},
         "realized": {
             "eta_min": metrics.realized_eta,
             "y_max": metrics.realized_y_max,
@@ -239,10 +197,8 @@ def _summarize(
             "kind": schedule.kind,
             "diminishing_compliant": schedule.satisfies_diminishing_conditions,
         }
-    if theo is not None:
-        bounds = _bounds_section(arts, metrics, mu=theo["mu_ub"], eta_lb=theo["eta_lb"])
-        if bounds is not None:
-            summary["bounds"] = bounds
+    if metrics.bounds is not None:
+        summary["bounds"] = metrics.bounds
     return summary
 
 
@@ -267,8 +223,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if not ok:
         return 1
 
-    theo = _theoretical(arts.seq)
-    metrics = _metrics(arts, theo)
+    metrics = _metrics(arts)
     os.makedirs(args.out, exist_ok=True)
     trace_path = os.path.join(args.out, "trace.csv")
     metrics_path = os.path.join(args.out, "metrics.csv")
@@ -278,7 +233,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     }
     if args.record_s or cfg.record_s:
         write_s_matrices_csv(os.path.join(args.out, "s_matrices.csv"), arts.trace)
-    summary = _summarize(arts, metrics, shas, conn, theo)
+    summary = _summarize(arts, metrics, shas, conn)
     write_summary_json(os.path.join(args.out, "summary.json"), summary)
 
     print(
@@ -417,7 +372,11 @@ def _seed_sweep_series(arts: RunArtifacts) -> np.ndarray:
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _load(args)
     if args.values:
-        values = [int(v) for v in args.values.split(",") if v.strip() != ""]
+        try:
+            values = [int(v) for v in args.values.split(",") if v.strip() != ""]
+        except ValueError:
+            print(f"sweep --values must list integers, got {args.values!r}", file=sys.stderr)
+            return 2
     elif args.axis == "seeds" and cfg.seeds:
         values = list(cfg.seeds)
     else:
@@ -438,7 +397,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     rows: list[dict] = []
     if args.axis == "horizon":
         header = "horizon,final_f_gap_avg,final_f_gap_agent,final_consensus_error,bound_fixed_realized"
-        theo = _theoretical(seq)
         for v in sorted(values):
             # a horizon runs on the first v steps; a graph file is checked whole, as by run
             checked = len(seq) if cfg.graph_file is not None else v
@@ -446,7 +404,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             if not ok:
                 print(msg)
                 return 1
-            metrics = _metrics(execute_run(cfg.with_horizon(v), seq), theo)
+            metrics = _metrics(execute_run(cfg.with_horizon(v), seq))
             gap = metrics.f_gap_avg is not None  # one entry per step, so never empty
             rows.append(
                 {
@@ -458,14 +416,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 }
             )
         gaps = [row for row in rows if row["final_f_gap_avg"] is not None]
-        fit = None
-        if len(gaps) >= 3:
-            fit = _try_fit(
-                [row["final_f_gap_avg"] for row in gaps],
-                times=[row["horizon"] for row in gaps],
-                tail=1.0,
-                min_points=3,
-            )
+        fit = _try_fit(
+            [row["final_f_gap_avg"] for row in gaps],
+            times=[row["horizon"] for row in gaps],
+            tail=1.0,
+            min_points=3,
+        )
         summary = {"axis": "horizon", "values": sorted(values), "rows": rows, "gap_fit": fit}
     else:
         header = "seed,final_mean_sq_error"
@@ -513,12 +469,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_rates(args: argparse.Namespace) -> int:
-    cols = read_csv_columns(args.metrics)
+    try:
+        cols = read_csv_columns(args.metrics)
+    except ValueError as exc:
+        print(f"cannot read metrics CSV {args.metrics}: {exc}", file=sys.stderr)
+        return 2
     if args.column not in cols:
-        print(
-            f"column {args.column!r} not in {sorted(cols)}",
-            file=sys.stderr,
-        )
+        print(f"column {args.column!r} not in {sorted(cols)}", file=sys.stderr)
         return 2
     values = cols[args.column]
     times = cols.get("t")
@@ -551,11 +508,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="scenario config (JSON)")
         p.add_argument("--out", default="out", help="output directory (default: out)")
         p.add_argument("--seed", type=int, default=None, help="override the run seed")
-        p.add_argument(
-            "--strict",
-            action="store_true",
-            help="treat a failed connectivity check as an error",
-        )
 
     p_run = sub.add_parser("run", help="run one scenario and write its outputs")
     add_common(p_run)
@@ -587,6 +539,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated integers (defaults to config.seeds for --axis seeds)",
     )
     p_sweep.set_defaults(func=cmd_sweep)
+    strict_help = "treat a failed connectivity check as an error (verify always does)"
+    for p in (p_run, p_sweep):
+        p.add_argument("--strict", action="store_true", help=strict_help)
 
     p_rates = sub.add_parser("rates", help="fit decay rates on an existing metrics CSV")
     p_rates.add_argument("--metrics", required=True, help="metrics.csv path")

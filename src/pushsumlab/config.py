@@ -88,6 +88,14 @@ def _as_int(value: Any, where: str) -> int:
     return value
 
 
+def _as_seed(value: Any, where: str) -> int:
+    """An integer in [0, 2**128), the key range of Philox."""
+    seed = _as_int(value, where)
+    if not (0 <= seed < 2**128):
+        raise ConfigError(f"{where} must lie in [0, 2**128), got {seed}")
+    return seed
+
+
 def _as_float(value: Any, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where} must be a number, got {value!r}")
@@ -218,7 +226,7 @@ def parse_config(data: dict) -> ExperimentConfig:
     horizon = _as_int(_require(data, "horizon", "config"), "config.horizon")
     if horizon < 1:
         raise ConfigError(f"config.horizon must be >= 1, got {horizon}")
-    seed = _as_int(data.get("seed", 0), "config.seed")
+    seed = _as_seed(data.get("seed", 0), "config.seed")
 
     # graph section
     graph = _require(data, "graph", "config")
@@ -237,7 +245,7 @@ def parse_config(data: dict) -> ExperimentConfig:
             raise ConfigError(
                 f"graph.kind must be 'file' or one of {GENERATOR_KINDS}, got {kind!r}"
             )
-        graph_seed = _as_int(graph.get("seed", 0), "graph.seed")
+        graph_seed = _as_seed(graph.get("seed", 0), "graph.seed")
         graph_params = graph.get("params", {})
         if not isinstance(graph_params, dict):
             raise ConfigError("graph.params must be an object")
@@ -376,7 +384,7 @@ def parse_config(data: dict) -> ExperimentConfig:
             p = _as_float(section.get("p", 0.5), "sigma.p")
             if not (0.0 <= p <= 1.0):
                 raise ConfigError(f"sigma.p must lie in [0, 1], got {p}")
-            sigma_seed = _as_int(section.get("seed", seed), "sigma.seed")
+            sigma_seed = _as_seed(section.get("seed", seed), "sigma.seed")
             sigma = SwitchingSignal("bernoulli", p=p, seed=sigma_seed)
         elif sigma_kind in SIGMA_KINDS:
             _reject_unknown(section, {"kind"}, "sigma")
@@ -400,7 +408,7 @@ def parse_config(data: dict) -> ExperimentConfig:
         )
         if np.any(noise_bounds < 0.0):
             raise ConfigError("oracle.noise_bounds must be nonnegative")
-        oracle_seed = _as_int(section.get("seed", seed), "oracle.seed")
+        oracle_seed = _as_seed(section.get("seed", seed), "oracle.seed")
         oracle = GradientOracle(noise_bounds=noise_bounds, seed=oracle_seed)
     elif algorithm == "sgp":
         raise ConfigError("sgp needs a config.oracle section")
@@ -413,7 +421,7 @@ def parse_config(data: dict) -> ExperimentConfig:
         raw = data["seeds"]
         if not isinstance(raw, list) or not raw:
             raise ConfigError("config.seeds must be a non-empty list of integers")
-        seeds = tuple(_as_int(s, "config.seeds[]") for s in raw)
+        seeds = tuple(_as_seed(s, "config.seeds[]") for s in raw)
 
     # record section
     record = data.get("record", {})

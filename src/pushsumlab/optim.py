@@ -517,7 +517,8 @@ def run_optimizer(
     The trace stores states at times t0..t0+horizon (t0 = 1 for sgp,
     otherwise 0), the mixing matrix, step size, gradient rows actually
     applied and switching row of every step. Identical inputs give
-    identical traces.
+    identical traces. ``seed`` keys the Bernoulli signal a heterogeneous
+    run gets when no ``sigma`` is given; every other run ignores it.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")

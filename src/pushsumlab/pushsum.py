@@ -69,38 +69,39 @@ class DegenerateStateError(RuntimeError):
     some y_i at the floating-point floor, or some x not finite."""
 
 
-def _as_matrix(w: WeightMatrix | np.ndarray) -> np.ndarray:
-    return w.matrix if isinstance(w, WeightMatrix) else np.asarray(w, dtype=float)
+def _induced(w: np.ndarray, y: np.ndarray, y_next: np.ndarray, k0: int = 0) -> np.ndarray:
+    """The induced S(k) of steps k0..k0+c-1 from their W(k), y(k) and
+    y(k+1), stacked as w (c, n, n), y and y_next (c, n). Each y(k+1) must
+    equal W(k) y(k) within ``S_CONSISTENCY_TOL`` at the scale of y(k) (an
+    inconsistent pair silently breaks row-stochasticity) and stay above
+    ``DEGENERATE_Y``; the first step that fails is named."""
+    computed = np.matmul(w, y[:, :, np.newaxis])[:, :, 0]
+    scale = np.maximum(1.0, np.max(np.abs(y), axis=1))
+    err = np.max(np.abs(y_next - computed), axis=1)
+    bad = np.flatnonzero(err > S_CONSISTENCY_TOL * scale)
+    if bad.size:
+        j = int(bad[0])
+        raise ValueError(
+            f"y(k+1) is not W(k) y(k) at step {k0 + j}: max deviation {err[j]:.3e} "
+            f"exceeds {S_CONSISTENCY_TOL:.0e} at scale {scale[j]:g}"
+        )
+    low = np.flatnonzero(y_next.min(axis=1) <= DEGENERATE_Y)
+    if low.size:
+        raise DegenerateStateError(
+            f"cannot induce the ratio matrix of step {k0 + int(low[0])}: y(k+1) hits the floor"
+        )
+    return w * y[:, np.newaxis, :] / y_next[:, :, np.newaxis]
 
 
 def s_matrix(
-    w: WeightMatrix | np.ndarray,
-    y: np.ndarray,
-    y_next: np.ndarray | None = None,
+    w: WeightMatrix | np.ndarray, y: np.ndarray, y_next: np.ndarray | None = None
 ) -> np.ndarray:
-    """Induced row-stochastic matrix s_ij = w_ij y_j / y_next_i.
-
-    ``y_next`` defaults to W y; when given it must agree with W y to
-    within ``S_CONSISTENCY_TOL`` (relative to the scale of y), since an
-    inconsistent pair silently breaks row-stochasticity.
-    """
-    m = _as_matrix(w)
+    """Induced row-stochastic matrix s_ij = w_ij y_j / y_next_i, with the
+    checks of :func:`induced_chunks`; ``y_next`` defaults to W y."""
+    m = w.matrix if isinstance(w, WeightMatrix) else np.asarray(w, dtype=float)
     y = np.asarray(y, dtype=float)
-    computed = m @ y
-    if y_next is None:
-        y_next = computed
-    else:
-        y_next = np.asarray(y_next, dtype=float)
-        scale = max(1.0, float(np.max(np.abs(y))))
-        err = float(np.max(np.abs(y_next - computed)))
-        if err > S_CONSISTENCY_TOL * scale:
-            raise ValueError(
-                f"y_next is not W y: max deviation {err:.3e} exceeds "
-                f"{S_CONSISTENCY_TOL:.0e} at scale {scale:g}"
-            )
-    if float(np.min(y_next)) <= DEGENERATE_Y:
-        raise DegenerateStateError("cannot induce the ratio matrix: y_next hits the floor")
-    return m * y[np.newaxis, :] / y_next[:, np.newaxis]
+    y_next = m @ y if y_next is None else np.asarray(y_next, dtype=float)
+    return _induced(m[np.newaxis], y[np.newaxis], y_next[np.newaxis])[0]
 
 
 def absolute_probability(y: np.ndarray, kappa: float) -> np.ndarray:
@@ -326,32 +327,14 @@ def induced_chunks(trace: Trace):
     """(k0, w, s) for consecutive chunks of steps k0..k0+c-1: w holds
     their mixing matrices W(k) and s the induced S(k), both (c, n, n).
 
-    S(k) is formed by the same elementwise operations as
-    :func:`s_matrix`, so its bits are the same. Each recorded y(k+1) must
-    equal W(k) y(k) within ``S_CONSISTENCY_TOL`` at the scale of y(k),
-    and stay above ``DEGENERATE_Y``; the first step that fails is named.
+    S(k) is formed by the same builder and checks as :func:`s_matrix`,
+    so its bits are the same.
     """
     ys = trace.ys
     for k0, mats, local in trace.w_mats.chunks():
         k1 = k0 + len(local)
         w = mats[local]
-        y, y_next = ys[k0:k1], ys[k0 + 1 : k1 + 1]
-        computed = np.matmul(w, y[:, :, np.newaxis])[:, :, 0]
-        scale = np.maximum(1.0, np.max(np.abs(y), axis=1))
-        err = np.max(np.abs(y_next - computed), axis=1)
-        bad = np.flatnonzero(err > S_CONSISTENCY_TOL * scale)
-        if bad.size:
-            j = int(bad[0])
-            raise ValueError(
-                f"y(k+1) is not W(k) y(k) at step {k0 + j}: max deviation {err[j]:.3e} "
-                f"exceeds {S_CONSISTENCY_TOL:.0e} at scale {scale[j]:g}"
-            )
-        low = np.flatnonzero(y_next.min(axis=1) <= DEGENERATE_Y)
-        if low.size:
-            raise DegenerateStateError(
-                f"cannot induce the ratio matrix of step {k0 + int(low[0])}: y(k+1) hits the floor"
-            )
-        yield k0, w, w * y[:, np.newaxis, :] / y_next[:, :, np.newaxis]
+        yield k0, w, _induced(w, ys[k0:k1], ys[k0 + 1 : k1 + 1], k0)
 
 
 class BackwardProduct:

@@ -33,7 +33,7 @@ from pushsumlab.optim import (
     run_optimizer,
     sgp_strong,
 )
-from pushsumlab.pushsum import Trace, run_pushsum
+from pushsumlab.pushsum import TheoreticalConstants, Trace, run_pushsum
 
 
 def make_trace(zw_values, alphas, n=1):
@@ -565,27 +565,31 @@ class TestComputeMetrics:
         tr = run_pushsum(seq, "default", [1.0, 2.0, 3.0, 4.0], 50)
         m = compute_metrics(tr)
         assert len(m.consensus) == 51
-        assert m.f_gap_avg is None and m.bound_varying is None
+        assert m.f_gap_avg is None and m.bound_varying is None and m.bounds is None
 
     def test_optimizer_trace_full_columns(self):
         seq = generate_sequence("static-complete", n=2, horizon=40)
         obj = absolute_deviation_objective([[0.0], [2.0]])
         sched = fixed_inv_sqrt(40)
         tr = run_optimizer("subgradient_push", seq, obj, sched, x0=[[4.0], [6.0]])
-        m = compute_metrics(tr, obj, sched, mu=0.75)
+        m = compute_metrics(tr, obj, sched, constants=TheoreticalConstants(0.25, 0.75))
         assert len(m.f_gap_avg) == 40
         assert m.bound_fixed is not None
         assert len(m.bound_varying) == 40
         assert np.all(np.asarray(m.f_gap_avg) <= m.bound_varying + 1e-12)
+        assert m.bounds["fixed_realized"] == m.bound_fixed
+        assert m.bounds["varying_final_realized"] == m.bound_varying[-1]
+        assert (m.bounds["mu_used"], m.bounds["eta_apriori"]) == (0.75, 0.25)
 
     def test_fixed_bound_only_for_matching_schedule(self):
         seq = generate_sequence("static-complete", n=2, horizon=40)
         obj = absolute_deviation_objective([[0.0], [2.0]])
         sched = harmonic(0.5, 1.0)
         tr = run_optimizer("subgradient_push", seq, obj, sched, x0=[[4.0], [6.0]])
-        m = compute_metrics(tr, obj, sched, mu=0.75)
+        m = compute_metrics(tr, obj, sched, constants=TheoreticalConstants(0.25, 0.75))
         assert m.bound_fixed is None
         assert m.bound_varying is not None
+        assert "fixed_realized" not in m.bounds
 
     def test_sgp_trace_gets_no_bound_columns(self):
         seq = generate_sequence("static-complete", n=2, horizon=40)
@@ -594,8 +598,10 @@ class TestComputeMetrics:
             "sgp", seq, obj, sgp_strong(obj.lambda_bar), x0=[[4.0], [6.0]],
             oracle=GradientOracle([0.2, 0.2], seed=0),
         )
-        m = compute_metrics(tr, obj, sgp_strong(obj.lambda_bar), mu=0.75)
-        assert m.bound_varying is None and m.bound_fixed is None
+        m = compute_metrics(
+            tr, obj, sgp_strong(obj.lambda_bar), constants=TheoreticalConstants(0.25, 0.75)
+        )
+        assert m.bound_varying is None and m.bound_fixed is None and m.bounds is None
         assert m.f_gap_avg is not None
 
     def test_agent_index_checked(self):

@@ -5,11 +5,20 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import pushsumlab.analysis as analysis
 import pushsumlab.cli as cli
 import pushsumlab.pushsum as pushsum
 import pushsumlab.weights as weights
+from pushsumlab.analysis import (
+    bound_heterogeneous,
+    bound_inputs_from_trace,
+    bound_per_agent,
+    bound_subgradient_push_fixed,
+    bound_subgradient_push_varying,
+)
 from pushsumlab.cli import main
 from pushsumlab.graphs import GraphSequence, complete_graph
+from pushsumlab.pushsum import theoretical_constants
 from pushsumlab.report import read_csv_columns
 from pushsumlab.weights import save_weights
 
@@ -244,6 +253,49 @@ class TestRun:
         if "fixed_realized" in bounds:
             assert bounds["fixed_realized"] == float(rows[0]["bound_fixed"])
 
+    @pytest.mark.parametrize(
+        "name", ["doubly_stochastic", "heterogeneous", "push_subgradient", "subgradient_push_fixed"]
+    )
+    def test_summary_bounds_are_the_entry_points(self, name, tmp_path):
+        """The a-priori and agent ceilings equal the public bound functions
+        run on separately built inputs from the same trace."""
+        out = str(tmp_path / "out")
+        assert main(["run", "--config", os.path.join(CONFIGS, f"{name}.json"), "--out", out]) == 0
+        with open(os.path.join(out, "summary.json")) as fh:
+            bounds = json.load(fh)["bounds"]
+        cfg = cli.load_config(os.path.join(CONFIGS, f"{name}.json"))
+        arts = cli.execute_run(cfg)
+        trace, obj, agent = arts.trace, cfg.objective, cfg.record_agent
+        tc = theoretical_constants(arts.seq.n, arts.seq.claimed_window)
+        realized = bound_inputs_from_trace(trace, obj, mu=tc.mu_ub)
+        apriori = bound_inputs_from_trace(
+            trace, obj, mu=tc.mu_ub, eta=tc.eta_lb, grad_bound=obj.grad_norm_bound or None
+        )
+        last = trace.steps - 1
+        if trace.algorithm in ("heterogeneous", "push_subgradient"):
+            varying = bound_heterogeneous(apriori, "varying", t=last)
+            agent_varying = bound_heterogeneous(realized, "varying", k=agent, t=last)
+            fixed = bound_heterogeneous(apriori, "fixed")
+            agent_fixed = bound_heterogeneous(realized, "fixed", k=agent)
+        else:
+            varying = bound_subgradient_push_varying(apriori, last)
+            agent_varying = bound_per_agent(realized, agent, "varying", t=last)
+            fixed = bound_subgradient_push_fixed(apriori)
+            agent_fixed = bound_per_agent(realized, agent)
+        assert bounds["varying_final_apriori"] == varying
+        assert bounds["varying_final_agent_realized"] == agent_varying
+        assert ("fixed_realized" in bounds) == (cfg.schedule.kind == "fixed_inv_sqrt")
+        if "fixed_realized" in bounds:
+            assert bounds["fixed_apriori"] == fixed
+            assert bounds["fixed_agent_realized"] == agent_fixed
+
+    def test_realized_bound_inputs_built_once(self, tmp_path, monkeypatch):
+        modules = [m for m in (analysis, cli) if hasattr(m, "bound_inputs_from_trace")]
+        calls = [counting(monkeypatch, m, "bound_inputs_from_trace") for m in modules]
+        cfg = os.path.join(CONFIGS, "subgradient_push_fixed.json")
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert sum(map(len, calls)) == 1
+
     def test_seed_override_changes_sigma_path(self, heterogeneous_cfg, tmp_path):
         out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
         assert main(["run", "--config", heterogeneous_cfg, "--out", out_a, "--seed", "0"]) == 0
@@ -301,6 +353,12 @@ class TestRun:
 
 
 class TestVerify:
+    def test_takes_no_strict_flag(self, pushsum_cfg, tmp_path):
+        # verify always fails on a failed connectivity check
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--config", pushsum_cfg, "--out", str(tmp_path / "o"), "--strict"])
+        assert exc.value.code == 2
+
     def test_clean_run_passes(self, pushsum_cfg, tmp_path, capsys):
         out = str(tmp_path / "v")
         assert main(["verify", "--config", pushsum_cfg, "--out", out]) == 0
@@ -588,6 +646,12 @@ class TestErrorPaths:
             "graph": {"kind": "static-complete"},
             "init": {"x0": [[4.0], [6.0]]},
         }
+        het = {
+            **pair,
+            "algorithm": "heterogeneous",
+            "objective": {"kind": "abs", "anchors": [[0.0], [2.0]]},
+            "stepsize": {"kind": "fixed_inv_sqrt"},
+        }
         floor = "init.c entries must be positive and exceed 1e-300"
         cases = [
             (
@@ -685,6 +749,30 @@ class TestErrorPaths:
                     "stepsize": {"kind": "fixed_inv_sqrt"},
                 },
             ),
+            # seeds outside [0, 2**128), the key range of Philox
+            (
+                "graph.seed must lie in [0, 2**128), got -1",
+                {**ring, "graph": {"kind": "random-spanning", "seed": -1}},
+            ),
+            (
+                "sigma.seed must lie in [0, 2**128), got -1",
+                {**het, "sigma": {"kind": "bernoulli", "seed": -1}},
+            ),
+            (
+                f"config.seed must lie in [0, 2**128), got {2**130}",
+                {**ring, "graph": {"kind": "static-ring"}, "seed": 2**130},
+            ),
+            ("config.seeds[] must lie in [0, 2**128), got -1", {**het, "seeds": [-1, 0]}),
+            (
+                f"oracle.seed must lie in [0, 2**128), got {2**128}",
+                {
+                    **pair,
+                    "algorithm": "sgp",
+                    "objective": {"kind": "quadratic", "anchors": [[0.0], [2.0]]},
+                    "stepsize": {"kind": "sgp_strong", "lambda_bar": 1.0},
+                    "oracle": {"noise_bounds": [0.5, 0.5], "seed": 2**128},
+                },
+            ),
         ]
         commands = (
             ["run"],
@@ -700,6 +788,25 @@ class TestErrorPaths:
                 err = capsys.readouterr().err
                 assert err.startswith("config error: ") and message in err, err
                 assert err.count("\n") == 1
+        # a push-sum run never reads its seed, but the flag is checked too
+        ring_cfg = os.path.join(CONFIGS, "pushsum_ring.json")
+        out = str(tmp_path / "seed")
+        assert main(["verify", "--config", ring_cfg, "--seed", "-1", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: config.seed must lie in [0, 2**128), got -1\n"
+
+    def test_sweep_values_must_be_integers(self, tmp_path, capsys):
+        cfg = os.path.join(CONFIGS, "heterogeneous.json")
+        args = ["sweep", "--config", cfg, "--axis", "seeds", "--values", "1,x"]
+        assert main([*args, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "sweep --values must list integers, got '1,x'\n"
+
+    def test_rates_rejects_a_file_that_is_not_a_metrics_csv(self, tmp_path, capsys):
+        path = tmp_path / "notes.md"
+        path.write_text("title\nsome, text\n")
+        assert main(["rates", "--metrics", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(path) in err, err
 
     def test_diverging_run_is_a_run_error(self, tmp_path, capsys):
         cfg = write_cfg(

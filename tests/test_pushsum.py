@@ -93,8 +93,12 @@ class TestInducedMatrix:
 
     def test_inconsistent_y_next_rejected(self):
         y = np.array([1.0, 1.0])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="y\\(k\\+1\\) is not W\\(k\\) y\\(k\\) at step 0"):
             s_matrix(TWO_AGENT_W, y, y_next=np.array([0.9, 1.1]))
+
+    def test_y_next_at_the_floor_rejected(self):
+        with pytest.raises(DegenerateStateError, match="ratio matrix of step 0"):
+            s_matrix(np.eye(2), np.array([1e-301, 1.0]))
 
     def test_sparsity_follows_weights(self):
         y = np.array([2.0, 0.5])
