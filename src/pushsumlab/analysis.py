@@ -484,7 +484,8 @@ def fit_rate(
     The last ``tail_fraction`` of samples is used; entries with
     non-positive value or non-positive time are filtered out (their
     count is reported) because both fits work in log space. Fewer than
-    ``min_points`` surviving points is an error.
+    ``min_points`` surviving points is an error, and ``min_points`` must
+    be at least 2.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 1:
@@ -497,6 +498,8 @@ def fit_rate(
             raise ValueError("times must match values in length")
     if not (0.0 < tail_fraction <= 1.0):
         raise ValueError("tail_fraction must lie in (0, 1]")
+    if min_points < 2:
+        raise ValueError(f"min_points must be at least 2 to fit a line, got {min_points}")
     start = int(math.floor(len(values) * (1.0 - tail_fraction)))
     v = values[start:]
     t = times[start:]

@@ -49,7 +49,6 @@ from .pushsum import (
     run_weighted_pushsum,
     scan_induced,
     theoretical_constants,
-    weight_checks,
 )
 from .report import (
     csv_blocks,
@@ -273,28 +272,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     conn_ok, conn_msg = _check_connectivity(_connectivity(seq), strict=True)
     print(conn_msg)
 
-    # column stochasticity and graph compliance of the applied weights,
-    # once per distinct (matrix, graph) pair
-    weights = weight_checks(trace, seq)
-    check("column_stochastic", weights.columns, COLUMN_SUM_TOL)
-    check("weights_match_graph", weights.graph, 0.0)
-
-    # conservation (pure mixing only; optimizer runs inject gradients)
-    times = trace.times()
-    if trace.algorithm in ("pushsum", "weighted_pushsum"):
-        x_tot = trace.xs.sum(axis=1)
-        drift = np.abs(x_tot - x_tot[0])
-        check("mass_conservation_x", locate(drift, times, ("t", "coordinate")), TOL_MASS)
-    y_tot = trace.ys.sum(axis=1)
-    check("mass_conservation_y", locate(np.abs(y_tot - y_tot[0]), times, ("t",)), TOL_MASS)
-
-    # one pass over the induced ratio matrices: rows, sparsity, entry
-    # floor, the probability recursion (optionally against corrupted y
-    # records), and the backward products of the ratio identity and of
-    # the product limit. Every pair starts at t0, so the scan builds one
-    # S chain and one W chain; the chain to t_end multiplies in every
-    # S(k), and S(k) = Y(k+1)^-1 W(k) Y(k) telescopes for any tau, so a
-    # faulty step shows in every later Phi(t, t0).
+    # one pass over the steps: column sums and graph compliance of the
+    # applied weights, then the induced ratio matrices' rows, sparsity,
+    # entry floor, the probability recursion (optionally against
+    # corrupted y records), and the backward products of the ratio
+    # identity and of the product limit. Every pair starts at t0, so the
+    # scan builds one S chain and one W chain; the chain to t_end
+    # multiplies in every S(k), and S(k) = Y(k+1)^-1 W(k) Y(k) telescopes
+    # for any tau, so a faulty step shows in every later Phi(t, t0).
     ys_check = trace.ys
     if args.perturb_y:
         ys_check = trace.ys.copy()
@@ -309,20 +294,31 @@ def cmd_verify(args: argparse.Namespace) -> int:
     limits = []
     if trace.steps >= 4 and conn_ok:
         limits = [(t_end, t0), (mid, t0)]
-    induced = scan_induced(trace, ys=ys_check, ratio_pairs=sorted(pairs), limit_pairs=limits)
+    scan = scan_induced(trace, seq, ys_check, ratio_pairs=sorted(pairs), limit_pairs=limits)
+    check("column_stochastic", scan.columns, COLUMN_SUM_TOL)
+    check("weights_match_graph", scan.graph, 0.0)
 
-    check("s_row_stochastic", induced.row_sums, TOL_ROW_STOCHASTIC)
-    check("s_matches_weights", induced.sparsity, 0.0)
-    gamma = weights.beta_min * float(trace.ys.min()) / float(trace.ys.max())
-    floor = induced.floor
+    # conservation (pure mixing only; optimizer runs inject gradients)
+    times = trace.times()
+    if trace.algorithm in ("pushsum", "weighted_pushsum"):
+        x_tot = trace.xs.sum(axis=1)
+        drift = np.abs(x_tot - x_tot[0])
+        check("mass_conservation_x", locate(drift, times, ("t", "coordinate")), TOL_MASS)
+    y_tot = trace.ys.sum(axis=1)
+    check("mass_conservation_y", locate(np.abs(y_tot - y_tot[0]), times, ("t",)), TOL_MASS)
+
+    check("s_row_stochastic", scan.row_sums, TOL_ROW_STOCHASTIC)
+    check("s_matches_weights", scan.sparsity, 0.0)
+    gamma = scan.beta_min.value * float(trace.ys.min()) / float(trace.ys.max())
+    floor = scan.floor
     check("s_entry_floor", floor, gamma, floor.value >= gamma * (1.0 - 1e-9))
-    check("absolute_probability", induced.probability, TOL_ABS_PROBABILITY)
-    ratio = max(induced.ratio.values(), key=lambda f: f.value)  # the first pair on a tie
+    check("absolute_probability", scan.probability, TOL_ABS_PROBABILITY)
+    ratio = max(scan.ratio.values(), key=lambda f: f.value)  # the first pair on a tie
     check("ratio_identity", ratio, TOL_RATIO_IDENTITY)
 
     # backward products must approach the rank-one limit
     if limits:
-        dev_full, dev_half = (induced.limit[pair] for pair in limits)
+        dev_full, dev_half = (scan.limit[pair] for pair in limits)
         check("product_limit_decay", Finding(dev_full, {}), dev_half + 1e-12)
 
     if trace.gs is not None:
@@ -330,7 +326,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         check("descent_recursion", locate(residuals, times, ("step", "coordinate")), TOL_DESCENT)
 
     # balanced special case: doubly stochastic weights freeze y at 1
-    if weights.rows <= COLUMN_SUM_TOL and trace.kappa == trace.n:
+    if scan.w_rows.value <= COLUMN_SUM_TOL and trace.kappa == trace.n:
         off = np.abs(trace.ys - 1.0)
         check("balanced_y_equals_one", locate(off, times, ("t", "agent")), TOL_Y_ONE)
 
@@ -469,6 +465,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_rates(args: argparse.Namespace) -> int:
+    if not 0.0 < args.tail <= 1.0 or args.min_points < 2:
+        got = f"got {args.tail:g} and {args.min_points}"
+        print(f"rates needs --tail in (0, 1] and --min-points >= 2, {got}", file=sys.stderr)
+        return 2
     try:
         cols = read_csv_columns(args.metrics)
     except ValueError as exc:

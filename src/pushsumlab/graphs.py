@@ -371,24 +371,26 @@ def save_sequence(path: str, seq: GraphSequence) -> None:
 
 
 def load_sequence(path: str) -> GraphSequence:
-    """Inverse of :func:`save_sequence`; self-loops are re-added."""
+    """Inverse of :func:`save_sequence`; self-loops are re-added. An
+    error names the file and the line, blank and ``#`` lines counted."""
     with open(path, "r", encoding="ascii") as fh:
-        raw = [ln.strip() for ln in fh]
-    rows = [ln for ln in raw if ln and not ln.startswith("#")]
+        numbered = [(lineno, ln.strip()) for lineno, ln in enumerate(fh, start=1)]
+    rows = [(lineno, ln) for lineno, ln in numbered if ln and not ln.startswith("#")]
     if not rows:
         raise ValueError(f"{path}: empty graph sequence file")
-    head = rows[0].split()
-    if len(head) != 2:
-        raise ValueError(f"{path}: header must be 'n horizon', got {rows[0]!r}")
-    n, horizon = int(head[0]), int(head[1])
+    (head_no, head), *arcs = rows
+    try:
+        n, horizon = map(int, head.split())
+    except ValueError:
+        raise ValueError(f"{path}:{head_no}: header must be 'n horizon', got {head!r}") from None
     if n < 1 or horizon < 1:
-        raise ValueError(f"{path}: header values must be positive, got {rows[0]!r}")
+        raise ValueError(f"{path}:{head_no}: header values must be positive, got {head!r}")
     adj = _self_loops(horizon, n)
-    for lineno, ln in enumerate(rows[1:], start=2):
-        parts = ln.split()
-        if len(parts) != 3:
-            raise ValueError(f"{path}:{lineno}: expected 't j i', got {ln!r}")
-        t, j, i = (int(p) for p in parts)
+    for lineno, ln in arcs:
+        try:
+            t, j, i = map(int, ln.split())
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: expected integers 't j i', got {ln!r}") from None
         if not (0 <= t < horizon):
             raise ValueError(f"{path}:{lineno}: step {t} outside horizon {horizon}")
         if not (0 <= j < n and 0 <= i < n):

@@ -39,14 +39,12 @@ __all__ = [
     "BackwardProduct",
     "Finding",
     "InducedChecks",
-    "WeightChecks",
     "s_matrix",
     "absolute_probability",
     "theoretical_constants",
     "induced_chunks",
     "locate",
     "scan_induced",
-    "weight_checks",
     "resolve_weight_sequence",
     "run_dynamics",
     "run_pushsum",
@@ -168,11 +166,6 @@ def theoretical_constants(n: int, window: int) -> TheoreticalConstants:
 CHUNK_BYTES = 2**19
 
 
-def _chunk_steps(n: int) -> int:
-    """Steps per chunk for n agents (at least one)."""
-    return max(1, CHUNK_BYTES // (8 * n * n))
-
-
 class MixingSequence:
     """The mixing matrix of every step, read-only: a step-to-id array
     plus one source per id. With ``graphs``, id i is the equal-split
@@ -230,7 +223,7 @@ class MixingSequence:
         A chunk builds only the equal-split matrices its steps use, and
         reuses the previous chunk's when they are the same (a static
         graph is built once)."""
-        size = _chunk_steps(self.n)
+        size = max(1, CHUNK_BYTES // (8 * self.n * self.n))
         used = mats = None
         for k0 in range(0, len(self.ids), size):
             ids = self.ids[k0 : k0 + size]
@@ -271,9 +264,9 @@ class Trace:
         if not isinstance(self.w_mats, MixingSequence):
             mats = np.asarray(self.w_mats, dtype=float)
             self.w_mats = MixingSequence(np.arange(len(mats)), table=mats)
-        steps, n = len(self.w_mats), self.xs.shape[1]
         if self.xs.ndim != 3:
             raise ValueError("xs must be (steps+1, n, d)")
+        steps, n = len(self.w_mats), self.xs.shape[1]
         if self.ys.shape != (steps + 1, n) or self.xs.shape[0] != steps + 1:
             raise ValueError("trace arrays disagree on steps or n")
         if self.w_mats.n != n:
@@ -396,8 +389,16 @@ NO_MISMATCH = Finding(0.0, {})
 
 
 class InducedChecks(NamedTuple):
-    """What one pass over the induced matrices S(k) of a trace found.
+    """What one pass over the mixing matrices W(k) of a trace and their
+    induced matrices S(k) found.
 
+    ``columns``: largest |sum_i W_ij(k) - 1| (step, column).
+    ``graph``: 1.0 at the first entry where W(k) > 0 and the arcs of the
+    step's graph disagree (step, row, column), else 0.0; None when no
+    graph sequence was given.
+    ``beta_min``: smallest positive entry of any W(k) (step, row, column).
+    ``w_rows``: largest |sum_j W_ij(k) - 1| (step, row), zero up to
+    rounding for doubly stochastic weights.
     ``row_sums``: largest |sum_j S_ij(k) - 1| (step, row).
     ``sparsity``: 1.0 at the first entry where S(k) > 0 and W(k) > 0
     disagree (step, row, column), else 0.0.
@@ -410,6 +411,10 @@ class InducedChecks(NamedTuple):
     its rank-one limit, every row y(tau)^T / kappa.
     """
 
+    columns: Finding
+    graph: Finding | None
+    beta_min: Finding
+    w_rows: Finding
     row_sums: Finding
     sparsity: Finding
     floor: Finding
@@ -420,12 +425,14 @@ class InducedChecks(NamedTuple):
 
 def scan_induced(
     trace: Trace,
+    seq: GraphSequence | None = None,
     ys: np.ndarray | None = None,
     ratio_pairs: Iterable[tuple[int, int]] = (),
     limit_pairs: Iterable[tuple[int, int]] = (),
 ) -> InducedChecks:
-    """Check the induced matrices of ``trace`` in one pass over bounded
-    chunks of steps; no (steps, n, n) array is formed.
+    """Check the mixing and induced matrices of ``trace`` in one pass
+    over bounded chunks of steps; no (steps, n, n) array is formed.
+    Step k is checked against the graph ``seq[k]`` when ``seq`` is given.
 
     The probability recursion pi = y / kappa is checked against ``ys``
     (the recorded y rows by default), so corrupted records can be tested
@@ -456,11 +463,24 @@ def scan_induced(
     w_chains = chains(ratio_at.values())
     last = max((c.end for c in (*s_chains.values(), *w_chains.values())), default=0)
 
-    row = sparsity = floor = prob = None
+    columns = beta_min = w_rows = row = sparsity = floor = prob = None
+    graph = None if seq is None else NO_MISMATCH  # until the first mismatch
     labels = trace.times()
     for k0, w, s in induced_chunks(trace):
         k1 = k0 + len(s)
         steps = labels[k0:k1]
+        dev = np.abs(w.sum(axis=1) - 1.0)
+        columns = _larger(columns, locate(dev, steps, ("step", "column")))
+        if graph is NO_MISMATCH:
+            used, local = np.unique(seq.ids[k0:k1], return_inverse=True)
+            arcs = np.stack([seq.table[g].adj for g in used.tolist()])[local]
+            mismatch = (w > 0.0) != arcs
+            if mismatch.any():
+                graph = locate(mismatch, steps, ("step", "row", "column"))
+        positive = np.where(w > 0.0, w, np.inf)
+        beta_min = _smaller(beta_min, locate(positive, steps, ("step", "row", "column"), np.argmin))
+        dev = np.abs(w.sum(axis=2) - 1.0)
+        w_rows = _larger(w_rows, locate(dev, steps, ("step", "row")))
         dev = np.abs(s.sum(axis=2) - 1.0)
         row = _larger(row, locate(dev, steps, ("step", "row")))
         mismatch = (s > 0.0) != (w > 0.0)
@@ -487,55 +507,9 @@ def scan_induced(
         pair: float(np.max(np.abs(s_chains[taui].kept[ti] - trace.ys[taui] / trace.kappa)))
         for pair, (ti, taui) in limit_at.items()
     }
-    return InducedChecks(row, sparsity or NO_MISMATCH, floor, prob, ratio, limit)
-
-
-class WeightChecks(NamedTuple):
-    """The mixing matrices of a trace checked against their graphs.
-
-    ``columns``: largest |sum_i W_ij - 1| (step, column).
-    ``graph``: 1.0 at the first step whose positive entries differ from
-    its graph's arcs (step, row, column), else 0.0.
-    ``beta_min``: smallest positive entry. ``rows``: largest
-    |sum_j W_ij - 1|, zero up to rounding for doubly stochastic weights.
-    """
-
-    columns: Finding
-    graph: Finding
-    beta_min: float
-    rows: float
-
-
-def weight_checks(trace: Trace, seq: GraphSequence) -> WeightChecks:
-    """Check each distinct pair (mixing matrix, graph) of ``trace`` once,
-    step k being paired with ``seq[k]``; a finding names the first step
-    that uses its pair."""
-    return _pair_checks(trace.w_mats, seq.table, seq.ids[: trace.steps], trace.times())
-
-
-def _pair_checks(
-    mixing: MixingSequence, graphs: Sequence, graph_ids: np.ndarray, labels: np.ndarray
-) -> WeightChecks:
-    """The pass of :func:`weight_checks`, step k pairing ``mixing[k]``
-    with ``graphs[graph_ids[k]]``, findings naming steps by ``labels``."""
-    pairs, first = np.unique(np.stack([mixing.ids, graph_ids], axis=1), axis=0, return_index=True)
-    order = np.argsort(first)  # pairs in the order of their first step
-    pairs, steps = pairs[order], labels[first[order]]
-    columns = graph = None
-    beta_min, rows = math.inf, 0.0
-    size = _chunk_steps(mixing.n)
-    for c0 in range(0, len(pairs), size):
-        part = pairs[c0 : c0 + size]
-        w = mixing.matrices(part[:, 0])
-        adj = np.stack([graphs[g].adj for g in part[:, 1].tolist()])
-        dev = np.abs(w.sum(axis=1) - 1.0)
-        columns = _larger(columns, locate(dev, steps[c0:], ("step", "column")))
-        mismatch = (w > 0.0) != adj
-        if graph is None and mismatch.any():
-            graph = locate(mismatch, steps[c0:], ("step", "row", "column"))
-        beta_min = min(beta_min, float(w[w > 0.0].min()))
-        rows = max(rows, float(np.max(np.abs(w.sum(axis=2) - 1.0))))
-    return WeightChecks(columns, graph or NO_MISMATCH, beta_min, rows)
+    return InducedChecks(
+        columns, graph, beta_min, w_rows, row, sparsity or NO_MISMATCH, floor, prob, ratio, limit
+    )
 
 
 def resolve_weight_sequence(
@@ -583,11 +557,14 @@ def resolve_weight_sequence(
         table.setflags(write=False)
         mixing = MixingSequence(step_ids, table=table)
 
-    found = _pair_checks(mixing, seq.table, ids, np.arange(horizon)).graph
-    if found.where:
-        k, i, j = found.where.values()
-        what = "is positive off the graph" if mixing[k][i, j] > 0.0 else "is zero on an arc"
-        raise ValueError(f"custom weights invalid at step {k}: entry (row {i}, column {j}) {what}")
+    _, first = np.unique(np.stack([mixing.ids, ids], axis=1), axis=0, return_index=True)
+    for k in np.sort(first).tolist():  # each distinct (matrix, graph) pair, in step order
+        w = mixing[k]
+        off = np.argwhere((w > 0.0) != seq[k].adj)
+        if off.size:
+            i, j = off[0].tolist()
+            what = "is positive off the graph" if w[i, j] > 0.0 else "is zero on an arc"
+            raise ValueError(f"custom weights invalid at step {k}: entry (row {i}, column {j}) {what}")
     return mixing
 
 

@@ -118,5 +118,8 @@ def load_weights(path: str) -> np.ndarray:
         parts = ln.split()
         if len(parts) != n:
             raise ValueError(f"{path}: row {i} has {len(parts)} entries, expected {n}")
-        m[i] = [float(p) for p in parts]
+        try:
+            m[i] = [float(p) for p in parts]
+        except ValueError:
+            raise ValueError(f"{path}: row {i} must hold numbers, got {ln!r}") from None
     return m

@@ -515,6 +515,11 @@ class TestRateFit:
         with pytest.raises(ValueError):
             fit_rate(np.ones(100), tail_fraction=0.0)
 
+    @pytest.mark.parametrize("min_points", [1, 0, -5])
+    def test_a_line_needs_two_points(self, min_points):
+        with pytest.raises(ValueError, match=f"^min_points must be at least 2 to fit a line, got {min_points}$"):
+            fit_rate(np.ones(1), min_points=min_points)
+
 
 class TestDescentRecursionCheck:
     def test_consistent_trace_passes(self):

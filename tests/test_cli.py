@@ -448,6 +448,42 @@ class TestVerify:
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 0
         assert len(chains) == 2 and len(products) == 2 * horizon
 
+    def test_each_default_matrix_built_twice(self, tmp_path, monkeypatch):
+        # a fresh graph every step: the run builds each W(k) once and the
+        # scan, which also checks the weights, once more
+        horizon = 60
+        cfg = write_cfg(
+            tmp_path,
+            "spanning.json",
+            {
+                "algorithm": "pushsum",
+                "n": 12,
+                "horizon": horizon,
+                "graph": {"kind": "random-spanning", "params": {"window": 2}},
+                "init": {"x0": [float(i) for i in range(12)]},
+            },
+        )
+        calls = counting(monkeypatch, pushsum, "equal_split")
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 0
+        assert sum(len(adj) for (adj,) in calls) == 2 * horizon
+
+    def test_checks_print_in_a_fixed_order(self, capsys, tmp_path):
+        config = os.path.join(CONFIGS, "push_subgradient.json")
+        assert main(["verify", "--config", config, "--out", str(tmp_path / "v")]) == 0
+        printed = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()]
+        assert [line[len("[PASS] ") :] for line in printed if line.startswith("[PASS]")] == [
+            "column_stochastic",
+            "weights_match_graph",
+            "mass_conservation_y",
+            "s_row_stochastic",
+            "s_matches_weights",
+            "s_entry_floor",
+            "absolute_probability",
+            "ratio_identity",
+            "product_limit_decay",
+            "descent_recursion",
+        ]
+
     def test_weights_off_the_graph_fail(self, pushsum_cfg, tmp_path, monkeypatch, capsys):
         run = cli.execute_run
 
@@ -610,6 +646,26 @@ class TestRates:
         main(["run", "--config", optimizer_cfg, "--out", out])
         code = main(["rates", "--metrics", os.path.join(out, "metrics.csv"), "--column", "zzz"])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "option, got",
+        [
+            (["--tail", "0"], "0 and 20"),
+            (["--tail", "1.5"], "1.5 and 20"),
+            (["--tail", "nan"], "nan and 20"),
+            (["--column", "f_gap_avg", "--min-points", "0"], "0.5 and 0"),
+            (["--min-points", "1"], "0.5 and 1"),
+            (["--min-points", "-5"], "0.5 and -5"),
+        ],
+    )
+    def test_rejects_its_own_options(self, optimizer_cfg, tmp_path, capsys, option, got):
+        # a rejected option is a rejected input (exit 2), not a failed fit (exit 1)
+        out = str(tmp_path / "out")
+        main(["run", "--config", optimizer_cfg, "--out", out])
+        capsys.readouterr()
+        assert main(["rates", "--metrics", os.path.join(out, "metrics.csv"), *option]) == 2
+        err = capsys.readouterr().err
+        assert err == f"rates needs --tail in (0, 1] and --min-points >= 2, got {got}\n"
 
 
 class TestErrorPaths:

@@ -353,6 +353,22 @@ class TestSequenceIO:
         with pytest.raises(ValueError, match="header"):
             load_sequence(str(path))
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("2 x\n0 0 1\n", ":1: header must be 'n horizon', got '2 x'"),
+            ("# arcs\n\n2 3\n0 0 1\n0 1 x\n", ":5: expected integers 't j i', got '0 1 x'"),
+            ("2 3\n0 0\n", ":2: expected integers 't j i', got '0 0'"),
+        ],
+    )
+    def test_malformed_line_names_file_and_line(self, tmp_path, text, message):
+        # line numbers count the blank and comment lines of the file
+        path = tmp_path / "seq.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError) as exc:
+            load_sequence(str(path))
+        assert str(exc.value) == f"{path}{message}"
+
     def test_load_shares_identical_steps(self, tmp_path):
         seq = generate_sequence("rotating-single-edge", n=4, horizon=10)
         path = tmp_path / "seq.txt"

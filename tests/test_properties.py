@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import pushsumlab.pushsum as pushsum
 from pushsumlab import cli
 from pushsumlab.analysis import descent_residuals
-from pushsumlab.graphs import DirectedGraph, GraphSequence, generate_sequence
+from pushsumlab.graphs import DirectedGraph, GraphSequence, complete_graph, generate_sequence
 from pushsumlab.optim import (
     ALGORITHMS,
     GradientOracle,
@@ -29,12 +29,12 @@ from pushsumlab.optim import (
     sgp_strong,
 )
 from pushsumlab.pushsum import (
+    Finding,
     induced_chunks,
     run_pushsum,
     run_weighted_pushsum,
     s_matrix,
     scan_induced,
-    weight_checks,
 )
 from pushsumlab.weights import WeightMatrix, default_weights
 
@@ -124,7 +124,7 @@ def checked(seq, trace):
     ys = trace.ys.copy()
     ys[1:, 0] += 1e-9  # the probability recursion is also checked on altered records
     pairs = pairs_of(trace)
-    return scan_induced(trace, ys=ys, ratio_pairs=pairs, limit_pairs=pairs), weight_checks(trace, seq)
+    return scan_induced(trace, seq, ys, ratio_pairs=pairs, limit_pairs=pairs)
 
 
 @PROPERTY
@@ -162,10 +162,14 @@ def test_stored_and_induced_matrices_match_single_steps(sc):
 @given(scenarios())
 def test_one_pass_matches_per_step_reference(sc):
     """The values of the loops the scan replaced: one s_matrix, one
-    matrix-vector product and one explicit backward product per step."""
+    matrix-vector product and one explicit backward product per step,
+    and each weight finding of a per-step loop, checked against the
+    run's graphs and against complete graphs."""
     seq, _, trace = simulate(sc)
     with chunks_of(3, sc.n):
-        found, _ = checked(seq, trace)
+        found = checked(seq, trace)
+        other = complete_graphs(seq)
+        off_graph = scan_induced(trace, other).graph
     ys = trace.ys.copy()
     ys[1:, 0] += 1e-9
     s_all = [s_matrix(trace.w_mats[k], trace.ys[k], trace.ys[k + 1]) for k in range(trace.steps)]
@@ -177,6 +181,17 @@ def test_one_pass_matches_per_step_reference(sc):
     assert found.probability.value == worst
     assert found.row_sums.value == max(float(np.max(np.abs(s.sum(axis=1) - 1.0))) for s in s_all)
     assert found.floor.value == min(float(s[s > 0.0].min()) for s in s_all)
+    assert found.columns == first_extreme(
+        w_all, lambda w: np.abs(w.sum(axis=0) - 1.0), ("column",), trace.times()
+    )
+    assert found.w_rows == first_extreme(
+        w_all, lambda w: np.abs(w.sum(axis=1) - 1.0), ("row",), trace.times()
+    )
+    assert found.beta_min == first_extreme(
+        w_all, lambda w: -np.where(w > 0.0, w, np.inf), ("row", "column"), trace.times(), -1.0
+    )
+    for graphs, graph in ((seq, found.graph), (other, off_graph)):
+        assert graph == first_mismatch(w_all, graphs, trace.times())
 
     def product(mats, ti, taui):
         out = np.eye(trace.n)
@@ -193,6 +208,35 @@ def test_one_pass_matches_per_step_reference(sc):
         assert found.ratio[(t, tau)].value <= 1e-9
         limit = np.tile(trace.ys[taui] / trace.kappa, (trace.n, 1))
         assert found.limit[(t, tau)] == float(np.max(np.abs(phi_s - limit)))
+
+
+def complete_graphs(seq):
+    """A sequence of complete graphs as long as ``seq``."""
+    return GraphSequence((complete_graph(seq.n),), ids=[0] * len(seq))
+
+
+def first_extreme(mats, score, names, labels, sign=1.0):
+    """The largest entry of score(m) over the per-step matrices, the
+    first step and then the first entry in row-major order on a tie, as
+    a Finding whose value is multiplied by ``sign``."""
+    best = None
+    for k, m in enumerate(mats):
+        values = score(m)
+        index = np.unravel_index(int(np.argmax(values)), values.shape)
+        if best is None or values[index] > best[0]:
+            best = (values[index], {"step": int(labels[k]), **dict(zip(names, map(int, index)))})
+    return Finding(sign * float(best[0]), best[1])
+
+
+def first_mismatch(mats, seq, labels):
+    """The first step and entry where W(k) > 0 and the arcs of seq[k]
+    disagree, or no finding."""
+    for k, m in enumerate(mats):
+        off = np.argwhere((m > 0.0) != seq[k].adj)
+        if off.size:
+            i, j = off[0].tolist()
+            return Finding(1.0, {"step": int(labels[k]), "row": i, "column": j})
+    return Finding(0.0, {})
 
 
 def optimizer_inputs(sc: Scenario, algorithm: str) -> dict:

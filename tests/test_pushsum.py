@@ -372,3 +372,8 @@ class TestTrace:
         assert verify_absolute_probability(hand) == verify_absolute_probability(tr)
         with pytest.raises(ValueError, match="w_mats"):
             Trace("pushsum", 0, tr.xs, tr.ys, dense[:, :2, :2], tr.kappa)
+
+    def test_states_must_be_three_dimensional(self):
+        tr = self.make_trace()
+        with pytest.raises(ValueError, match=r"^xs must be \(steps\+1, n, d\)$"):
+            Trace("pushsum", 0, tr.xs[:, 0, 0], tr.ys, tr.w_mats, tr.kappa)

@@ -126,6 +126,17 @@ class TestValidateWeights:
         with pytest.raises(ValueError, match=message):
             resolve_weight_sequence(seq, [ok, ok, swap], 3)
 
+    def test_earliest_invalid_step_named(self):
+        # steps 1 and 2 both fail; as (matrix id, graph id) pairs step 2's
+        # (0, 1) sorts before step 1's (1, 1), but step 1 is named
+        g = DirectedGraph.from_arcs(2, [(0, 1)])
+        seq = GraphSequence([complete_graph(2), g, g])
+        ok = default_weights(complete_graph(2))
+        swap = WeightMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]), beta=0.5)
+        message = r"^custom weights invalid at step 1: entry \(row 0, column 0\) is zero on an arc$"
+        with pytest.raises(ValueError, match=message):
+            resolve_weight_sequence(seq, [ok, swap, ok], 3)
+
     def test_beta_floor_violation(self):
         m = np.array([[0.99, 0.01], [0.01, 0.99]])
         message = r"^weight entry \(row 0, column 1\) = 0\.01 is below beta = 0\.1$"
@@ -179,6 +190,13 @@ class TestWeightsIO:
         path = tmp_path / "w.txt"
         save_weights(str(path), m)
         assert np.array_equal(load_weights(str(path)), m)
+
+    def test_non_numeric_entry_names_file_and_row(self, tmp_path):
+        path = tmp_path / "w.txt"
+        path.write_text("2\n0.5 0.5\n0.5 abc\n")
+        with pytest.raises(ValueError) as exc:
+            load_weights(str(path))
+        assert str(exc.value) == f"{path}: row 1 must hold numbers, got '0.5 abc'"
 
     def test_malformed_file(self, tmp_path):
         path = tmp_path / "w.txt"
