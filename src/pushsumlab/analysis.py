@@ -485,7 +485,7 @@ def fit_rate(
     non-positive value or non-positive time are filtered out (their
     count is reported) because both fits work in log space. Fewer than
     ``min_points`` surviving points is an error, and ``min_points`` must
-    be at least 2.
+    be at least 2, and the points must hold at least two distinct times.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 1:
@@ -510,6 +510,8 @@ def fit_rate(
         raise ValueError(
             f"rate fit needs at least {min_points} usable points in the tail, got {len(v)}"
         )
+    if np.all(t == t[0]):
+        raise ValueError(f"rate fit needs at least two distinct times, got only t={t[0]:g}")
     log_v = np.log(v)
     power_slope, power_r2 = _linfit(np.log(t), log_v)
     geo_slope, geo_r2 = _linfit(t, log_v)

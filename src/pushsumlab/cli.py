@@ -381,6 +381,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not values:
         print("sweep received an empty value list", file=sys.stderr)
         return 2
+    if args.axis == "horizon" and len(set(values)) < len(values):
+        print(f"sweep --axis horizon needs distinct --values, got {args.values!r}", file=sys.stderr)
+        return 2
     os.makedirs(args.out, exist_ok=True)
 
     # the graph sequence does not follow the run seed, and every generator's

@@ -7,8 +7,9 @@ construction time and their absence is treated as a validation error.
 
 A graph is stored as one read-only boolean receive matrix ``adj``
 (``adj[i, j]`` is true iff j sends to i); its arc set is derived from it
-on first use. A sequence stores each distinct graph once, in ``table``,
-and the table index of every step in ``ids``.
+on first use. A sequence stores one read-only (m, n, n) bool array
+``table``, the receive matrix of each distinct graph once, and the table
+index of every step in ``ids``.
 """
 
 from __future__ import annotations
@@ -109,10 +110,6 @@ class DirectedGraph:
         self._check_vertex(j)
         return set(np.flatnonzero(self.adj[:, j]).tolist())
 
-    def receive_matrix(self) -> np.ndarray:
-        """0/1 matrix A with A[i, j] = 1 iff j sends to i (receiver rows)."""
-        return self.adj.astype(float)
-
     def _check_vertex(self, v: int) -> None:
         if not (0 <= v < self.n):
             raise ValueError(f"vertex {v} out of range for n={self.n}")
@@ -121,9 +118,12 @@ class DirectedGraph:
 class GraphSequence:
     """A finite run of graphs on a common vertex set, one per step.
 
-    Step t uses ``table[ids[t]]``; each distinct graph is stored once.
-    Built from one graph per step, the sequence interns equal graphs
-    itself; with ``ids`` given, ``graphs`` is the table.
+    ``table`` is one read-only (m, n, n) bool array, the receive matrix
+    of each distinct graph once; step t uses ``table[ids[t]]``. Built
+    from a list of graphs or a bool stack with one entry per step, equal
+    steps are interned (a stack of distinct steps is kept, not copied);
+    with ``ids`` given, the list or stack is the table. ``seq[t]`` and
+    ``graphs`` are graph views of the table, one per id.
 
     ``claimed_window`` is the generator's (or caller's) assertion about
     uniform strong connectivity: every window of that many consecutive
@@ -133,44 +133,62 @@ class GraphSequence:
 
     def __init__(
         self,
-        graphs: Iterable[DirectedGraph],
+        graphs: Iterable[DirectedGraph] | np.ndarray,
         claimed_window: int | None = None,
         ids: Sequence[int] | np.ndarray | None = None,
     ) -> None:
-        table = tuple(graphs)
-        if ids is None:
+        if not isinstance(graphs, np.ndarray):
+            graphs = tuple(graphs)
+            sizes = {g.n for g in graphs}
+            if len(sizes) > 1:
+                raise ValueError(f"all graphs must share one vertex set, got sizes {sorted(sizes)}")
+            graphs = np.array([g.adj for g in graphs], dtype=bool)
+        table = graphs
+        if table.size == 0:
+            raise ValueError("graph sequence must contain at least one step")
+        if table.dtype != bool or table.ndim != 3 or table.shape[1] != table.shape[2]:
+            got = f"{table.dtype} {table.shape}"
+            raise ValueError(f"a graph table must be a bool (m, n, n) stack, got {got}")
+        missing = np.argwhere(~table.diagonal(axis1=1, axis2=2))
+        if missing.size:
+            k, v = missing[0].tolist()
+            raise ValueError(f"graph {k} of the table is missing the self-loop at vertex {v}")
+        if ids is None:  # intern through the graphs' hash, not kept byte keys
             index: dict[DirectedGraph, int] = {}
-            ids = [index.setdefault(g, len(index)) for g in table]
-            table = tuple(index)
+            ids = [index.setdefault(g, len(index)) for g in map(DirectedGraph._wrap, table)]
+            if len(index) < len(table):
+                table = table[np.unique(ids, return_index=True)[1]]
         step_ids = np.array(ids, dtype=np.intp)
         if step_ids.ndim != 1 or step_ids.size == 0:
             raise ValueError("graph sequence must contain at least one step")
         if step_ids.min() < 0 or step_ids.max() >= len(table):
             raise ValueError(f"graph ids must index a table of {len(table)} graphs")
-        sizes = {g.n for g in table}
-        if len(sizes) != 1:
-            raise ValueError(f"all graphs must share one vertex set, got sizes {sorted(sizes)}")
         if claimed_window is not None and claimed_window < 1:
             raise ValueError(f"claimed_window must be >= 1, got {claimed_window}")
+        table.setflags(write=False)
         step_ids.setflags(write=False)
-        self.table: tuple[DirectedGraph, ...] = table
+        self.table = table
         self.ids = step_ids
         self.claimed_window = claimed_window
 
+    @cached_property
+    def _views(self) -> tuple[DirectedGraph, ...]:
+        return tuple(map(DirectedGraph._wrap, self.table))
+
     @property
     def n(self) -> int:
-        return self.table[0].n
+        return self.table.shape[1]
 
     @property
     def graphs(self) -> tuple[DirectedGraph, ...]:
         """The graph of every step, in order."""
-        return tuple(self.table[i] for i in self.ids.tolist())
+        return tuple(map(self._views.__getitem__, self.ids.tolist()))
 
     def __len__(self) -> int:
         return len(self.ids)
 
     def __getitem__(self, t: int) -> DirectedGraph:
-        return self.table[self.ids[t]]
+        return self._views[self.ids[t]]
 
 
 def complete_graph(n: int) -> DirectedGraph:
@@ -187,15 +205,7 @@ def undirected_ring(n: int) -> DirectedGraph:
 
 def union_graph(graphs: Sequence[DirectedGraph]) -> DirectedGraph:
     """Arc union of the given graphs (vertex sets must match)."""
-    if len(graphs) == 0:
-        raise ValueError("union of an empty collection of graphs is undefined")
-    sizes = {g.n for g in graphs}
-    if len(sizes) != 1:
-        raise ValueError(f"union requires a common vertex set, got sizes {sorted(sizes)}")
-    adj = graphs[0].adj.copy()
-    for g in graphs[1:]:
-        adj |= g.adj
-    return DirectedGraph._wrap(adj)
+    return DirectedGraph._wrap(GraphSequence(graphs).table.any(axis=0))
 
 
 def _reaches_all(adj: np.ndarray) -> bool:
@@ -237,10 +247,10 @@ def first_failing_window(seq: GraphSequence, window: int) -> int | None:
         members = frozenset(ids[start : start + window])
         if members in passed_ids:
             continue
-        union = union_graph([seq.table[i] for i in members])
-        key = np.packbits(union.adj).tobytes()
+        union = seq.table[list(members)].any(axis=0)
+        key = np.packbits(union).tobytes()
         if key not in passed_unions:
-            if not is_strongly_connected(union):
+            if not is_strongly_connected(DirectedGraph._wrap(union)):
                 return start
             passed_unions.add(key)
         passed_ids.add(members)
@@ -315,7 +325,9 @@ def generate_sequence(
 
     if kind == "rotating-single-edge":
         reject_unknown(set())
-        table = [DirectedGraph.from_arcs(n, [(j, (j + 1) % n)]) for j in range(min(n, horizon))]
+        table = _self_loops(min(n, horizon), n)
+        j = np.arange(len(table))
+        table[j, (j + 1) % n, j] = True  # arc j -> j+1, in receiver row, sender column
         return GraphSequence(table, claimed_window=n, ids=np.arange(horizon) % n)
 
     if kind == "random-spanning":
@@ -341,7 +353,7 @@ def generate_sequence(
                 for t in range(b * window, min((b + 1) * window, horizon)):
                     # draws[j, i] < p adds the arc j -> i
                     adj[t] |= (rng.random((n, n)) < p_extra).T
-        return GraphSequence(map(DirectedGraph._wrap, adj), claimed_window=2 * window - 1)
+        return GraphSequence(adj, claimed_window=2 * window - 1)
 
     if kind == "doubly-stochastic-compatible":
         reject_unknown({"topology"})
@@ -354,8 +366,7 @@ def generate_sequence(
 
 
 def _self_loops(horizon: int, n: int) -> np.ndarray:
-    """A (horizon, n, n) stack of receive matrices holding only self-loops.
-    Wrapped step by step, equal steps share one graph, a view of the stack."""
+    """A (horizon, n, n) stack of receive matrices holding only self-loops."""
     adj = np.zeros((horizon, n, n), dtype=bool)
     adj[:, np.arange(n), np.arange(n)] = True
     return adj
@@ -396,4 +407,4 @@ def load_sequence(path: str) -> GraphSequence:
         if not (0 <= j < n and 0 <= i < n):
             raise ValueError(f"{path}:{lineno}: arc ({j}, {i}) out of range for n={n}")
         adj[t, i, j] = True
-    return GraphSequence(map(DirectedGraph._wrap, adj))
+    return GraphSequence(adj)

@@ -13,9 +13,9 @@ needed to reconstruct S exactly is recorded in the run trace, which is
 what the verification helpers consume.
 
 No dense per-step matrix stack is stored: a trace keeps its mixing
-matrices as a table plus a step-to-id array (default weights as the
-graph table alone), and the dynamics loop and the checks walk the steps
-in chunks of bounded size.
+matrices as one table plus a step-to-id array (default weights as the
+graph sequence's bool table alone), and the dynamics loop and the checks
+walk the steps in chunks of bounded size.
 """
 
 from __future__ import annotations
@@ -168,31 +168,20 @@ CHUNK_BYTES = 2**19
 
 class MixingSequence:
     """The mixing matrix of every step, read-only: a step-to-id array
-    plus one source per id. With ``graphs``, id i is the equal-split
-    matrix of ``graphs[i]``, built only when a step or a chunk needs it,
-    so no float is stored; with ``table``, id i is the stored matrix
-    ``table[i]``.
-
+    plus one (m, n, n) table. With a bool table of receive matrices, id i
+    is the equal-split matrix of ``table[i]``, built only when a chunk
+    needs it, so no float is stored; a float table holds the matrices.
     ``len``, ``[k]`` (one (n, n) matrix), ``shape`` and ``nbytes`` (the
-    stored floats only) read like a (steps, n, n) array that is never
-    formed.
+    stored floats only) read like a (steps, n, n) array never formed.
     """
 
-    def __init__(
-        self,
-        ids: Sequence[int] | np.ndarray,
-        graphs: Sequence | None = None,
-        table: np.ndarray | None = None,
-    ) -> None:
-        if (graphs is None) == (table is None):
-            raise ValueError("a mixing sequence needs either graphs or a matrix table")
+    def __init__(self, ids: Sequence[int] | np.ndarray, table: np.ndarray) -> None:
+        if table.ndim != 3 or table.shape[1] != table.shape[2]:
+            raise ValueError("w_mats must be (steps, n, n)")
         self.ids = np.asarray(ids, dtype=np.intp).view()
         self.ids.setflags(write=False)
-        self.graphs = graphs
         self.table = table
-        if table is not None and (table.ndim != 3 or table.shape[1] != table.shape[2]):
-            raise ValueError("w_mats must be (steps, n, n)")
-        self.n = table.shape[1] if graphs is None else graphs[0].n
+        self.n = table.shape[1]
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -203,13 +192,12 @@ class MixingSequence:
 
     @property
     def nbytes(self) -> int:
-        return 0 if self.table is None else self.table.nbytes
+        return 0 if self.table.dtype == bool else self.table.nbytes
 
     def matrices(self, ids: Sequence[int] | np.ndarray) -> np.ndarray:
         """The matrices of the given table ids, shape (len(ids), n, n)."""
-        if self.table is not None:
-            return self.table[ids]
-        return equal_split(np.stack([self.graphs[i].adj for i in np.asarray(ids).tolist()]))
+        mats = self.table[ids]
+        return equal_split(mats) if mats.dtype == bool else mats
 
     def __getitem__(self, k: int) -> np.ndarray:
         m = self.matrices([self.ids[k]])[0]
@@ -219,19 +207,14 @@ class MixingSequence:
     def chunks(self):
         """(k0, mats, local) for consecutive chunks of steps, as many as
         fit in ``CHUNK_BYTES`` of n x n floats (at least one): step
-        k0 + j applies mats[local[j]].
-        A chunk builds only the equal-split matrices its steps use, and
-        reuses the previous chunk's when they are the same (a static
-        graph is built once)."""
+        k0 + j applies mats[local[j]]. A chunk holds only the matrices its
+        steps use, and reuses the previous chunk's when they are the same
+        (a static graph's equal-split matrix is built once)."""
         size = max(1, CHUNK_BYTES // (8 * self.n * self.n))
         used = mats = None
         for k0 in range(0, len(self.ids), size):
-            ids = self.ids[k0 : k0 + size]
-            if self.table is not None:
-                yield k0, self.table, ids
-                continue
             previous = used
-            used, local = np.unique(ids, return_inverse=True)
+            used, local = np.unique(self.ids[k0 : k0 + size], return_inverse=True)
             if previous is None or not np.array_equal(used, previous):
                 mats = self.matrices(used)
             yield k0, mats, local
@@ -263,7 +246,7 @@ class Trace:
         self.ys = np.asarray(self.ys, dtype=float)
         if not isinstance(self.w_mats, MixingSequence):
             mats = np.asarray(self.w_mats, dtype=float)
-            self.w_mats = MixingSequence(np.arange(len(mats)), table=mats)
+            self.w_mats = MixingSequence(np.arange(len(mats)), mats)
         if self.xs.ndim != 3:
             raise ValueError("xs must be (steps+1, n, d)")
         steps, n = len(self.w_mats), self.xs.shape[1]
@@ -472,9 +455,7 @@ def scan_induced(
         dev = np.abs(w.sum(axis=1) - 1.0)
         columns = _larger(columns, locate(dev, steps, ("step", "column")))
         if graph is NO_MISMATCH:
-            used, local = np.unique(seq.ids[k0:k1], return_inverse=True)
-            arcs = np.stack([seq.table[g].adj for g in used.tolist()])[local]
-            mismatch = (w > 0.0) != arcs
+            mismatch = (w > 0.0) != seq.table[seq.ids[k0:k1]]
             if mismatch.any():
                 graph = locate(mismatch, steps, ("step", "row", "column"))
         positive = np.where(w > 0.0, w, np.inf)
@@ -536,7 +517,7 @@ def resolve_weight_sequence(
     if isinstance(weights, str):
         if weights != "default":
             raise ValueError(f"unknown weight policy {weights!r}")
-        return MixingSequence(ids, graphs=seq.table)
+        return MixingSequence(ids, seq.table)
 
     def sized(wm: WeightMatrix) -> np.ndarray:
         if not isinstance(wm, WeightMatrix):
@@ -546,7 +527,7 @@ def resolve_weight_sequence(
         return wm.matrix
 
     if isinstance(weights, WeightMatrix):
-        mixing = MixingSequence(np.zeros(horizon, dtype=np.intp), table=sized(weights)[np.newaxis])
+        mixing = MixingSequence(np.zeros(horizon, dtype=np.intp), sized(weights)[np.newaxis])
     else:
         mats = list(weights)[:horizon]
         if len(mats) < horizon:
@@ -555,12 +536,12 @@ def resolve_weight_sequence(
         step_ids = [index.setdefault(m.tobytes(), (len(index), m))[0] for m in map(sized, mats)]
         table = np.stack([m for _, m in index.values()])
         table.setflags(write=False)
-        mixing = MixingSequence(step_ids, table=table)
+        mixing = MixingSequence(step_ids, table)
 
     _, first = np.unique(np.stack([mixing.ids, ids], axis=1), axis=0, return_index=True)
     for k in np.sort(first).tolist():  # each distinct (matrix, graph) pair, in step order
         w = mixing[k]
-        off = np.argwhere((w > 0.0) != seq[k].adj)
+        off = np.argwhere((w > 0.0) != seq.table[ids[k]])
         if off.size:
             i, j = off[0].tolist()
             what = "is positive off the graph" if w[i, j] > 0.0 else "is zero on an arc"

@@ -520,6 +520,13 @@ class TestRateFit:
         with pytest.raises(ValueError, match=f"^min_points must be at least 2 to fit a line, got {min_points}$"):
             fit_rate(np.ones(1), min_points=min_points)
 
+    def test_a_line_needs_two_distinct_times(self):
+        with pytest.raises(ValueError, match="^rate fit needs at least two distinct times, got only t=3$"):
+            fit_rate([1.0, 0.5, 0.25], times=[3, 3, 3], tail_fraction=1.0, min_points=2)
+        # only the tail's times count
+        with pytest.raises(ValueError, match="two distinct times"):
+            fit_rate([1.0, 0.5, 0.25, 0.2], times=[1, 2, 3, 3], tail_fraction=0.5, min_points=2)
+
 
 class TestDescentRecursionCheck:
     def test_consistent_trace_passes(self):

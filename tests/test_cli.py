@@ -595,7 +595,7 @@ class TestSweep:
         assert main(args + ["--out", str(tmp_path / "sw")]) == 0
         # each seed's weights are its graphs' ids into the one shared table
         assert len(runs) == 3 and not built
-        assert all(r.trace.w_mats.nbytes == 0 and r.trace.w_mats.graphs is r.seq.table for r in runs)
+        assert all(r.trace.w_mats.nbytes == 0 and r.trace.w_mats.table is r.seq.table for r in runs)
 
     def test_horizon_axis_builds_and_checks_graphs_once(self, pushsum_cfg, tmp_path, monkeypatch):
         builds = counting(monkeypatch, cli, "build_graph_sequence")
@@ -625,6 +625,14 @@ class TestSweep:
         args = ["sweep", "--config", optimizer_cfg, "--axis", "horizon", "--values", "0,200"]
         assert main(args + ["--out", str(tmp_path / "sw")]) == 2
         assert "config.horizon must be >= 1" in capsys.readouterr().err
+
+    def test_horizon_axis_rejects_repeated_values(self, optimizer_cfg, tmp_path, capsys):
+        out = tmp_path / "sw"
+        args = ["sweep", "--config", optimizer_cfg, "--axis", "horizon", "--values", "100,100,100"]
+        assert main(args + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "sweep --axis horizon needs distinct --values, got '100,100,100'\n"
+        assert not out.exists()
 
     def test_seeds_axis_needs_values(self, optimizer_cfg, tmp_path):
         out = str(tmp_path / "sw")

@@ -1,3 +1,6 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -22,7 +25,7 @@ from pushsumlab.weights import default_weights
 def reachability(g):
     # transitive closure by repeated boolean multiplication
     n = g.n
-    adj = g.receive_matrix().T > 0
+    adj = g.adj.T
     reach = adj.copy()
     for _ in range(n):
         reach = reach | (reach @ adj)
@@ -96,8 +99,8 @@ class TestDirectedGraph:
     def test_receive_matrix_orientation(self):
         # arc (j, i): j sends to i, so row i column j is set
         g = DirectedGraph.from_arcs(2, [(0, 1)])
-        expected = np.array([[1.0, 0.0], [1.0, 1.0]])
-        assert np.array_equal(g.receive_matrix(), expected)
+        expected = np.array([[True, False], [True, True]])
+        assert np.array_equal(g.adj, expected)
 
     def test_vertex_bounds_checked(self):
         g = complete_graph(2)
@@ -220,10 +223,12 @@ class TestUniformConnectivity:
     def test_each_distinct_window_checked_once(self, monkeypatch):
         import pushsumlab.graphs as graphs
 
+        # every union formed is keyed once by its packed bits, and only a
+        # union with a new key is searched
         checked, unions = [], []
-        check, union = graphs.is_strongly_connected, graphs.union_graph
+        check, pack = graphs.is_strongly_connected, np.packbits
         monkeypatch.setattr(graphs, "is_strongly_connected", lambda g: checked.append(1) or check(g))
-        monkeypatch.setattr(graphs, "union_graph", lambda gs: unions.append(1) or union(gs))
+        monkeypatch.setattr(np, "packbits", lambda a: unions.append(1) or pack(a))
         a, b, c = directed_ring(4), complete_graph(4), undirected_ring(4)
         # windows of two cycle through {a, b}, {b, c} and {c, a}; the
         # first two have the same union, the complete graph
@@ -403,6 +408,46 @@ class TestGraphSequence:
     def test_ids_must_index_the_table(self):
         with pytest.raises(ValueError):
             GraphSequence((directed_ring(3),), ids=[0, 1])
+
+    def test_stack_and_graph_list_build_the_same_table(self):
+        graphs = [directed_ring(4), complete_graph(4), directed_ring(4), undirected_ring(4)]
+        stack = np.array([g.adj for g in graphs])
+        from_list, from_stack = GraphSequence(graphs), GraphSequence(stack)
+        assert from_stack.ids.tolist() == from_list.ids.tolist() == [0, 1, 0, 2]
+        assert from_stack.table.dtype == from_list.table.dtype == bool
+        assert np.array_equal(from_stack.table, from_list.table)
+        assert not from_stack.table.flags.writeable
+        assert from_stack[2] is from_stack[0] and from_stack.graphs == tuple(graphs)
+
+    def test_distinct_steps_keep_the_stack(self):
+        stack = np.array([directed_ring(3).adj, complete_graph(3).adj])
+        seq = GraphSequence(stack)
+        assert seq.table is stack and seq[1].adj.base is stack
+
+    def test_invalid_stacks_rejected(self):
+        with pytest.raises(ValueError, match="bool"):
+            GraphSequence(np.ones((2, 3, 3), dtype=np.uint8))
+        for shape in ((2, 3, 4), (3, 3)):
+            with pytest.raises(ValueError, match=re.escape(f"got bool {shape}")):
+                GraphSequence(np.ones(shape, dtype=bool))
+        stack = np.ones((2, 3, 3), dtype=bool)
+        stack[1, 2, 2] = False
+        with pytest.raises(ValueError, match="^graph 1 of the table is missing the self-loop at vertex 2$"):
+            GraphSequence(stack)
+
+    def test_generation_holds_one_table(self):
+        # the random-spanning stack becomes the table: no copy, no kept byte keys
+        n, horizon = 64, 500
+        params = {"window": 2, "extra_arc_prob": 0.1}
+        generate_sequence("random-spanning", n=2, horizon=2, params=params)  # lazy imports
+        tracemalloc.start()
+        try:
+            seq = generate_sequence("random-spanning", n=n, horizon=horizon, params=params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert seq.table.shape == (horizon, n, n)
+        assert peak < 1.5 * horizon * n * n, peak
 
     def test_indexing(self):
         seq = generate_sequence("rotating-single-edge", n=3, horizon=6)

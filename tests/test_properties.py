@@ -67,11 +67,12 @@ def scenarios(draw) -> Scenario:
     )
 
 
-def custom_weights(g: DirectedGraph, rng: np.random.Generator) -> WeightMatrix:
-    """Column-stochastic weights on the arcs of g, floor at their minimum."""
-    raw = np.where(g.adj, rng.uniform(0.5, 1.5, (g.n, g.n)), 0.0)
+def custom_weights(adj: np.ndarray, rng: np.random.Generator) -> WeightMatrix:
+    """Column-stochastic weights on the arcs of the receive matrix adj,
+    floor at their minimum."""
+    raw = np.where(adj, rng.uniform(0.5, 1.5, adj.shape), 0.0)
     m = raw / raw.sum(axis=0)
-    return WeightMatrix(m, beta=float(m[g.adj].min()))
+    return WeightMatrix(m, beta=float(m[adj].min()))
 
 
 def graphs_and_weights(sc: Scenario):
@@ -83,8 +84,8 @@ def graphs_and_weights(sc: Scenario):
     weights = "default"
     if sc.custom:
         # one matrix per distinct graph, so repeated graphs share a table entry
-        per_graph = {g: custom_weights(g, rng) for g in seq.table}
-        weights = [per_graph[g] for g in seq.graphs]
+        per_graph = [custom_weights(adj, rng) for adj in seq.table]
+        weights = [per_graph[i] for i in seq.ids.tolist()]
     return seq, weights, rng
 
 

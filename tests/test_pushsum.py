@@ -275,7 +275,7 @@ class TestResolveWeights:
         seq = generate_sequence("rotating-single-edge", n=3, horizon=10)
         mats = resolve_weight_sequence(seq, "default", 8)
         assert len(mats) == 8 and mats.shape == (8, 3, 3) and mats.nbytes == 0
-        assert mats.graphs is seq.table and np.array_equal(mats.ids, seq.ids[:8])
+        assert mats.table is seq.table and np.array_equal(mats.ids, seq.ids[:8])
         for k in range(8):
             assert np.array_equal(mats[k], default_weights(seq[k]).matrix)
             assert not mats[k].flags.writeable

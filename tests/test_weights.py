@@ -17,7 +17,7 @@ def violations_reference(m, g, beta, tol):
     # graph, a non-positive diagonal, and arc entries below beta
     sums = m.sum(axis=0)
     col = [(j, float(sums[j])) for j in range(g.n) if abs(sums[j] - 1.0) > tol]
-    arc = g.receive_matrix() > 0.0
+    arc = g.adj
     cells = [(i, j, float(m[i, j])) for i in range(g.n) for j in range(g.n)]
     sparsity = [(i, j, v) for i, j, v in cells if not arc[i, j] and v > 0.0]
     low = [(i, j, v) for i, j, v in cells if arc[i, j] and v < beta]
@@ -153,7 +153,7 @@ class TestValidateWeights:
             g = DirectedGraph.from_arcs(n, arcs)
             if rng.random() < 0.5:
                 # on the arcs of g, normalized
-                m = g.receive_matrix() * rng.uniform(0.05, 1.0, (n, n))
+                m = g.adj * rng.uniform(0.05, 1.0, (n, n))
                 m = m / m.sum(axis=0)
             else:
                 m = rng.random((n, n)) * (rng.random((n, n)) < 0.6)
