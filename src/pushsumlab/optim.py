@@ -19,6 +19,7 @@ weights, or switching; that recursion is what the verifier checks.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -430,6 +431,75 @@ def table_signal(table: np.ndarray) -> SwitchingSignal:
 # stochastic first-order oracle
 
 
+_RABS_MASK = (1 << 52) - 1
+_NOISE_BLOCK = 1024  # steps of noise rows run_optimizer holds at a time
+
+
+@functools.cache
+def _ziggurat() -> tuple[np.ndarray, np.ndarray]:
+    """The tables of numpy's ziggurat for ``standard_normal`` that its
+    fast path reads, taken from the installed numpy on first use.
+
+    A word w has layer idx = w & 0xff, sign bit 8 and rabs = bits 9-60;
+    numpy returns x = +-rabs * wi[idx] at once iff rabs < ki[idx]. numpy
+    exports neither table, so both are read by feeding crafted words to
+    its own generator through Philox's ``buffer``/``buffer_pos`` state:
+    rabs = 1 returns wi[idx] itself, and a word counts as taken on the
+    fast path iff numpy consumed it alone (``buffer_pos`` 1, counter
+    unmoved). ki[idx] lies within half a unit of 2^52 wi[idx-1]/wi[idx],
+    so rabs two below that is taken, and so is every smaller rabs.
+    Returns wi and, per layer, the bound below which rabs is surely
+    taken. It is 0 for the tail layer 0, for layer 1 (ki[1] = 0) and for
+    any layer whose probe is not taken: their words always go to numpy.
+    """
+    bits = np.random.Philox(key=0)
+    gen = np.random.Generator(bits)
+    state = bits.state
+    counter = int(state["state"]["counter"][0])
+
+    def probe(idx: int, rabs: int) -> tuple[float, bool]:
+        state["buffer"][:] = (idx | rabs << 9, 0, 0, 0)
+        state["buffer_pos"] = 0
+        bits.state = state
+        x = float(gen.standard_normal())
+        after = bits.state
+        return x, after["buffer_pos"] == 1 and int(after["state"]["counter"][0]) == counter
+
+    wi = np.array([probe(idx, 1)[0] for idx in range(256)])
+    below = np.zeros(256, dtype=np.uint64)
+    for idx in range(2, 256):
+        lo = int(2.0**52 * wi[idx - 1] / wi[idx]) - 2
+        if probe(idx, lo)[1]:
+            below[idx] = lo + 1
+    wi.flags.writeable = below.flags.writeable = False  # shared by every caller
+    return wi, below
+
+
+def _ziggurat_normals(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's standard normal of each uint64 word that its ziggurat
+    returns on the fast path, and a mask of those words; the other words
+    (layers 0 and 1, rabs within two of ki[idx] or above it) hold no value."""
+    wi, below = _ziggurat()
+    idx = (words & np.uint64(0xFF)).astype(np.intp)
+    rabs = (words >> np.uint64(9)) & np.uint64(_RABS_MASK)
+    x = rabs.astype(float) * wi[idx]
+    np.negative(x, out=x, where=(words & np.uint64(0x100)) != 0)
+    return x, rabs < below[idx]
+
+
+def _ball_rows(normals: np.ndarray, u: np.ndarray, c: float) -> np.ndarray:
+    """Each row of ``normals`` scaled to radius c u^(1/d), as ``_draw``
+    scales its direction, bit for bit; a zero row gives zeros."""
+    d = normals.shape[-1]
+    norms = np.sqrt(_row_dots(normals))  # math.sqrt(row.dot(row)), bit for bit
+    # Python's float power, as _draw takes it: np.power rounds differently
+    radii = c * np.array([v ** (1.0 / d) for v in u.tolist()])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rows = normals * (radii / norms)[:, np.newaxis]
+    rows[norms == 0.0] = 0.0
+    return rows
+
+
 @dataclass(frozen=True)
 class GradientOracle:
     """Gradient plus zero-mean noise drawn uniformly from the solid ball
@@ -437,8 +507,24 @@ class GradientOracle:
 
     Draws are addressed, not streamed: the Philox counter is
     (t, agent, draw, 0) under a single run key, so any subset of draws
-    can be regenerated independently and in any order. One generator is
-    kept per oracle and reset to each address before its draw.
+    can be regenerated independently and in any order. ``_draw`` makes
+    one: it resets one reused generator to the address and takes d
+    standard normals (the direction) and one uniform u, giving the
+    direction scaled to radius c u^(1/d).
+
+    ``noise_table`` gives the same bytes for a run of times in bulk.
+    Philox advances its counter before each 4-word block, so the draw at
+    t reads blocks t+1, t+2, ... of the counter; one generator started at
+    (t0, i, draw, 0) emits exactly those blocks in order, and the draw at
+    t starts at word 4 (t - t0) of its stream. A draw of more than 4
+    words (d >= 4) reads into the next time's block, as ``_draw`` does.
+    Each normal word is decoded with numpy's ziggurat fast path
+    (``_ziggurat_normals``) and the uniform is the top 53 bits of the
+    word after the d normals. A draw holding any word off the fast path
+    goes to ``_draw``, since numpy's rejection step reads further words.
+    The norm is ``_row_dots`` under ``np.sqrt``, equal bit for bit to
+    ``_draw``'s per-row dot, and u^(1/d) is Python's float power per
+    draw: ``np.power`` rounds differently at d >= 2.
     """
 
     noise_bounds: np.ndarray
@@ -477,6 +563,25 @@ class GradientOracle:
         out = np.empty((len(self.noise_bounds), d))
         for i in range(len(out)):
             out[i] = self._draw(i, t, d, draw)
+        return out
+
+    def noise_table(self, t0: int, steps: int, d: int, draw: int = 0) -> np.ndarray:
+        """The (steps, n, d) noise rows ``noise_rows(t, d, draw)`` of
+        t = t0 .. t0 + steps - 1, byte for byte, from one Philox stream
+        per agent (see the class docstring)."""
+        out = np.zeros((steps, len(self.noise_bounds), d))
+        # the draw at t0 + k reads words 4k .. 4k + d: d normals, then the uniform
+        at = 4 * np.arange(steps)[:, np.newaxis] + np.arange(d + 1)
+        for i, c in enumerate(self.noise_bounds.tolist()):
+            if c == 0.0:
+                continue
+            at_t0 = np.array([t0, i, draw, 0], dtype=np.uint64)  # a list of ints may pass through float
+            bits = np.random.Philox(key=self.seed, counter=at_t0)
+            words = bits.random_raw(4 * steps + d)[at]
+            normals, fast = _ziggurat_normals(words[:, :d])
+            out[:, i] = _ball_rows(normals, (words[:, d] >> np.uint64(11)) * 2.0**-53, c)
+            for k in np.flatnonzero(~fast.all(axis=1)).tolist():
+                out[k, i] = self._draw(i, t0 + k, d, draw)
         return out
 
     def _require_smooth(self, obj: Objective) -> None:
@@ -561,7 +666,19 @@ def run_optimizer(
 
     alphas = np.array([schedule.alpha(t) for t in range(t0, t0 + horizon)])
 
-    def gradient(t: int, z: np.ndarray) -> np.ndarray:
-        return obj.subgradients(z) if oracle is None else oracle.gradients(obj, z, t)
+    if oracle is None:
+        def gradient(t: int, z: np.ndarray) -> np.ndarray:
+            return obj.subgradients(z)
+    else:
+        # run_dynamics asks for t = t0, t0 + 1, ... in order; the noise rows
+        # come from one block of noise_table at a time
+        noise = (
+            row
+            for b in range(t0, t0 + horizon, _NOISE_BLOCK)
+            for row in oracle.noise_table(b, min(_NOISE_BLOCK, t0 + horizon - b), obj.d)
+        )
+
+        def gradient(t: int, z: np.ndarray) -> np.ndarray:
+            return obj.subgradients(z) + next(noise)
 
     return run_dynamics(algorithm, mixing, x, y, t0, gradient, alphas, sigma.rows(t0, horizon, n))

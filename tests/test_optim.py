@@ -1,3 +1,7 @@
+import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -23,6 +27,7 @@ from pushsumlab.optim import (
     sgp_strong,
     table_signal,
 )
+from pushsumlab.optim import _RABS_MASK, _ball_rows, _row_dots, _ziggurat, _ziggurat_normals
 from pushsumlab.pushsum import DEGENERATE_Y, DegenerateStateError, run_pushsum
 from pushsumlab.weights import default_weights
 
@@ -215,6 +220,98 @@ class TestGradientOracle:
         oracle = GradientOracle([0.1], seed=0)
         with pytest.raises(ValueError):
             oracle.gradient(obj, 0, [1.0], t=0)
+
+
+def numpy_normal(word):
+    """numpy's standard_normal fed ``word`` first, and whether its
+    ziggurat returned on that word alone (nothing else read)."""
+    bits = np.random.Philox(key=0)
+    state = bits.state
+    state["buffer"][:] = (word, 0, 0, 0)
+    state["buffer_pos"] = 0
+    bits.state = state
+    x = np.random.Generator(bits).standard_normal()
+    after = bits.state
+    alone = after["buffer_pos"] == 1 and after["state"]["counter"][0] == state["state"]["counter"][0]
+    return x, alone
+
+
+def count_scalar_draws(monkeypatch):
+    """A list that gets one entry per call of ``GradientOracle._draw``."""
+    draws = []
+    scalar = GradientOracle._draw
+    monkeypatch.setattr(GradientOracle, "_draw", lambda *a: draws.append(a) or scalar(*a))
+    return draws
+
+
+class TestNoiseTable:
+    def test_decoder_is_numpy_or_declines(self):
+        # every layer, both signs, rabs = 0, 1, far inside, both edges of the
+        # fast region and the top; then random words
+        _, below = _ziggurat()
+        words = []
+        for idx in range(256):
+            edge = int(below[idx])
+            for rabs in {0, 1, 1 << 51, max(edge - 1, 0), edge, edge + 1, _RABS_MASK}:
+                words += [idx | sign << 8 | rabs << 9 for sign in (0, 1)]
+        rng = np.random.default_rng(5)
+        words += rng.integers(0, 2**64, size=3000, dtype=np.uint64).tolist()
+        x, fast = _ziggurat_normals(np.array(words, dtype=np.uint64))
+        assert 0.95 < fast[-3000:].mean() < 1.0
+        for word, value, taken in zip(words, x.tolist(), fast.tolist()):
+            if word & 0xFF in (0, 1):
+                assert not taken
+            if taken:
+                want, alone = numpy_normal(word)
+                assert alone and np.float64(value).tobytes() == np.float64(want).tobytes(), hex(word)
+
+    def test_fast_region_ends_just_below_each_ki(self):
+        # rabs = below - 1 is taken by numpy's fast path and decoded; numpy
+        # rejects rabs = below + 3, so at most three values per layer fall back
+        _, below = _ziggurat()
+        for idx in range(2, 256):
+            edge = int(below[idx])
+            assert _ziggurat_normals(np.array([idx | (edge - 1) << 9], dtype=np.uint64))[1][0]
+            assert not _ziggurat_normals(np.array([idx | edge << 9], dtype=np.uint64))[1][0]
+            assert numpy_normal(idx | (edge - 1) << 9)[1]
+            assert not numpy_normal(idx | (edge + 3) << 9)[1]
+
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_norm_is_the_scalar_dot(self, d):
+        rows = np.random.default_rng(d).standard_normal((20_000, d))
+        want = np.array([math.sqrt(r.dot(r)) for r in rows])
+        assert np.sqrt(_row_dots(rows)).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_ball_rows_are_the_scalar_draw(self, d):
+        # the radius is Python's float power, as in _draw; np.power rounds
+        # differently at d >= 2
+        rng = np.random.default_rng(10 + d)
+        normals, u = rng.standard_normal((20_000, d)), rng.random(20_000)
+        normals[::97] = -0.0  # a zero norm gives zeros, not -0.0
+        want = np.zeros_like(normals)
+        for k, (v, uk) in enumerate(zip(normals, u.tolist())):
+            norm = math.sqrt(v.dot(v))
+            if norm != 0.0:
+                want[k] = v * (1.5 * uk ** (1.0 / d) / norm)
+        assert _ball_rows(normals, u, 1.5).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_long_table_is_noise_rows_and_falls_back(self, d, monkeypatch):
+        oracle = GradientOracle([0.4, 1.0, 1.5], seed=11)
+        want = np.stack([oracle.noise_rows(t, d) for t in range(20_000)])
+        draws = count_scalar_draws(monkeypatch)
+        assert oracle.noise_table(0, 20_000, d).tobytes() == want.tobytes()
+        assert 0 < len(draws) < 0.025 * want.size  # a draw falls back for about 2% of its words
+
+    def test_import_derives_no_table(self):
+        code = (
+            "import sys; sys.path[:0] = sys.argv[1:]; import pushsumlab.cli; "
+            "from pushsumlab.optim import _ziggurat; assert _ziggurat.cache_info().currsize == 0"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        done = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
 
 
 def two_agent_setup(horizon=6):
@@ -596,6 +693,7 @@ def test_step_loop_makes_no_per_agent_calls(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(cls, name, counted)
+    draws = count_scalar_draws(monkeypatch)
     seq = generate_sequence("random-spanning", n=6, horizon=30, seed=1, params={"window": 2})
     obj_abs = absolute_deviation_objective(np.arange(6.0)[:, None])
     obj_q = quadratic_objective(np.arange(6.0)[:, None])
@@ -608,3 +706,12 @@ def test_step_loop_makes_no_per_agent_calls(monkeypatch):
         oracle=GradientOracle(np.full(6, 0.3), seed=2),
     )
     assert calls == []
+    # sgp's noise comes from noise_table: the scalar draw serves only the
+    # draws off numpy's ziggurat fast path, not all n T of them
+    draws.clear()
+    obj_3 = quadratic_objective(np.arange(3.0)[:, None])
+    run_optimizer(
+        "sgp", generate_sequence("static-complete", n=3, horizon=2000), obj_3,
+        sgp_strong(obj_3.lambda_bar), x0=np.zeros((3, 1)), oracle=GradientOracle(np.full(3, 0.3), seed=2),
+    )
+    assert 0 < len(draws) < 0.05 * 3 * 2000

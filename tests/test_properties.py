@@ -12,7 +12,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pushsumlab.pushsum as pushsum
@@ -383,3 +383,28 @@ def test_longer_products_from_tau_are_nearer_rank_one(case):
     mid = t0 + trace.steps // 2
     limit = scan_induced(trace, limit_pairs=[(t_end, t0), (mid, t0)]).limit
     assert limit[(t_end, t0)] <= limit[(mid, t0)] + 1e-12
+
+
+@st.composite
+def noise_tables(draw):
+    """An oracle over 1..4 agents whose noise bounds hold a zero, and a
+    (t0, steps, d, draw) request: t0 at 0, 1, far out, or ending at the
+    top of Philox's 64-bit counter word."""
+    bounds = draw(st.lists(st.sampled_from([0.0, 0.2, 1.0, 3.5]), min_size=0, max_size=3))
+    bounds.insert(draw(st.integers(0, len(bounds))), 0.0)
+    steps = draw(st.integers(1, 120))
+    t0 = draw(st.sampled_from([0, 1, 2**40 + 3, 2**64 - steps]))
+    oracle = GradientOracle(bounds, seed=draw(st.integers(0, 2**128 - 1)))
+    return oracle, t0, steps, draw(st.integers(1, 7)), draw(st.sampled_from([0, 2]))
+
+
+@PROPERTY
+@given(noise_tables())
+@example((GradientOracle([1.0, 0.0], seed=2**127 + 1), 2**64 - 60, 60, 4, 2))
+@example((GradientOracle([0.0, 0.5, 2.0], seed=3), 0, 80, 7, 0))
+def test_noise_table_is_noise_rows(case):
+    """One stream per agent gives the bytes of the addressed draws, also at
+    d >= 4, where a draw reads into the next time's block."""
+    oracle, t0, steps, d, draw = case
+    want = np.stack([oracle.noise_rows(t, d, draw) for t in range(t0, t0 + steps)])
+    assert oracle.noise_table(t0, steps, d, draw).tobytes() == want.tobytes()
