@@ -15,9 +15,10 @@ meaningful.
 from __future__ import annotations
 
 import json
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Collection
 
 import numpy as np
 
@@ -47,9 +48,44 @@ __all__ = [
     "build_weights",
 ]
 
-RUN_KINDS = ("pushsum", "weighted_pushsum") + ALGORITHMS
-STEP_KINDS = ("fixed_inv_sqrt", "harmonic", "sgp_strong", "constant")
-SIGMA_KINDS = ("all-ones", "all-zeros", "bernoulli", "alternating")
+# The sections beyond COMMON_KEYS that each algorithm takes, each mapped
+# to whether the algorithm needs it.
+_OPTIMIZER_SECTIONS = {"objective": True, "stepsize": True}
+SECTIONS: dict[str, dict[str, bool]] = {
+    "pushsum": {},
+    "weighted_pushsum": {},
+    "subgradient_push": _OPTIMIZER_SECTIONS,
+    "push_subgradient": _OPTIMIZER_SECTIONS,
+    "heterogeneous": {**_OPTIMIZER_SECTIONS, "sigma": False, "seeds": False},
+    "sgp": {**_OPTIMIZER_SECTIONS, "oracle": True, "seeds": False},
+}
+RUN_KINDS = tuple(SECTIONS)
+COMMON_KEYS = ("algorithm", "n", "horizon", "seed", "graph", "weights", "init", "record")
+_ALGORITHM_KEYS = tuple(dict.fromkeys(key for taken in SECTIONS.values() for key in taken))
+CONFIG_KEYS = COMMON_KEYS + _ALGORITHM_KEYS
+
+# The init keys each algorithm takes, each mapped to whether it needs it.
+INIT_KEYS: dict[str, dict[str, bool]] = {
+    "pushsum": {"x0": True},
+    "weighted_pushsum": {"c": True, "x_init": True},
+    **dict.fromkeys(ALGORITHMS, {"x0": True, "c": False}),
+}
+
+# The keys each kind of a section takes besides the kind (or policy) itself.
+GRAPH_KEYS = {"file": ("path",), **dict.fromkeys(GENERATOR_KINDS, ("seed", "params"))}
+WEIGHTS_KEYS = {"default": (), "file": ("path", "beta")}
+OBJECTIVE_KEYS = {
+    "abs": ("anchors",),
+    "quadratic": ("anchors", "scales"),
+    "huber": ("anchors", "delta"),
+}
+STEP_KEYS = {
+    "fixed_inv_sqrt": (),
+    "harmonic": ("scale", "power"),
+    "sgp_strong": ("lambda_bar",),
+    "constant": ("alpha",),
+}
+SIGMA_KEYS = {"all-ones": (), "all-zeros": (), "bernoulli": ("p", "seed"), "alternating": ()}
 
 
 class ConfigError(ValueError):
@@ -76,8 +112,8 @@ def _require(section: dict, key: str, where: str) -> Any:
     return section[key]
 
 
-def _reject_unknown(section: dict, allowed: set[str], where: str) -> None:
-    unknown = sorted(set(section) - allowed)
+def _reject_unknown(section: dict, allowed: Collection[str], where: str) -> None:
+    unknown = sorted(set(section).difference(allowed))
     if unknown:
         raise ConfigError(f"unknown keys under {where}: {unknown}")
 
@@ -96,10 +132,39 @@ def _as_seed(value: Any, where: str) -> int:
     return seed
 
 
-def _as_float(value: Any, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where} must be a number, got {value!r}")
-    return float(value)
+def _number(section: dict, where: str, key: str, default: float | None = None) -> float:
+    """``section[key]``, required unless it has a ``default``, as a finite
+    number: json.load reads the tokens Infinity and NaN too."""
+    value = _require(section, key, where) if default is None else section.get(key, default)
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        if abs(value) <= sys.float_info.max:  # false for NaN and for an int beyond float range
+            return float(value)
+    raise ConfigError(f"{where}.{key} must be a finite number, got {value!r}")
+
+
+def _section(
+    data: dict,
+    key: str,
+    keys: Collection[str] | dict[str, Collection[str]],
+    tag: str | None = None,
+    default: str | None = None,
+) -> dict:
+    """``data[key]`` (empty when absent), checked to be an object with no
+    keys beyond ``keys``. With a ``tag``, ``keys`` maps each value of the
+    section's ``tag`` key (required unless it has a ``default``) to the
+    keys that value takes, and the section is returned with the value set.
+    """
+    section = data.get(key, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"config.{key} must be an object")
+    if tag is None:
+        _reject_unknown(section, keys, key)
+        return section
+    kind = section.get(tag, default) if default is not None else _require(section, tag, key)
+    if not isinstance(kind, str) or kind not in keys:
+        raise ConfigError(f"{key}.{tag} must be one of {tuple(keys)}, got {kind!r}")
+    _reject_unknown(section, {tag, *keys[kind]}, f"{key} {tag} {kind!r}")
+    return {**section, tag: kind}
 
 
 def _as_path(value: Any, where: str) -> str:
@@ -190,36 +255,27 @@ def parse_config(data: dict) -> ExperimentConfig:
     """Validate a nested dict (typically json.load output) and build the
     run objects it describes.
 
-    Top-level sections: algorithm, n, horizon, seed, graph, weights,
-    init, objective, stepsize, sigma, oracle, seeds, record. Unknown
-    keys anywhere are errors, as are sections the algorithm ignores.
-    Values only the library checks (a harmonic power above 1, say) are
-    ConfigErrors too.
+    Every algorithm takes the COMMON_KEYS (algorithm, n, horizon and
+    graph are required); SECTIONS gives the further sections each
+    algorithm takes and which of them it needs, INIT_KEYS its init keys,
+    and GRAPH_KEYS, WEIGHTS_KEYS, OBJECTIVE_KEYS, STEP_KEYS and
+    SIGMA_KEYS the keys of each kind. Any other key is an error, and a
+    scalar must be a finite number. The range of a value that goes into
+    an object built here (a harmonic power above 1, a negative noise
+    bound) is that object's check, raised as a ConfigError too.
     """
     if not isinstance(data, dict):
         raise ConfigError("config root must be an object")
-    _reject_unknown(
-        data,
-        {
-            "algorithm",
-            "n",
-            "horizon",
-            "seed",
-            "graph",
-            "weights",
-            "init",
-            "objective",
-            "stepsize",
-            "sigma",
-            "oracle",
-            "seeds",
-            "record",
-        },
-        "config",
-    )
+    _reject_unknown(data, CONFIG_KEYS, "config")
     algorithm = _require(data, "algorithm", "config")
     if algorithm not in RUN_KINDS:
         raise ConfigError(f"config.algorithm must be one of {RUN_KINDS}, got {algorithm!r}")
+    takes = SECTIONS[algorithm]
+    for key in _ALGORITHM_KEYS:
+        if key in data and key not in takes:
+            raise ConfigError(f"config.{key} does not apply to algorithm {algorithm!r}")
+        if takes.get(key) and key not in data:
+            raise ConfigError(f"{algorithm} needs a config.{key} section")
     n = _as_int(_require(data, "n", "config"), "config.n")
     if n < 1:
         raise ConfigError(f"config.n must be >= 1, got {n}")
@@ -228,206 +284,99 @@ def parse_config(data: dict) -> ExperimentConfig:
         raise ConfigError(f"config.horizon must be >= 1, got {horizon}")
     seed = _as_seed(data.get("seed", 0), "config.seed")
 
-    # graph section
-    graph = _require(data, "graph", "config")
-    if not isinstance(graph, dict):
-        raise ConfigError("config.graph must be an object")
-    kind = _require(graph, "kind", "graph")
+    _require(data, "graph", "config")
+    graph = _section(data, "graph", GRAPH_KEYS, tag="kind")
     graph_file = None
-    graph_seed = 0
-    graph_params: dict = {}
-    if kind == "file":
-        _reject_unknown(graph, {"kind", "path"}, "graph")
+    if graph["kind"] == "file":
         graph_file = _as_path(_require(graph, "path", "graph"), "graph.path")
-    else:
-        _reject_unknown(graph, {"kind", "seed", "params"}, "graph")
-        if kind not in GENERATOR_KINDS:
-            raise ConfigError(
-                f"graph.kind must be 'file' or one of {GENERATOR_KINDS}, got {kind!r}"
-            )
-        graph_seed = _as_seed(graph.get("seed", 0), "graph.seed")
-        graph_params = graph.get("params", {})
-        if not isinstance(graph_params, dict):
-            raise ConfigError("graph.params must be an object")
+    graph_seed = _as_seed(graph.get("seed", 0), "graph.seed")
+    graph_params = graph.get("params", {})
+    if not isinstance(graph_params, dict):
+        raise ConfigError("graph.params must be an object")
 
-    # weights section
-    weights = data.get("weights", {"policy": "default"})
-    if not isinstance(weights, dict):
-        raise ConfigError("config.weights must be an object")
-    _reject_unknown(weights, {"policy", "path", "beta"}, "weights")
-    policy = weights.get("policy", "default")
+    weights = _section(data, "weights", WEIGHTS_KEYS, tag="policy", default="default")
     weights_path = None
-    weights_beta = None
-    if policy == "default":
-        if "path" in weights:
-            raise ConfigError("weights.path only applies to policy 'file'")
-    elif policy == "file":
+    if weights["policy"] == "file":
         weights_path = _as_path(_require(weights, "path", "weights"), "weights.path")
-        if "beta" in weights:
-            weights_beta = _as_float(weights["beta"], "weights.beta")
-            if not (0.0 < weights_beta <= 1.0):
-                raise ConfigError(f"weights.beta must lie in (0, 1], got {weights_beta}")
-    else:
-        raise ConfigError(f"weights.policy must be 'default' or 'file', got {policy!r}")
+    weights_beta = None
+    if "beta" in weights:  # checked here: the matrix it bounds is only built later
+        weights_beta = _number(weights, "weights", "beta")
+        if not (0.0 < weights_beta <= 1.0):
+            raise ConfigError(f"weights.beta must lie in (0, 1], got {weights_beta}")
 
-    # init section
-    init = data.get("init", {})
-    if not isinstance(init, dict):
-        raise ConfigError("config.init must be an object")
-    _reject_unknown(init, {"x0", "c", "x_init"}, "init")
+    init = _section(data, "init", {key for taken in INIT_KEYS.values() for key in taken})
+    takes = INIT_KEYS[algorithm]
+    needs = [key for key, needed in takes.items() if needed]
+    if not set(needs) <= init.keys() <= takes.keys():
+        raise ConfigError(
+            f"{algorithm} takes init keys {list(takes)} and needs {needs}, got {sorted(init)}"
+        )
     x0 = _as_rows(init["x0"], n, "init.x0") if "x0" in init else None
     c = _as_vector(init["c"], n, "init.c") if "c" in init else None
     x_init = _as_rows(init["x_init"], n, "init.x_init") if "x_init" in init else None
+    # the library reports this floor as a run error (exit 1), not a config error
     if c is not None and np.any(c <= DEGENERATE_Y):
         raise ConfigError(f"init.c entries must be positive and exceed {DEGENERATE_Y:g}")
 
-    is_optimizer = algorithm in ALGORITHMS
-    if algorithm == "pushsum":
-        if x0 is None:
-            raise ConfigError("pushsum needs init.x0")
-        if c is not None or x_init is not None:
-            raise ConfigError("pushsum takes init.x0 only (no c / x_init)")
-    elif algorithm == "weighted_pushsum":
-        if c is None or x_init is None:
-            raise ConfigError("weighted_pushsum needs init.c and init.x_init")
-        if x0 is not None:
-            raise ConfigError("weighted_pushsum derives x0 from c and x_init; drop init.x0")
-    else:
-        if x0 is None:
-            raise ConfigError(f"{algorithm} needs init.x0")
-        if x_init is not None:
-            raise ConfigError("init.x_init only applies to weighted_pushsum")
-
-    # objective section
     objective = None
     if "objective" in data:
-        if not is_optimizer:
-            raise ConfigError(f"config.objective does not apply to algorithm {algorithm!r}")
-        section = data["objective"]
-        if not isinstance(section, dict):
-            raise ConfigError("config.objective must be an object")
-        _reject_unknown(section, {"kind", "anchors", "scales", "delta"}, "objective")
-        objective_kind = _require(section, "kind", "objective")
-        if objective_kind not in OBJECTIVE_KINDS:
-            raise ConfigError(
-                f"objective.kind must be one of {OBJECTIVE_KINDS}, got {objective_kind!r}"
-            )
+        section = _section(data, "objective", OBJECTIVE_KEYS, tag="kind")
         anchors = _as_rows(_require(section, "anchors", "objective"), n, "objective.anchors")
         scales = np.ones(n)
         if "scales" in section:
-            if objective_kind != "quadratic":
-                raise ConfigError("objective.scales only applies to quadratic objectives")
             scales = _as_vector(section["scales"], n, "objective.scales")
-            if np.any(scales <= 0.0):
-                raise ConfigError("objective.scales must be strictly positive")
-        delta = None
-        if "delta" in section:
-            if objective_kind != "huber":
-                raise ConfigError("objective.delta only applies to huber objectives")
-            delta = _as_float(section["delta"], "objective.delta")
-            if not (delta > 0.0):
-                raise ConfigError(f"objective.delta must be positive, got {delta}")
-        if objective_kind == "huber" and delta is None:
-            delta = 1.0
-        objective = Objective(objective_kind, anchors, scales, delta)
-    elif is_optimizer:
-        raise ConfigError(f"{algorithm} needs a config.objective section")
+        delta = _number(section, "objective", "delta", 1.0) if section["kind"] == "huber" else None
+        objective = Objective(section["kind"], anchors, scales, delta)
 
-    # stepsize section
     schedule = None
     if "stepsize" in data:
-        if not is_optimizer:
-            raise ConfigError(f"config.stepsize does not apply to algorithm {algorithm!r}")
-        step = data["stepsize"]
-        if not isinstance(step, dict):
-            raise ConfigError("config.stepsize must be an object")
-        step_kind = _require(step, "kind", "stepsize")
-        if step_kind == "fixed_inv_sqrt":
-            _reject_unknown(step, {"kind"}, "stepsize")
+        step = _section(data, "stepsize", STEP_KEYS, tag="kind")
+        if step["kind"] == "fixed_inv_sqrt":
             schedule = fixed_inv_sqrt(horizon)
-        elif step_kind == "harmonic":
-            _reject_unknown(step, {"kind", "scale", "power"}, "stepsize")
-            scale = _as_float(_require(step, "scale", "stepsize"), "stepsize.scale")
-            power = _as_float(_require(step, "power", "stepsize"), "stepsize.power")
-            schedule = harmonic(scale, power)
-        elif step_kind == "sgp_strong":
-            _reject_unknown(step, {"kind", "lambda_bar"}, "stepsize")
-            if "lambda_bar" in step:
-                lam = _as_float(step["lambda_bar"], "stepsize.lambda_bar")
-            elif objective.lambda_bar is None:
+        elif step["kind"] == "harmonic":
+            scale = _number(step, "stepsize", "scale")
+            schedule = harmonic(scale, _number(step, "stepsize", "power"))
+        elif step["kind"] == "sgp_strong":
+            lam = objective.lambda_bar
+            if lam is None and "lambda_bar" not in step:
                 raise ConfigError(
                     "stepsize.lambda_bar missing and the objective has no strong convexity"
                 )
-            else:
-                lam = objective.lambda_bar
-            schedule = sgp_strong(lam)
-        elif step_kind == "constant":
-            _reject_unknown(step, {"kind", "alpha"}, "stepsize")
-            alpha = _as_float(_require(step, "alpha", "stepsize"), "stepsize.alpha")
-            schedule = constant_step(alpha)
+            schedule = sgp_strong(_number(step, "stepsize", "lambda_bar", lam))
         else:
-            raise ConfigError(f"stepsize.kind must be one of {STEP_KINDS}, got {step_kind!r}")
-    elif is_optimizer:
-        raise ConfigError(f"{algorithm} needs a config.stepsize section")
+            schedule = constant_step(_number(step, "stepsize", "alpha"))
 
-    # sigma section; a bernoulli seed follows the run seed unless pinned
+    # a bernoulli seed follows the run seed unless pinned
     sigma = None
     if "sigma" in data:
-        if algorithm != "heterogeneous":
-            raise ConfigError("config.sigma only applies to the heterogeneous algorithm")
-        section = data["sigma"]
-        if not isinstance(section, dict):
-            raise ConfigError("config.sigma must be an object")
-        sigma_kind = _require(section, "kind", "sigma")
-        if sigma_kind == "bernoulli":
-            _reject_unknown(section, {"kind", "p", "seed"}, "sigma")
-            p = _as_float(section.get("p", 0.5), "sigma.p")
-            if not (0.0 <= p <= 1.0):
-                raise ConfigError(f"sigma.p must lie in [0, 1], got {p}")
+        section = _section(data, "sigma", SIGMA_KEYS, tag="kind")
+        if section["kind"] == "bernoulli":
+            p = _number(section, "sigma", "p", 0.5)
             sigma_seed = _as_seed(section.get("seed", seed), "sigma.seed")
             sigma = SwitchingSignal("bernoulli", p=p, seed=sigma_seed)
-        elif sigma_kind in SIGMA_KINDS:
-            _reject_unknown(section, {"kind"}, "sigma")
-            sigma = SwitchingSignal(sigma_kind)
         else:
-            raise ConfigError(f"sigma.kind must be one of {SIGMA_KINDS}, got {sigma_kind!r}")
+            sigma = SwitchingSignal(section["kind"])
     elif algorithm == "heterogeneous":
         sigma = SwitchingSignal("bernoulli", p=0.5, seed=seed)
 
-    # oracle section; its seed follows the run seed unless pinned
+    # the oracle seed follows the run seed unless pinned
     oracle = None
     if "oracle" in data:
-        if algorithm != "sgp":
-            raise ConfigError("config.oracle only applies to the sgp algorithm")
-        section = data["oracle"]
-        if not isinstance(section, dict):
-            raise ConfigError("config.oracle must be an object")
-        _reject_unknown(section, {"noise_bounds", "seed"}, "oracle")
+        section = _section(data, "oracle", ("noise_bounds", "seed"))
         noise_bounds = _as_vector(
             _require(section, "noise_bounds", "oracle"), n, "oracle.noise_bounds"
         )
-        if np.any(noise_bounds < 0.0):
-            raise ConfigError("oracle.noise_bounds must be nonnegative")
         oracle_seed = _as_seed(section.get("seed", seed), "oracle.seed")
         oracle = GradientOracle(noise_bounds=noise_bounds, seed=oracle_seed)
-    elif algorithm == "sgp":
-        raise ConfigError("sgp needs a config.oracle section")
 
-    # seeds list (replications)
     seeds = None
     if "seeds" in data:
-        if algorithm not in ("sgp", "heterogeneous"):
-            raise ConfigError("config.seeds applies only to randomized algorithms")
         raw = data["seeds"]
         if not isinstance(raw, list) or not raw:
             raise ConfigError("config.seeds must be a non-empty list of integers")
         seeds = tuple(_as_seed(s, "config.seeds[]") for s in raw)
 
-    # record section
-    record = data.get("record", {})
-    if not isinstance(record, dict):
-        raise ConfigError("config.record must be an object")
-    _reject_unknown(record, {"agent", "record_s"}, "record")
+    record = _section(data, "record", ("agent", "record_s"))
     record_agent = _as_int(record.get("agent", 0), "record.agent")
     if not (0 <= record_agent < n):
         raise ConfigError(f"record.agent must lie in [0, {n}), got {record_agent}")
@@ -439,11 +388,11 @@ def parse_config(data: dict) -> ExperimentConfig:
         algorithm=algorithm,
         n=n,
         horizon=horizon,
-        graph_kind=kind,
+        graph_kind=graph["kind"],
         graph_seed=graph_seed,
         graph_params=graph_params,
         graph_file=graph_file,
-        weights_policy=policy,
+        weights_policy=weights["policy"],
         weights_path=weights_path,
         weights_beta=weights_beta,
         x0=x0,

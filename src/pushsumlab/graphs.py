@@ -28,7 +28,6 @@ __all__ = [
     "complete_graph",
     "directed_ring",
     "undirected_ring",
-    "union_graph",
     "is_strongly_connected",
     "first_failing_window",
     "is_uniformly_strongly_connected",
@@ -99,20 +98,6 @@ class DirectedGraph:
 
     def __repr__(self) -> str:
         return f"DirectedGraph(n={self.n}, arcs={int(self.adj.sum())})"
-
-    def in_neighbors(self, i: int) -> set[int]:
-        """Senders agent i hears from, including i itself."""
-        self._check_vertex(i)
-        return set(np.flatnonzero(self.adj[i]).tolist())
-
-    def out_neighbors(self, j: int) -> set[int]:
-        """Receivers agent j sends to, including j itself."""
-        self._check_vertex(j)
-        return set(np.flatnonzero(self.adj[:, j]).tolist())
-
-    def _check_vertex(self, v: int) -> None:
-        if not (0 <= v < self.n):
-            raise ValueError(f"vertex {v} out of range for n={self.n}")
 
 
 class GraphSequence:
@@ -201,11 +186,6 @@ def directed_ring(n: int) -> DirectedGraph:
 
 def undirected_ring(n: int) -> DirectedGraph:
     return DirectedGraph.from_arcs(n, ((v, (v + d) % n) for v in range(n) for d in (1, -1)))
-
-
-def union_graph(graphs: Sequence[DirectedGraph]) -> DirectedGraph:
-    """Arc union of the given graphs (vertex sets must match)."""
-    return DirectedGraph._wrap(GraphSequence(graphs).table.any(axis=0))
 
 
 def _reaches_all(adj: np.ndarray) -> bool:

@@ -397,7 +397,9 @@ class SwitchingSignal:
             return self.table[t0 : t0 + steps].copy()
         out = np.empty((steps, n))
         for i in range(n):
-            raw = np.random.Philox(key=self.seed, counter=[t0, i, 0, 0]).random_raw(4 * steps)
+            # a uint64 counter: a list of ints may pass through float64
+            at_t0 = np.array([t0, i, 0, 0], dtype=np.uint64)
+            raw = np.random.Philox(key=self.seed, counter=at_t0).random_raw(4 * steps)
             # Generator.random(): the top 53 bits of one word, scaled to [0, 1)
             out[:, i] = (raw[::4] >> 11) * 2.0**-53 < self.p
         return out
@@ -589,10 +591,6 @@ class GradientOracle:
             raise ValueError(
                 f"stochastic oracle needs a differentiable objective, got kind {obj.kind!r}"
             )
-
-    def gradient(self, obj: Objective, i: int, z: np.ndarray, t: int, draw: int = 0) -> np.ndarray:
-        self._require_smooth(obj)
-        return obj.subgradient(i, z) + self._draw(i, t, obj.d, draw)
 
     def gradients(self, obj: Objective, z: np.ndarray, t: int, draw: int = 0) -> np.ndarray:
         """The (n, d) noisy gradient rows at the agents' points z, in one call."""

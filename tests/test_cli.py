@@ -859,6 +859,23 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err == "config error: config.seed must lie in [0, 2**128), got -1\n"
 
+    def test_non_finite_number_is_a_config_error(self, tmp_path, capsys):
+        data = {
+            "algorithm": "sgp",
+            "n": 2,
+            "horizon": 20,
+            "graph": {"kind": "static-complete"},
+            "init": {"x0": [[4.0], [6.0]]},
+            "objective": {"kind": "quadratic", "anchors": [[0.0], [2.0]]},
+            "stepsize": {"kind": "sgp_strong", "lambda_bar": float("inf")},
+            "oracle": {"noise_bounds": [0.5, 0.5]},
+        }
+        cfg = write_cfg(tmp_path, "inf.json", data)
+        assert '"lambda_bar": Infinity' in open(cfg).read()
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: stepsize.lambda_bar must be a finite number, got inf\n"
+
     def test_sweep_values_must_be_integers(self, tmp_path, capsys):
         cfg = os.path.join(CONFIGS, "heterogeneous.json")
         args = ["sweep", "--config", cfg, "--axis", "seeds", "--values", "1,x"]

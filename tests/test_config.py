@@ -1,9 +1,14 @@
 import json
+import math
+import re
 
 import numpy as np
 import pytest
 
 from pushsumlab.config import (
+    INIT_KEYS,
+    RUN_KINDS,
+    SECTIONS,
     ConfigError,
     build_graph_sequence,
     build_weights,
@@ -328,3 +333,87 @@ class TestBuilders:
         assert cfg.schedule is None
         assert cfg.sigma is None
         assert cfg.oracle is None
+
+
+# one valid example of each section an algorithm may take beyond the common ones
+SECTION_EXAMPLES = {
+    "objective": {"kind": "quadratic", "anchors": [[0.0], [2.0]]},
+    "stepsize": {"kind": "constant", "alpha": 0.1},
+    "sigma": {"kind": "bernoulli"},
+    "oracle": {"noise_bounds": [0.1, 0.1]},
+    "seeds": [0, 1],
+}
+
+
+def minimal_data(algorithm):
+    """A config with only the sections and init keys the algorithm needs."""
+    takes = SECTIONS[algorithm]
+    init = INIT_KEYS[algorithm]
+    return {
+        "algorithm": algorithm,
+        "n": 2,
+        "horizon": 4,
+        "graph": {"kind": "static-complete"},
+        "init": {key: [1.0, 2.0] for key, needed in init.items() if needed},
+        **{key: SECTION_EXAMPLES[key] for key, needed in takes.items() if needed},
+    }
+
+
+# a config builder per scalar key, given the key's value
+SCALAR_KEYS = {
+    "weights.beta": lambda v: pushsum_data(weights={"policy": "file", "path": "w.txt", "beta": v}),
+    "objective.delta": lambda v: optimizer_data(
+        objective={"kind": "huber", "anchors": [[0.0], [2.0]], "delta": v}
+    ),
+    "stepsize.scale": lambda v: optimizer_data(
+        stepsize={"kind": "harmonic", "scale": v, "power": 1.0}
+    ),
+    "stepsize.power": lambda v: optimizer_data(
+        stepsize={"kind": "harmonic", "scale": 1.0, "power": v}
+    ),
+    "stepsize.alpha": lambda v: optimizer_data(stepsize={"kind": "constant", "alpha": v}),
+    "stepsize.lambda_bar": lambda v: optimizer_data(
+        stepsize={"kind": "sgp_strong", "lambda_bar": v}
+    ),
+    "sigma.p": lambda v: optimizer_data(
+        algorithm="heterogeneous", sigma={"kind": "bernoulli", "p": v}
+    ),
+}
+
+
+class TestSchemaTables:
+    @pytest.mark.parametrize("algorithm", RUN_KINDS)
+    @pytest.mark.parametrize("section", SECTION_EXAMPLES)
+    def test_sections_follow_the_table(self, algorithm, section):
+        data = minimal_data(algorithm)
+        parse_config(data)
+        takes = SECTIONS[algorithm]
+        if takes.get(section):
+            del data[section]
+            with pytest.raises(ConfigError, match=rf"config\.{section}"):
+                parse_config(data)
+        elif section in takes:
+            parse_config({**data, section: SECTION_EXAMPLES[section]})
+        else:
+            with pytest.raises(ConfigError, match=rf"config\.{section} does not apply"):
+                parse_config({**data, section: SECTION_EXAMPLES[section]})
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("key", SCALAR_KEYS)
+    def test_scalar_keys_reject_non_finite_numbers(self, key, value):
+        parse_config(SCALAR_KEYS[key](0.5))
+        with pytest.raises(ConfigError, match=rf"^{re.escape(key)} must be a finite number"):
+            parse_config(SCALAR_KEYS[key](value))
+
+    def test_beta_applies_only_to_policy_file(self):
+        for weights in ({"policy": "default", "beta": 0.5}, {"beta": 0.5}):
+            with pytest.raises(ConfigError, match="beta"):
+                parse_config(pushsum_data(weights=weights))
+
+    def test_keys_of_another_kind_are_rejected(self):
+        with pytest.raises(ConfigError, match=r"stepsize kind 'constant': \['power'\]"):
+            parse_config(optimizer_data(stepsize={"kind": "constant", "alpha": 1.0, "power": 1.0}))
+        with pytest.raises(ConfigError, match=r"sigma kind 'all-ones': \['p'\]"):
+            parse_config(
+                optimizer_data(algorithm="heterogeneous", sigma={"kind": "all-ones", "p": 1})
+            )

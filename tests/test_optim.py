@@ -175,7 +175,7 @@ class TestGradientOracle:
     def test_zero_noise_is_exact(self):
         obj = quadratic_objective([[0.0], [2.0]])
         oracle = GradientOracle([0.0, 0.0], seed=1)
-        g = oracle.gradient(obj, 0, [3.0], t=5)
+        g = oracle.gradients(obj, np.array([[3.0], [3.0]]), t=5)[0]
         assert np.array_equal(g, obj.subgradient(0, [3.0]))
 
     def test_noise_respects_bound(self):
@@ -219,7 +219,7 @@ class TestGradientOracle:
         obj = absolute_deviation_objective([[0.0]])
         oracle = GradientOracle([0.1], seed=0)
         with pytest.raises(ValueError):
-            oracle.gradient(obj, 0, [1.0], t=0)
+            oracle.gradients(obj, np.array([[1.0]]), t=0)
 
 
 def numpy_normal(word):
@@ -373,7 +373,7 @@ class TestSingleSteps:
         obj = quadratic_objective([[0.0], [2.0]])
         oracle = GradientOracle([0.3, 0.3], seed=4)
         tr = one_step("sgp", seq, obj, oracle=oracle)
-        g = np.stack([oracle.gradient(obj, i, X0[i], 1) for i in range(2)])
+        g = oracle.gradients(obj, X0, 1)
         assert np.array_equal(tr.gs[0], g)
         assert np.array_equal(tr.xs[1], w.matrix @ (X0 - 0.5 * g))
 
@@ -561,7 +561,8 @@ def reference_subgradient(obj, i, z):
 def reference_bernoulli_row(seed, p, t, n):
     out = np.empty(n)
     for i in range(n):
-        gen = np.random.Generator(np.random.Philox(key=seed, counter=[t, i, 0, 0]))
+        at = np.array([t, i, 0, 0], dtype=np.uint64)
+        gen = np.random.Generator(np.random.Philox(key=seed, counter=at))
         out[i] = 1.0 if gen.random() < p else 0.0
     return out
 
@@ -651,6 +652,16 @@ class TestBatchedFormsMatchReferences:
             want = np.stack([reference_bernoulli_row(seed, p, t, 7) for t in range(t0, t0 + 60)])
             assert np.array_equal(sig.rows(t0, 60, 7), want)
             assert np.array_equal(sig.row(t0 + 3, 7), want[3])
+
+    @pytest.mark.parametrize("t0", [2**64 - 1024, 2**64 - 1])
+    def test_bernoulli_rows_up_to_the_last_counter(self, t0):
+        # t is one uint64 word of the Philox counter, exact up to 2**64 - 1
+        sig = bernoulli_signal(0.5, seed=3)
+        last = 2**64 - 1
+        rows = sig.rows(t0, last - t0 + 1, 2)
+        assert np.array_equal(rows[0], reference_bernoulli_row(3, 0.5, t0, 2))
+        assert np.array_equal(rows[-1], reference_bernoulli_row(3, 0.5, last, 2))
+        assert np.array_equal(sig.rows(last, 1, 2)[0], rows[-1])
 
     @pytest.mark.parametrize("d", [1, 3])
     def test_oracle_noise_rows(self, d):
