@@ -38,7 +38,7 @@ from .config import (
     load_config,
 )
 from .graphs import GraphSequence, first_failing_window, is_uniformly_strongly_connected
-from .optim import run_optimizer
+from .optim import replica_group_size, run_optimizer
 from .pushsum import (
     DegenerateStateError,
     Finding,
@@ -354,15 +354,56 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _seed_sweep_series(arts: RunArtifacts) -> np.ndarray:
+def _seed_sweep_series(trace: Trace, z_star: np.ndarray | None) -> np.ndarray:
     """Per-time mean over agents of the squared distance to the optimum
-    (falls back to squared consensus error for pure mixing runs)."""
-    trace, obj = arts.trace, arts.cfg.objective
-    if obj is not None:
-        z_star, _ = obj.optimum()
+    z_star (squared consensus error for pure mixing runs, which have none)."""
+    if z_star is not None:
         diff = trace.zs - z_star[np.newaxis, np.newaxis, :]
         return np.mean(np.sum(diff * diff, axis=2), axis=1)
     return consensus_error_series(trace) ** 2
+
+
+def _run_seeds(
+    cfg: ExperimentConfig, seq: GraphSequence, seeds: list[int]
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The recorded times and each seed's ``_seed_sweep_series``.
+
+    Only the switching signal and the oracle follow the run seed, so an
+    optimizer's seeds run as replicas of one dynamics loop, a group of
+    ``replica_group_size`` at a time, on one set of weights and one
+    optimum. A pure mixing run does not depend on the seed: it runs once.
+    """
+    cfgs = [cfg.with_seed(s) for s in seeds]  # every seed is checked first
+    if cfg.objective is None:
+        trace = execute_run(cfg, seq).trace
+        return trace.times(), [_seed_sweep_series(trace, None)] * len(seeds)
+    z_star, _ = cfg.objective.optimum()
+    with config_values():
+        weights = build_weights(cfg)
+
+    # one call per group, so a group's stacked arrays are freed before the next runs
+    def group_series(group: list[ExperimentConfig]) -> tuple[np.ndarray, list[np.ndarray]]:
+        with config_values():
+            runs = run_optimizer(
+                cfg.algorithm,
+                seq,
+                cfg.objective,
+                cfg.schedule,
+                weights=weights,
+                x0=cfg.x0,
+                y0=cfg.c,
+                sigma=[c.sigma for c in group],
+                oracle=[c.oracle for c in group],
+                horizon=cfg.horizon,
+            )
+        return runs[0].times(), [_seed_sweep_series(trace, z_star) for trace in runs]
+
+    size = replica_group_size(cfg.n, cfg.objective.d, cfg.horizon)
+    series = []
+    for k in range(0, len(cfgs), size):
+        times, found = group_series(cfgs[k : k + size])
+        series += found
+    return times, series
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -428,12 +469,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if not ok:
             print(msg)
             return 1
-        series = []
-        for s in values:
-            arts = execute_run(cfg.with_seed(s), seq)
-            series.append(_seed_sweep_series(arts))
-            rows.append({"seed": s, "final_mean_sq_error": float(series[-1][-1])})
-        times = arts.trace.times()
+        times, series = _run_seeds(cfg, seq, values)
+        rows = [{"seed": s, "final_mean_sq_error": float(f[-1])} for s, f in zip(values, series)]
         mean_series = np.mean(np.stack(series), axis=0)
         write_csv(
             os.path.join(args.out, "sweep_mean.csv"),

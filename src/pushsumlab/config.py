@@ -414,7 +414,7 @@ def load_config(path: str) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an int past Python's digit limit
             raise ConfigError(f"{path}: not valid JSON ({exc})") from None
     return parse_config(data)
 

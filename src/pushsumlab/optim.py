@@ -28,6 +28,7 @@ import numpy as np
 
 from .graphs import GraphSequence
 from .pushsum import (
+    Replicas,
     Trace,
     _agent_rows,
     _initial_mass,
@@ -55,6 +56,8 @@ __all__ = [
     "alternating_signal",
     "table_signal",
     "GradientOracle",
+    "REPLICA_BYTES",
+    "replica_group_size",
     "run_optimizer",
 ]
 
@@ -203,7 +206,10 @@ class Objective:
         if self.kind == "quadratic":
             z = (self.scales[:, np.newaxis] * self.anchors).sum(axis=0) / self.scales.sum()
         elif self.kind == "abs":
-            z = np.median(self.anchors, axis=0)
+            # np.median's bits (the middle row, or np.mean of the two middle
+            # rows) without the numpy.ma import it makes on first use
+            ranked, mid = np.sort(self.anchors, axis=0), self.n // 2
+            z = ranked[mid] if self.n % 2 else np.mean(ranked[mid - 1 : mid + 1], axis=0)
         else:
             z = np.array([self._huber_root(self.anchors[:, k]) for k in range(self.d)])
         return z, self.value(z)
@@ -317,16 +323,24 @@ class StepSchedule:
             return 0.5 < float(self.power) <= 1.0
         return self.kind == "sgp_strong"
 
-    def alpha(self, t: int) -> float:
-        if t < self.start:
-            raise ValueError(f"schedule {self.kind} is undefined at t={t} (starts at {self.start})")
+    def alphas(self, t0: int, steps: int) -> np.ndarray:
+        """alpha(t0) .. alpha(t0 + steps - 1) as one array; the one copy
+        of every kind's formula."""
+        if t0 < self.start:
+            raise ValueError(f"schedule {self.kind} is undefined at t={t0} (starts at {self.start})")
         if self.kind == "fixed_inv_sqrt":
-            return 1.0 / math.sqrt(self.horizon)
+            return np.full(steps, 1.0 / math.sqrt(self.horizon))
         if self.kind == "harmonic":
-            return float(self.scale) / (t + 1.0) ** float(self.power)
+            scale, power = float(self.scale), float(self.power)
+            # Python's float power per step: np.power may round differently
+            return np.array([scale / (t + 1.0) ** power for t in range(t0, t0 + steps)])
         if self.kind == "sgp_strong":
-            return 2.0 / (float(self.lambda_bar) * t)
-        return float(self.scale)
+            # lambda * float(t), which is what lambda * t computes for an int t
+            return 2.0 / (float(self.lambda_bar) * np.arange(t0, t0 + steps, dtype=float))
+        return np.full(steps, float(self.scale))
+
+    def alpha(self, t: int) -> float:
+        return float(self.alphas(t, 1)[0])
 
 
 def fixed_inv_sqrt(horizon: int) -> StepSchedule:
@@ -435,6 +449,11 @@ def table_signal(table: np.ndarray) -> SwitchingSignal:
 
 _RABS_MASK = (1 << 52) - 1
 _NOISE_BLOCK = 1024  # steps of noise rows run_optimizer holds at a time
+
+# A seeds sweep runs its seeds as replicas of one dynamics loop, in groups
+# whose stacked per-step arrays stay under this many bytes
+# (``replica_group_size``); one replica at n=200, T=10^4, d=1 takes 64 MB.
+REPLICA_BYTES = 2**25
 
 
 @functools.cache
@@ -610,11 +629,11 @@ def run_optimizer(
     weights: str | WeightMatrix | Sequence[WeightMatrix] = "default",
     x0: np.ndarray | None = None,
     y0: np.ndarray | None = None,
-    sigma: SwitchingSignal | None = None,
-    oracle: GradientOracle | None = None,
+    sigma: SwitchingSignal | Sequence[SwitchingSignal | None] | None = None,
+    oracle: GradientOracle | Sequence[GradientOracle | None] | None = None,
     horizon: int | None = None,
     seed: int | None = None,
-) -> Trace:
+) -> Trace | Replicas:
     """Run one optimization algorithm and record everything.
 
     The trace stores states at times t0..t0+horizon (t0 = 1 for sgp,
@@ -622,6 +641,12 @@ def run_optimizer(
     applied and switching row of every step. Identical inputs give
     identical traces. ``seed`` keys the Bernoulli signal a heterogeneous
     run gets when no ``sigma`` is given; every other run ignores it.
+
+    A list or tuple of S signals or oracles (the other argument then
+    serves every replica, or is a list of the same length) runs S
+    replicas in one dynamics loop and returns their :class:`Replicas`:
+    replica r equals, bit for bit, the trace of the call with sigma[r]
+    and oracle[r].
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
@@ -630,6 +655,13 @@ def run_optimizer(
     if x0 is None:
         raise ValueError("x0 is required")
     horizon = len(seq) if horizon is None else horizon
+    batched = [v for v in (sigma, oracle) if isinstance(v, (list, tuple))]
+    replicas = len(batched[0]) if batched else 1
+    if replicas == 0 or any(len(v) != replicas for v in batched):
+        raise ValueError("per-replica signals and oracles must be non-empty and of one length")
+    signals, oracles = (
+        list(v) if isinstance(v, (list, tuple)) else [v] * replicas for v in (sigma, oracle)
+    )
 
     t0 = 1 if algorithm == "sgp" else 0
     if schedule.start > t0:
@@ -637,22 +669,23 @@ def run_optimizer(
             f"schedule {schedule.kind} starts at t={schedule.start} but the run starts at t={t0}"
         )
     if algorithm == "sgp":
-        if oracle is None:
+        if any(o is None for o in oracles):
             raise ValueError("sgp needs a gradient oracle")
         if not obj.smooth:
             raise ValueError("sgp needs a differentiable objective")
         if obj.strong_convexity is None:
             raise ValueError("sgp needs a strongly convex objective")
-        if oracle.noise_bounds.shape != (seq.n,):
+        if any(o.noise_bounds.shape != (seq.n,) for o in oracles):
             raise ValueError("oracle noise bounds must have one entry per agent")
     if algorithm == "heterogeneous":
-        if sigma is None:
-            sigma = bernoulli_signal(0.5, seed=0 if seed is None else seed)
-    elif sigma is not None:
+        default = bernoulli_signal(0.5, seed=0 if seed is None else seed)
+        signals = [default if s is None else s for s in signals]
+    elif any(s is not None for s in signals):
         raise ValueError(f"{algorithm} takes no switching signal")
     else:
-        sigma = all_zeros_signal() if algorithm == "push_subgradient" else all_ones_signal()
-    if algorithm != "sgp" and oracle is not None:
+        constant = all_zeros_signal() if algorithm == "push_subgradient" else all_ones_signal()
+        signals = [constant] * replicas
+    if algorithm != "sgp" and any(o is not None for o in oracles):
         raise ValueError(f"{algorithm} takes no gradient oracle")
 
     mixing = resolve_weight_sequence(seq, weights, horizon)
@@ -662,21 +695,50 @@ def run_optimizer(
         raise ValueError(f"x0 has d={x.shape[1]} but the objective has d={obj.d}")
     y = np.ones(n) if y0 is None else _initial_mass(y0, n, "y0")
 
-    alphas = np.array([schedule.alpha(t) for t in range(t0, t0 + horizon)])
-
-    if oracle is None:
+    # the gradient of every kind is elementwise in the residuals, so one
+    # call serves the (S, n, d) ratios of all replicas
+    anchors, scales = obj.anchors[np.newaxis], obj.scales[np.newaxis, :, np.newaxis]
+    if oracles[0] is None:
         def gradient(t: int, z: np.ndarray) -> np.ndarray:
-            return obj.subgradients(z)
+            return obj._gradients(z - anchors, scales)
     else:
-        # run_dynamics asks for t = t0, t0 + 1, ... in order; the noise rows
-        # come from one block of noise_table at a time
-        noise = (
-            row
-            for b in range(t0, t0 + horizon, _NOISE_BLOCK)
-            for row in oracle.noise_table(b, min(_NOISE_BLOCK, t0 + horizon - b), obj.d)
-        )
+        def noise_blocks():
+            # run_dynamics asks for t = t0, t0 + 1, ... in order; the
+            # replicas' noise comes from one stacked block of steps at a time
+            for b in range(t0, t0 + horizon, _NOISE_BLOCK):
+                steps = min(_NOISE_BLOCK, t0 + horizon - b)
+                yield from np.stack([o.noise_table(b, steps, obj.d) for o in oracles], axis=1)
+
+        noise = noise_blocks()
 
         def gradient(t: int, z: np.ndarray) -> np.ndarray:
-            return obj.subgradients(z) + next(noise)
+            return obj._gradients(z - anchors, scales) + next(noise)
 
-    return run_dynamics(algorithm, mixing, x, y, t0, gradient, alphas, sigma.rows(t0, horizon, n))
+    run = run_dynamics(
+        algorithm,
+        mixing,
+        np.broadcast_to(x, (replicas, n, obj.d)),
+        y,
+        t0,
+        gradient,
+        schedule.alphas(t0, horizon),
+        _stacked_rows(signals, t0, horizon, n),
+    )
+    return run if batched else run[0]
+
+
+def replica_group_size(n: int, d: int, steps: int) -> int:
+    """How many replicas of an n-agent, d-dimensional run over ``steps``
+    steps fit in ``REPLICA_BYTES`` (at least one): each holds states,
+    gradient rows, noise rows and switching rows of every step."""
+    return max(1, REPLICA_BYTES // (8 * n * (steps + 1) * (3 * d + 1)))
+
+
+def _stacked_rows(signals: list[SwitchingSignal], t0: int, steps: int, n: int) -> np.ndarray:
+    """The (steps, S, n) switching rows of S replicas. One signal shared
+    by all of them is drawn once and broadcast, so a constant one stays
+    a read-only view of one number."""
+    first = signals[0]
+    if all(s is first for s in signals):
+        return np.broadcast_to(first.rows(t0, steps, n)[:, np.newaxis], (steps, len(signals), n))
+    return np.stack([s.rows(t0, steps, n) for s in signals], axis=1)

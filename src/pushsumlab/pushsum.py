@@ -15,7 +15,9 @@ what the verification helpers consume.
 No dense per-step matrix stack is stored: a trace keeps its mixing
 matrices as one table plus a step-to-id array (default weights as the
 graph sequence's bool table alone), and the dynamics loop and the checks
-walk the steps in chunks of bounded size.
+walk the steps in chunks of bounded size. Runs that differ only in their
+gradients and switching rows, such as the seeds of a sweep, share one
+loop as replicas.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ __all__ = [
     "DegenerateStateError",
     "MixingSequence",
     "Trace",
+    "Replicas",
     "TheoreticalConstants",
     "BackwardProduct",
     "Finding",
@@ -575,9 +578,10 @@ def _initial_mass(values: np.ndarray, n: int, name: str) -> np.ndarray:
 
 def _check_state(xs: np.ndarray, ys: np.ndarray, k0: int, k1: int) -> None:
     """Name the first of steps k0..k1-1 after which some y_i is at the
-    floor or some x is not finite; a y collapse wins at the same step."""
+    floor or some replica's x is not finite; a y collapse wins at the
+    same step."""
     low = ys[k0 + 1 : k1 + 1].min(axis=1) <= DEGENERATE_Y
-    bad = low | ~np.isfinite(xs[k0 + 1 : k1 + 1]).all(axis=(1, 2))
+    bad = low | ~np.isfinite(xs[k0 + 1 : k1 + 1]).all(axis=(1, 2, 3))
     if bad.any():
         k = k0 + int(np.argmax(bad))
         worst = int(np.argmin(ys[k + 1]))
@@ -589,6 +593,47 @@ def _check_state(xs: np.ndarray, ys: np.ndarray, k0: int, k1: int) -> None:
         )
 
 
+@dataclass
+class Replicas:
+    """S runs of one algorithm that share their mixing sequence, step
+    sizes and masses y, stacked on a replica axis: xs is (steps+1, S, n, d),
+    gs (steps, S, n, d) and sigmas (steps, S, n), while ys (steps+1, n) is
+    the one mass record all of them have. ``replicas[r]`` is run r's
+    :class:`Trace`, made of views."""
+
+    algorithm: str
+    t0: int
+    xs: np.ndarray
+    ys: np.ndarray
+    w_mats: MixingSequence
+    kappa: float
+    alphas: np.ndarray | None = None
+    gs: np.ndarray | None = None
+    sigmas: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return self.xs.shape[1]
+
+    @property
+    def steps(self) -> int:
+        return len(self.w_mats)
+
+    @property
+    def n(self) -> int:
+        return self.xs.shape[2]
+
+    def __getitem__(self, r: int) -> Trace:
+        gs = None if self.gs is None else self.gs[:, r]
+        sigmas = None if self.sigmas is None else self.sigmas[:, r]
+        return Trace(
+            self.algorithm, self.t0, self.xs[:, r], self.ys, self.w_mats, self.kappa,
+            self.alphas, gs, sigmas,
+        )
+
+    def __iter__(self):
+        return (self[r] for r in range(len(self)))
+
+
 def run_dynamics(
     algorithm: str,
     mixing: MixingSequence,
@@ -598,22 +643,32 @@ def run_dynamics(
     gradient: Callable[[int, np.ndarray], np.ndarray] | None = None,
     alphas: np.ndarray | None = None,
     sigmas: np.ndarray | None = None,
-) -> Trace:
+) -> Replicas:
     """The loop shared by every algorithm, one step per matrix of
-    ``mixing``, walked chunk by chunk; x (n, d) and y (n,) must be valid.
+    ``mixing``, walked chunk by chunk, for S replicas at once: x (S, n, d)
+    holds each replica's valid rows and y (n,) the valid masses.
 
     A step is y <- W y and, without ``gradient``, push-sum's x <- W x.
     With one, step k (time t = t0 + k) applies x <- W (x - s sigma) -
-    s (1 - sigma) for s = alphas[k] gradient(t, x / y) and the switching
-    row sigma = sigmas[k]; the trace records the gradient rows, alphas
-    and sigmas. Each chunk runs with floating-point warnings off, then
-    ``_check_state`` checks it once.
+    s (1 - sigma) for s = alphas[k] gradient(t, x / y), the (S, n, d)
+    gradient rows of every replica at its ratios, and the (S, n)
+    switching rows sigma = sigmas[k]; the result records the gradient
+    rows, alphas and sigmas. The mixing is one stacked matmul of w with
+    the (S, n, d) stack, which gives each replica the bits of its own
+    w @ x. y takes no gradient, so one y serves every replica. Each chunk
+    runs with floating-point warnings off, then ``_check_state`` checks
+    it once.
     """
-    horizon, (n, d) = len(mixing), x.shape
-    xs = np.empty((horizon + 1, n, d))
-    ys = np.empty((horizon + 1, n))
-    gs = None if gradient is None else np.empty((horizon, n, d))
+    horizon, (replicas, n, d) = len(mixing), x.shape
+    xs = np.empty((horizon + 1, replicas, n, d))
+    # y is kept as a (1, n, 1) stack that x / y broadcasts over the
+    # replicas with no reshape; w @ y gives the bits of the (n,) product
+    y_stack = np.empty((horizon + 1, 1, n, 1))
+    ys = y_stack[:, 0, :, 0]
+    gs = None if gradient is None else np.empty((horizon, replicas, n, d))
+    sig_cols = None if sigmas is None else sigmas[:, :, :, np.newaxis]
     xs[0], ys[0] = x, y
+    y = y_stack[0]
     with np.errstate(all="ignore"):
         for k0, mats, local in mixing.chunks():
             for k, i in enumerate(local.tolist(), k0):
@@ -621,14 +676,14 @@ def run_dynamics(
                 if gradient is None:
                     x = w @ x
                 else:
-                    g = gs[k] = gradient(t0 + k, x / y[:, np.newaxis])
+                    g = gs[k] = gradient(t0 + k, x / y)
                     s = alphas[k] * g
-                    sig = sigmas[k][:, np.newaxis]
+                    sig = sig_cols[k]
                     x = w @ (x - s * sig) - s * (1.0 - sig)
                 y = w @ y
-                xs[k + 1], ys[k + 1] = x, y
+                xs[k + 1], y_stack[k + 1] = x, y
             _check_state(xs, ys, k0, k0 + len(local))
-    return Trace(
+    return Replicas(
         algorithm=algorithm,
         t0=t0,
         xs=xs,
@@ -652,7 +707,8 @@ def run_pushsum(
         raise ValueError("x0 is required")
     horizon = len(seq) if horizon is None else horizon
     mixing = resolve_weight_sequence(seq, weights, horizon)
-    return run_dynamics("pushsum", mixing, _agent_rows(x0, seq.n, "x0"), np.ones(seq.n))
+    x = _agent_rows(x0, seq.n, "x0")[np.newaxis]
+    return run_dynamics("pushsum", mixing, x, np.ones(seq.n))[0]
 
 
 def run_weighted_pushsum(
@@ -673,7 +729,7 @@ def run_weighted_pushsum(
     x0 = c[:, np.newaxis] * _agent_rows(x_init, seq.n, "x_init")
     horizon = len(seq) if horizon is None else horizon
     mixing = resolve_weight_sequence(seq, weights, horizon)
-    return run_dynamics("weighted_pushsum", mixing, x0, c)
+    return run_dynamics("weighted_pushsum", mixing, x0[np.newaxis], c)[0]
 
 
 def verify_absolute_probability(trace: Trace) -> float:

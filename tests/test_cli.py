@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import tracemalloc
@@ -7,6 +8,7 @@ import pytest
 
 import pushsumlab.analysis as analysis
 import pushsumlab.cli as cli
+import pushsumlab.optim as optim
 import pushsumlab.pushsum as pushsum
 import pushsumlab.weights as weights
 from pushsumlab.analysis import (
@@ -17,9 +19,10 @@ from pushsumlab.analysis import (
     bound_subgradient_push_varying,
 )
 from pushsumlab.cli import main
+from pushsumlab.config import load_config
 from pushsumlab.graphs import GraphSequence, complete_graph
 from pushsumlab.pushsum import theoretical_constants
-from pushsumlab.report import read_csv_columns
+from pushsumlab.report import csv_blocks, read_csv_columns, write_csv, write_summary_json
 from pushsumlab.weights import save_weights
 
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
@@ -584,18 +587,19 @@ class TestSweep:
         )
         built = counting(monkeypatch, weights, "default_weights")
         runs = []
-        run = cli.execute_run
+        run = cli.run_optimizer
 
         def recorded(*args, **kwargs):
-            runs.append(run(*args, **kwargs))
-            return runs[-1]
+            runs.append((args[1], run(*args, **kwargs)))
+            return runs[-1][1]
 
-        monkeypatch.setattr(cli, "execute_run", recorded)
+        monkeypatch.setattr(cli, "run_optimizer", recorded)
         args = ["sweep", "--config", cfg, "--axis", "seeds", "--values", "0,1,2"]
         assert main(args + ["--out", str(tmp_path / "sw")]) == 0
-        # each seed's weights are its graphs' ids into the one shared table
-        assert len(runs) == 3 and not built
-        assert all(r.trace.w_mats.nbytes == 0 and r.trace.w_mats.table is r.seq.table for r in runs)
+        # the seeds' weights are their graphs' ids into the one shared table
+        [(seq, replicas)] = runs
+        assert len(replicas) == 3 and not built
+        assert all(t.w_mats.nbytes == 0 and t.w_mats.table is seq.table for t in replicas)
 
     def test_horizon_axis_builds_and_checks_graphs_once(self, pushsum_cfg, tmp_path, monkeypatch):
         builds = counting(monkeypatch, cli, "build_graph_sequence")
@@ -638,6 +642,64 @@ class TestSweep:
         out = str(tmp_path / "sw")
         code = main(["sweep", "--config", optimizer_cfg, "--axis", "seeds", "--out", out])
         assert code == 2
+
+    @pytest.fixture
+    def short_sgp(self, tmp_path):
+        """The bundled 30-seed sgp config at a horizon of 300 steps."""
+        with open(os.path.join(CONFIGS, "sgp_quadratic.json"), encoding="utf-8") as fh:
+            data = json.load(fh)
+        return write_cfg(tmp_path, "sgp.json", {**data, "horizon": 300})
+
+    @staticmethod
+    def sweep_files(out):
+        names = ("sweep.csv", "sweep_mean.csv", "sweep_summary.json")
+        return {name: (out / name).read_bytes() for name in names}
+
+    @staticmethod
+    def per_seed_sweep(path, out):
+        """The three files of a seeds sweep, from a loop of one run and one
+        optimum per seed."""
+        cfg = load_config(path)
+        series = []
+        for seed in cfg.seeds:
+            arts = cli.execute_run(cfg.with_seed(seed))
+            z_star, _ = arts.cfg.objective.optimum()
+            diff = arts.trace.zs - z_star[np.newaxis, np.newaxis, :]
+            series.append(np.mean(np.sum(diff * diff, axis=2), axis=1))
+        times, mean = arts.trace.times(), np.mean(np.stack(series), axis=0)
+        finals = [float(f[-1]) for f in series]
+        os.makedirs(out)
+        write_csv(str(out / "sweep_mean.csv"), "t,mean_sq_error", csv_blocks([times, mean]))
+        lines = [line for block in csv_blocks([list(cfg.seeds), finals]) for line in block]
+        write_csv(str(out / "sweep.csv"), "seed,final_mean_sq_error", [lines])
+        fit = analysis.fit_rate(mean, times=times, tail_fraction=0.5, min_points=20)
+        summary = {
+            "axis": "seeds",
+            "values": list(cfg.seeds),
+            "rows": [{"seed": s, "final_mean_sq_error": f} for s, f in zip(cfg.seeds, finals)],
+            "mean_final": float(mean[-1]),
+            "t_fit": dataclasses.asdict(fit),
+        }
+        write_summary_json(str(out / "sweep_summary.json"), summary)
+
+    def test_seeds_run_in_one_dynamics_loop(self, short_sgp, tmp_path, monkeypatch):
+        loops = counting(monkeypatch, optim, "run_dynamics")
+        out = tmp_path / "sw"
+        assert main(["sweep", "--config", short_sgp, "--axis", "seeds", "--out", str(out)]) == 0
+        assert len(loops) == 1 and loops[0][2].shape == (30, 2, 1)
+        self.per_seed_sweep(short_sgp, tmp_path / "ref")
+        assert self.sweep_files(out) == self.sweep_files(tmp_path / "ref")
+
+    def test_replica_groups_follow_the_byte_budget(self, short_sgp, tmp_path, monkeypatch):
+        out = tmp_path / "sw"
+        assert main(["sweep", "--config", short_sgp, "--axis", "seeds", "--out", str(out)]) == 0
+        # room for 7 replicas of n=2, d=1, 300 steps: groups of 7, 7, 7, 7 and 2
+        monkeypatch.setattr(optim, "REPLICA_BYTES", 7 * 8 * 2 * 301 * 4 + 5)
+        loops = counting(monkeypatch, optim, "run_dynamics")
+        grouped = tmp_path / "grouped"
+        assert main(["sweep", "--config", short_sgp, "--axis", "seeds", "--out", str(grouped)]) == 0
+        assert [args[2].shape[0] for args in loops] == [7, 7, 7, 7, 2]
+        assert self.sweep_files(grouped) == self.sweep_files(out)
 
 
 class TestRates:
@@ -875,6 +937,13 @@ class TestErrorPaths:
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err == "config error: stepsize.lambda_bar must be a finite number, got inf\n"
+
+    def test_integer_past_the_digit_limit_is_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text('{"algorithm": "pushsum", "n": ' + "9" * 4400 + "}")
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {path}: not valid JSON (") and err.count("\n") == 1
 
     def test_sweep_values_must_be_integers(self, tmp_path, capsys):
         cfg = os.path.join(CONFIGS, "heterogeneous.json")

@@ -72,6 +72,33 @@ class TestObjectives:
         z_star, _ = obj.optimum()
         assert z_star[0] == pytest.approx(2.0, abs=1e-10)
 
+    @pytest.mark.parametrize("n", [1, 2, 5, 6, 51])
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_abs_optimum_is_the_median_bit_for_bit(self, n, d):
+        anchors = np.random.default_rng(n * d).standard_normal((n, d)) * 1e3
+        anchors[0] = anchors[-1]  # a tie
+        z_star, _ = absolute_deviation_objective(anchors).optimum()
+        assert z_star.tobytes() == np.median(anchors, axis=0).tobytes()
+
+    def test_abs_run_imports_no_masked_arrays(self):
+        """np.median imports numpy.ma (15-20 ms) on first use; a run of an
+        abs objective, whose metrics and bounds take its optimum, does not."""
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        code = (
+            "import sys, tempfile\n"
+            "from pushsumlab.cli import main\n"
+            "with tempfile.TemporaryDirectory() as out:\n"
+            "    assert main(['run', '--config', sys.argv[1], '--out', out]) == 0\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+        config = os.path.join(root, "configs", "push_subgradient.json")
+        done = subprocess.run(
+            [sys.executable, "-c", code, config], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "False"
+
     def test_smoothness_flags(self):
         assert not absolute_deviation_objective([[0.0]]).smooth
         assert quadratic_objective([[0.0]]).smooth
@@ -118,6 +145,23 @@ class TestStepSchedules:
         sched = constant_step(0.3)
         assert sched.alpha(7) == 0.3
         assert not sched.satisfies_diminishing_conditions
+
+    @pytest.mark.parametrize(
+        "sched, formula",
+        [
+            (fixed_inv_sqrt(7), lambda t: 1.0 / math.sqrt(7)),
+            (harmonic(1.3, 0.75), lambda t: 1.3 / (t + 1.0) ** 0.75),
+            (sgp_strong(0.7), lambda t: 2.0 / (0.7 * t)),
+            (constant_step(0.3), lambda t: 0.3),
+        ],
+    )
+    def test_table_is_the_formula_at_every_step(self, sched, formula):
+        t0 = sched.start
+        want = np.array([formula(t) for t in range(t0, t0 + 10**4)])
+        assert sched.alphas(t0, 10**4).tobytes() == want.tobytes()
+        assert sched.alphas(t0 + 5, 3).tobytes() == want[5:8].tobytes()
+        assert all(sched.alpha(t) == want[t - t0] for t in (t0, t0 + 17, t0 + 9999))
+        assert sched.alphas(t0, 0).shape == (0,)
 
 
 class TestSwitchingSignals:
@@ -426,6 +470,31 @@ class TestRunner:
                 "sgp", seq, obj, sgp_strong(1.0), x0=[[0.0], [0.0]],
                 oracle=GradientOracle([0.1, 0.1]),
             )
+
+    def test_replicas_take_one_signal_or_oracle_each(self):
+        seq, _, obj = two_agent_setup(horizon=6)
+        qobj = quadratic_objective([[0.0], [2.0]])
+        sched, x0 = harmonic(0.5, 1.0), [[4.0], [6.0]]
+        signals = [bernoulli_signal(0.5, seed=s) for s in range(3)]
+        runs = run_optimizer("heterogeneous", seq, obj, sched, x0=x0, sigma=signals)
+        assert len(runs) == 3 and runs.steps == 6 and runs.n == 2
+        assert runs.xs.shape == (7, 3, 2, 1) and runs.ys.shape == (7, 2)
+        for trace, sig in zip(runs, signals):
+            assert np.array_equal(trace.sigmas, sig.rows(0, 6, 2)) and trace.ys is runs.ys
+        # a constant signal shared by every replica stores nothing
+        same = run_optimizer("subgradient_push", seq, obj, sched, x0=x0, sigma=[None, None])
+        assert same.sigmas.shape == (6, 2, 2) and same.sigmas.strides == (0, 0, 0)
+        assert np.array_equal(same[0].xs, same[1].xs)
+        oracle = GradientOracle([0.1, 0.1])
+        for bad in (
+            {"algorithm": "heterogeneous", "obj": obj, "sigma": signals, "oracle": [None, None]},
+            {"algorithm": "heterogeneous", "obj": obj, "sigma": []},
+            {"algorithm": "subgradient_push", "obj": obj, "sigma": [None, signals[0]]},
+            {"algorithm": "sgp", "obj": qobj, "oracle": [oracle, None]},
+        ):
+            schedule = sgp_strong(1.0) if bad["algorithm"] == "sgp" else sched
+            with pytest.raises(ValueError):
+                run_optimizer(seq=seq, schedule=schedule, x0=x0, **bad)
 
     def test_schedule_must_cover_start_time(self):
         seq, _, obj = two_agent_setup()

@@ -9,7 +9,7 @@ stays deterministic.
 """
 
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -23,6 +23,7 @@ from pushsumlab.optim import (
     ALGORITHMS,
     GradientOracle,
     SwitchingSignal,
+    bernoulli_signal,
     constant_step,
     quadratic_objective,
     run_optimizer,
@@ -322,6 +323,31 @@ def test_one_update_matches_per_algorithm_formulas(sc):
         expected = reference_optimizer(**inputs)
         for got, want in zip((trace.xs, trace.ys, trace.gs, trace.alphas), expected):
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), algorithm
+
+
+@PROPERTY
+@given(scenarios(), st.integers(1, 3), st.sampled_from([1, 4]))
+def test_replicas_equal_single_runs(sc, replicas, sgp_d):
+    """S seeds run as replicas of one loop give each seed's single run bit
+    for bit: a Bernoulli signal per seed for the heterogeneous method, an
+    oracle per seed for sgp (at d = 4 a draw reads into the next time's
+    block and some draws leave the ziggurat's fast path), and S copies of
+    the one run for the other two."""
+    for algorithm in ALGORITHMS:
+        inputs = optimizer_inputs(replace(sc, d=sgp_d) if algorithm == "sgp" else sc, algorithm)
+        seeds = range(sc.seed, sc.seed + replicas)
+        sigmas = oracles = [None] * replicas
+        if algorithm == "heterogeneous":
+            sigmas = [bernoulli_signal(0.3 + 0.1 * sc.window, seed=s) for s in seeds]
+        if algorithm == "sgp":
+            oracles = [GradientOracle(inputs["oracle"].noise_bounds, seed=s) for s in seeds]
+        batch = run_optimizer(**{**inputs, "sigma": sigmas, "oracle": oracles})
+        assert len(batch) == replicas
+        for r in range(replicas):
+            single = run_optimizer(**{**inputs, "sigma": sigmas[r], "oracle": oracles[r]})
+            for name in ("xs", "ys", "gs", "sigmas", "alphas"):
+                got, want = getattr(batch[r], name), getattr(single, name)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), (algorithm, name)
 
 
 @PROPERTY
