@@ -320,10 +320,10 @@ class BackwardProduct:
     """The backward products Phi(t, tau) = M(t-1) @ ... @ M(tau) for one
     tau, kept at each requested t (the identity at t == tau).
 
-    :meth:`step` takes the matrix of every step k in order and
-    left-multiplies the steps tau <= k < max(ts), as an explicit product
-    would, with no re-normalization: accumulated rounding is part of
-    what callers measure.
+    :meth:`walk` takes the matrices of consecutive steps, chunk by chunk
+    in order, and left-multiplies the steps tau <= k < max(ts), as an
+    explicit product would, with no re-normalization: accumulated
+    rounding is part of what callers measure.
     """
 
     def __init__(self, n: int, tau: int, ts: Iterable[int]) -> None:
@@ -334,11 +334,15 @@ class BackwardProduct:
         self.product = np.eye(n)
         self.kept = {tau: self.product} if tau in want else {}
 
-    def step(self, k: int, m: np.ndarray) -> None:
-        if self.tau <= k < self.end:
-            self.product = m @ self.product
-            if k + 1 in self._want:
-                self.kept[k + 1] = self.product
+    def walk(self, k0: int, mats: np.ndarray) -> None:
+        """Take the matrices of steps k0, k0 + 1, ...: mats[j] is step k0 + j."""
+        first = max(k0, self.tau)
+        product, want, kept = self.product, self._want, self.kept
+        for t, m in enumerate(mats[first - k0 : max(0, self.end - k0)], first + 1):
+            product = m @ product
+            if t in want:
+                kept[t] = product
+        self.product = product
 
 
 class Finding(NamedTuple):
@@ -447,7 +451,6 @@ def scan_induced(
     ratio_at, limit_at = positions(ratio_pairs), positions(limit_pairs)
     s_chains = chains([*ratio_at.values(), *limit_at.values()])
     w_chains = chains(ratio_at.values())
-    last = max((c.end for c in (*s_chains.values(), *w_chains.values())), default=0)
 
     columns = beta_min = w_rows = row = sparsity = floor = prob = None
     graph = None if seq is None else NO_MISMATCH  # until the first mismatch
@@ -475,11 +478,10 @@ def scan_induced(
         pi = absolute_probability(ys_prob[k0 : k1 + 1], trace.kappa)
         dev = np.abs(np.matmul(s.transpose(0, 2, 1), pi[1:, :, np.newaxis])[:, :, 0] - pi[:-1])
         prob = _larger(prob, locate(dev, steps, ("step", "agent")))
-        for j in range(max(0, min(k1, last) - k0)):
-            for chain in s_chains.values():
-                chain.step(k0 + j, s[j])
-            for chain in w_chains.values():
-                chain.step(k0 + j, w[j])
+        for chain in s_chains.values():
+            chain.walk(k0, s)
+        for chain in w_chains.values():
+            chain.walk(k0, w)
 
     ratio = {}
     for (t, tau), (ti, taui) in ratio_at.items():
@@ -634,6 +636,32 @@ class Replicas:
         return (self[r] for r in range(len(self)))
 
 
+# The step coefficients alpha sigma and alpha (1 - sigma) are built for
+# blocks of at most this many steps, and at most this many bytes per table.
+COEFFICIENT_STEPS = 1024
+COEFFICIENT_BYTES = 2**14
+
+
+def _step_coefficients(alphas: np.ndarray, sigmas: np.ndarray):
+    """(alphas[k] sigmas[k], alphas[k] (1 - sigmas[k])) of every step k in
+    order, as (S, n, 1) rows, built one block of steps at a time: at most
+    ``COEFFICIENT_STEPS`` steps and ``COEFFICIENT_BYTES`` per table (at
+    least one step)."""
+    steps, replicas, n = sigmas.shape
+    size = max(1, min(COEFFICIENT_STEPS, COEFFICIENT_BYTES // (8 * replicas * n)))
+    # two tables, refilled in place: the rows of a block are used up
+    # before the next block is built
+    a_in, a_out = np.empty((2, min(size, steps), replicas, n, 1))
+    for b in range(0, steps, size):
+        c = min(size, steps - b)
+        alpha = alphas[b : b + c, np.newaxis, np.newaxis, np.newaxis]
+        sigma = sigmas[b : b + c, :, :, np.newaxis]
+        np.multiply(alpha, sigma, out=a_in[:c])
+        np.subtract(1.0, sigma, out=a_out[:c])
+        a_out[:c] *= alpha
+        yield from zip(a_in[:c], a_out[:c])
+
+
 def run_dynamics(
     algorithm: str,
     mixing: MixingSequence,
@@ -649,40 +677,53 @@ def run_dynamics(
     holds each replica's valid rows and y (n,) the valid masses.
 
     A step is y <- W y and, without ``gradient``, push-sum's x <- W x.
-    With one, step k (time t = t0 + k) applies x <- W (x - s sigma) -
-    s (1 - sigma) for s = alphas[k] gradient(t, x / y), the (S, n, d)
-    gradient rows of every replica at its ratios, and the (S, n)
-    switching rows sigma = sigmas[k]; the result records the gradient
-    rows, alphas and sigmas. The mixing is one stacked matmul of w with
-    the (S, n, d) stack, which gives each replica the bits of its own
-    w @ x. y takes no gradient, so one y serves every replica. Each chunk
-    runs with floating-point warnings off, then ``_check_state`` checks
-    it once.
+    With one, step k (time t = t0 + k) applies x <- W (x - g a_in) -
+    g a_out for the (S, n, d) gradient rows g = gradient(t, x / y) of
+    every replica at its ratios and the (S, n) switching rows
+    sigma = sigmas[k], with a_in = alphas[k] sigma and
+    a_out = alphas[k] (1 - sigma) built for a block of steps at a time
+    (``_step_coefficients``); the result records the gradient rows,
+    alphas and sigmas. Since sigma is 0 or 1, g a_in and g a_out equal
+    (alphas[k] g) sigma and (alphas[k] g) (1 - sigma) bit for bit, signed
+    zeros included; where alphas[k] g overflows, both forms leave x
+    non-finite at that step.
+
+    y takes no gradient, so one y serves every replica, and each chunk
+    walks y first. The mixing is one stacked matmul of w with the
+    (S, n, d) stack, which gives each replica the bits of its own w @ x;
+    every product is written in place into the recorded states. Each
+    chunk runs with floating-point warnings off, then ``_check_state``
+    checks it once.
     """
     horizon, (replicas, n, d) = len(mixing), x.shape
     xs = np.empty((horizon + 1, replicas, n, d))
     # y is kept as a (1, n, 1) stack that x / y broadcasts over the
-    # replicas with no reshape; w @ y gives the bits of the (n,) product
+    # replicas with no reshape, and walked as its (n,) rows: w @ y gives
+    # the same bits in either shape, at less cost in this one
     y_stack = np.empty((horizon + 1, 1, n, 1))
     ys = y_stack[:, 0, :, 0]
-    gs = None if gradient is None else np.empty((horizon, replicas, n, d))
-    sig_cols = None if sigmas is None else sigmas[:, :, :, np.newaxis]
     xs[0], ys[0] = x, y
-    y = y_stack[0]
+    if gradient is None:
+        # a stacked matmul costs more than a plain one, so one replica
+        # mixes its (n, d) rows, with the same bits
+        gs, rows = None, xs[:, 0] if replicas == 1 else xs
+    else:
+        gs, x = np.empty((horizon, replicas, n, d)), xs[0]
+        coefficients = _step_coefficients(alphas, sigmas)
     with np.errstate(all="ignore"):
         for k0, mats, local in mixing.chunks():
-            for k, i in enumerate(local.tolist(), k0):
-                w = mats[i]
-                if gradient is None:
-                    x = w @ x
-                else:
-                    g = gs[k] = gradient(t0 + k, x / y)
-                    s = alphas[k] * g
-                    sig = sig_cols[k]
-                    x = w @ (x - s * sig) - s * (1.0 - sig)
-                y = w @ y
-                xs[k + 1], y_stack[k + 1] = x, y
-            _check_state(xs, ys, k0, k0 + len(local))
+            ids, w = local.tolist(), list(mats)  # a list reads faster than the array
+            for k, i in enumerate(ids, k0):
+                np.matmul(w[i], ys[k], out=ys[k + 1])
+            if gradient is None:
+                for k, i in enumerate(ids, k0):
+                    np.matmul(w[i], rows[k], out=rows[k + 1])
+            else:
+                for (k, i), (a_in, a_out) in zip(enumerate(ids, k0), coefficients):
+                    g = gs[k] = gradient(t0 + k, x / y_stack[k])
+                    x = np.matmul(w[i], x - g * a_in, out=xs[k + 1])
+                    x -= g * a_out
+            _check_state(xs, ys, k0, k0 + len(ids))
     return Replicas(
         algorithm=algorithm,
         t0=t0,

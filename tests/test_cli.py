@@ -439,15 +439,14 @@ class TestVerify:
             },
         )
         chains, products = set(), []
-        step = pushsum.BackwardProduct.step
+        walk = pushsum.BackwardProduct.walk
 
-        def counted(self, k, m):
+        def counted(self, k0, mats):
             chains.add(self)
-            if self.tau <= k < self.end:
-                products.append(k)
-            step(self, k, m)
+            products.extend(k for k in range(k0, k0 + len(mats)) if self.tau <= k < self.end)
+            walk(self, k0, mats)
 
-        monkeypatch.setattr(pushsum.BackwardProduct, "step", counted)
+        monkeypatch.setattr(pushsum.BackwardProduct, "walk", counted)
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 0
         assert len(chains) == 2 and len(products) == 2 * horizon
 
@@ -978,6 +977,29 @@ class TestErrorPaths:
             assert err == (
                 "run error: state diverged at step 513 (non-finite x); reduce the step size\n"
             ), err
+
+    def test_step_overflow_is_a_run_error(self, tmp_path, capsys):
+        # alpha g overflows for agent 0 at step 0: whichever factor the
+        # switching row picks, x is not finite after that step
+        for algorithm in ("push_subgradient", "subgradient_push"):
+            cfg = write_cfg(
+                tmp_path,
+                f"{algorithm}.json",
+                {
+                    "algorithm": algorithm,
+                    "n": 2,
+                    "horizon": 50,
+                    "graph": {"kind": "static-complete"},
+                    "init": {"x0": [[1e110], [1.0]]},
+                    "objective": {"kind": "quadratic", "anchors": [[0.0], [2.0]]},
+                    "stepsize": {"kind": "constant", "alpha": 1e200},
+                },
+            )
+            assert main(["run", "--config", cfg, "--out", str(tmp_path / algorithm)]) == 1
+            err = capsys.readouterr().err
+            assert err == (
+                "run error: state diverged at step 0 (non-finite x); reduce the step size\n"
+            ), (algorithm, err)
 
 
 class TestMemory:

@@ -15,6 +15,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import pushsumlab.optim as optim
 import pushsumlab.pushsum as pushsum
 from pushsumlab import cli
 from pushsumlab.analysis import descent_residuals
@@ -23,6 +24,8 @@ from pushsumlab.optim import (
     ALGORITHMS,
     GradientOracle,
     SwitchingSignal,
+    absolute_deviation_objective,
+    alternating_signal,
     bernoulli_signal,
     constant_step,
     quadratic_objective,
@@ -31,6 +34,7 @@ from pushsumlab.optim import (
 )
 from pushsumlab.pushsum import (
     Finding,
+    Replicas,
     induced_chunks,
     run_pushsum,
     run_weighted_pushsum,
@@ -106,14 +110,21 @@ def simulate(sc: Scenario):
 
 
 @contextmanager
-def chunks_of(steps: int, n: int):
-    """Size every chunk to ``steps`` steps of n x n matrices."""
-    saved = pushsum.CHUNK_BYTES
-    pushsum.CHUNK_BYTES = steps * 8 * n * n
+def patched(module, **values):
+    """Set module attributes for the duration of the block."""
+    saved = {name: getattr(module, name) for name in values}
+    for name, value in values.items():
+        setattr(module, name, value)
     try:
         yield
     finally:
-        pushsum.CHUNK_BYTES = saved
+        for name, value in saved.items():
+            setattr(module, name, value)
+
+
+def chunks_of(steps: int, n: int):
+    """Size every chunk to ``steps`` steps of n x n matrices."""
+    return patched(pushsum, CHUNK_BYTES=steps * 8 * n * n)
 
 
 def pairs_of(trace):
@@ -348,6 +359,74 @@ def test_replicas_equal_single_runs(sc, replicas, sgp_d):
             for name in ("xs", "ys", "gs", "sigmas", "alphas"):
                 got, want = getattr(batch[r], name), getattr(single, name)
                 assert got.shape == want.shape and got.tobytes() == want.tobytes(), (algorithm, name)
+
+
+def reference_dynamics(algorithm, mixing, x, y, t0=0, gradient=None, alphas=None, sigmas=None):
+    """The dynamics loop in the update formula's own order, one step at a
+    time with no chunks: s = alpha g, then x <- W (x - s sigma) - s (1 - sigma)
+    and y <- W y, each product a fresh array; y is a (1, n, 1) stack."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)[np.newaxis, :, np.newaxis]
+    xs, ys, gs = [x], [y], []
+    for k in range(len(mixing)):
+        w = mixing[k]
+        g = gradient(t0 + k, x / y)
+        s = alphas[k] * g
+        sigma = sigmas[k][:, :, np.newaxis]
+        x = w @ (x - s * sigma) - s * (1.0 - sigma)
+        y = w @ y
+        xs.append(x)
+        ys.append(y)
+        gs.append(g)
+    ys = np.stack(ys)[:, 0, :, 0]
+    return Replicas(
+        algorithm, t0, np.stack(xs), ys, mixing, float(np.sum(ys[0])), alphas, np.stack(gs), sigmas
+    )
+
+
+@PROPERTY
+@given(
+    scenarios(),
+    st.integers(1, 3),
+    st.sampled_from([1, 4]),
+    st.booleans(),
+    st.sampled_from(["table", "alternating"]),
+    st.integers(1, 3),
+    st.integers(1, 3),
+)
+@example(Scenario(3, 9, 1, 2, 0.3, True, True, 7), 2, 4, True, "table", 3, 2)
+def test_step_order_matches_the_reference_loop(sc, replicas, sgp_d, zeros, signal, chunk, block):
+    """The loop's step coefficients alpha sigma and alpha (1 - sigma), built
+    a block of steps at a time, and its in-place products give the bits of
+    the formula's own order for every algorithm: from zero states under
+    abs, where sign(0) = 0 makes signed zeros, with a switching table per
+    replica or the alternating signal, and with chunks and coefficient
+    blocks of 1 to 3 steps whose edges fall apart."""
+    for algorithm in ALGORITHMS:
+        inputs = optimizer_inputs(replace(sc, d=sgp_d) if algorithm == "sgp" else sc, algorithm)
+        seeds = range(sc.seed, sc.seed + replicas)
+        rng = np.random.default_rng(sc.seed)
+        sigmas = oracles = [None] * replicas
+        if zeros:
+            n, d = inputs["x0"].shape
+            inputs["x0"] = np.where(rng.random((n, d)) < 0.5, -0.0, 0.0)
+            if algorithm != "sgp":
+                inputs["obj"] = absolute_deviation_objective(rng.integers(-1, 2, (n, d)).astype(float))
+        if algorithm == "heterogeneous":
+            if signal == "alternating":
+                sigmas = [alternating_signal()] * replicas
+            else:
+                shape = (sc.horizon, sc.n)
+                sigmas = [SwitchingSignal("table", table=rng.random(shape) < 0.5) for _ in seeds]
+        if algorithm == "sgp":
+            oracles = [GradientOracle(inputs["oracle"].noise_bounds, seed=s) for s in seeds]
+        inputs = {**inputs, "sigma": sigmas, "oracle": oracles}
+        with chunks_of(chunk, sc.n), patched(pushsum, COEFFICIENT_STEPS=block):
+            got = run_optimizer(**inputs)
+        with patched(optim, run_dynamics=reference_dynamics):
+            want = run_optimizer(**inputs)
+        for name in ("xs", "ys", "gs", "sigmas", "alphas"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), (algorithm, name)
 
 
 @PROPERTY

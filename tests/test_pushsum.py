@@ -109,18 +109,20 @@ class TestInducedMatrix:
 class TestPhiProduct:
     def test_empty_product_is_identity(self):
         chain = BackwardProduct(3, 0, [0])
-        chain.step(0, np.full((3, 3), 1.0 / 3.0))
+        chain.walk(0, np.full((1, 3, 3), 1.0 / 3.0))
         assert np.array_equal(chain.kept[0], np.eye(3))
 
     def test_order_is_latest_on_the_left(self):
         a = np.array([[1.0, 1.0], [0.0, 1.0]])
         b = np.array([[1.0, 0.0], [1.0, 1.0]])
         chain = BackwardProduct(2, 1, [1, 3])
-        for k, m in enumerate([b, a, b, a]):
-            chain.step(k, m)
+        # chunks start before tau, straddle max(ts) and lie past it
+        for k0, mats in ((0, [b, a]), (2, [b, a, b]), (5, [a, a, a])):
+            chain.walk(k0, np.stack(mats))
         assert chain.kept.keys() == {1, 3}
         assert np.array_equal(chain.kept[1], np.eye(2))
         assert np.array_equal(chain.kept[3], b @ a)
+        assert np.array_equal(chain.product, b @ a)
 
     def test_rejects_reversed_interval(self):
         with pytest.raises(ValueError):
