@@ -26,7 +26,6 @@ from .optim import GradientOracle, Objective, StepSchedule, _row_dots
 from .pushsum import TheoreticalConstants, Trace
 
 __all__ = [
-    "consensus_error",
     "consensus_error_series",
     "lyapunov_series",
     "running_average_iterates",
@@ -55,13 +54,9 @@ __all__ = [
 # trace-level series
 
 
-def consensus_error(trace: Trace, t: int) -> float:
-    """max_i ||z_i(t) - <z(t)>|| where <z> is the mass-weighted average."""
-    return float(consensus_error_series(trace)[trace.index_of(t)])
-
-
 def consensus_error_series(trace: Trace) -> np.ndarray:
-    """consensus_error at every recorded time."""
+    """max_i ||z_i(t) - <z(t)>|| at every recorded time t, where <z> is
+    the mass-weighted average."""
     z = trace.zs
     center = trace.z_weighted[:, np.newaxis, :]
     return np.max(np.linalg.norm(z - center, axis=2), axis=1)

@@ -116,30 +116,18 @@ class Objective:
         return self.kind in ("quadratic", "huber")
 
     @property
-    def strong_convexity(self) -> np.ndarray | None:
-        """Per-agent strong convexity moduli, or None if absent."""
-        if self.kind == "quadratic":
-            return self.scales.copy()
-        return None
-
-    @property
-    def smoothness(self) -> np.ndarray | None:
-        """Per-agent gradient Lipschitz constants, or None (abs)."""
-        if self.kind == "quadratic":
-            return self.scales.copy()
-        if self.kind == "huber":
-            return np.ones(self.n)
-        return None
-
-    @property
     def lambda_bar(self) -> float | None:
-        sc = self.strong_convexity
-        return None if sc is None else float(sc.mean())
+        """Mean strong convexity modulus of the components, or None if
+        they are not strongly convex."""
+        return float(self.scales.mean()) if self.kind == "quadratic" else None
 
     @property
     def gamma_bar(self) -> float | None:
-        sm = self.smoothness
-        return None if sm is None else float(sm.mean())
+        """Mean gradient Lipschitz constant of the components (s_i for
+        quadratic, 1 for huber), or None (abs)."""
+        if self.kind == "abs":
+            return None
+        return float(self.scales.mean()) if self.kind == "quadratic" else 1.0
 
     @property
     def grad_norm_bound(self) -> float | None:
@@ -175,10 +163,6 @@ class Objective:
         if self.kind == "quadratic":
             return s * r
         return np.clip(r, -float(self.delta), float(self.delta))
-
-    def component_value(self, i: int, z: np.ndarray) -> float:
-        r = np.asarray(z, dtype=float).reshape(1, self.d) - self.anchors[i]
-        return float(self._component_values(r, self.scales[i])[0])
 
     def values(self, points: np.ndarray) -> np.ndarray:
         """f at every row of a (P, d) array of points, in one call."""
@@ -378,6 +362,8 @@ class SwitchingSignal:
             raise ValueError(f"unknown switching signal kind {self.kind!r}")
         if self.kind == "bernoulli" and not (0.0 <= self.p <= 1.0):
             raise ValueError(f"bernoulli p must lie in [0, 1], got {self.p}")
+        if not (0 <= self.seed < 2**128):
+            raise ValueError(f"switching signal seed must lie in [0, 2**128), got {self.seed}")
         if self.kind == "table":
             tab = np.asarray(self.table, dtype=float)
             if tab.ndim != 2 or not np.all((tab == 0.0) | (tab == 1.0)):
@@ -579,17 +565,10 @@ class GradientOracle:
         """Agent i's noise at address (t, i, draw)."""
         return self._draw(i, t, d, draw)
 
-    def noise_rows(self, t: int, d: int, draw: int = 0) -> np.ndarray:
-        """The (n, d) noise rows of every agent at time t, in one call."""
-        out = np.empty((len(self.noise_bounds), d))
-        for i in range(len(out)):
-            out[i] = self._draw(i, t, d, draw)
-        return out
-
     def noise_table(self, t0: int, steps: int, d: int, draw: int = 0) -> np.ndarray:
-        """The (steps, n, d) noise rows ``noise_rows(t, d, draw)`` of
-        t = t0 .. t0 + steps - 1, byte for byte, from one Philox stream
-        per agent (see the class docstring)."""
+        """The (steps, n, d) noise rows of t = t0 .. t0 + steps - 1: row
+        (t, i) is ``noise(i, t, d, draw)`` byte for byte, from one Philox
+        stream per agent (see the class docstring)."""
         out = np.zeros((steps, len(self.noise_bounds), d))
         # the draw at t0 + k reads words 4k .. 4k + d: d normals, then the uniform
         at = 4 * np.arange(steps)[:, np.newaxis] + np.arange(d + 1)
@@ -605,16 +584,17 @@ class GradientOracle:
                 out[k, i] = self._draw(i, t0 + k, d, draw)
         return out
 
-    def _require_smooth(self, obj: Objective) -> None:
+    def gradients(self, obj: Objective, z: np.ndarray, t: int, draw: int = 0) -> np.ndarray:
+        """The (n, d) noisy gradient rows at the agents' points z, in one
+        call; each agent's noise is its draw at (t, i, draw)."""
         if not obj.smooth:
             raise ValueError(
                 f"stochastic oracle needs a differentiable objective, got kind {obj.kind!r}"
             )
-
-    def gradients(self, obj: Objective, z: np.ndarray, t: int, draw: int = 0) -> np.ndarray:
-        """The (n, d) noisy gradient rows at the agents' points z, in one call."""
-        self._require_smooth(obj)
-        return obj.subgradients(z) + self.noise_rows(t, obj.d, draw)
+        noise = np.empty((len(self.noise_bounds), obj.d))
+        for i in range(len(noise)):
+            noise[i] = self._draw(i, t, obj.d, draw)
+        return obj.subgradients(z) + noise
 
 
 # ---------------------------------------------------------------------------
@@ -673,7 +653,7 @@ def run_optimizer(
             raise ValueError("sgp needs a gradient oracle")
         if not obj.smooth:
             raise ValueError("sgp needs a differentiable objective")
-        if obj.strong_convexity is None:
+        if obj.lambda_bar is None:
             raise ValueError("sgp needs a strongly convex objective")
         if any(o.noise_bounds.shape != (seq.n,) for o in oracles):
             raise ValueError("oracle noise bounds must have one entry per agent")

@@ -174,8 +174,8 @@ class MixingSequence:
     plus one (m, n, n) table. With a bool table of receive matrices, id i
     is the equal-split matrix of ``table[i]``, built only when a chunk
     needs it, so no float is stored; a float table holds the matrices.
-    ``len``, ``[k]`` (one (n, n) matrix), ``shape`` and ``nbytes`` (the
-    stored floats only) read like a (steps, n, n) array never formed.
+    ``len``, ``[k]`` (one (n, n) matrix) and ``nbytes`` (the stored
+    floats only) read like a (steps, n, n) array never formed.
     """
 
     def __init__(self, ids: Sequence[int] | np.ndarray, table: np.ndarray) -> None:
@@ -188,10 +188,6 @@ class MixingSequence:
 
     def __len__(self) -> int:
         return len(self.ids)
-
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        return (len(self.ids), self.n, self.n)
 
     @property
     def nbytes(self) -> int:
@@ -228,10 +224,10 @@ class Trace:
     """Complete record of one run: states, mixing matrices, step data.
 
     States are indexed t0..t0+steps; w_mats[k] is the matrix applied
-    between states k and k+1 (list position, not time label). w_mats is
-    a MixingSequence; a dense (steps, n, n) array is wrapped into one.
-    Optimizer runs additionally carry step sizes, the applied gradients
-    and the switching rows, a read-only view storing nothing if constant.
+    between states k and k+1 (list position, not time label); w_mats is
+    a MixingSequence. Optimizer runs additionally carry step sizes, the
+    applied gradients and the (steps, n) switching rows, a read-only view
+    storing nothing if constant.
     """
 
     algorithm: str
@@ -248,8 +244,7 @@ class Trace:
         self.xs = np.asarray(self.xs, dtype=float)
         self.ys = np.asarray(self.ys, dtype=float)
         if not isinstance(self.w_mats, MixingSequence):
-            mats = np.asarray(self.w_mats, dtype=float)
-            self.w_mats = MixingSequence(np.arange(len(mats)), mats)
+            raise TypeError(f"w_mats must be a MixingSequence, got {type(self.w_mats).__name__}")
         if self.xs.ndim != 3:
             raise ValueError("xs must be (steps+1, n, d)")
         steps, n = len(self.w_mats), self.xs.shape[1]
@@ -261,6 +256,8 @@ class Trace:
             raise ValueError("alphas must have one entry per step")
         if self.gs is not None and self.gs.shape != self.xs[:-1].shape:
             raise ValueError("gs must be (steps, n, d)")
+        if self.sigmas is not None and self.sigmas.shape != (steps, n):
+            raise ValueError("sigmas must be (steps, n)")
 
     @property
     def steps(self) -> int:

@@ -24,29 +24,18 @@ from .pushsum import Trace, induced_chunks
 
 __all__ = [
     "SCHEMA_LINE",
-    "format_float",
     "csv_blocks",
     "csv_text",
     "write_csv",
     "trace_csv_text",
     "write_trace_csv",
     "write_s_matrices_csv",
-    "metrics_csv_text",
     "write_metrics_csv",
     "write_summary_json",
     "read_csv_columns",
-    "sha256_text",
 ]
 
 SCHEMA_LINE = "# schema=1"
-
-
-def format_float(v: float) -> str:
-    return repr(float(v))
-
-
-def sha256_text(text: str) -> str:
-    return hashlib.sha256(text.encode("ascii")).hexdigest()
 
 
 # Tables are formatted in blocks of at most this many lines, so the
@@ -57,10 +46,10 @@ BLOCK_ROWS = 4096
 def csv_blocks(columns: Sequence[Any]) -> Iterator[list[str]]:
     """The lines of a table, in blocks of at most ``BLOCK_ROWS``.
 
-    Each column is None (an empty cell on every line), a float (its repr
-    on every line) or a 1-D array or list of numbers, whose ints print as
-    ints and floats by repr; lines past its end get an empty cell. The
-    longest column sets the number of lines.
+    Each column is None (an empty cell on every line), a Python float
+    (its repr on every line) or a 1-D array or list of numbers, whose
+    ints print as ints and floats by repr; lines past its end get an
+    empty cell. The longest column sets the number of lines.
     """
     rows = max(len(c) for c in columns if c is not None and not isinstance(c, float))
     for a in range(0, rows, BLOCK_ROWS):
@@ -70,7 +59,7 @@ def csv_blocks(columns: Sequence[Any]) -> Iterator[list[str]]:
             if c is None:
                 cells.append(repeat("", size))
             elif isinstance(c, float):
-                cells.append(repeat(format_float(c), size))
+                cells.append(repeat(repr(c), size))
             else:
                 part = np.asarray(c[a : a + size]).tolist()
                 cells.append(chain(map(repr, part), repeat("", size - len(part))))
@@ -147,10 +136,6 @@ def _metrics_table(metrics: RunMetrics) -> tuple[str, Iterator[list[str]]]:
     columns = [metrics.times, metrics.consensus, metrics.lyapunov, metrics.f_gap_avg]
     columns += [metrics.f_gap_agent, metrics.bound_fixed, metrics.bound_varying]
     return header, csv_blocks(columns)
-
-
-def metrics_csv_text(metrics: RunMetrics) -> str:
-    return csv_text(*_metrics_table(metrics))
 
 
 def write_metrics_csv(path: str, metrics: RunMetrics) -> str:

@@ -12,7 +12,6 @@ from pushsumlab.analysis import (
     bound_subgradient_push_fixed,
     bound_subgradient_push_varying,
     compute_metrics,
-    consensus_error,
     consensus_error_series,
     estimate_k1,
     fit_rate,
@@ -33,7 +32,7 @@ from pushsumlab.optim import (
     run_optimizer,
     sgp_strong,
 )
-from pushsumlab.pushsum import TheoreticalConstants, Trace, run_pushsum
+from pushsumlab.pushsum import MixingSequence, TheoreticalConstants, Trace, run_pushsum
 
 
 def make_trace(zw_values, alphas, n=1):
@@ -48,7 +47,7 @@ def make_trace(zw_values, alphas, n=1):
         t0=0,
         xs=xs,
         ys=ys,
-        w_mats=w,
+        w_mats=MixingSequence(np.arange(steps), w),
         kappa=float(n),
         alphas=np.asarray(alphas, dtype=float),
         gs=np.zeros((steps, n, 1)),
@@ -115,9 +114,10 @@ def reference_descent_violation(trace):
 class TestSeries:
     def test_consensus_error_hand_example(self):
         tr = make_trace([[0.0, 2.0], [1.0, 1.0]], alphas=[1.0], n=2)
-        assert consensus_error(tr, 0) == 1.0
-        assert consensus_error(tr, 1) == 0.0
-        assert np.array_equal(consensus_error_series(tr), [1.0, 0.0])
+        series = consensus_error_series(tr)
+        assert series[tr.index_of(0)] == 1.0
+        assert series[tr.index_of(1)] == 0.0
+        assert np.array_equal(series, [1.0, 0.0])
 
     def test_lyapunov(self):
         tr = make_trace([0.0, 4.0, 2.0], alphas=[1.0, 1.0])

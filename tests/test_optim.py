@@ -32,11 +32,17 @@ from pushsumlab.pushsum import DEGENERATE_Y, DegenerateStateError, run_pushsum
 from pushsumlab.weights import default_weights
 
 
+def component(obj, i):
+    """f_i alone, as a one-component objective: its value is a mean over
+    one component, so it is f_i bit for bit."""
+    return Objective(obj.kind, obj.anchors[i : i + 1], obj.scales[i : i + 1], obj.delta)
+
+
 class TestObjectives:
     def test_abs_value_and_subgradient(self):
         obj = absolute_deviation_objective([[0.0], [2.0]])
         assert obj.value([1.0]) == 1.0
-        assert obj.component_value(1, [0.5]) == 1.5
+        assert component(obj, 1).value([0.5]) == 1.5
         assert np.array_equal(obj.subgradient(0, [1.0]), [1.0])
         assert np.array_equal(obj.subgradient(1, [1.0]), [-1.0])
         # minimum-norm subgradient at the kink
@@ -61,8 +67,8 @@ class TestObjectives:
 
     def test_huber_matches_quadratic_inside_delta(self):
         obj = huber_objective([[0.0]], delta=2.0)
-        assert obj.component_value(0, [1.0]) == pytest.approx(0.5)
-        assert obj.component_value(0, [5.0]) == pytest.approx(2.0 * (5.0 - 1.0))
+        assert component(obj, 0).value([1.0]) == pytest.approx(0.5)
+        assert component(obj, 0).value([5.0]) == pytest.approx(2.0 * (5.0 - 1.0))
         assert np.array_equal(obj.subgradient(0, [1.0]), [1.0])
         assert np.array_equal(obj.subgradient(0, [5.0]), [2.0])
         assert obj.grad_norm_bound == pytest.approx(2.0)
@@ -201,6 +207,13 @@ class TestSwitchingSignals:
         a = np.stack([bernoulli_signal(0.5, seed=0).row(t, 8) for t in range(30)])
         b = np.stack([bernoulli_signal(0.5, seed=1).row(t, 8) for t in range(30)])
         assert not np.array_equal(a, b)
+
+    @pytest.mark.parametrize("seed", [-1, 2**128])
+    def test_seed_outside_the_philox_key_range_is_refused_when_built(self, seed):
+        want = rf"^switching signal seed must lie in \[0, 2\*\*128\), got {seed}$"
+        with pytest.raises(ValueError, match=want):
+            bernoulli_signal(0.5, seed=seed)
+        assert bernoulli_signal(0.5, seed=2**128 - 1).rows(0, 1, 2).shape == (1, 2)
 
     def test_bernoulli_extreme_p(self):
         assert np.array_equal(bernoulli_signal(1.0, seed=0).row(4, 5), np.ones(5))
@@ -343,7 +356,7 @@ class TestNoiseTable:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_long_table_is_noise_rows_and_falls_back(self, d, monkeypatch):
         oracle = GradientOracle([0.4, 1.0, 1.5], seed=11)
-        want = np.stack([oracle.noise_rows(t, d) for t in range(20_000)])
+        want = np.array([[oracle.noise(i, t, d) for i in range(3)] for t in range(20_000)])
         draws = count_scalar_draws(monkeypatch)
         assert oracle.noise_table(0, 20_000, d).tobytes() == want.tobytes()
         assert 0 < len(draws) < 0.025 * want.size  # a draw falls back for about 2% of its words
@@ -696,9 +709,8 @@ class TestBatchedFormsMatchReferences:
             assert np.array_equal(obj.values(pts), want), obj.kind
             assert all(obj.value(p) == w for p, w in zip(pts, want))
             for i in range(obj.n):
-                assert all(
-                    obj.component_value(i, p) == reference_component_value(obj, i, p) for p in pts
-                )
+                f_i = component(obj, i)
+                assert all(f_i.value(p) == reference_component_value(obj, i, p) for p in pts)
             for z in pts.reshape(-1, obj.n, d):
                 rows = np.stack([reference_subgradient(obj, i, z[i]) for i in range(obj.n)])
                 assert np.array_equal(obj.subgradients(z), rows)
@@ -742,7 +754,7 @@ class TestBatchedFormsMatchReferences:
                 drawn = [reference_noise(bounds, 3, i, t, d, draw) for i in range(3)]
                 want = np.stack([row for row, _ in drawn])
                 rejected += sum(words > d for _, words in drawn)
-                assert np.array_equal(oracle.noise_rows(t, d, draw), want)
+                assert np.array_equal(oracle.noise_table(t, 1, d, draw)[0], want)
                 assert all(np.array_equal(oracle.noise(i, t, d, draw), want[i]) for i in range(3))
         assert rejected > 0  # the ziggurat's rejection path was taken
 

@@ -511,5 +511,6 @@ def test_noise_table_is_noise_rows(case):
     """One stream per agent gives the bytes of the addressed draws, also at
     d >= 4, where a draw reads into the next time's block."""
     oracle, t0, steps, d, draw = case
-    want = np.stack([oracle.noise_rows(t, d, draw) for t in range(t0, t0 + steps)])
+    agents = range(len(oracle.noise_bounds))
+    want = np.array([[oracle.noise(i, t, d, draw) for i in agents] for t in range(t0, t0 + steps)])
     assert oracle.noise_table(t0, steps, d, draw).tobytes() == want.tobytes()

@@ -276,7 +276,7 @@ class TestResolveWeights:
     def test_default_weights_store_only_the_graph_table(self):
         seq = generate_sequence("rotating-single-edge", n=3, horizon=10)
         mats = resolve_weight_sequence(seq, "default", 8)
-        assert len(mats) == 8 and mats.shape == (8, 3, 3) and mats.nbytes == 0
+        assert len(mats) == 8 and mats.n == 3 and mats.nbytes == 0
         assert mats.table is seq.table and np.array_equal(mats.ids, seq.ids[:8])
         for k in range(8):
             assert np.array_equal(mats[k], default_weights(seq[k]).matrix)
@@ -317,7 +317,7 @@ class TestTrace:
         tr = self.make_trace()
         assert tr.xs.shape == (13, 3, 1)
         assert tr.ys.shape == (13, 3)
-        assert tr.w_mats.shape == (12, 3, 3)
+        assert (len(tr.w_mats), tr.w_mats.n) == (12, 3)
         assert tr.steps == 12 and tr.n == 3 and tr.d == 1
 
     def test_times_and_index(self):
@@ -366,14 +366,27 @@ class TestTrace:
             list(induced_chunks(tr))
 
     def test_dense_matrices_are_wrapped(self):
+        """A dense stack is wrapped only explicitly: a trace takes a
+        MixingSequence and refuses anything else."""
         tr = self.make_trace()
         dense = np.stack([tr.w_mats[k] for k in range(tr.steps)])
-        hand = Trace("pushsum", 0, tr.xs, tr.ys, dense, tr.kappa)
-        assert isinstance(hand.w_mats, MixingSequence) and hand.w_mats.table is dense
+        steps = np.arange(tr.steps)
+        hand = Trace("pushsum", 0, tr.xs, tr.ys, MixingSequence(steps, dense), tr.kappa)
+        assert hand.w_mats.table is dense
         assert hand.w_mats.nbytes == dense.nbytes
         assert verify_absolute_probability(hand) == verify_absolute_probability(tr)
         with pytest.raises(ValueError, match="w_mats"):
-            Trace("pushsum", 0, tr.xs, tr.ys, dense[:, :2, :2], tr.kappa)
+            Trace("pushsum", 0, tr.xs, tr.ys, MixingSequence(steps, dense[:, :2, :2]), tr.kappa)
+        with pytest.raises(TypeError, match=r"^w_mats must be a MixingSequence, got ndarray$"):
+            Trace("pushsum", 0, tr.xs, tr.ys, dense, tr.kappa)
+
+    def test_sigmas_must_be_steps_by_n(self):
+        mixing = MixingSequence([0, 0], np.eye(2)[np.newaxis])
+        with pytest.raises(ValueError, match=r"^sigmas must be \(steps, n\)$"):
+            Trace(
+                "heterogeneous", 0, np.zeros((3, 2, 1)), np.ones((3, 2)), mixing, 2.0,
+                np.ones(2), np.zeros((2, 2, 1)), np.zeros((5, 7)),
+            )
 
     def test_states_must_be_three_dimensional(self):
         tr = self.make_trace()

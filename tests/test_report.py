@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import tracemalloc
@@ -9,14 +10,17 @@ from pushsumlab.graphs import generate_sequence
 from pushsumlab.pushsum import run_pushsum
 from pushsumlab.report import (
     SCHEMA_LINE,
-    format_float,
-    metrics_csv_text,
+    csv_blocks,
     read_csv_columns,
-    sha256_text,
     trace_csv_text,
+    write_metrics_csv,
     write_summary_json,
     write_trace_csv,
 )
+
+
+def sha256_of(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def small_trace():
@@ -26,9 +30,12 @@ def small_trace():
 
 class TestFloatFormat:
     def test_shortest_round_trip(self):
-        assert format_float(0.1) == "0.1"
-        assert format_float(1.0 / 3.0) == "0.3333333333333333"
-        assert float(format_float(np.float64(2.5))) == 2.5
+        # float columns: two Python floats, and a float64 array
+        ((line,),) = csv_blocks([[0], 0.1, 1.0 / 3.0, np.array([2.5])])
+        cells = line.split(",")
+        assert cells[1] == "0.1"
+        assert cells[2] == "0.3333333333333333"
+        assert float(cells[3]) == 2.5
 
 
 class TestTraceCsv:
@@ -47,7 +54,7 @@ class TestTraceCsv:
         tr = small_trace()
         path = tmp_path / "trace.csv"
         sha = write_trace_csv(str(path), tr)
-        assert sha == sha256_text(path.read_text())
+        assert sha == sha256_of(path)
 
     def test_written_in_blocks(self, tmp_path):
         # 100k lines of changing y and z: the writer's peak stays below the
@@ -64,7 +71,7 @@ class TestTraceCsv:
             tracemalloc.stop()
         size = os.path.getsize(path)
         assert size > 4_000_000 and peak < size, (peak, size)
-        assert sha == sha256_text(path.read_text()) and path.read_text() == trace_csv_text(tr)
+        assert sha == sha256_of(path) and path.read_text() == trace_csv_text(tr)
 
     def test_round_trip_through_reader(self, tmp_path):
         tr = small_trace()
@@ -78,13 +85,12 @@ class TestTraceCsv:
 class TestMetricsCsv:
     def test_empty_cells_for_missing_series(self, tmp_path):
         tr = small_trace()
-        text = metrics_csv_text(compute_metrics(tr))
-        rows = text.splitlines()[2:]
+        path = tmp_path / "m.csv"
+        write_metrics_csv(str(path), compute_metrics(tr))
+        rows = path.read_text().splitlines()[2:]
         # pure mixing: consensus filled, optimizer columns empty
         assert rows[0].startswith("0,1.0,")
         assert rows[0].endswith(",,,,")
-        path = tmp_path / "m.csv"
-        path.write_text(text)
         cols = read_csv_columns(str(path))
         assert np.all(np.isnan(cols["f_gap_avg"]))
         assert not np.any(np.isnan(cols["consensus_error"]))
