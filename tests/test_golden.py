@@ -1,4 +1,5 @@
-"""Golden sha256 digests of every file the CLI writes for the bundled configs.
+"""Golden sha256 digests of every file the CLI writes for the bundled configs
+and for the configs under ``tests/golden_configs``.
 
 The digests in ``golden_digests.json`` were recorded from an earlier build;
 a refactor that is meant to keep outputs byte-identical must keep them.
@@ -21,30 +22,55 @@ import pytest
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 CONFIGS = os.path.join(ROOT, "configs")
+# perfbench's random-n200 and hetero-sweep scenarios at seed 1, as written
+# by perfbench/run.py's _random_scenario; kept out of configs/, which the
+# acceptance tests and the loop below glob
+GOLDEN_CONFIGS = os.path.join(HERE, "golden_configs")
 DIGESTS = os.path.join(HERE, "golden_digests.json")
 
 CONFIG_NAMES = sorted(f[: -len(".json")] for f in os.listdir(CONFIGS) if f.endswith(".json"))
 
-# case name -> CLI arguments after the subcommand's --config and --out
+
+def bundled(name: str) -> str:
+    return os.path.join(CONFIGS, f"{name}.json")
+
+
+def golden(name: str) -> str:
+    return os.path.join(GOLDEN_CONFIGS, f"{name}.json")
+
+
+# case name -> (subcommand, config path, CLI arguments after --config and
+# --out, expected exit code)
 CASES = {}
 for _name in CONFIG_NAMES:
-    CASES[f"run/{_name}"] = ("run", _name, [])
-    CASES[f"verify/{_name}"] = ("verify", _name, [])
+    CASES[f"run/{_name}"] = ("run", bundled(_name), [], 0)
+    CASES[f"verify/{_name}"] = ("verify", bundled(_name), [], 0)
 CASES["sweep-seeds/heterogeneous"] = (
-    "sweep", "heterogeneous", ["--axis", "seeds", "--values", "0,1,2"]
+    "sweep", bundled("heterogeneous"), ["--axis", "seeds", "--values", "0,1,2"], 0
 )
 CASES["sweep-horizon/subgradient_push_fixed"] = (
-    "sweep", "subgradient_push_fixed", ["--axis", "horizon", "--values", "200,400,800"]
+    "sweep", bundled("subgradient_push_fixed"), ["--axis", "horizon", "--values", "200,400,800"], 0
+)
+# n=200 with a fresh graph every step, default weights built per chunk
+CASES["run/random_n200"] = ("run", golden("random_n200"), [], 0)
+CASES["verify/random_n200"] = ("verify", golden("random_n200"), [], 0)
+# replica groups of three seeds at n=51
+CASES["sweep-seeds/hetero_sweep"] = ("sweep", golden("hetero_sweep"), ["--axis", "seeds"], 0)
+# the 30 seeds of the SGP noise-table path
+CASES["sweep-seeds/sgp_quadratic"] = ("sweep", bundled("sgp_quadratic"), ["--axis", "seeds"], 0)
+# a failed verify, which writes where each check failed
+CASES["verify-perturbed/pushsum_ring"] = (
+    "verify", bundled("pushsum_ring"), ["--perturb-y", "1e-6"], 1
 )
 
 
 def produce(case: str, out: str) -> dict[str, str]:
-    """Run one case into ``out`` and return the sha256 of each file written."""
+    """Run one case into ``out``, check its exit code and return the
+    sha256 of each file written."""
     from pushsumlab.cli import main
 
-    command, config, extra = CASES[case]
-    path = os.path.join(CONFIGS, f"{config}.json")
-    assert main([command, "--config", path, "--out", out, *extra]) == 0
+    command, path, extra, code = CASES[case]
+    assert main([command, "--config", path, "--out", out, *extra]) == code
     digests = {}
     for name in sorted(os.listdir(out)):
         with open(os.path.join(out, name), "rb") as fh:
