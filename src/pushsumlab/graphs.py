@@ -5,11 +5,15 @@ self-loop: agents always hear themselves, and the update matrices built
 on top of these graphs need a positive diagonal. Self-loops are added at
 construction time and their absence is treated as a validation error.
 
-A graph is stored as one read-only boolean receive matrix ``adj``
-(``adj[i, j]`` is true iff j sends to i); its arc set is derived from it
-on first use. A sequence stores one read-only (m, n, n) bool array
-``table``, the receive matrix of each distinct graph once, and the table
-index of every step in ``ids``.
+A graph is stored as its receive matrix packed to bits: ``bits`` is the
+read-only (n, ceil(n/8)) uint8 ``np.packbits`` of the rows of the
+boolean receive matrix ``adj`` (``adj[i, j]`` is true iff j sends to i).
+``adj`` unpacks it on each read; the arc set is derived on first use. A
+sequence stores one read-only (m, n, ceil(n/8)) uint8 array ``table``,
+the packed rows of each distinct graph once, and the table index of
+every step in ``ids``. Callers unpack only the ids they read
+(:func:`receive_matrices`), and the connectivity checks search the
+packed rows themselves.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ __all__ = [
     "Arc",
     "DirectedGraph",
     "GraphSequence",
+    "receive_matrices",
     "complete_graph",
     "directed_ring",
     "undirected_ring",
@@ -38,6 +43,37 @@ __all__ = [
 ]
 
 Arc = tuple[int, int]
+
+
+def _pack(adj: np.ndarray) -> np.ndarray:
+    """The packed rows (..., n, ceil(n/8)) of bool receive matrices (..., n, n)."""
+    return np.packbits(adj, axis=-1)
+
+
+def receive_matrices(bits: np.ndarray) -> np.ndarray:
+    """The bool receive matrices (..., n, n) of packed rows (..., n, ceil(n/8))."""
+    return np.unpackbits(bits, axis=-1, count=bits.shape[-2]).view(bool)
+
+
+# column j of a packed row is the bit _BIT[j & 7] of byte j >> 3
+_BIT = np.array([0x80 >> b for b in range(8)], dtype=np.uint8)
+
+
+def _add_arcs(table: np.ndarray, steps, senders, receivers) -> None:
+    """Set the arcs senders[k] -> receivers[k] of steps[k] in a packed table."""
+    j = np.asarray(senders, dtype=np.intp)
+    np.bitwise_or.at(table, (steps, receivers, j >> 3), _BIT[j & 7])
+
+
+def _self_loops(m: int, n: int) -> np.ndarray:
+    """A (m, n, ceil(n/8)) packed table of m graphs holding only self-loops."""
+    return np.repeat(_pack(np.eye(n, dtype=bool))[np.newaxis], m, axis=0)
+
+
+def _has_loops(table: np.ndarray) -> np.ndarray:
+    """(m, n) bool: whether graph k of a packed table holds the self-loop at v."""
+    v = np.arange(table.shape[1])
+    return (table[:, v, v >> 3] & _BIT[v & 7]) != 0
 
 
 class DirectedGraph:
@@ -59,7 +95,7 @@ class DirectedGraph:
         missing = np.flatnonzero(~adj.diagonal()).tolist()
         if missing:
             raise ValueError(f"missing self-loops at vertices {missing}")
-        self._set(adj)
+        self._set(_pack(adj))
 
     @classmethod
     def from_arcs(cls, n: int, arcs: Iterable[Arc]) -> "DirectedGraph":
@@ -67,17 +103,24 @@ class DirectedGraph:
         return cls(n, chain(arcs, ((v, v) for v in range(n))))
 
     @classmethod
-    def _wrap(cls, adj: np.ndarray) -> "DirectedGraph":
-        """Graph over a receive matrix that already holds every self-loop.
-        The matrix is frozen and kept, not copied."""
+    def _wrap(cls, bits: np.ndarray) -> "DirectedGraph":
+        """Graph over packed receive rows that already hold every
+        self-loop. The rows are frozen and kept, not copied."""
         g = object.__new__(cls)
-        g._set(adj)
+        g._set(bits)
         return g
 
-    def _set(self, adj: np.ndarray) -> None:
+    def _set(self, bits: np.ndarray) -> None:
+        bits.setflags(write=False)
+        self.n = bits.shape[0]
+        self.bits = bits
+
+    @property
+    def adj(self) -> np.ndarray:
+        """The read-only bool receive matrix, unpacked on each read."""
+        adj = receive_matrices(self.bits)
         adj.setflags(write=False)
-        self.n = adj.shape[0]
-        self.adj = adj
+        return adj
 
     @cached_property
     def arcs(self) -> frozenset[Arc]:
@@ -86,29 +129,32 @@ class DirectedGraph:
 
     @cached_property
     def _hash(self) -> int:
-        return hash((self.n, self.adj.tobytes()))
+        return hash((self.n, self.bits.tobytes()))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DirectedGraph):
             return NotImplemented
-        return self is other or (self.n == other.n and np.array_equal(self.adj, other.adj))
+        return self is other or (self.n == other.n and np.array_equal(self.bits, other.bits))
 
     def __hash__(self) -> int:
         return self._hash
 
     def __repr__(self) -> str:
-        return f"DirectedGraph(n={self.n}, arcs={int(self.adj.sum())})"
+        return f"DirectedGraph(n={self.n}, arcs={int(np.bitwise_count(self.bits).sum())})"
 
 
 class GraphSequence:
     """A finite run of graphs on a common vertex set, one per step.
 
-    ``table`` is one read-only (m, n, n) bool array, the receive matrix
-    of each distinct graph once; step t uses ``table[ids[t]]``. Built
-    from a list of graphs or a bool stack with one entry per step, equal
-    steps are interned (a stack of distinct steps is kept, not copied);
-    with ``ids`` given, the list or stack is the table. ``seq[t]`` and
-    ``graphs`` are graph views of the table, one per id.
+    ``table`` is one read-only (m, n, ceil(n/8)) uint8 array, the packed
+    receive rows of each distinct graph once; step t uses
+    ``table[ids[t]]``. It is built from a list of graphs, a bool
+    (steps, n, n) stack of receive matrices (packed on entry) or a packed
+    (steps, n, ceil(n/8)) uint8 table, with one entry per step; equal
+    steps are interned (a packed table of distinct steps is kept, not
+    copied). With ``ids`` given, the entries are the table. ``seq[t]``
+    and ``graphs`` are graph views of the table rows, one per id, made
+    when first read.
 
     ``claimed_window`` is the generator's (or caller's) assertion about
     uniform strong connectivity: every window of that many consecutive
@@ -127,14 +173,25 @@ class GraphSequence:
             sizes = {g.n for g in graphs}
             if len(sizes) > 1:
                 raise ValueError(f"all graphs must share one vertex set, got sizes {sorted(sizes)}")
-            graphs = np.array([g.adj for g in graphs], dtype=bool)
+            graphs = np.array([g.bits for g in graphs], dtype=np.uint8)
         table = graphs
         if table.size == 0:
             raise ValueError("graph sequence must contain at least one step")
-        if table.dtype != bool or table.ndim != 3 or table.shape[1] != table.shape[2]:
+        square = table.ndim == 3 and table.shape[1] == table.shape[2]
+        packed = table.ndim == 3 and table.shape[2] == -(-table.shape[1] // 8)
+        if table.dtype == bool and square:
+            table = _pack(table)
+        elif table.dtype != np.uint8 or not packed:
             got = f"{table.dtype} {table.shape}"
-            raise ValueError(f"a graph table must be a bool (m, n, n) stack, got {got}")
-        missing = np.argwhere(~table.diagonal(axis1=1, axis2=2))
+            raise ValueError(
+                f"a graph table must be a bool (m, n, n) stack or a packed uint8 "
+                f"(m, n, ceil(n/8)) table, got {got}"
+            )
+        else:
+            padding = (1 << (8 * table.shape[2] - table.shape[1])) - 1  # low bits of the last byte
+            if np.any(table[:, :, -1] & padding):
+                raise ValueError("a packed graph table must leave the bits past column n-1 clear")
+        missing = np.argwhere(~_has_loops(table))
         if missing.size:
             k, v = missing[0].tolist()
             raise ValueError(f"graph {k} of the table is missing the self-loop at vertex {v}")
@@ -155,10 +212,14 @@ class GraphSequence:
         self.table = table
         self.ids = step_ids
         self.claimed_window = claimed_window
+        self._views: dict[int, DirectedGraph] = {}
 
-    @cached_property
-    def _views(self) -> tuple[DirectedGraph, ...]:
-        return tuple(map(DirectedGraph._wrap, self.table))
+    def _view(self, i: int) -> DirectedGraph:
+        """The one graph view of table id i."""
+        g = self._views.get(i)
+        if g is None:
+            g = self._views[i] = DirectedGraph._wrap(self.table[i])
+        return g
 
     @property
     def n(self) -> int:
@@ -167,13 +228,13 @@ class GraphSequence:
     @property
     def graphs(self) -> tuple[DirectedGraph, ...]:
         """The graph of every step, in order."""
-        return tuple(map(self._views.__getitem__, self.ids.tolist()))
+        return tuple(map(self._view, self.ids.tolist()))
 
     def __len__(self) -> int:
         return len(self.ids)
 
     def __getitem__(self, t: int) -> DirectedGraph:
-        return self._views[self.ids[t]]
+        return self._view(int(self.ids[t]))
 
 
 def complete_graph(n: int) -> DirectedGraph:
@@ -188,23 +249,38 @@ def undirected_ring(n: int) -> DirectedGraph:
     return DirectedGraph.from_arcs(n, ((v, (v + d) % n) for v in range(n) for d in (1, -1)))
 
 
-def _reaches_all(adj: np.ndarray) -> bool:
-    """Whether every vertex is reachable from vertex 0 along the arcs
-    j -> i with adj[i, j]. Frontier search: each vertex is expanded once,
-    so the work is O(n^2) whatever the depth."""
-    seen = np.zeros(adj.shape[0], dtype=bool)
-    seen[0] = True
-    frontier = np.zeros(1, dtype=np.intp)
+def _strongly_connected(bits: np.ndarray) -> bool:
+    """Whether the graph of packed receive rows ``bits`` (row i holds the
+    senders of i) is strongly connected: every vertex reaches vertex 0,
+    and vertex 0 reaches every vertex. Both are frontier searches on the
+    packed words that expand each vertex once, so the work is O(n^2)
+    bits whatever the depth."""
+    n = bits.shape[0]
+    v = np.arange(n)
+    # who reaches 0: the senders into a frontier are the OR of its rows
+    reaches_0 = np.zeros(bits.shape[1], dtype=np.uint8)
+    reaches_0[0] = _BIT[0]
+    frontier = v[:1]
     while frontier.size:
-        new = adj[:, frontier].any(axis=1) & ~seen
-        seen |= new
-        frontier = np.flatnonzero(new)
-    return bool(seen.all())
+        new = np.bitwise_or.reduce(bits[frontier], axis=0) & ~reaches_0
+        reaches_0 |= new
+        frontier = np.unpackbits(new, count=n).nonzero()[0]
+    if not np.unpackbits(reaches_0, count=n).all():
+        return False
+    # whom 0 reaches: the receivers from a frontier are the rows holding
+    # any of its column bits
+    byte, bit = v >> 3, _BIT[v & 7]
+    reached = v == 0
+    frontier = v[:1]
+    while frontier.size:
+        new = (bits[:, byte[frontier]] & bit[frontier]).any(axis=1) & ~reached
+        reached |= new
+        frontier = new.nonzero()[0]
+    return bool(reached.all())
 
 
 def is_strongly_connected(g: DirectedGraph) -> bool:
-    # every vertex reachable from 0, and 0 reachable from every vertex
-    return _reaches_all(g.adj) and _reaches_all(g.adj.T)
+    return _strongly_connected(g.bits)
 
 
 def first_failing_window(seq: GraphSequence, window: int) -> int | None:
@@ -212,25 +288,27 @@ def first_failing_window(seq: GraphSequence, window: int) -> int | None:
     not strongly connected, or None when every window passes.
 
     This is a finite-prefix check over every sliding offset of the
-    stored steps. A window's union depends only on the set of distinct
-    graphs in it, and distinct sets can share a union (few graphs exist
-    on a few vertices), so each set and each union is checked once.
+    stored steps, one window at a time: a window's union is the OR of its
+    graphs' packed rows, searched as it stands. A window's union depends
+    only on the set of distinct graphs in it, and distinct sets can share
+    a union (few graphs exist on a few vertices), so each set and each
+    union is checked once.
     """
     if not 1 <= window <= len(seq):
         raise ValueError(f"window must lie in 1..{len(seq)} (the sequence length), got {window}")
     ids = seq.ids.tolist()
     passed_ids: set[frozenset[int]] = set()
-    passed_unions: set[bytes] = set()  # packed adjacency bits, n*n/8 bytes each
+    passed_unions: set[bytes] = set()  # packed union rows, n*ceil(n/8) bytes each
     for start in range(len(ids) - window + 1):
         if start and ids[start - 1] == ids[start + window - 1]:
             continue  # the same graphs as the window before, which passed
         members = frozenset(ids[start : start + window])
         if members in passed_ids:
             continue
-        union = seq.table[list(members)].any(axis=0)
-        key = np.packbits(union).tobytes()
+        union = np.bitwise_or.reduce(seq.table[list(members)], axis=0)
+        key = union.tobytes()
         if key not in passed_unions:
-            if not is_strongly_connected(DirectedGraph._wrap(union)):
+            if not _strongly_connected(union):
                 return start
             passed_unions.add(key)
         passed_ids.add(members)
@@ -241,6 +319,10 @@ def is_uniformly_strongly_connected(seq: GraphSequence, window: int) -> bool:
     """Whether every ``window`` consecutive steps have a strongly connected union."""
     return first_failing_window(seq, window) is None
 
+
+# random-spanning draws its graphs into bool blocks of at most this many
+# bytes (at least one block of ``window`` steps) and packs each block.
+GENERATE_BYTES = 2**18
 
 GENERATOR_KINDS = (
     "static-complete",
@@ -307,7 +389,7 @@ def generate_sequence(
         reject_unknown(set())
         table = _self_loops(min(n, horizon), n)
         j = np.arange(len(table))
-        table[j, (j + 1) % n, j] = True  # arc j -> j+1, in receiver row, sender column
+        _add_arcs(table, j, j, (j + 1) % n)
         return GraphSequence(table, claimed_window=n, ids=np.arange(horizon) % n)
 
     if kind == "random-spanning":
@@ -321,19 +403,26 @@ def generate_sequence(
             raise ValueError(f"extra_arc_prob must be a number in [0, 1], got {p_extra!r}")
         window, p_extra = int(window), float(p_extra)
         rng = np.random.default_rng(seed)
-        adj = _self_loops(horizon, n)
-        n_blocks = -(-horizon // window)
-        for b in range(n_blocks):
-            perm = rng.permutation(n)
-            steps = b * window + rng.integers(0, window, size=n)
-            keep = steps < horizon
-            # cycle arc perm[k] -> perm[k+1], set in receiver row, sender column
-            adj[steps[keep], np.roll(perm, -1)[keep], perm[keep]] = True
-            if p_extra > 0.0:
-                for t in range(b * window, min((b + 1) * window, horizon)):
-                    # draws[j, i] < p adds the arc j -> i
-                    adj[t] |= (rng.random((n, n)) < p_extra).T
-        return GraphSequence(adj, claimed_window=2 * window - 1)
+        table = np.empty((horizon, n, -(-n // 8)), dtype=np.uint8)
+        # whole blocks at a time, as many as fit in GENERATE_BYTES of bool
+        # receive matrices (at least one), packed into the table
+        size = window * max(1, GENERATE_BYTES // (window * n * n))
+        loops = np.eye(n, dtype=bool)
+        for c0 in range(0, horizon, size):
+            c1 = min(c0 + size, horizon)
+            adj = np.repeat(loops[np.newaxis], c1 - c0, axis=0)
+            for b0 in range(c0, c1, window):
+                perm = rng.permutation(n)
+                steps = b0 + rng.integers(0, window, size=n)
+                keep = steps < horizon
+                # cycle arc perm[k] -> perm[k+1], set in receiver row, sender column
+                adj[steps[keep] - c0, np.roll(perm, -1)[keep], perm[keep]] = True
+                if p_extra > 0.0:
+                    for t in range(b0, min(b0 + window, horizon)):
+                        # draws[j, i] < p adds the arc j -> i
+                        adj[t - c0] |= (rng.random((n, n)) < p_extra).T
+            table[c0:c1] = _pack(adj)
+        return GraphSequence(table, claimed_window=2 * window - 1)
 
     if kind == "doubly-stochastic-compatible":
         reject_unknown({"topology"})
@@ -343,13 +432,6 @@ def generate_sequence(
         return static(undirected_ring(n) if topology == "ring" else complete_graph(n))
 
     raise ValueError(f"unknown generator kind {kind!r}; expected one of {GENERATOR_KINDS}")
-
-
-def _self_loops(horizon: int, n: int) -> np.ndarray:
-    """A (horizon, n, n) stack of receive matrices holding only self-loops."""
-    adj = np.zeros((horizon, n, n), dtype=bool)
-    adj[:, np.arange(n), np.arange(n)] = True
-    return adj
 
 
 def save_sequence(path: str, seq: GraphSequence) -> None:
@@ -376,7 +458,7 @@ def load_sequence(path: str) -> GraphSequence:
         raise ValueError(f"{path}:{head_no}: header must be 'n horizon', got {head!r}") from None
     if n < 1 or horizon < 1:
         raise ValueError(f"{path}:{head_no}: header values must be positive, got {head!r}")
-    adj = _self_loops(horizon, n)
+    found = []  # (t, j, i) of every arc line
     for lineno, ln in arcs:
         try:
             t, j, i = map(int, ln.split())
@@ -386,5 +468,8 @@ def load_sequence(path: str) -> GraphSequence:
             raise ValueError(f"{path}:{lineno}: step {t} outside horizon {horizon}")
         if not (0 <= j < n and 0 <= i < n):
             raise ValueError(f"{path}:{lineno}: arc ({j}, {i}) out of range for n={n}")
-        adj[t, i, j] = True
-    return GraphSequence(adj)
+        found.append((t, j, i))
+    table = _self_loops(horizon, n)
+    if found:
+        _add_arcs(table, *np.array(found, dtype=np.intp).T)
+    return GraphSequence(table)

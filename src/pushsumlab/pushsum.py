@@ -14,7 +14,7 @@ what the verification helpers consume.
 
 No dense per-step matrix stack is stored: a trace keeps its mixing
 matrices as one table plus a step-to-id array (default weights as the
-graph sequence's bool table alone), and the dynamics loop and the checks
+graph sequence's packed table alone), and the dynamics loop and the checks
 walk the steps in chunks of bounded size. Runs that differ only in their
 gradients and switching rows, such as the seeds of a sweep, share one
 loop as replicas.
@@ -28,7 +28,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .graphs import GraphSequence
+from .graphs import GraphSequence, receive_matrices
 from .weights import WeightMatrix, equal_split
 
 __all__ = [
@@ -171,15 +171,17 @@ CHUNK_BYTES = 2**19
 
 class MixingSequence:
     """The mixing matrix of every step, read-only: a step-to-id array
-    plus one (m, n, n) table. With a bool table of receive matrices, id i
-    is the equal-split matrix of ``table[i]``, built only when a chunk
-    needs it, so no float is stored; a float table holds the matrices.
-    ``len``, ``[k]`` (one (n, n) matrix) and ``nbytes`` (the stored
-    floats only) read like a (steps, n, n) array never formed.
+    plus one table. With a graph sequence's packed (m, n, ceil(n/8))
+    uint8 table, id i is the equal-split matrix of graph i, unpacked and
+    built only when a chunk needs it, so no float is stored; a float
+    (m, n, n) table holds the matrices. ``len``, ``[k]`` (one (n, n)
+    matrix) and ``nbytes`` (the stored floats only) read like a
+    (steps, n, n) array never formed.
     """
 
     def __init__(self, ids: Sequence[int] | np.ndarray, table: np.ndarray) -> None:
-        if table.ndim != 3 or table.shape[1] != table.shape[2]:
+        packed = table.dtype == np.uint8
+        if table.ndim != 3 or table.shape[2] != (-(-table.shape[1] // 8) if packed else table.shape[1]):
             raise ValueError("w_mats must be (steps, n, n)")
         self.ids = np.asarray(ids, dtype=np.intp).view()
         self.ids.setflags(write=False)
@@ -191,12 +193,12 @@ class MixingSequence:
 
     @property
     def nbytes(self) -> int:
-        return 0 if self.table.dtype == bool else self.table.nbytes
+        return 0 if self.table.dtype == np.uint8 else self.table.nbytes
 
     def matrices(self, ids: Sequence[int] | np.ndarray) -> np.ndarray:
         """The matrices of the given table ids, shape (len(ids), n, n)."""
         mats = self.table[ids]
-        return equal_split(mats) if mats.dtype == bool else mats
+        return equal_split(receive_matrices(mats)) if mats.dtype == np.uint8 else mats
 
     def __getitem__(self, k: int) -> np.ndarray:
         m = self.matrices([self.ids[k]])[0]
@@ -458,7 +460,7 @@ def scan_induced(
         dev = np.abs(w.sum(axis=1) - 1.0)
         columns = _larger(columns, locate(dev, steps, ("step", "column")))
         if graph is NO_MISMATCH:
-            mismatch = (w > 0.0) != seq.table[seq.ids[k0:k1]]
+            mismatch = (w > 0.0) != receive_matrices(seq.table[seq.ids[k0:k1]])
             if mismatch.any():
                 graph = locate(mismatch, steps, ("step", "row", "column"))
         positive = np.where(w > 0.0, w, np.inf)
@@ -543,7 +545,7 @@ def resolve_weight_sequence(
     _, first = np.unique(np.stack([mixing.ids, ids], axis=1), axis=0, return_index=True)
     for k in np.sort(first).tolist():  # each distinct (matrix, graph) pair, in step order
         w = mixing[k]
-        off = np.argwhere((w > 0.0) != seq.table[ids[k]])
+        off = np.argwhere((w > 0.0) != receive_matrices(seq.table[ids[k]]))
         if off.size:
             i, j = off[0].tolist()
             what = "is positive off the graph" if w[i, j] > 0.0 else "is zero on an arc"

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from pushsumlab import graphs
 from pushsumlab.graphs import (
     GENERATOR_KINDS,
     DirectedGraph,
@@ -15,6 +16,7 @@ from pushsumlab.graphs import (
     is_strongly_connected,
     is_uniformly_strongly_connected,
     load_sequence,
+    receive_matrices,
     save_sequence,
     undirected_ring,
 )
@@ -177,6 +179,18 @@ class TestStronglyConnectedComponents:
             assert verdicts[-1] == (len(components_brute_force(g)) == 1)
         assert any(verdicts) and not all(verdicts)
 
+    def test_matches_brute_force_across_several_bytes(self):
+        # rows of 9 to 24 vertices pack into two or three bytes
+        rng = np.random.default_rng(43)
+        verdicts = []
+        for _ in range(40):
+            n = int(rng.integers(9, 25))
+            arcs = [(j, i) for j in range(n) for i in range(n) if j != i and rng.random() < 0.15]
+            g = DirectedGraph.from_arcs(n, arcs)
+            verdicts.append(is_strongly_connected(g))
+            assert verdicts[-1] == (len(components_brute_force(g)) == 1)
+        assert any(verdicts) and not all(verdicts)
+
     def test_deep_chain_does_not_recurse(self):
         # the search must survive a path longer than any plausible
         # recursion limit, in both directions
@@ -220,14 +234,23 @@ class TestUniformConnectivity:
         assert first_failing_window(GraphSequence([loops] * 2 + [ring]), 2) == 0
 
     def test_each_distinct_window_checked_once(self, monkeypatch):
-        import pushsumlab.graphs as graphs
-
-        # every union formed is keyed once by its packed bits, and only a
-        # union with a new key is searched
+        # a union is the OR of a (members, n, ceil(n/8)) stack of packed
+        # rows; every union formed is keyed once by its bytes, and only a
+        # union with a new key goes to the packed search
         checked, unions = [], []
-        check, pack = graphs.is_strongly_connected, np.packbits
-        monkeypatch.setattr(graphs, "is_strongly_connected", lambda g: checked.append(1) or check(g))
-        monkeypatch.setattr(np, "packbits", lambda a: unions.append(1) or pack(a))
+        search, bitwise_or = graphs._strongly_connected, np.bitwise_or
+
+        class CountingOr:
+            def __getattr__(self, name):
+                return getattr(bitwise_or, name)
+
+            def reduce(self, a, **kwargs):
+                if a.ndim == 3:
+                    unions.append(1)
+                return bitwise_or.reduce(a, **kwargs)
+
+        monkeypatch.setattr(graphs, "_strongly_connected", lambda bits: checked.append(1) or search(bits))
+        monkeypatch.setattr(np, "bitwise_or", CountingOr())
         a, b, c = directed_ring(4), complete_graph(4), undirected_ring(4)
         # windows of two cycle through {a, b}, {b, c} and {c, a}; the
         # first two have the same union, the complete graph
@@ -415,16 +438,24 @@ class TestGraphSequence:
         graphs = [directed_ring(4), complete_graph(4), directed_ring(4), undirected_ring(4)]
         stack = np.array([g.adj for g in graphs])
         from_list, from_stack = GraphSequence(graphs), GraphSequence(stack)
-        assert from_stack.ids.tolist() == from_list.ids.tolist() == [0, 1, 0, 2]
-        assert from_stack.table.dtype == from_list.table.dtype == bool
+        from_packed = GraphSequence(np.packbits(stack, axis=-1))
+        assert from_stack.ids.tolist() == from_list.ids.tolist() == from_packed.ids.tolist() == [0, 1, 0, 2]
+        assert from_stack.table.dtype == from_list.table.dtype == from_packed.table.dtype == np.uint8
+        assert from_stack.table.shape == (3, 4, 1)
         assert np.array_equal(from_stack.table, from_list.table)
+        assert np.array_equal(from_stack.table, from_packed.table)
+        assert np.array_equal(receive_matrices(from_stack.table), stack[[0, 1, 3]])
         assert not from_stack.table.flags.writeable
         assert from_stack[2] is from_stack[0] and from_stack.graphs == tuple(graphs)
 
     def test_distinct_steps_keep_the_stack(self):
+        # a packed table of distinct steps is kept; a bool stack is packed on entry
         stack = np.array([directed_ring(3).adj, complete_graph(3).adj])
-        seq = GraphSequence(stack)
-        assert seq.table is stack and seq[1].adj.base is stack
+        packed = np.packbits(stack, axis=-1)
+        seq = GraphSequence(packed)
+        assert seq.table is packed and seq[1].bits.base is packed
+        assert np.array_equal(seq[1].adj, stack[1])
+        assert np.array_equal(GraphSequence(stack).table, packed)
 
     def test_invalid_stacks_rejected(self):
         with pytest.raises(ValueError, match="bool"):
@@ -437,8 +468,21 @@ class TestGraphSequence:
         with pytest.raises(ValueError, match="^graph 1 of the table is missing the self-loop at vertex 2$"):
             GraphSequence(stack)
 
+    def test_packed_tables_checked(self):
+        with pytest.raises(ValueError, match=re.escape("got uint8 (2, 9, 1)")):
+            GraphSequence(np.zeros((2, 9, 1), dtype=np.uint8))
+        table = np.packbits(np.ones((2, 3, 3), dtype=bool), axis=-1)
+        table[1, 0, 0] |= 1  # a bit past column 2
+        with pytest.raises(ValueError, match="^a packed graph table must leave the bits past column n-1 clear$"):
+            GraphSequence(table)
+        table[1, 0, 0] ^= 1  # clear it, and drop the self-loop of vertex 2
+        table[1, 2, 0] ^= 0x20
+        with pytest.raises(ValueError, match="^graph 1 of the table is missing the self-loop at vertex 2$"):
+            GraphSequence(table)
+
     def test_generation_holds_one_table(self):
-        # the random-spanning stack becomes the table: no copy, no kept byte keys
+        # the packed random-spanning table is the sequence's table: no
+        # copy, no kept byte keys, and one bool block at a time
         n, horizon = 64, 500
         params = {"window": 2, "extra_arc_prob": 0.1}
         generate_sequence("random-spanning", n=2, horizon=2, params=params)  # lazy imports
@@ -448,8 +492,22 @@ class TestGraphSequence:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert seq.table.shape == (horizon, n, n)
-        assert peak < 1.5 * horizon * n * n, peak
+        assert seq.table.shape == (horizon, n, n // 8) and seq.table.dtype == np.uint8
+        # the bool stack the table replaces would take horizon * n * n bytes
+        assert peak < horizon * n * n / 2, peak
+
+    def test_generation_at_n200_stays_under_a_quarter_of_the_dense_stack(self):
+        n, horizon = 200, 1000
+        params = {"window": 2, "extra_arc_prob": 0.1}
+        generate_sequence("random-spanning", n=2, horizon=2, params=params)  # lazy imports
+        tracemalloc.start()
+        try:
+            seq = generate_sequence("random-spanning", n=n, horizon=horizon, seed=1, params=params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert seq.table.dtype == np.uint8 and seq.table.shape == (horizon, n, 25)
+        assert peak < horizon * n * n / 4, peak
 
     def test_indexing(self):
         seq = generate_sequence("rotating-single-edge", n=3, horizon=6)

@@ -19,7 +19,13 @@ import pushsumlab.optim as optim
 import pushsumlab.pushsum as pushsum
 from pushsumlab import cli
 from pushsumlab.analysis import descent_residuals
-from pushsumlab.graphs import DirectedGraph, GraphSequence, complete_graph, generate_sequence
+from pushsumlab.graphs import (
+    DirectedGraph,
+    GraphSequence,
+    complete_graph,
+    generate_sequence,
+    receive_matrices,
+)
 from pushsumlab.optim import (
     ALGORITHMS,
     GradientOracle,
@@ -89,7 +95,7 @@ def graphs_and_weights(sc: Scenario):
     weights = "default"
     if sc.custom:
         # one matrix per distinct graph, so repeated graphs share a table entry
-        per_graph = [custom_weights(adj, rng) for adj in seq.table]
+        per_graph = [custom_weights(adj, rng) for adj in receive_matrices(seq.table)]
         weights = [per_graph[i] for i in seq.ids.tolist()]
     return seq, weights, rng
 
