@@ -428,7 +428,9 @@ def scan_induced(
     against honestly induced matrices; everything else reads the
     recorded rows. ``ratio_pairs`` and ``limit_pairs`` hold (t, tau) time
     labels. Each distinct tau gets one S chain (shared by both checks)
-    and, for the ratio identity, one W chain.
+    and, for the ratio identity, one W chain. A pair is evaluated in the
+    chunk where its chains pass its t, and the products kept for it are
+    dropped there, so no finished product outlives its chunk.
     """
     ys_prob = trace.ys if ys is None else np.asarray(ys, dtype=float)
 
@@ -450,6 +452,8 @@ def scan_induced(
     ratio_at, limit_at = positions(ratio_pairs), positions(limit_pairs)
     s_chains = chains([*ratio_at.values(), *limit_at.values()])
     w_chains = chains(ratio_at.values())
+    ratio: dict[tuple[int, int], Finding] = {}
+    limit: dict[tuple[int, int], float] = {}
 
     columns = beta_min = w_rows = row = sparsity = floor = prob = None
     graph = None if seq is None else NO_MISMATCH  # until the first mismatch
@@ -481,19 +485,31 @@ def scan_induced(
             chain.walk(k0, s)
         for chain in w_chains.values():
             chain.walk(k0, w)
+        # the chains have passed every t position up to k1: evaluate the
+        # pairs there, then drop their products (one expression each, so
+        # no n x n temporary outlives it)
+        for (t, tau), (ti, taui) in ratio_at.items():
+            if ti <= k1 and (t, tau) not in ratio:
+                found = locate(
+                    np.abs(
+                        s_chains[taui].kept[ti] * trace.ys[ti][:, np.newaxis]
+                        - w_chains[taui].kept[ti] * trace.ys[taui][np.newaxis, :]
+                    ),
+                    range(trace.n),
+                    ("row", "column"),
+                )
+                ratio[(t, tau)] = Finding(found.value, {"t": t, "tau": tau, **found.where})
+        for pair, (ti, taui) in limit_at.items():
+            if ti <= k1 and pair not in limit:
+                limit[pair] = float(
+                    np.max(np.abs(s_chains[taui].kept[ti] - trace.ys[taui] / trace.kappa))
+                )
+        for chain in (*s_chains.values(), *w_chains.values()):
+            chain.kept = {ti: m for ti, m in chain.kept.items() if ti > k1}
 
-    ratio = {}
-    for (t, tau), (ti, taui) in ratio_at.items():
-        lhs = s_chains[taui].kept[ti] * trace.ys[ti][:, np.newaxis]
-        rhs = w_chains[taui].kept[ti] * trace.ys[taui][np.newaxis, :]
-        found = locate(np.abs(lhs - rhs), range(trace.n), ("row", "column"))
-        ratio[(t, tau)] = Finding(found.value, {"t": t, "tau": tau, **found.where})
-    limit = {
-        pair: float(np.max(np.abs(s_chains[taui].kept[ti] - trace.ys[taui] / trace.kappa)))
-        for pair, (ti, taui) in limit_at.items()
-    }
     return InducedChecks(
-        columns, graph, beta_min, w_rows, row, sparsity or NO_MISMATCH, floor, prob, ratio, limit
+        columns, graph, beta_min, w_rows, row, sparsity or NO_MISMATCH, floor, prob,
+        {pair: ratio[pair] for pair in ratio_at}, {pair: limit[pair] for pair in limit_at},
     )
 
 

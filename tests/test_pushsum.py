@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -174,6 +176,31 @@ class TestRatioIdentityAndLimit:
         dev_full = verify_product_limit(tr, 0, 200)
         assert dev_full <= dev_half + 1e-12
         assert dev_full < 1e-10
+
+
+    def test_finished_products_are_dropped(self):
+        # at n=200 every chunk is one step, so each pair's t falls in its
+        # own chunk; a scan that kept each finished product to the end
+        # would hold ten more n x n matrices (a W and an S product per t)
+        n, horizon = 200, 12
+        seq = generate_sequence("random-spanning", n, horizon, 1, {"window": 2, "extra_arc_prob": 0.1})
+        trace = run_pushsum(seq, "default", np.arange(n, dtype=float), horizon)
+        one, five = [(horizon, 0)], [(t, 0) for t in (4, 6, 8, 10, horizon)]
+        scan_induced(trace, ratio_pairs=one)  # lazy imports and caches
+        peaks, scans = [], []
+        tracemalloc.start()
+        try:
+            for pairs in (one, five):
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                scans.append(scan_induced(trace, ratio_pairs=pairs, limit_pairs=pairs))
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 2 * 8 * n * n, peaks
+        assert list(scans[1].ratio) == list(scans[1].limit) == five
+        assert scans[1].ratio[one[0]] == scans[0].ratio[one[0]]
+        assert scans[1].limit[one[0]] == scans[0].limit[one[0]]
 
 
 class TestTheoreticalConstants:
