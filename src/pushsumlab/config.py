@@ -46,6 +46,8 @@ __all__ = [
     "load_config",
     "build_graph_sequence",
     "build_weights",
+    "storage_estimate",
+    "STORAGE_BUDGET",
 ]
 
 # The sections beyond COMMON_KEYS that each algorithm takes, each mapped
@@ -422,8 +424,41 @@ def load_config(path: str) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 # builders
 
+# The most bytes a run may plan for its packed graph table and its trace
+# (see storage_estimate). The n=200, T=10**4 push_subgradient run on
+# random-spanning graphs plans about 0.11 GB.
+STORAGE_BUDGET = 2**30
+
+# kinds whose table holds one graph, or one per vertex
+_ONE_GRAPH = ("static-complete", "static-ring", "doubly-stochastic-compatible")
+
+
+def storage_estimate(cfg: ExperimentConfig) -> int:
+    """The bytes of a run's packed graph table and trace, from the config
+    alone: one graph for a static kind, min(n, horizon) for the rotating
+    edge and otherwise one per step (a graph file counts
+    ``cfg.horizon`` steps), n * ceil(n/8) bytes each; then 8 bytes per
+    recorded x and y entry, and for an optimizer per gradient and
+    switching entry, at every step."""
+    n, horizon = cfg.n, cfg.horizon
+    if cfg.graph_kind in _ONE_GRAPH:
+        graphs = 1
+    else:
+        graphs = min(n, horizon) if cfg.graph_kind == "rotating-single-edge" else horizon
+    d = (cfg.x0 if cfg.x0 is not None else cfg.x_init).shape[1]
+    per_step = n * (d + 1) if cfg.objective is None else n * (2 * d + 2)
+    return graphs * n * -(-n // 8) + 8 * (horizon + 1) * per_step
+
 
 def build_graph_sequence(cfg: ExperimentConfig) -> GraphSequence:
+    """The config's graph sequence, once its ``storage_estimate`` fits
+    ``STORAGE_BUDGET``."""
+    need = storage_estimate(cfg)
+    if need > STORAGE_BUDGET:
+        raise ConfigError(
+            f"n={cfg.n}, horizon={cfg.horizon}: the graph table and trace need an estimated "
+            f"{need} bytes, past the storage budget of {STORAGE_BUDGET} bytes"
+        )
     if cfg.graph_file is not None:
         seq = load_sequence(cfg.graph_file)
         if seq.n != cfg.n:

@@ -19,7 +19,7 @@ from pushsumlab.analysis import (
     bound_subgradient_push_varying,
 )
 from pushsumlab.cli import main
-from pushsumlab.config import load_config
+from pushsumlab.config import STORAGE_BUDGET, load_config, storage_estimate
 from pushsumlab.graphs import GraphSequence, complete_graph
 from pushsumlab.pushsum import theoretical_constants
 from pushsumlab.report import csv_blocks, read_csv_columns, write_csv, write_summary_json
@@ -1000,6 +1000,30 @@ class TestErrorPaths:
             assert err == (
                 "run error: state diverged at step 0 (non-finite x); reduce the step size\n"
             ), (algorithm, err)
+
+
+class TestStorageBudget:
+    @pytest.mark.parametrize("command", ["run", "verify", "sweep"])
+    def test_past_the_budget_is_one_config_error_line(self, command, tmp_path, capsys):
+        n, horizon = 2000, 10**7
+        cfg = write_cfg(
+            tmp_path,
+            "huge.json",
+            {
+                "algorithm": "pushsum",
+                "n": n,
+                "horizon": horizon,
+                "graph": {"kind": "random-spanning"},
+                "init": {"x0": [0.0] * n},
+            },
+        )
+        need = storage_estimate(load_config(cfg))
+        extra = ["--axis", "seeds", "--values", "0,1"] if command == "sweep" else []
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out"), *extra]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: n={n}, horizon={horizon}: the graph table and trace need an "
+            f"estimated {need} bytes, past the storage budget of {STORAGE_BUDGET} bytes\n"
+        )
 
 
 class TestMemory:

@@ -1,6 +1,8 @@
 import json
 import math
+import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,14 +11,19 @@ from pushsumlab.config import (
     INIT_KEYS,
     RUN_KINDS,
     SECTIONS,
+    STORAGE_BUDGET,
     ConfigError,
     build_graph_sequence,
     build_weights,
     load_config,
     parse_config,
+    storage_estimate,
 )
 from pushsumlab.graphs import directed_ring, generate_sequence, save_sequence, GraphSequence
 from pushsumlab.weights import default_weights, save_weights
+
+
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
 
 
 def pushsum_data(**over):
@@ -343,6 +350,53 @@ SECTION_EXAMPLES = {
     "oracle": {"noise_bounds": [0.1, 0.1]},
     "seeds": [0, 1],
 }
+
+
+class TestStorageBudget:
+    def test_estimate_counts_table_and_trace(self):
+        # one graph for a static kind, n for the rotating edge, else one per step
+        n, horizon = 20, 100
+        trace = 8 * (horizon + 1) * n * 2  # x and y, d = 1
+        x0 = [float(i) for i in range(n)]
+        for kind, graphs in (("static-ring", 1), ("rotating-single-edge", n), ("random-spanning", horizon)):
+            cfg = parse_config(pushsum_data(n=n, horizon=horizon, graph={"kind": kind}, init={"x0": x0}))
+            assert storage_estimate(cfg) == graphs * n * 3 + trace
+        # an optimizer records gradients and switching rows too
+        cfg = parse_config(optimizer_data())
+        assert storage_estimate(cfg) == 2 * 1 + 8 * 17 * 2 * 4
+
+    def test_budget_admits_the_bundled_configs_and_n200_at_ten_thousand_steps(self):
+        for name in sorted(os.listdir(CONFIGS)):
+            assert storage_estimate(load_config(os.path.join(CONFIGS, name))) <= STORAGE_BUDGET
+        n = 200
+        data = optimizer_data(
+            algorithm="push_subgradient", n=n, horizon=10**4,
+            graph={"kind": "random-spanning", "params": {"window": 2, "extra_arc_prob": 0.1}},
+            init={"x0": [[float(i)] for i in range(n)]},
+            objective={"kind": "abs", "anchors": [[0.0]] * n},
+        )
+        assert storage_estimate(parse_config(data)) <= STORAGE_BUDGET
+
+    def test_past_the_budget_fails_before_any_array(self):
+        n, horizon = 2000, 10**7
+        cfg = parse_config(pushsum_data(
+            n=n, horizon=horizon, graph={"kind": "random-spanning"}, init={"x0": [0.0] * n}
+        ))
+        need = storage_estimate(cfg)
+        assert need > 1000 * STORAGE_BUDGET
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError) as exc:
+                build_graph_sequence(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(exc.value) == (
+            f"n={n}, horizon={horizon}: the graph table and trace need an estimated {need} "
+            f"bytes, past the storage budget of {STORAGE_BUDGET} bytes"
+        )
+        # one packed graph alone would take n * n / 8 bytes
+        assert peak < n * n / 8, peak
 
 
 def minimal_data(algorithm):
