@@ -541,6 +541,8 @@ class GradientOracle:
         c = np.asarray(self.noise_bounds, dtype=float)
         if c.ndim != 1 or np.any(c < 0.0) or not np.all(np.isfinite(c)):
             raise ValueError("noise bounds must be a finite nonnegative (n,) array")
+        if not (0 <= self.seed < 2**128):
+            raise ValueError(f"gradient oracle seed must lie in [0, 2**128), got {self.seed}")
         object.__setattr__(self, "noise_bounds", c)
         # the reused generator, and the state of a fresh one, whose counter
         # each draw sets to its address (neither is a dataclass field)
@@ -591,7 +593,12 @@ class GradientOracle:
             raise ValueError(
                 f"stochastic oracle needs a differentiable objective, got kind {obj.kind!r}"
             )
-        noise = np.empty((len(self.noise_bounds), obj.d))
+        if len(self.noise_bounds) != obj.n:
+            raise ValueError(
+                f"gradient oracle has {len(self.noise_bounds)} noise bounds, "
+                f"but the objective has n={obj.n} components"
+            )
+        noise = np.empty((obj.n, obj.d))
         for i in range(len(noise)):
             noise[i] = self._draw(i, t, obj.d, draw)
         return obj.subgradients(z) + noise

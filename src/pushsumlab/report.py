@@ -46,20 +46,22 @@ BLOCK_ROWS = 4096
 def csv_blocks(columns: Sequence[Any]) -> Iterator[list[str]]:
     """The lines of a table, in blocks of at most ``BLOCK_ROWS``.
 
-    Each column is None (an empty cell on every line), a Python float
-    (its repr on every line) or a 1-D array or list of numbers, whose
-    ints print as ints and floats by repr; lines past its end get an
-    empty cell. The longest column sets the number of lines.
+    Each column is None (an empty cell on every line), a float or numpy
+    floating scalar (the repr of its Python float on every line) or a 1-D
+    array or list of numbers, whose ints print as ints and floats by
+    repr; lines past its end get an empty cell. The longest column sets
+    the number of lines.
     """
-    rows = max(len(c) for c in columns if c is not None and not isinstance(c, float))
+    constant = (float, np.floating)
+    rows = max(len(c) for c in columns if c is not None and not isinstance(c, constant))
     for a in range(0, rows, BLOCK_ROWS):
         size = min(BLOCK_ROWS, rows - a)
         cells = []
         for c in columns:
             if c is None:
                 cells.append(repeat("", size))
-            elif isinstance(c, float):
-                cells.append(repeat(repr(c), size))
+            elif isinstance(c, constant):
+                cells.append(repeat(repr(float(c)), size))
             else:
                 part = np.asarray(c[a : a + size]).tolist()
                 cells.append(chain(map(repr, part), repeat("", size - len(part))))

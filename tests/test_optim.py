@@ -278,6 +278,22 @@ class TestGradientOracle:
         with pytest.raises(ValueError):
             oracle.gradients(obj, np.array([[1.0]]), t=0)
 
+    def test_one_noise_bound_per_agent(self):
+        # one bound on three agents must not broadcast agent 0's noise row
+        obj = quadratic_objective([[0.0], [1.0], [2.0]])
+        oracle = GradientOracle([0.5], seed=1)
+        message = "^gradient oracle has 1 noise bounds, but the objective has n=3 components$"
+        with pytest.raises(ValueError, match=message):
+            oracle.gradients(obj, np.zeros((3, 1)), 4)
+        with pytest.raises(ValueError, match=message):
+            estimate_k1(obj, oracle, np.zeros((3, 1)), 0.5, draws=10)
+
+    @pytest.mark.parametrize("seed", [-1, 2**128])
+    def test_seed_out_of_range_names_the_oracle(self, seed):
+        message = rf"^gradient oracle seed must lie in \[0, 2\*\*128\), got {seed}$"
+        with pytest.raises(ValueError, match=message):
+            GradientOracle([0.5], seed=seed)
+
 
 def numpy_normal(word):
     """numpy's standard_normal fed ``word`` first, and whether its

@@ -37,6 +37,11 @@ class TestFloatFormat:
         assert cells[2] == "0.3333333333333333"
         assert float(cells[3]) == 2.5
 
+    def test_numpy_scalar_constant_column(self):
+        # a numpy float scalar is a constant column, written as its Python float
+        blocks = list(csv_blocks([[0, 1], np.float64(2.5), np.float32(0.5)]))
+        assert blocks == [["0,2.5,0.5", "1,2.5,0.5"]]
+
 
 class TestTraceCsv:
     def test_exact_small_output(self):
