@@ -181,7 +181,9 @@ class MixingSequence:
 
     def __init__(self, ids: Sequence[int] | np.ndarray, table: np.ndarray) -> None:
         packed = table.dtype == np.uint8
-        if table.ndim != 3 or table.shape[2] != (-(-table.shape[1] // 8) if packed else table.shape[1]):
+        if table.ndim != 3 or table.shape[2] != (
+            -(-table.shape[1] // 8) if packed else table.shape[1]
+        ):
             raise ValueError("w_mats must be (steps, n, n)")
         self.ids = np.asarray(ids, dtype=np.intp).view()
         self.ids.setflags(write=False)
@@ -452,8 +454,8 @@ def scan_induced(
     ratio_at, limit_at = positions(ratio_pairs), positions(limit_pairs)
     s_chains = chains([*ratio_at.values(), *limit_at.values()])
     w_chains = chains(ratio_at.values())
-    ratio: dict[tuple[int, int], Finding] = {}
-    limit: dict[tuple[int, int], float] = {}
+    ratio: dict[tuple[int, int], Finding | None] = dict.fromkeys(ratio_at)
+    limit: dict[tuple[int, int], float | None] = dict.fromkeys(limit_at)
 
     columns = beta_min = w_rows = row = sparsity = floor = prob = None
     graph = None if seq is None else NO_MISMATCH  # until the first mismatch
@@ -489,7 +491,7 @@ def scan_induced(
         # pairs there, then drop their products (one expression each, so
         # no n x n temporary outlives it)
         for (t, tau), (ti, taui) in ratio_at.items():
-            if ti <= k1 and (t, tau) not in ratio:
+            if ti <= k1 and ratio[(t, tau)] is None:
                 found = locate(
                     np.abs(
                         s_chains[taui].kept[ti] * trace.ys[ti][:, np.newaxis]
@@ -500,7 +502,7 @@ def scan_induced(
                 )
                 ratio[(t, tau)] = Finding(found.value, {"t": t, "tau": tau, **found.where})
         for pair, (ti, taui) in limit_at.items():
-            if ti <= k1 and pair not in limit:
+            if ti <= k1 and limit[pair] is None:
                 limit[pair] = float(
                     np.max(np.abs(s_chains[taui].kept[ti] - trace.ys[taui] / trace.kappa))
                 )
@@ -508,8 +510,7 @@ def scan_induced(
             chain.kept = {ti: m for ti, m in chain.kept.items() if ti > k1}
 
     return InducedChecks(
-        columns, graph, beta_min, w_rows, row, sparsity or NO_MISMATCH, floor, prob,
-        {pair: ratio[pair] for pair in ratio_at}, {pair: limit[pair] for pair in limit_at},
+        columns, graph, beta_min, w_rows, row, sparsity or NO_MISMATCH, floor, prob, ratio, limit
     )
 
 
