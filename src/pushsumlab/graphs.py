@@ -12,8 +12,8 @@ boolean receive matrix ``adj`` (``adj[i, j]`` is true iff j sends to i).
 sequence stores one read-only (m, n, ceil(n/8)) uint8 array ``table``,
 the packed rows of each distinct graph once, and the table index of
 every step in ``ids``. Callers unpack only the ids they read
-(:func:`receive_matrices`), and the connectivity checks search the
-packed rows themselves.
+(:func:`receive_matrices`); the connectivity checks unpack each graph or
+window union they search.
 """
 
 from __future__ import annotations
@@ -140,7 +140,7 @@ class DirectedGraph:
         return self._hash
 
     def __repr__(self) -> str:
-        return f"DirectedGraph(n={self.n}, arcs={int(np.bitwise_count(self.bits).sum())})"
+        return f"DirectedGraph(n={self.n}, arcs={int(self.adj.sum())})"
 
 
 class GraphSequence:
@@ -148,8 +148,7 @@ class GraphSequence:
 
     ``table`` is one read-only (m, n, ceil(n/8)) uint8 array, the packed
     receive rows of each distinct graph once; step t uses
-    ``table[ids[t]]``. It is built from a list of graphs, a bool
-    (steps, n, n) stack of receive matrices (packed on entry) or a packed
+    ``table[ids[t]]``. It is built from a list of graphs or a packed
     (steps, n, ceil(n/8)) uint8 table, with one entry per step; equal
     steps are interned (a packed table of distinct steps is kept, not
     copied). With ``ids`` given, the entries are the table. ``seq[t]``
@@ -177,20 +176,13 @@ class GraphSequence:
         table = graphs
         if table.size == 0:
             raise ValueError("graph sequence must contain at least one step")
-        square = table.ndim == 3 and table.shape[1] == table.shape[2]
         packed = table.ndim == 3 and table.shape[2] == -(-table.shape[1] // 8)
-        if table.dtype == bool and square:
-            table = _pack(table)
-        elif table.dtype != np.uint8 or not packed:
+        if table.dtype != np.uint8 or not packed:
             got = f"{table.dtype} {table.shape}"
-            raise ValueError(
-                f"a graph table must be a bool (m, n, n) stack or a packed uint8 "
-                f"(m, n, ceil(n/8)) table, got {got}"
-            )
-        else:
-            padding = (1 << (8 * table.shape[2] - table.shape[1])) - 1  # low bits of the last byte
-            if np.any(table[:, :, -1] & padding):
-                raise ValueError("a packed graph table must leave the bits past column n-1 clear")
+            raise ValueError(f"a graph table must be a packed uint8 (m, n, ceil(n/8)) table, got {got}")
+        padding = (1 << (8 * table.shape[2] - table.shape[1])) - 1  # low bits of the last byte
+        if np.any(table[:, :, -1] & padding):
+            raise ValueError("a packed graph table must leave the bits past column n-1 clear")
         missing = np.argwhere(~_has_loops(table))
         if missing.size:
             k, v = missing[0].tolist()
@@ -249,38 +241,27 @@ def undirected_ring(n: int) -> DirectedGraph:
     return DirectedGraph.from_arcs(n, ((v, (v + d) % n) for v in range(n) for d in (1, -1)))
 
 
-def _strongly_connected(bits: np.ndarray) -> bool:
-    """Whether the graph of packed receive rows ``bits`` (row i holds the
-    senders of i) is strongly connected: every vertex reaches vertex 0,
-    and vertex 0 reaches every vertex. Both are frontier searches on the
-    packed words that expand each vertex once, so the work is O(n^2)
-    bits whatever the depth."""
-    n = bits.shape[0]
-    v = np.arange(n)
-    # who reaches 0: the senders into a frontier are the OR of its rows
-    reaches_0 = np.zeros(bits.shape[1], dtype=np.uint8)
-    reaches_0[0] = _BIT[0]
-    frontier = v[:1]
-    while frontier.size:
-        new = np.bitwise_or.reduce(bits[frontier], axis=0) & ~reaches_0
-        reaches_0 |= new
-        frontier = np.unpackbits(new, count=n).nonzero()[0]
-    if not np.unpackbits(reaches_0, count=n).all():
-        return False
-    # whom 0 reaches: the receivers from a frontier are the rows holding
-    # any of its column bits
-    byte, bit = v >> 3, _BIT[v & 7]
-    reached = v == 0
-    frontier = v[:1]
-    while frontier.size:
-        new = (bits[:, byte[frontier]] & bit[frontier]).any(axis=1) & ~reached
-        reached |= new
-        frontier = new.nonzero()[0]
-    return bool(reached.all())
+def _strongly_connected(adj: np.ndarray) -> bool:
+    """Whether the graph of the bool receive matrix ``adj`` (``adj[i, j]``
+    is true iff j sends to i) is strongly connected: vertex 0 reaches
+    every vertex along the arcs of ``adj``, and along those of ``adj.T``
+    (every vertex reaches 0). Each is a frontier search that expands a
+    vertex once, so the work is O(n^2) whatever the depth."""
+    for arcs in (adj, adj.T):
+        seen = np.zeros(len(arcs), dtype=bool)
+        seen[0] = True
+        frontier = np.zeros(1, dtype=np.intp)
+        while frontier.size:
+            new = arcs[:, frontier].any(axis=1) & ~seen
+            seen |= new
+            frontier = np.flatnonzero(new)
+        if not seen.all():
+            return False
+    return True
 
 
 def is_strongly_connected(g: DirectedGraph) -> bool:
-    return _strongly_connected(g.bits)
+    return _strongly_connected(g.adj)
 
 
 def first_failing_window(seq: GraphSequence, window: int) -> int | None:
@@ -289,29 +270,23 @@ def first_failing_window(seq: GraphSequence, window: int) -> int | None:
 
     This is a finite-prefix check over every sliding offset of the
     stored steps, one window at a time: a window's union is the OR of its
-    graphs' packed rows, searched as it stands. A window's union depends
-    only on the set of distinct graphs in it, and distinct sets can share
-    a union (few graphs exist on a few vertices), so each set and each
-    union is checked once.
+    graphs' packed rows. Distinct windows can share a union (few graphs
+    exist on a few vertices), so a union is unpacked and searched only
+    when it is new.
     """
     if not 1 <= window <= len(seq):
         raise ValueError(f"window must lie in 1..{len(seq)} (the sequence length), got {window}")
     ids = seq.ids.tolist()
-    passed_ids: set[frozenset[int]] = set()
-    passed_unions: set[bytes] = set()  # packed union rows, n*ceil(n/8) bytes each
+    passed: set[bytes] = set()  # packed union rows, n*ceil(n/8) bytes each
     for start in range(len(ids) - window + 1):
         if start and ids[start - 1] == ids[start + window - 1]:
             continue  # the same graphs as the window before, which passed
-        members = frozenset(ids[start : start + window])
-        if members in passed_ids:
-            continue
-        union = np.bitwise_or.reduce(seq.table[list(members)], axis=0)
+        union = np.bitwise_or.reduce(seq.table[seq.ids[start : start + window]], axis=0)
         key = union.tobytes()
-        if key not in passed_unions:
-            if not _strongly_connected(union):
+        if key not in passed:
+            if not _strongly_connected(receive_matrices(union)):
                 return start
-            passed_unions.add(key)
-        passed_ids.add(members)
+            passed.add(key)
     return None
 
 

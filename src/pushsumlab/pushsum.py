@@ -653,18 +653,16 @@ class Replicas:
 
 
 # The step coefficients alpha sigma and alpha (1 - sigma) are built for
-# blocks of at most this many steps, and at most this many bytes per table.
-COEFFICIENT_STEPS = 1024
+# blocks of at most this many bytes per table.
 COEFFICIENT_BYTES = 2**14
 
 
 def _step_coefficients(alphas: np.ndarray, sigmas: np.ndarray):
     """(alphas[k] sigmas[k], alphas[k] (1 - sigmas[k])) of every step k in
     order, as (S, n, 1) rows, built one block of steps at a time: at most
-    ``COEFFICIENT_STEPS`` steps and ``COEFFICIENT_BYTES`` per table (at
-    least one step)."""
+    ``COEFFICIENT_BYTES`` per table (at least one step)."""
     steps, replicas, n = sigmas.shape
-    size = max(1, min(COEFFICIENT_STEPS, COEFFICIENT_BYTES // (8 * replicas * n)))
+    size = max(1, COEFFICIENT_BYTES // (8 * replicas * n))
     # two tables, refilled in place: the rows of a block are used up
     # before the next block is built
     a_in, a_out = np.empty((2, min(size, steps), replicas, n, 1))

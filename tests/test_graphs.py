@@ -47,8 +47,8 @@ def components_brute_force(g):
     return comps
 
 
-def random_graph(rng, n):
-    arcs = [(j, i) for j in range(n) for i in range(n) if j != i and rng.random() < 0.3]
+def random_graph(rng, n, p=0.3):
+    arcs = [(j, i) for j in range(n) for i in range(n) if j != i and rng.random() < p]
     return DirectedGraph.from_arcs(n, arcs)
 
 
@@ -114,6 +114,11 @@ class TestDirectedGraph:
         assert a == b and hash(a) == hash(b)
         assert a != DirectedGraph.from_arcs(3, [(1, 0), (2, 1)])
         assert a != DirectedGraph.from_arcs(4, [(0, 1), (2, 1)])
+
+    def test_repr_needs_no_bitwise_count(self, monkeypatch):
+        # np.bitwise_count first appeared in numpy 2.0; the package supports 1.24
+        monkeypatch.delattr(np, "bitwise_count", raising=False)
+        assert repr(directed_ring(3)) == "DirectedGraph(n=3, arcs=6)"
 
     def test_adjacency_is_read_only(self):
         g = directed_ring(3)
@@ -234,9 +239,9 @@ class TestUniformConnectivity:
         assert first_failing_window(GraphSequence([loops] * 2 + [ring]), 2) == 0
 
     def test_each_distinct_window_checked_once(self, monkeypatch):
-        # a union is the OR of a (members, n, ceil(n/8)) stack of packed
-        # rows; every union formed is keyed once by its bytes, and only a
-        # union with a new key goes to the packed search
+        # a union is the OR of a (window, n, ceil(n/8)) stack of packed
+        # rows, formed for every window the previous-window skip leaves;
+        # only a union with new bytes is unpacked and searched
         checked, unions = [], []
         search, bitwise_or = graphs._strongly_connected, np.bitwise_or
 
@@ -249,13 +254,14 @@ class TestUniformConnectivity:
                     unions.append(1)
                 return bitwise_or.reduce(a, **kwargs)
 
-        monkeypatch.setattr(graphs, "_strongly_connected", lambda bits: checked.append(1) or search(bits))
+        monkeypatch.setattr(graphs, "_strongly_connected", lambda adj: checked.append(1) or search(adj))
         monkeypatch.setattr(np, "bitwise_or", CountingOr())
         a, b, c = directed_ring(4), complete_graph(4), undirected_ring(4)
         # windows of two cycle through {a, b}, {b, c} and {c, a}; the
-        # first two have the same union, the complete graph
+        # first two have the same union, the complete graph. No window
+        # repeats the one before, so all 29 unions are formed
         assert first_failing_window(GraphSequence([a, b, c] * 10), 2) is None
-        assert len(unions) == 3 and len(checked) == 2
+        assert len(unions) == 29 and len(checked) == 2
         checked.clear()
         assert is_uniformly_strongly_connected(generate_sequence("static-ring", 3, 10_000), 1)
         assert len(checked) == 1
@@ -275,6 +281,27 @@ class TestUniformConnectivity:
                 )
             ]
             assert first_failing_window(seq, window) == (failing[0] if failing else None)
+
+    def test_matches_brute_force_reachability_over_bytes(self):
+        # unions of 9 to 24 vertices span two or three packed bytes
+        rng = np.random.default_rng(11)
+        verdicts = set()
+        for _ in range(30):
+            n = int(rng.integers(9, 25))
+            # about two arcs out of each vertex, so a union of a few
+            # graphs is strongly connected only some of the time
+            pool = [random_graph(rng, n, 2 / n) for _ in range(4)]
+            steps = [pool[int(k)] for k in rng.integers(0, 4, size=10)]
+            window = int(rng.integers(1, 6))
+            failing = [
+                s for s in range(len(steps) - window + 1)
+                if len(components_brute_force(
+                    DirectedGraph(n, set().union(*(g.arcs for g in steps[s : s + window])))
+                )) > 1
+            ]
+            verdicts.add(failing[0] if failing else None)
+            assert first_failing_window(GraphSequence(steps), window) == (failing[0] if failing else None)
+        assert None in verdicts and len(verdicts) > 2  # passes, and fails at several offsets
 
 
 class TestGenerators:
@@ -437,36 +464,33 @@ class TestGraphSequence:
     def test_stack_and_graph_list_build_the_same_table(self):
         graphs = [directed_ring(4), complete_graph(4), directed_ring(4), undirected_ring(4)]
         stack = np.array([g.adj for g in graphs])
-        from_list, from_stack = GraphSequence(graphs), GraphSequence(stack)
-        from_packed = GraphSequence(np.packbits(stack, axis=-1))
-        assert from_stack.ids.tolist() == from_list.ids.tolist() == from_packed.ids.tolist() == [0, 1, 0, 2]
-        assert from_stack.table.dtype == from_list.table.dtype == from_packed.table.dtype == np.uint8
-        assert from_stack.table.shape == (3, 4, 1)
-        assert np.array_equal(from_stack.table, from_list.table)
-        assert np.array_equal(from_stack.table, from_packed.table)
-        assert np.array_equal(receive_matrices(from_stack.table), stack[[0, 1, 3]])
-        assert not from_stack.table.flags.writeable
-        assert from_stack[2] is from_stack[0] and from_stack.graphs == tuple(graphs)
+        from_list, from_packed = GraphSequence(graphs), GraphSequence(np.packbits(stack, axis=-1))
+        assert from_list.ids.tolist() == from_packed.ids.tolist() == [0, 1, 0, 2]
+        assert from_list.table.dtype == from_packed.table.dtype == np.uint8
+        assert from_packed.table.shape == (3, 4, 1)
+        assert np.array_equal(from_packed.table, from_list.table)
+        assert np.array_equal(receive_matrices(from_packed.table), stack[[0, 1, 3]])
+        assert not from_packed.table.flags.writeable
+        assert from_packed[2] is from_packed[0] and from_packed.graphs == tuple(graphs)
 
     def test_distinct_steps_keep_the_stack(self):
-        # a packed table of distinct steps is kept; a bool stack is packed on entry
+        # a packed table of distinct steps is kept, not copied
         stack = np.array([directed_ring(3).adj, complete_graph(3).adj])
         packed = np.packbits(stack, axis=-1)
         seq = GraphSequence(packed)
         assert seq.table is packed and seq[1].bits.base is packed
         assert np.array_equal(seq[1].adj, stack[1])
-        assert np.array_equal(GraphSequence(stack).table, packed)
 
     def test_invalid_stacks_rejected(self):
-        with pytest.raises(ValueError, match="bool"):
+        with pytest.raises(ValueError, match=re.escape("packed uint8 (m, n, ceil(n/8)) table, got uint8 (2, 3, 3)")):
             GraphSequence(np.ones((2, 3, 3), dtype=np.uint8))
-        for shape in ((2, 3, 4), (3, 3)):
-            with pytest.raises(ValueError, match=re.escape(f"got bool {shape}")):
+        for shape in ((2, 3, 3), (2, 3, 1), (2, 3, 4), (3, 3)):
+            with pytest.raises(ValueError, match=re.escape(f"packed uint8 (m, n, ceil(n/8)) table, got bool {shape}")):
                 GraphSequence(np.ones(shape, dtype=bool))
         stack = np.ones((2, 3, 3), dtype=bool)
         stack[1, 2, 2] = False
         with pytest.raises(ValueError, match="^graph 1 of the table is missing the self-loop at vertex 2$"):
-            GraphSequence(stack)
+            GraphSequence(np.packbits(stack, axis=-1))
 
     def test_packed_tables_checked(self):
         with pytest.raises(ValueError, match=re.escape("got uint8 (2, 9, 1)")):

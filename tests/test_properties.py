@@ -426,7 +426,7 @@ def test_step_order_matches_the_reference_loop(sc, replicas, sgp_d, zeros, signa
         if algorithm == "sgp":
             oracles = [GradientOracle(inputs["oracle"].noise_bounds, seed=s) for s in seeds]
         inputs = {**inputs, "sigma": sigmas, "oracle": oracles}
-        with chunks_of(chunk, sc.n), patched(pushsum, COEFFICIENT_STEPS=block):
+        with chunks_of(chunk, sc.n), patched(pushsum, COEFFICIENT_BYTES=8 * replicas * sc.n * block):
             got = run_optimizer(**inputs)
         with patched(optim, run_dynamics=reference_dynamics):
             want = run_optimizer(**inputs)
