@@ -57,9 +57,13 @@ __all__ = [
 def consensus_error_series(trace: Trace) -> np.ndarray:
     """max_i ||z_i(t) - <z(t)>|| at every recorded time t, where <z> is
     the mass-weighted average."""
-    z = trace.zs
-    center = trace.z_weighted[:, np.newaxis, :]
-    return np.max(np.linalg.norm(z - center, axis=2), axis=1)
+    dev = trace.zs
+    dev -= trace.z_weighted[:, np.newaxis, :]
+    # the ufuncs of np.linalg.norm in its order (square, sum, root), so
+    # the bits are its own, with the square and the root in place
+    np.multiply(dev, dev, out=dev)
+    norms = np.add.reduce(dev, axis=2)
+    return np.max(np.sqrt(norms, out=norms), axis=1)
 
 
 def lyapunov_series(trace: Trace, z_star: np.ndarray) -> np.ndarray:
@@ -84,16 +88,16 @@ def running_average_iterates(trace: Trace) -> tuple[np.ndarray, np.ndarray]:
     """
     if trace.alphas is None:
         raise ValueError("trace has no step sizes; not an optimizer trace")
-    alphas = np.asarray(trace.alphas, dtype=float)
     steps = trace.steps
-    zw = trace.z_weighted[:steps]
-    zs = trace.zs[:steps]
-    wsum = np.cumsum(alphas)
-    net = np.cumsum(alphas[:, np.newaxis] * zw, axis=0) / wsum[:, np.newaxis]
-    per_agent = np.cumsum(alphas[:, np.newaxis, np.newaxis] * zs, axis=0) / wsum[
-        :, np.newaxis, np.newaxis
-    ]
-    return net, per_agent
+    net = _running_average(trace.alphas, trace.z_weighted[:steps])
+    return net, _running_average(trace.alphas, trace.zs[:steps])
+
+
+def _running_average(alphas: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """sum_{tau<=t} alpha(tau) values[tau] / sum_{tau<=t} alpha(tau) for
+    every t, along the first axis."""
+    alphas = np.asarray(alphas, dtype=float).reshape((-1,) + (1,) * (values.ndim - 1))
+    return np.cumsum(alphas * values, axis=0) / np.cumsum(alphas, axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -107,8 +111,10 @@ class BoundInputs:
     eta is a positive lower bound on the mass weights y along the run
     (a-priori worst case or the realized minimum); mu is the geometric
     mixing rate in [0, 1); grad_bound is the uniform subgradient norm
-    bound G. The initial arrays are taken from the trace, z_star from
-    the objective.
+    bound G >= 0 (at G = 0, as when every applied gradient is zero,
+    every G term of a deterministic ceiling vanishes and the
+    initial-gap term remains). The initial arrays are taken from the
+    trace, z_star from the objective.
     """
 
     n: int
@@ -129,8 +135,8 @@ class BoundInputs:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if not (self.grad_bound > 0.0):
-            raise ValueError("grad_bound must be positive")
+        if not (self.grad_bound >= 0.0):
+            raise ValueError(f"grad_bound must be non-negative, got {self.grad_bound}")
         if not (self.eta > 0.0):
             raise ValueError("eta must be positive")
         if not (0.0 <= self.mu < 1.0):
@@ -168,9 +174,10 @@ def bound_inputs_from_trace(
     """Assemble bound inputs from a recorded run.
 
     Defaults are the realized quantities: eta is the minimum recorded y
-    and grad_bound the largest applied gradient-row norm. mu has no
-    realized analogue and must be supplied (typically mu_ub from
-    theoretical_constants).
+    and grad_bound the largest applied gradient-row norm, 0 when every
+    applied gradient is zero. mu has no realized analogue and must be
+    supplied (typically mu_ub from theoretical_constants). Only the
+    initial row of the states is read.
     """
     if eta is None:
         eta = float(trace.ys.min())
@@ -179,9 +186,9 @@ def bound_inputs_from_trace(
             grad_bound = obj.grad_norm_bound
         else:
             grad_bound = float(np.max(np.linalg.norm(trace.gs, axis=2)))
-        if grad_bound is None or grad_bound <= 0.0:
-            raise ValueError("cannot infer a positive gradient bound; pass grad_bound")
-    z0 = trace.zs[0]
+        if grad_bound is None:
+            raise ValueError("cannot infer a gradient bound; pass grad_bound")
+    z0 = trace.xs[0] / trace.ys[0][:, np.newaxis]
     g0 = obj.subgradients(z0)
     z_star, _ = obj.optimum()
     return BoundInputs(
@@ -189,7 +196,8 @@ def bound_inputs_from_trace(
         grad_bound=grad_bound,
         eta=eta,
         mu=mu,
-        z_bar0=trace.z_weighted[0],
+        # the first row of z_weighted, reduced in the same shape
+        z_bar0=trace.xs[:1].sum(axis=1)[0] / trace.kappa,
         z0=z0,
         x0=trace.xs[0],
         g0=g0,
@@ -378,11 +386,13 @@ def sgp_constants(inputs: BoundInputs) -> SgpConstants:
     C = 4 + 128 K1 K2 lambda_bar / (G eta mu^2)
           + 512 n (K2 + 1) / (eta (1 - mu) mu).
 
-    Requires mu strictly inside (0, 1) and a K1 estimate in the inputs
-    (see estimate_k1).
+    Requires mu strictly inside (0, 1), a positive G and a K1 estimate
+    in the inputs (see estimate_k1).
     """
     if not (0.0 < inputs.mu < 1.0):
         raise ValueError(f"sgp constants need mu in (0, 1), got {inputs.mu}")
+    if inputs.grad_bound == 0.0:
+        raise ValueError("sgp constants divide by the gradient bound G; got G = 0")
     if inputs.k1 is None:
         raise ValueError("inputs.k1 missing; estimate it first (estimate_k1)")
     if inputs.lambda_bar is None:
@@ -613,12 +623,18 @@ def compute_metrics(
         z_star, f_star = obj.optimum()
         lyap = lyapunov_series(trace, z_star)
         if trace.alphas is not None:
-            net, per_agent = running_average_iterates(trace)
+            # the net average and the recorded agent's alone: no
+            # (steps, n, d) array of every agent's averages is built
+            steps = trace.steps
+            net = _running_average(trace.alphas, trace.z_weighted[:steps])
+            own = trace.xs[:steps, agent] / trace.ys[:steps, agent, np.newaxis]
             f_gap_avg = obj.values(net) - f_star
-            f_gap_agent = obj.values(per_agent[:, agent]) - f_star
+            f_gap_agent = obj.values(_running_average(trace.alphas, own)) - f_star
             if constants is not None and trace.algorithm != "sgp":
                 het = trace.algorithm in HET_BOUND_ALGORITHMS
-                realized = bound_inputs_from_trace(trace, obj, mu=constants.mu_ub)
+                realized = bound_inputs_from_trace(
+                    trace, obj, mu=constants.mu_ub, eta=realized_eta, grad_bound=realized_g
+                )
                 # a-priori: the same initial data under eta_lb and G
                 g = obj.grad_norm_bound or realized.grad_bound
                 apriori = replace(realized, eta=constants.eta_lb, grad_bound=g)

@@ -179,7 +179,8 @@ def _summarize(arts: RunArtifacts, metrics: RunMetrics, shas: dict, conn: dict) 
     }
     if trace.algorithm in ("pushsum", "weighted_pushsum"):
         limit = trace.z_weighted[0]
-        dev = float(np.max(np.linalg.norm(trace.zs[-1] - limit[np.newaxis, :], axis=1)))
+        z_end = trace.xs[-1] / trace.ys[-1][:, np.newaxis]  # the last row of trace.zs
+        dev = float(np.max(np.linalg.norm(z_end - limit[np.newaxis, :], axis=1)))
         summary["target"] = {"limit": limit, "final_max_deviation": dev}
     if metrics.lyapunov is not None:
         summary["final"]["lyapunov"] = float(metrics.lyapunov[-1])
@@ -277,7 +278,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # entry floor, the probability recursion (optionally against
     # corrupted y records), and the backward products of the ratio
     # identity and of the product limit. Every pair starts at t0, so the
-    # scan builds one S chain and one W chain; the chain to t_end
+    # scan builds one chain of S and W products; the chain to t_end
     # multiplies in every S(k), and S(k) = Y(k+1)^-1 W(k) Y(k) telescopes
     # for any tau, so a faulty step shows in every later Phi(t, t0).
     ys_check = trace.ys

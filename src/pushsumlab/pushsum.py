@@ -39,7 +39,6 @@ __all__ = [
     "Trace",
     "Replicas",
     "TheoreticalConstants",
-    "BackwardProduct",
     "Finding",
     "InducedChecks",
     "s_matrix",
@@ -317,35 +316,6 @@ def induced_chunks(trace: Trace):
         yield k0, w, _induced(w, ys[k0:k1], ys[k0 + 1 : k1 + 1], k0)
 
 
-class BackwardProduct:
-    """The backward products Phi(t, tau) = M(t-1) @ ... @ M(tau) for one
-    tau, kept at each requested t (the identity at t == tau).
-
-    :meth:`walk` takes the matrices of consecutive steps, chunk by chunk
-    in order, and left-multiplies the steps tau <= k < max(ts), as an
-    explicit product would, with no re-normalization: accumulated
-    rounding is part of what callers measure.
-    """
-
-    def __init__(self, n: int, tau: int, ts: Iterable[int]) -> None:
-        want = set(ts)
-        if not want or min(want) < tau:
-            raise ValueError(f"products need t >= tau, got t in {sorted(want)} and tau={tau}")
-        self.tau, self.end, self._want = tau, max(want), want
-        self.product = np.eye(n)
-        self.kept = {tau: self.product} if tau in want else {}
-
-    def walk(self, k0: int, mats: np.ndarray) -> None:
-        """Take the matrices of steps k0, k0 + 1, ...: mats[j] is step k0 + j."""
-        first = max(k0, self.tau)
-        product, want, kept = self.product, self._want, self.kept
-        for t, m in enumerate(mats[first - k0 : max(0, self.end - k0)], first + 1):
-            product = m @ product
-            if t in want:
-                kept[t] = product
-        self.product = product
-
-
 class Finding(NamedTuple):
     """A check's extreme value and where it occurs. ``where`` maps axis
     names to positions: ``step`` is the time t at which a step starts,
@@ -429,33 +399,49 @@ def scan_induced(
     (the recorded y rows by default), so corrupted records can be tested
     against honestly induced matrices; everything else reads the
     recorded rows. ``ratio_pairs`` and ``limit_pairs`` hold (t, tau) time
-    labels. Each distinct tau gets one S chain (shared by both checks)
-    and, for the ratio identity, one W chain. A pair is evaluated in the
-    chunk where its chains pass its t, and the products kept for it are
-    dropped there, so no finished product outlives its chunk.
+    labels. Each distinct tau gets one chain: Phi_S(t, tau) and, when a
+    ratio pair starts at tau, Phi_W(t, tau). One loop over each chunk's
+    steps advances both, S(k) @ Phi_S and W(k) @ Phi_W (latest step on
+    the left, no re-normalization: accumulated rounding is part of what
+    is measured), from tau up to the chain's largest t. Each pair is
+    evaluated at the step where its chain reaches t; a pair with
+    t == tau reads the identities its chain starts from.
     """
     ys_prob = trace.ys if ys is None else np.asarray(ys, dtype=float)
-
-    def positions(pairs: Iterable[tuple[int, int]]) -> dict:
-        out = {}
+    ratio: dict[tuple[int, int], Finding] = dict.fromkeys(map(tuple, ratio_pairs))
+    limit: dict[tuple[int, int], float] = dict.fromkeys(map(tuple, limit_pairs))
+    # per tau position, the pairs that fall due at each t position
+    due: dict[int, dict[int, list[tuple[int, int, bool]]]] = {}
+    for pairs, is_ratio in ((ratio, True), (limit, False)):
         for t, tau in pairs:
             ti, taui = trace.index_of(t), trace.index_of(tau)
             if ti < taui:
                 raise ValueError(f"need t >= tau, got t={t}, tau={tau}")
-            out[(t, tau)] = (ti, taui)
-        return out
+            due.setdefault(taui, {}).setdefault(ti, []).append((t, tau, is_ratio))
 
-    def chains(at: Iterable[tuple[int, int]]) -> dict[int, BackwardProduct]:
-        ts: dict[int, set[int]] = {}
-        for ti, taui in at:
-            ts.setdefault(taui, set()).add(ti)
-        return {taui: BackwardProduct(trace.n, taui, want) for taui, want in ts.items()}
+    def evaluate(phi_s: np.ndarray, phi_w: np.ndarray | None, taui: int, ti: int) -> None:
+        # one expression each, so no n x n temporary outlives it
+        for t, tau, is_ratio in due[taui].pop(ti, ()):
+            if is_ratio:
+                found = locate(
+                    np.abs(
+                        phi_s * trace.ys[ti][:, np.newaxis] - phi_w * trace.ys[taui][np.newaxis, :]
+                    ),
+                    range(trace.n),
+                    ("row", "column"),
+                )
+                ratio[(t, tau)] = Finding(found.value, {"t": t, "tau": tau, **found.where})
+            else:
+                limit[(t, tau)] = float(np.max(np.abs(phi_s - trace.ys[taui] / trace.kappa)))
 
-    ratio_at, limit_at = positions(ratio_pairs), positions(limit_pairs)
-    s_chains = chains([*ratio_at.values(), *limit_at.values()])
-    w_chains = chains(ratio_at.values())
-    ratio: dict[tuple[int, int], Finding | None] = dict.fromkeys(ratio_at)
-    limit: dict[tuple[int, int], float | None] = dict.fromkeys(limit_at)
+    # per tau position, the chain's [Phi_S, Phi_W], Phi_W None unless a
+    # ratio pair starts there; the pairs with t == tau read the identities.
+    # The list is updated in place, so no older product stays referenced.
+    chains: dict[int, list[np.ndarray | None]] = {}
+    for taui, at in due.items():
+        with_w = any(is_ratio for pairs in at.values() for *_, is_ratio in pairs)
+        chains[taui] = [np.eye(trace.n), np.eye(trace.n) if with_w else None]
+        evaluate(*chains[taui], taui, taui)
 
     columns = beta_min = w_rows = row = sparsity = floor = prob = None
     graph = None if seq is None else NO_MISMATCH  # until the first mismatch
@@ -483,31 +469,16 @@ def scan_induced(
         pi = absolute_probability(ys_prob[k0 : k1 + 1], trace.kappa)
         dev = np.abs(np.matmul(s.transpose(0, 2, 1), pi[1:, :, np.newaxis])[:, :, 0] - pi[:-1])
         prob = _larger(prob, locate(dev, steps, ("step", "agent")))
-        for chain in s_chains.values():
-            chain.walk(k0, s)
-        for chain in w_chains.values():
-            chain.walk(k0, w)
-        # the chains have passed every t position up to k1: evaluate the
-        # pairs there, then drop their products (one expression each, so
-        # no n x n temporary outlives it)
-        for (t, tau), (ti, taui) in ratio_at.items():
-            if ti <= k1 and ratio[(t, tau)] is None:
-                found = locate(
-                    np.abs(
-                        s_chains[taui].kept[ti] * trace.ys[ti][:, np.newaxis]
-                        - w_chains[taui].kept[ti] * trace.ys[taui][np.newaxis, :]
-                    ),
-                    range(trace.n),
-                    ("row", "column"),
-                )
-                ratio[(t, tau)] = Finding(found.value, {"t": t, "tau": tau, **found.where})
-        for pair, (ti, taui) in limit_at.items():
-            if ti <= k1 and limit[pair] is None:
-                limit[pair] = float(
-                    np.max(np.abs(s_chains[taui].kept[ti] - trace.ys[taui] / trace.kappa))
-                )
-        for chain in (*s_chains.values(), *w_chains.values()):
-            chain.kept = {ti: m for ti, m in chain.kept.items() if ti > k1}
+        for taui, chain in chains.items():
+            at = due[taui]
+            lo = max(k0, taui)
+            hi = min(k1, max(at, default=lo))
+            for ti, s_k, w_k in zip(range(lo + 1, hi + 1), s[lo - k0 :], w[lo - k0 :]):
+                chain[0] = s_k @ chain[0]
+                if chain[1] is not None:
+                    chain[1] = w_k @ chain[1]
+                if ti in at:
+                    evaluate(*chain, taui, ti)
 
     return InducedChecks(
         columns, graph, beta_min, w_rows, row, sparsity or NO_MISMATCH, floor, prob, ratio, limit

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -122,6 +123,13 @@ class TestSeries:
     def test_lyapunov(self):
         tr = make_trace([0.0, 4.0, 2.0], alphas=[1.0, 1.0])
         assert np.array_equal(lyapunov_series(tr, [2.0]), [4.0, 4.0, 0.0])
+
+    def test_consensus_error_is_the_norm_of_the_centred_ratios(self):
+        seq = generate_sequence("random-spanning", n=5, horizon=20, seed=3, params={"window": 2})
+        tr = run_pushsum(seq, "default", np.arange(15.0).reshape(5, 3) ** 1.5, 20)
+        centred = tr.zs - tr.z_weighted[:, np.newaxis, :]
+        expected = np.max(np.linalg.norm(centred, axis=2), axis=1)
+        assert np.array_equal(consensus_error_series(tr), expected)
 
     def test_running_average_weights(self):
         tr = make_trace([0.0, 4.0, 2.0, 7.0], alphas=[1.0, 1.0, 2.0])
@@ -404,6 +412,11 @@ class TestStochasticConstants:
         with pytest.raises(ValueError):
             sgp_constants(simple_inputs(mu=0.0, k1=1.0, lambda_bar=1.0))
 
+    def test_sgp_constants_reject_zero_gradient_bound(self):
+        # C divides by G
+        with pytest.raises(ValueError, match="G = 0"):
+            sgp_constants(simple_inputs(grad_bound=0.0, mu=0.5, k1=1.0, lambda_bar=1.0))
+
 
 class TestSgpBounds:
     def make_inputs(self):
@@ -483,6 +496,39 @@ class TestBoundInputsFromTrace:
     def test_mu_validated(self):
         with pytest.raises(ValueError):
             simple_inputs(mu=1.0)
+
+    def test_zero_gradients_infer_a_zero_bound(self):
+        # every agent starts at the common minimizer: every applied gradient is zero
+        seq = generate_sequence("static-complete", n=2, horizon=20)
+        obj = absolute_deviation_objective([[1.0], [1.0]])
+        tr = run_optimizer("subgradient_push", seq, obj, fixed_inv_sqrt(20), x0=[[1.0], [1.0]])
+        assert not tr.gs.any()
+        assert bound_inputs_from_trace(tr, obj, mu=0.75).grad_bound == 0.0
+
+    def test_zero_gradient_bound_leaves_the_initial_gap(self):
+        alphas = np.full(20, 1.0 / math.sqrt(20))
+        inputs = simple_inputs(grad_bound=0.0, mu=0.5, z_bar0=np.array([3.0]), alphas=alphas, horizon=20)
+        gap = inputs.initial_gap_sq()
+        assert gap == 9.0
+        assert bound_subgradient_push_fixed(inputs) == gap / (2.0 * math.sqrt(20))
+        assert bound_heterogeneous(inputs, "fixed") == gap / (2.0 * math.sqrt(20))
+        varying = _varying_bound_series(inputs, het=False)
+        assert np.array_equal(varying, gap / (2.0 * np.cumsum(alphas)))
+
+    def test_negative_gradient_bound_rejected(self):
+        for g in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="grad_bound must be non-negative"):
+                simple_inputs(grad_bound=g)
+
+    def test_reads_only_the_initial_states(self):
+        seq = generate_sequence("random-spanning", n=4, horizon=30, seed=2, params={"window": 2})
+        obj = quadratic_objective(np.arange(8.0).reshape(4, 2))
+        tr = run_optimizer(
+            "push_subgradient", seq, obj, harmonic(0.5, 1.0), x0=np.ones((4, 2)), y0=[0.5, 1, 2, 3]
+        )
+        inputs = bound_inputs_from_trace(tr, obj, mu=0.9)
+        assert np.array_equal(inputs.z0, tr.zs[0])
+        assert np.array_equal(inputs.z_bar0, tr.z_weighted[0])
 
 
 class TestRateFit:
@@ -621,3 +667,30 @@ class TestComputeMetrics:
         tr = run_pushsum(seq, "default", [0.0, 2.0], 5)
         with pytest.raises(ValueError):
             compute_metrics(tr, agent=2)
+
+    def test_takes_each_reduction_of_the_trace_once(self):
+        # the consensus norms are taken in place, the gradient norm once
+        # and no per-agent running average of every agent is built: the
+        # transient stays within 4 trace-sized arrays, where taking
+        # np.linalg.norm of the centred ratios alone held 5
+        n, horizon = 60, 400
+        seq = generate_sequence("random-spanning", n, horizon, 1, {"window": 2, "extra_arc_prob": 0.1})
+        obj = absolute_deviation_objective(np.arange(n, dtype=float)[:, np.newaxis])
+        sched = fixed_inv_sqrt(horizon)
+        tr = run_optimizer("push_subgradient", seq, obj, sched, x0=np.zeros((n, 1)))
+        constants = TheoreticalConstants(0.25, 0.75)
+        expected = compute_metrics(tr, obj, sched, constants=constants)  # and warm caches
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            found = compute_metrics(tr, obj, sched, constants=constants)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * tr.xs.nbytes, (peak, tr.xs.nbytes)
+        assert found.bounds == expected.bounds
+        assert found.realized_grad_bound == float(np.max(np.linalg.norm(tr.gs, axis=2)))
+        assert np.array_equal(found.consensus, consensus_error_series(tr))
+        net, per_agent = running_average_iterates(tr)
+        assert np.array_equal(found.f_gap_avg, obj.values(net) - obj.optimum()[1])
+        assert np.array_equal(found.f_gap_agent, obj.values(per_agent[:, 0]) - obj.optimum()[1])

@@ -299,6 +299,37 @@ class TestRun:
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
         assert sum(map(len, calls)) == 1
 
+    @pytest.mark.parametrize("kind", ["abs", "quadratic"])
+    def test_zero_gradients_run_and_sweep(self, kind, tmp_path):
+        # both agents start at the common minimizer: every applied
+        # gradient is zero, so the realized G is 0
+        cfg = write_cfg(
+            tmp_path,
+            "zero.json",
+            {
+                "algorithm": "subgradient_push",
+                "n": 2,
+                "horizon": 40,
+                "graph": {"kind": "static-complete"},
+                "init": {"x0": [[1.0], [1.0]]},
+                "objective": {"kind": kind, "anchors": [[1.0], [1.0]]},
+                "stepsize": {"kind": "fixed_inv_sqrt"},
+            },
+        )
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "r")]) == 0
+        summary = json.loads((tmp_path / "r" / "summary.json").read_text())
+        assert summary["realized"]["grad_bound"] == 0.0
+        bounds = summary["bounds"]
+        assert bounds["final_gap_below_varying_realized"] is True
+        assert all(np.isfinite(v) for v in bounds.values() if not isinstance(v, bool))
+        sweep = tmp_path / "s"
+        argv = ["sweep", "--config", cfg, "--axis", "horizon", "--values", "20,40", "--out", str(sweep)]
+        assert main(argv) == 0
+        rows = json.loads((sweep / "sweep_summary.json").read_text())["rows"]
+        assert [(row["horizon"], row["bound_fixed_realized"]) for row in rows] == [(20, 0.0), (40, 0.0)]
+        assert (sweep / "sweep.csv").exists()
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 0
+
     def test_seed_override_changes_sigma_path(self, heterogeneous_cfg, tmp_path):
         out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
         assert main(["run", "--config", heterogeneous_cfg, "--out", out_a, "--seed", "0"]) == 0
@@ -423,9 +454,9 @@ class TestVerify:
         assert main(["verify", "--config", pushsum_cfg, "--out", str(tmp_path / "v")]) == 0
         assert built == list(range(60)) and not single
 
-    def test_backward_products_cost_two_chains(self, tmp_path, monkeypatch):
-        # every checked pair starts at t0: one S chain and one W chain of T
-        # products each, whatever pairs the seed draws
+    def test_backward_products_run_one_chain_from_t0(self, tmp_path, monkeypatch):
+        # every checked pair starts at t0 and one ends at t_end: one chain
+        # of T S-products and T W-products, whatever pairs the seed draws
         horizon = 60
         cfg = write_cfg(
             tmp_path,
@@ -438,17 +469,20 @@ class TestVerify:
                 "init": {"x0": [float(i) for i in range(12)]},
             },
         )
-        chains, products = set(), []
-        walk = pushsum.BackwardProduct.walk
+        calls = []
+        scan = cli.scan_induced
 
-        def counted(self, k0, mats):
-            chains.add(self)
-            products.extend(k for k in range(k0, k0 + len(mats)) if self.tau <= k < self.end)
-            walk(self, k0, mats)
+        def recorded(trace, *args, **kwargs):
+            calls.append((trace.t0, trace.t0 + trace.steps, kwargs))
+            return scan(trace, *args, **kwargs)
 
-        monkeypatch.setattr(pushsum.BackwardProduct, "walk", counted)
+        monkeypatch.setattr(cli, "scan_induced", recorded)
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 0
-        assert len(chains) == 2 and len(products) == 2 * horizon
+        [(t0, t_end, kwargs)] = calls
+        pairs = [*kwargs["ratio_pairs"], *kwargs["limit_pairs"]]
+        assert kwargs["ratio_pairs"] and kwargs["limit_pairs"]
+        assert {tau for _, tau in pairs} == {t0}
+        assert max(t for t, _ in kwargs["ratio_pairs"]) == t_end == t0 + horizon
 
     def test_each_default_matrix_built_twice(self, tmp_path, monkeypatch):
         # a fresh graph every step: the run builds each W(k) once and the

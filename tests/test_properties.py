@@ -212,12 +212,6 @@ def test_one_pass_matches_per_step_reference(sc):
     for graphs, graph in ((seq, found.graph), (other, off_graph)):
         assert graph == first_mismatch(w_all, graphs, trace.times())
 
-    def product(mats, ti, taui):
-        out = np.eye(trace.n)
-        for k in range(taui, ti):
-            out = mats[k] @ out
-        return out
-
     for t, tau in pairs_of(trace):
         ti, taui = trace.index_of(t), trace.index_of(tau)
         phi_s, phi_w = product(s_all, ti, taui), product(w_all, ti, taui)
@@ -227,6 +221,42 @@ def test_one_pass_matches_per_step_reference(sc):
         assert found.ratio[(t, tau)].value <= 1e-9
         limit = np.tile(trace.ys[taui] / trace.kappa, (trace.n, 1))
         assert found.limit[(t, tau)] == float(np.max(np.abs(phi_s - limit)))
+
+
+def product(mats, ti, taui):
+    """The explicit backward product mats[ti-1] @ ... @ mats[taui]."""
+    out = np.eye(len(mats[0]))
+    for k in range(taui, ti):
+        out = mats[k] @ out
+    return out
+
+
+@PROPERTY
+@given(scenarios(), st.integers(1, 5), st.data())
+def test_every_pair_equals_its_explicit_products(sc, steps, data):
+    """Random pairs over several taus, evaluated by one chain per tau
+    under any chunk size, give the explicit products' values."""
+    seq, _, trace = simulate(sc)
+    times = st.integers(trace.t0, trace.t0 + trace.steps)
+    pairs = st.lists(st.tuples(times, times).map(lambda p: (max(p), min(p))), max_size=8)
+    ratio_pairs, limit_pairs = data.draw(pairs), data.draw(pairs)
+    with chunks_of(steps, sc.n):
+        found = scan_induced(trace, ratio_pairs=ratio_pairs, limit_pairs=limit_pairs)
+    assert list(found.ratio) == list(dict.fromkeys(ratio_pairs))
+    assert list(found.limit) == list(dict.fromkeys(limit_pairs))
+    s_all = [trace.s_mat(k) for k in range(trace.steps)]
+    w_all = [trace.w_mats[k] for k in range(trace.steps)]
+    for t, tau in ratio_pairs:
+        ti, taui = trace.index_of(t), trace.index_of(tau)
+        lhs = product(s_all, ti, taui) * trace.ys[ti][:, np.newaxis]
+        diff = np.abs(lhs - product(w_all, ti, taui) * trace.ys[taui][np.newaxis, :])
+        row, column = np.unravel_index(int(np.argmax(diff)), diff.shape)
+        where = {"t": t, "tau": tau, "row": int(row), "column": int(column)}
+        assert found.ratio[(t, tau)] == Finding(float(diff[row, column]), where)
+    for t, tau in limit_pairs:
+        ti, taui = trace.index_of(t), trace.index_of(tau)
+        dev = np.abs(product(s_all, ti, taui) - trace.ys[taui] / trace.kappa)
+        assert found.limit[(t, tau)] == float(np.max(dev))
 
 
 def complete_graphs(seq):

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from pushsumlab.graphs import (
 )
 from pushsumlab import pushsum
 from pushsumlab.pushsum import (
-    BackwardProduct,
     DegenerateStateError,
     MixingSequence,
     Trace,
@@ -109,26 +109,58 @@ class TestInducedMatrix:
 
 
 class TestPhiProduct:
-    def test_empty_product_is_identity(self):
-        chain = BackwardProduct(3, 0, [0])
-        chain.walk(0, np.full((1, 3, 3), 1.0 / 3.0))
-        assert np.array_equal(chain.kept[0], np.eye(3))
+    """Phi(t, tau) = M(t-1) @ ... @ M(tau), read through the checks built
+    on it: the ratio identity and the product limit."""
 
-    def test_order_is_latest_on_the_left(self):
-        a = np.array([[1.0, 1.0], [0.0, 1.0]])
-        b = np.array([[1.0, 0.0], [1.0, 1.0]])
-        chain = BackwardProduct(2, 1, [1, 3])
-        # chunks start before tau, straddle max(ts) and lie past it
-        for k0, mats in ((0, [b, a]), (2, [b, a, b]), (5, [a, a, a])):
-            chain.walk(k0, np.stack(mats))
-        assert chain.kept.keys() == {1, 3}
-        assert np.array_equal(chain.kept[1], np.eye(2))
-        assert np.array_equal(chain.kept[3], b @ a)
-        assert np.array_equal(chain.product, b @ a)
+    @staticmethod
+    def weighted_trace(n=4, horizon=12, seed=3):
+        # y(0) != 1, so y(tau) / kappa differs between agents
+        seq = generate_sequence("random-spanning", n, horizon, seed, {"window": 2})
+        return run_weighted_pushsum(seq, "default", np.linspace(0.5, 2.0, n), np.arange(float(n)))
+
+    def test_empty_product_is_identity(self):
+        # labels from t0 = 5; the pairs with t == tau read their own
+        # chain's identities, while the chain from t0 has moved by t = 11
+        tr = replace(self.weighted_trace(), t0=5)
+        t0, mid = 5, 11
+        pairs = [(t0, t0), (mid, mid), (mid, t0)]
+        found = scan_induced(tr, ratio_pairs=pairs, limit_pairs=pairs)
+        alone = scan_induced(tr, ratio_pairs=[(mid, t0)], limit_pairs=[(mid, t0)])
+        for tau in (t0, mid):
+            identity_limit = float(np.max(np.abs(np.eye(4) - tr.ys[tau - t0] / tr.kappa)))
+            assert found.ratio[(tau, tau)].value == 0.0
+            assert found.limit[(tau, tau)] == identity_limit
+            assert verify_ratio_identity(tr, tau, tau) == 0.0
+            assert verify_product_limit(tr, tau, tau) == identity_limit
+        assert found.ratio[(mid, t0)] == alone.ratio[(mid, t0)]
+        assert found.limit[(mid, t0)] == alone.limit[(mid, t0)] != found.limit[(mid, mid)]
+
+    def test_order_is_latest_on_the_left(self, monkeypatch):
+        n, tau, t = 3, 4, 8
+        tr = self.weighted_trace(n, 12, 5)
+        # three steps per chunk: steps 3..5 start before tau, steps 6..8 straddle t
+        monkeypatch.setattr(pushsum, "CHUNK_BYTES", 3 * 8 * n * n)
+        found = scan_induced(tr, ratio_pairs=[(t, tau)], limit_pairs=[(t, tau)])
+        phi_s, phi_w, earliest_left = np.eye(n), np.eye(n), np.eye(n)
+        for k in range(tau, t):
+            phi_s = tr.s_mat(k) @ phi_s
+            phi_w = tr.w_mats[k] @ phi_w
+            earliest_left = earliest_left @ tr.s_mat(k)
+        lhs, rhs = phi_s * tr.ys[t][:, np.newaxis], phi_w * tr.ys[tau][np.newaxis, :]
+        assert found.ratio[(t, tau)].value == float(np.max(np.abs(lhs - rhs)))
+        limit = tr.ys[tau] / tr.kappa
+        assert found.limit[(t, tau)] == float(np.max(np.abs(phi_s - limit)))
+        assert found.limit[(t, tau)] != float(np.max(np.abs(earliest_left - limit)))
 
     def test_rejects_reversed_interval(self):
-        with pytest.raises(ValueError):
-            BackwardProduct(2, 1, [0])
+        tr = self.weighted_trace()
+        for pairs in ({"ratio_pairs": [(2, 3)]}, {"limit_pairs": [(2, 3)]}):
+            with pytest.raises(ValueError, match="need t >= tau, got t=2, tau=3"):
+                scan_induced(tr, **pairs)
+        with pytest.raises(ValueError, match="need t >= tau"):
+            verify_ratio_identity(tr, 2, 3)
+        with pytest.raises(ValueError, match="need t >= tau"):
+            verify_product_limit(tr, 3, 2)
 
 
 class TestAbsoluteProbability:
@@ -180,7 +212,7 @@ class TestRatioIdentityAndLimit:
 
     def test_finished_products_are_dropped(self):
         # at n=200 every chunk is one step, so each pair's t falls in its
-        # own chunk; a scan that kept each finished product to the end
+        # own chunk; a scan that kept each pair's products to the end
         # would hold ten more n x n matrices (a W and an S product per t)
         n, horizon = 200, 12
         seq = generate_sequence("random-spanning", n, horizon, 1, {"window": 2, "extra_arc_prob": 0.1})
