@@ -23,8 +23,9 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 CONFIGS = os.path.join(ROOT, "configs")
 # perfbench's random-n200 and hetero-sweep scenarios at seed 1, as written
-# by perfbench/run.py's _random_scenario; kept out of configs/, which the
-# acceptance tests and the loop below glob
+# by perfbench/run.py's _random_scenario, and a config that reads its graphs
+# from a file; kept out of configs/, which the acceptance tests and the loop
+# below glob
 GOLDEN_CONFIGS = os.path.join(HERE, "golden_configs")
 DIGESTS = os.path.join(HERE, "golden_digests.json")
 
@@ -58,6 +59,10 @@ CASES["verify/random_n200"] = ("verify", golden("random_n200"), [], 0)
 CASES["sweep-seeds/hetero_sweep"] = ("sweep", golden("hetero_sweep"), ["--axis", "seeds"], 0)
 # the 30 seeds of the SGP noise-table path
 CASES["sweep-seeds/sgp_quadratic"] = ("sweep", bundled("sgp_quadratic"), ["--axis", "seeds"], 0)
+# graphs read by load_sequence from a file holding more steps than the
+# horizon; the config names the file relative to the repository root
+CASES["run/graph_file"] = ("run", golden("graph_file"), [], 0)
+CASES["verify/graph_file"] = ("verify", golden("graph_file"), [], 0)
 # a failed verify, which writes where each check failed
 CASES["verify-perturbed/pushsum_ring"] = (
     "verify", bundled("pushsum_ring"), ["--perturb-y", "1e-6"], 1
@@ -65,12 +70,17 @@ CASES["verify-perturbed/pushsum_ring"] = (
 
 
 def produce(case: str, out: str) -> dict[str, str]:
-    """Run one case into ``out``, check its exit code and return the
-    sha256 of each file written."""
+    """Run one case into ``out`` from the repository root, check its exit
+    code and return the sha256 of each file written."""
     from pushsumlab.cli import main
 
     command, path, extra, code = CASES[case]
-    assert main([command, "--config", path, "--out", out, *extra]) == code
+    cwd = os.getcwd()
+    os.chdir(ROOT)
+    try:
+        assert main([command, "--config", path, "--out", out, *extra]) == code
+    finally:
+        os.chdir(cwd)
     digests = {}
     for name in sorted(os.listdir(out)):
         with open(os.path.join(out, name), "rb") as fh:
