@@ -288,14 +288,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(f"fault injection: y[agent 0] shifted by {args.perturb_y:g} from t>=1")
     t0, t_end = trace.t0, trace.t0 + trace.steps
     mid = t0 + trace.steps // 2
-    pairs = {(t_end, t0), (mid, t0)}
+    ratio_at = {t_end, mid}
     rng = np.random.default_rng(cfg.seed)
     for _ in range(3):
-        pairs.add((int(rng.integers(t0 + 1, t_end + 1)), t0))
-    limits = []
+        ratio_at.add(int(rng.integers(t0 + 1, t_end + 1)))
+    limit_at = []
     if trace.steps >= 4 and conn_ok:
-        limits = [(t_end, t0), (mid, t0)]
-    scan = scan_induced(trace, seq, ys_check, ratio_pairs=sorted(pairs), limit_pairs=limits)
+        limit_at = [t_end, mid]
+    scan = scan_induced(trace, seq, ys_check, ratio_at=sorted(ratio_at), limit_at=limit_at)
     check("column_stochastic", scan.columns, COLUMN_SUM_TOL)
     check("weights_match_graph", scan.graph, 0.0)
 
@@ -318,8 +318,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     check("ratio_identity", ratio, TOL_RATIO_IDENTITY)
 
     # backward products must approach the rank-one limit
-    if limits:
-        dev_full, dev_half = (scan.limit[pair] for pair in limits)
+    if limit_at:
+        dev_full, dev_half = (scan.limit[(t, t0)] for t in limit_at)
         check("product_limit_decay", Finding(dev_full, {}), dev_half + 1e-12)
 
     if trace.gs is not None:

@@ -388,8 +388,9 @@ def scan_induced(
     trace: Trace,
     seq: GraphSequence | None = None,
     ys: np.ndarray | None = None,
-    ratio_pairs: Iterable[tuple[int, int]] = (),
-    limit_pairs: Iterable[tuple[int, int]] = (),
+    tau: int | None = None,
+    ratio_at: Iterable[int] = (),
+    limit_at: Iterable[int] = (),
 ) -> InducedChecks:
     """Check the mixing and induced matrices of ``trace`` in one pass
     over bounded chunks of steps; no (steps, n, n) array is formed.
@@ -398,50 +399,43 @@ def scan_induced(
     The probability recursion pi = y / kappa is checked against ``ys``
     (the recorded y rows by default), so corrupted records can be tested
     against honestly induced matrices; everything else reads the
-    recorded rows. ``ratio_pairs`` and ``limit_pairs`` hold (t, tau) time
-    labels. Each distinct tau gets one chain: Phi_S(t, tau) and, when a
-    ratio pair starts at tau, Phi_W(t, tau). One loop over each chunk's
-    steps advances both, S(k) @ Phi_S and W(k) @ Phi_W (latest step on
-    the left, no re-normalization: accumulated rounding is part of what
-    is measured), from tau up to the chain's largest t. Each pair is
-    evaluated at the step where its chain reaches t; a pair with
-    t == tau reads the identities its chain starts from.
+    recorded rows. The scan walks one chain from the time label ``tau``
+    (t0 by default): Phi_S(t, tau) and, when ``ratio_at`` is non-empty,
+    Phi_W(t, tau). The loop over each chunk's steps advances both,
+    S(k) @ Phi_S and W(k) @ Phi_W (latest step on the left, no
+    re-normalization: accumulated rounding is part of what is measured),
+    and evaluates each time label t of ``ratio_at`` and ``limit_at`` when
+    the chain reaches it; t == tau reads the identities.
     """
     ys_prob = trace.ys if ys is None else np.asarray(ys, dtype=float)
-    ratio: dict[tuple[int, int], Finding] = dict.fromkeys(map(tuple, ratio_pairs))
-    limit: dict[tuple[int, int], float] = dict.fromkeys(map(tuple, limit_pairs))
-    # per tau position, the pairs that fall due at each t position
-    due: dict[int, dict[int, list[tuple[int, int, bool]]]] = {}
-    for pairs, is_ratio in ((ratio, True), (limit, False)):
-        for t, tau in pairs:
-            ti, taui = trace.index_of(t), trace.index_of(tau)
-            if ti < taui:
-                raise ValueError(f"need t >= tau, got t={t}, tau={tau}")
-            due.setdefault(taui, {}).setdefault(ti, []).append((t, tau, is_ratio))
+    tau = trace.t0 if tau is None else tau
+    taui = trace.index_of(tau)
+    ratio: dict[tuple[int, int], Finding] = dict.fromkeys((t, tau) for t in ratio_at)
+    limit: dict[tuple[int, int], float] = dict.fromkeys((t, tau) for t in limit_at)
+    last = taui  # the chain stops at the latest t
+    for t, _ in (*ratio, *limit):
+        ti = trace.index_of(t)
+        if ti < taui:
+            raise ValueError(f"need t >= tau, got t={t}, tau={tau}")
+        last = max(last, ti)
 
-    def evaluate(phi_s: np.ndarray, phi_w: np.ndarray | None, taui: int, ti: int) -> None:
+    def evaluate(phi_s: np.ndarray, phi_w: np.ndarray | None, ti: int) -> None:
         # one expression each, so no n x n temporary outlives it
-        for t, tau, is_ratio in due[taui].pop(ti, ()):
-            if is_ratio:
-                found = locate(
-                    np.abs(
-                        phi_s * trace.ys[ti][:, np.newaxis] - phi_w * trace.ys[taui][np.newaxis, :]
-                    ),
-                    range(trace.n),
-                    ("row", "column"),
-                )
-                ratio[(t, tau)] = Finding(found.value, {"t": t, "tau": tau, **found.where})
-            else:
-                limit[(t, tau)] = float(np.max(np.abs(phi_s - trace.ys[taui] / trace.kappa)))
+        t = trace.t0 + ti
+        if (t, tau) in ratio:
+            found = locate(
+                np.abs(
+                    phi_s * trace.ys[ti][:, np.newaxis] - phi_w * trace.ys[taui][np.newaxis, :]
+                ),
+                range(trace.n),
+                ("row", "column"),
+            )
+            ratio[(t, tau)] = Finding(found.value, {"t": t, "tau": tau, **found.where})
+        if (t, tau) in limit:
+            limit[(t, tau)] = float(np.max(np.abs(phi_s - trace.ys[taui] / trace.kappa)))
 
-    # per tau position, the chain's [Phi_S, Phi_W], Phi_W None unless a
-    # ratio pair starts there; the pairs with t == tau read the identities.
-    # The list is updated in place, so no older product stays referenced.
-    chains: dict[int, list[np.ndarray | None]] = {}
-    for taui, at in due.items():
-        with_w = any(is_ratio for pairs in at.values() for *_, is_ratio in pairs)
-        chains[taui] = [np.eye(trace.n), np.eye(trace.n) if with_w else None]
-        evaluate(*chains[taui], taui, taui)
+    phi_s, phi_w = np.eye(trace.n), np.eye(trace.n) if ratio else None
+    evaluate(phi_s, phi_w, taui)
 
     columns = beta_min = w_rows = row = sparsity = floor = prob = None
     graph = None if seq is None else NO_MISMATCH  # until the first mismatch
@@ -469,16 +463,12 @@ def scan_induced(
         pi = absolute_probability(ys_prob[k0 : k1 + 1], trace.kappa)
         dev = np.abs(np.matmul(s.transpose(0, 2, 1), pi[1:, :, np.newaxis])[:, :, 0] - pi[:-1])
         prob = _larger(prob, locate(dev, steps, ("step", "agent")))
-        for taui, chain in chains.items():
-            at = due[taui]
-            lo = max(k0, taui)
-            hi = min(k1, max(at, default=lo))
-            for ti, s_k, w_k in zip(range(lo + 1, hi + 1), s[lo - k0 :], w[lo - k0 :]):
-                chain[0] = s_k @ chain[0]
-                if chain[1] is not None:
-                    chain[1] = w_k @ chain[1]
-                if ti in at:
-                    evaluate(*chain, taui, ti)
+        lo, hi = max(k0, taui), min(k1, last)
+        for ti, s_k, w_k in zip(range(lo + 1, hi + 1), s[lo - k0 :], w[lo - k0 :]):
+            phi_s = s_k @ phi_s
+            if phi_w is not None:
+                phi_w = w_k @ phi_w
+            evaluate(phi_s, phi_w, ti)
 
     return InducedChecks(
         columns, graph, beta_min, w_rows, row, sparsity or NO_MISMATCH, floor, prob, ratio, limit
@@ -769,10 +759,10 @@ def verify_ratio_identity(trace: Trace, t: int, tau: int) -> float:
     Both backward products are formed explicitly from the recorded
     matrices; t and tau are time labels of the trace.
     """
-    return scan_induced(trace, ratio_pairs=[(t, tau)]).ratio[(t, tau)].value
+    return scan_induced(trace, tau=tau, ratio_at=[t]).ratio[(t, tau)].value
 
 
 def verify_product_limit(trace: Trace, tau: int, t: int) -> float:
     """Max entrywise deviation of Phi_S(t, tau) from its rank-one limit
     (each row equal to y(tau)^T / kappa, with y(tau) as recorded)."""
-    return scan_induced(trace, limit_pairs=[(t, tau)]).limit[(t, tau)]
+    return scan_induced(trace, tau=tau, limit_at=[t]).limit[(t, tau)]

@@ -473,16 +473,16 @@ class TestVerify:
         scan = cli.scan_induced
 
         def recorded(trace, *args, **kwargs):
-            calls.append((trace.t0, trace.t0 + trace.steps, kwargs))
-            return scan(trace, *args, **kwargs)
+            found = scan(trace, *args, **kwargs)
+            calls.append((trace.t0, trace.t0 + trace.steps, kwargs, found))
+            return found
 
         monkeypatch.setattr(cli, "scan_induced", recorded)
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 0
-        [(t0, t_end, kwargs)] = calls
-        pairs = [*kwargs["ratio_pairs"], *kwargs["limit_pairs"]]
-        assert kwargs["ratio_pairs"] and kwargs["limit_pairs"]
-        assert {tau for _, tau in pairs} == {t0}
-        assert max(t for t, _ in kwargs["ratio_pairs"]) == t_end == t0 + horizon
+        [(t0, t_end, kwargs, found)] = calls
+        assert kwargs["ratio_at"] and kwargs["limit_at"]
+        assert {tau for _, tau in [*found.ratio, *found.limit]} == {t0}
+        assert max(kwargs["ratio_at"]) == t_end == t0 + horizon
 
     def test_each_default_matrix_built_twice(self, tmp_path, monkeypatch):
         # a fresh graph every step: the run builds each W(k) once and the

@@ -133,17 +133,22 @@ def chunks_of(steps: int, n: int):
     return patched(pushsum, CHUNK_BYTES=steps * 8 * n * n)
 
 
-def pairs_of(trace):
+def chains_of(trace):
+    """tau -> the t's a scan from tau evaluates: t0, mid and t_end, each
+    from every tau at or before it."""
     t0, t_end = trace.t0, trace.t0 + trace.steps
     mid = (t0 + t_end) // 2
-    return sorted({(t_end, t0), (t_end, mid), (mid, t0), (mid, mid), (t_end, t_end)})
+    return {t0: [mid, t_end], mid: [mid, t_end], t_end: [t_end]}
 
 
 def checked(seq, trace):
+    """tau -> the scan of one chain from tau, for each tau of chains_of."""
     ys = trace.ys.copy()
     ys[1:, 0] += 1e-9  # the probability recursion is also checked on altered records
-    pairs = pairs_of(trace)
-    return scan_induced(trace, seq, ys, ratio_pairs=pairs, limit_pairs=pairs)
+    return {
+        tau: scan_induced(trace, seq, ys, tau, ratio_at=ts, limit_at=ts)
+        for tau, ts in chains_of(trace).items()
+    }
 
 
 @PROPERTY
@@ -186,9 +191,10 @@ def test_one_pass_matches_per_step_reference(sc):
     run's graphs and against complete graphs."""
     seq, _, trace = simulate(sc)
     with chunks_of(3, sc.n):
-        found = checked(seq, trace)
+        scans = checked(seq, trace)
         other = complete_graphs(seq)
         off_graph = scan_induced(trace, other).graph
+    found = scans[trace.t0]
     ys = trace.ys.copy()
     ys[1:, 0] += 1e-9
     s_all = [s_matrix(trace.w_mats[k], trace.ys[k], trace.ys[k + 1]) for k in range(trace.steps)]
@@ -212,15 +218,16 @@ def test_one_pass_matches_per_step_reference(sc):
     for graphs, graph in ((seq, found.graph), (other, off_graph)):
         assert graph == first_mismatch(w_all, graphs, trace.times())
 
-    for t, tau in pairs_of(trace):
-        ti, taui = trace.index_of(t), trace.index_of(tau)
-        phi_s, phi_w = product(s_all, ti, taui), product(w_all, ti, taui)
-        lhs = phi_s * trace.ys[ti][:, np.newaxis]
-        rhs = phi_w * trace.ys[taui][np.newaxis, :]
-        assert found.ratio[(t, tau)].value == float(np.max(np.abs(lhs - rhs)))
-        assert found.ratio[(t, tau)].value <= 1e-9
-        limit = np.tile(trace.ys[taui] / trace.kappa, (trace.n, 1))
-        assert found.limit[(t, tau)] == float(np.max(np.abs(phi_s - limit)))
+    for tau, ts in chains_of(trace).items():
+        for t in ts:
+            ti, taui = trace.index_of(t), trace.index_of(tau)
+            phi_s, phi_w = product(s_all, ti, taui), product(w_all, ti, taui)
+            lhs = phi_s * trace.ys[ti][:, np.newaxis]
+            rhs = phi_w * trace.ys[taui][np.newaxis, :]
+            assert scans[tau].ratio[(t, tau)].value == float(np.max(np.abs(lhs - rhs)))
+            assert scans[tau].ratio[(t, tau)].value <= 1e-9
+            limit = np.tile(trace.ys[taui] / trace.kappa, (trace.n, 1))
+            assert scans[tau].limit[(t, tau)] == float(np.max(np.abs(phi_s - limit)))
 
 
 def product(mats, ti, taui):
@@ -234,16 +241,22 @@ def product(mats, ti, taui):
 @PROPERTY
 @given(scenarios(), st.integers(1, 5), st.data())
 def test_every_pair_equals_its_explicit_products(sc, steps, data):
-    """Random pairs over several taus, evaluated by one chain per tau
+    """Random pairs over several taus, evaluated by one scan per tau
     under any chunk size, give the explicit products' values."""
     seq, _, trace = simulate(sc)
     times = st.integers(trace.t0, trace.t0 + trace.steps)
     pairs = st.lists(st.tuples(times, times).map(lambda p: (max(p), min(p))), max_size=8)
     ratio_pairs, limit_pairs = data.draw(pairs), data.draw(pairs)
-    with chunks_of(steps, sc.n):
-        found = scan_induced(trace, ratio_pairs=ratio_pairs, limit_pairs=limit_pairs)
-    assert list(found.ratio) == list(dict.fromkeys(ratio_pairs))
-    assert list(found.limit) == list(dict.fromkeys(limit_pairs))
+    ratio, limit = {}, {}
+    for tau in dict.fromkeys(tau for _, tau in ratio_pairs + limit_pairs):
+        ratio_at = [t for t, other in ratio_pairs if other == tau]
+        limit_at = [t for t, other in limit_pairs if other == tau]
+        with chunks_of(steps, sc.n):
+            found = scan_induced(trace, tau=tau, ratio_at=ratio_at, limit_at=limit_at)
+        assert list(found.ratio) == list(dict.fromkeys((t, tau) for t in ratio_at))
+        assert list(found.limit) == list(dict.fromkeys((t, tau) for t in limit_at))
+        ratio.update(found.ratio)
+        limit.update(found.limit)
     s_all = [trace.s_mat(k) for k in range(trace.steps)]
     w_all = [trace.w_mats[k] for k in range(trace.steps)]
     for t, tau in ratio_pairs:
@@ -252,11 +265,11 @@ def test_every_pair_equals_its_explicit_products(sc, steps, data):
         diff = np.abs(lhs - product(w_all, ti, taui) * trace.ys[taui][np.newaxis, :])
         row, column = np.unravel_index(int(np.argmax(diff)), diff.shape)
         where = {"t": t, "tau": tau, "row": int(row), "column": int(column)}
-        assert found.ratio[(t, tau)] == Finding(float(diff[row, column]), where)
+        assert ratio[(t, tau)] == Finding(float(diff[row, column]), where)
     for t, tau in limit_pairs:
         ti, taui = trace.index_of(t), trace.index_of(tau)
         dev = np.abs(product(s_all, ti, taui) - trace.ys[taui] / trace.kappa)
-        assert found.limit[(t, tau)] == float(np.max(dev))
+        assert limit[(t, tau)] == float(np.max(dev))
 
 
 def complete_graphs(seq):
@@ -478,11 +491,13 @@ def test_verify_identities_hold(sc):
         if trace.gs is None:
             x_tot = trace.xs.sum(axis=1)
             assert np.max(np.abs(x_tot - x_tot[0])) <= cli.TOL_MASS
-        found = scan_induced(trace, ratio_pairs=pairs_of(trace))
+        scans = [scan_induced(trace, tau=tau, ratio_at=ts) for tau, ts in chains_of(trace).items()]
+        found = scans[0]
         assert found.row_sums.value <= cli.TOL_ROW_STOCHASTIC
         assert found.sparsity.value == 0.0
         assert found.probability.value <= cli.TOL_ABS_PROBABILITY
-        assert max(f.value for f in found.ratio.values()) <= cli.TOL_RATIO_IDENTITY
+        ratio = [f.value for scan in scans for f in scan.ratio.values()]
+        assert max(ratio) <= cli.TOL_RATIO_IDENTITY
         if trace.gs is not None:
             assert np.max(descent_residuals(trace)) <= cli.TOL_DESCENT
 
@@ -522,7 +537,7 @@ def test_longer_products_from_tau_are_nearer_rank_one(case):
     trace = run_pushsum(seq, weights, x0)
     t0, t_end = trace.t0, trace.t0 + trace.steps
     mid = t0 + trace.steps // 2
-    limit = scan_induced(trace, limit_pairs=[(t_end, t0), (mid, t0)]).limit
+    limit = scan_induced(trace, limit_at=[t_end, mid]).limit
     assert limit[(t_end, t0)] <= limit[(mid, t0)] + 1e-12
 
 

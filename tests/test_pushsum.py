@@ -119,28 +119,30 @@ class TestPhiProduct:
         return run_weighted_pushsum(seq, "default", np.linspace(0.5, 2.0, n), np.arange(float(n)))
 
     def test_empty_product_is_identity(self):
-        # labels from t0 = 5; the pairs with t == tau read their own
-        # chain's identities, while the chain from t0 has moved by t = 11
+        # labels from t0 = 5; t == tau reads the identities a chain starts
+        # from, for the chain from t0 and for one from a later tau
         tr = replace(self.weighted_trace(), t0=5)
         t0, mid = 5, 11
-        pairs = [(t0, t0), (mid, mid), (mid, t0)]
-        found = scan_induced(tr, ratio_pairs=pairs, limit_pairs=pairs)
-        alone = scan_induced(tr, ratio_pairs=[(mid, t0)], limit_pairs=[(mid, t0)])
+        found = {
+            tau: scan_induced(tr, tau=tau, ratio_at=[tau, mid], limit_at=[tau, mid])
+            for tau in (t0, mid)
+        }
+        alone = scan_induced(tr, ratio_at=[mid], limit_at=[mid])
         for tau in (t0, mid):
             identity_limit = float(np.max(np.abs(np.eye(4) - tr.ys[tau - t0] / tr.kappa)))
-            assert found.ratio[(tau, tau)].value == 0.0
-            assert found.limit[(tau, tau)] == identity_limit
+            assert found[tau].ratio[(tau, tau)].value == 0.0
+            assert found[tau].limit[(tau, tau)] == identity_limit
             assert verify_ratio_identity(tr, tau, tau) == 0.0
             assert verify_product_limit(tr, tau, tau) == identity_limit
-        assert found.ratio[(mid, t0)] == alone.ratio[(mid, t0)]
-        assert found.limit[(mid, t0)] == alone.limit[(mid, t0)] != found.limit[(mid, mid)]
+        assert found[t0].ratio[(mid, t0)] == alone.ratio[(mid, t0)]
+        assert found[t0].limit[(mid, t0)] == alone.limit[(mid, t0)] != found[mid].limit[(mid, mid)]
 
     def test_order_is_latest_on_the_left(self, monkeypatch):
         n, tau, t = 3, 4, 8
         tr = self.weighted_trace(n, 12, 5)
         # three steps per chunk: steps 3..5 start before tau, steps 6..8 straddle t
         monkeypatch.setattr(pushsum, "CHUNK_BYTES", 3 * 8 * n * n)
-        found = scan_induced(tr, ratio_pairs=[(t, tau)], limit_pairs=[(t, tau)])
+        found = scan_induced(tr, tau=tau, ratio_at=[t], limit_at=[t])
         phi_s, phi_w, earliest_left = np.eye(n), np.eye(n), np.eye(n)
         for k in range(tau, t):
             phi_s = tr.s_mat(k) @ phi_s
@@ -154,9 +156,9 @@ class TestPhiProduct:
 
     def test_rejects_reversed_interval(self):
         tr = self.weighted_trace()
-        for pairs in ({"ratio_pairs": [(2, 3)]}, {"limit_pairs": [(2, 3)]}):
+        for at in ({"ratio_at": [2]}, {"limit_at": [2]}):
             with pytest.raises(ValueError, match="need t >= tau, got t=2, tau=3"):
-                scan_induced(tr, **pairs)
+                scan_induced(tr, tau=3, **at)
         with pytest.raises(ValueError, match="need t >= tau"):
             verify_ratio_identity(tr, 2, 3)
         with pytest.raises(ValueError, match="need t >= tau"):
@@ -211,28 +213,29 @@ class TestRatioIdentityAndLimit:
 
 
     def test_finished_products_are_dropped(self):
-        # at n=200 every chunk is one step, so each pair's t falls in its
-        # own chunk; a scan that kept each pair's products to the end
-        # would hold ten more n x n matrices (a W and an S product per t)
+        # at n=200 every chunk is one step, so each t falls in its own
+        # chunk; a scan that kept the products of each t to the end would
+        # hold ten more n x n matrices (a W and an S product per t)
         n, horizon = 200, 12
         seq = generate_sequence("random-spanning", n, horizon, 1, {"window": 2, "extra_arc_prob": 0.1})
         trace = run_pushsum(seq, "default", np.arange(n, dtype=float), horizon)
-        one, five = [(horizon, 0)], [(t, 0) for t in (4, 6, 8, 10, horizon)]
-        scan_induced(trace, ratio_pairs=one)  # lazy imports and caches
+        one, five = [horizon], [4, 6, 8, 10, horizon]
+        scan_induced(trace, ratio_at=one)  # lazy imports and caches
         peaks, scans = [], []
         tracemalloc.start()
         try:
-            for pairs in (one, five):
+            for at in (one, five):
                 tracemalloc.reset_peak()
                 base = tracemalloc.get_traced_memory()[0]
-                scans.append(scan_induced(trace, ratio_pairs=pairs, limit_pairs=pairs))
+                scans.append(scan_induced(trace, ratio_at=at, limit_at=at))
                 peaks.append(tracemalloc.get_traced_memory()[1] - base)
         finally:
             tracemalloc.stop()
+        end = (horizon, 0)
         assert peaks[1] - peaks[0] <= 2 * 8 * n * n, peaks
-        assert list(scans[1].ratio) == list(scans[1].limit) == five
-        assert scans[1].ratio[one[0]] == scans[0].ratio[one[0]]
-        assert scans[1].limit[one[0]] == scans[0].limit[one[0]]
+        assert list(scans[1].ratio) == list(scans[1].limit) == [(t, 0) for t in five]
+        assert scans[1].ratio[end] == scans[0].ratio[end]
+        assert scans[1].limit[end] == scans[0].limit[end]
 
 
 class TestTheoreticalConstants:
