@@ -22,7 +22,7 @@ from typing import Any, Collection
 
 import numpy as np
 
-from .graphs import GENERATOR_KINDS, GraphSequence, generate_sequence, load_sequence
+from .graphs import GENERATOR_KINDS, GraphSequence, generate_sequence, load_sequence, sequence_header
 from .optim import (
     ALGORITHMS,
     OBJECTIVE_KINDS,
@@ -434,20 +434,23 @@ _ONE_GRAPH = ("static-complete", "static-ring", "doubly-stochastic-compatible")
 
 
 def storage_estimate(cfg: ExperimentConfig) -> int:
-    """The bytes of a run's packed graph table and trace, from the config
-    alone: one graph for a static kind, min(n, horizon) for the rotating
-    edge and otherwise one per step (a graph file counts
-    ``cfg.horizon`` steps), n * ceil(n/8) bytes each; then 8 bytes per
-    recorded x and y entry, and for an optimizer per gradient and
+    """The bytes of a run's packed graph table and trace: one graph for a
+    static kind, min(n, horizon) for the rotating edge and otherwise one
+    per step, n * ceil(n/8) bytes each, where a graph file counts the n
+    and the steps of its own header, all of which it loads; then 8 bytes
+    per recorded x and y entry, and for an optimizer per gradient and
     switching entry, at every step."""
     n, horizon = cfg.n, cfg.horizon
-    if cfg.graph_kind in _ONE_GRAPH:
+    table_n, graphs = n, horizon
+    if cfg.graph_file is not None:
+        table_n, graphs = sequence_header(cfg.graph_file)
+    elif cfg.graph_kind in _ONE_GRAPH:
         graphs = 1
-    else:
-        graphs = min(n, horizon) if cfg.graph_kind == "rotating-single-edge" else horizon
+    elif cfg.graph_kind == "rotating-single-edge":
+        graphs = min(n, horizon)
     d = (cfg.x0 if cfg.x0 is not None else cfg.x_init).shape[1]
     per_step = n * (d + 1) if cfg.objective is None else n * (2 * d + 2)
-    return graphs * n * -(-n // 8) + 8 * (horizon + 1) * per_step
+    return graphs * table_n * -(-table_n // 8) + 8 * (horizon + 1) * per_step
 
 
 def build_graph_sequence(cfg: ExperimentConfig) -> GraphSequence:

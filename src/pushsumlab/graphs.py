@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numbers
 from functools import cached_property
-from itertools import chain
+from itertools import chain, islice
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -38,6 +38,7 @@ __all__ = [
     "is_uniformly_strongly_connected",
     "generate_sequence",
     "save_sequence",
+    "sequence_header",
     "load_sequence",
     "GENERATOR_KINDS",
 ]
@@ -418,32 +419,43 @@ def save_sequence(path: str, seq: GraphSequence) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def load_sequence(path: str) -> GraphSequence:
-    """Inverse of :func:`save_sequence`; self-loops are re-added. An
-    error names the file and the line, blank and ``#`` lines counted."""
+def _rows(fh):
+    """(line number, text) of each line of ``fh`` that is not blank or a ``#`` comment."""
+    numbered = ((lineno, ln.strip()) for lineno, ln in enumerate(fh, start=1))
+    return ((lineno, ln) for lineno, ln in numbered if ln and not ln.startswith("#"))
+
+
+def sequence_header(path: str) -> tuple[int, int]:
+    """The (n, horizon) a :func:`save_sequence` file declares in its header line."""
     with open(path, "r", encoding="ascii") as fh:
-        numbered = [(lineno, ln.strip()) for lineno, ln in enumerate(fh, start=1)]
-    rows = [(lineno, ln) for lineno, ln in numbered if ln and not ln.startswith("#")]
-    if not rows:
+        head_no, head = next(_rows(fh), (None, None))
+    if head is None:
         raise ValueError(f"{path}: empty graph sequence file")
-    (head_no, head), *arcs = rows
     try:
         n, horizon = map(int, head.split())
     except ValueError:
         raise ValueError(f"{path}:{head_no}: header must be 'n horizon', got {head!r}") from None
     if n < 1 or horizon < 1:
         raise ValueError(f"{path}:{head_no}: header values must be positive, got {head!r}")
+    return n, horizon
+
+
+def load_sequence(path: str) -> GraphSequence:
+    """Inverse of :func:`save_sequence`; self-loops are re-added. An
+    error names the file and the line, blank and ``#`` lines counted."""
+    n, horizon = sequence_header(path)
     found = []  # (t, j, i) of every arc line
-    for lineno, ln in arcs:
-        try:
-            t, j, i = map(int, ln.split())
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: expected integers 't j i', got {ln!r}") from None
-        if not (0 <= t < horizon):
-            raise ValueError(f"{path}:{lineno}: step {t} outside horizon {horizon}")
-        if not (0 <= j < n and 0 <= i < n):
-            raise ValueError(f"{path}:{lineno}: arc ({j}, {i}) out of range for n={n}")
-        found.append((t, j, i))
+    with open(path, "r", encoding="ascii") as fh:
+        for lineno, ln in islice(_rows(fh), 1, None):
+            try:
+                t, j, i = map(int, ln.split())
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: expected integers 't j i', got {ln!r}") from None
+            if not (0 <= t < horizon):
+                raise ValueError(f"{path}:{lineno}: step {t} outside horizon {horizon}")
+            if not (0 <= j < n and 0 <= i < n):
+                raise ValueError(f"{path}:{lineno}: arc ({j}, {i}) out of range for n={n}")
+            found.append((t, j, i))
     table = _self_loops(horizon, n)
     if found:
         _add_arcs(table, *np.array(found, dtype=np.intp).T)

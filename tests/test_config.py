@@ -365,6 +365,16 @@ class TestStorageBudget:
         cfg = parse_config(optimizer_data())
         assert storage_estimate(cfg) == 2 * 1 + 8 * 17 * 2 * 4
 
+    def test_graph_file_counts_its_own_header(self, tmp_path):
+        # the table term takes the header's n and steps, which
+        # load_sequence builds whole; the trace term the config's horizon
+        path = tmp_path / "seq.txt"
+        save_sequence(str(path), generate_sequence("static-ring", n=3, horizon=50))
+        cfg = parse_config(pushsum_data(graph={"kind": "file", "path": str(path)}))
+        assert storage_estimate(cfg) == 50 * 3 * 1 + 8 * 11 * 3 * 2
+        path.write_text("9 40\n")
+        assert storage_estimate(cfg) == 40 * 9 * 2 + 8 * 11 * 3 * 2
+
     def test_budget_admits_the_bundled_configs_and_n200_at_ten_thousand_steps(self):
         for name in sorted(os.listdir(CONFIGS)):
             assert storage_estimate(load_config(os.path.join(CONFIGS, name))) <= STORAGE_BUDGET

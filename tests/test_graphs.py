@@ -18,6 +18,7 @@ from pushsumlab.graphs import (
     load_sequence,
     receive_matrices,
     save_sequence,
+    sequence_header,
     undirected_ring,
 )
 from pushsumlab.weights import default_weights
@@ -397,6 +398,15 @@ class TestSequenceIO:
         loaded = load_sequence(str(path))
         assert loaded.n == seq.n and len(loaded) == len(seq)
         assert all(a.arcs == b.arcs for a, b in zip(loaded.graphs, seq.graphs))
+
+    def test_header_is_read_alone(self, tmp_path):
+        # the header is the first line that is not blank or a comment; the
+        # lines after it are not read, so a bad arc line does not show
+        path = tmp_path / "seq.txt"
+        path.write_text("# n horizon\n\n3 200000\n0 0 x\n")
+        assert sequence_header(str(path)) == (3, 200000)
+        with pytest.raises(ValueError, match=":4: expected integers"):
+            load_sequence(str(path))
 
     def test_bad_line_reports_position(self, tmp_path):
         path = tmp_path / "seq.txt"
