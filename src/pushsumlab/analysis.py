@@ -66,6 +66,13 @@ def consensus_error_series(trace: Trace) -> np.ndarray:
     return np.max(np.sqrt(norms, out=norms), axis=1)
 
 
+def _largest_row_norm(gs: np.ndarray) -> float:
+    """The largest ||gs[k, i]|| over steps and agents in np.linalg.norm's
+    bits: its sqrt(add.reduce(x * x)) for real x, rooted once after the
+    max, since a correctly rounded root is monotone."""
+    return float(np.sqrt(np.max(np.add.reduce(gs * gs, axis=2))))
+
+
 def lyapunov_series(trace: Trace, z_star: np.ndarray) -> np.ndarray:
     """||<z(t)> - z*||^2 for every recorded state."""
     z_star = np.asarray(z_star, dtype=float).reshape(trace.d)
@@ -185,7 +192,7 @@ def bound_inputs_from_trace(
         if trace.gs is None:
             grad_bound = obj.grad_norm_bound
         else:
-            grad_bound = float(np.max(np.linalg.norm(trace.gs, axis=2)))
+            grad_bound = _largest_row_norm(trace.gs)
         if grad_bound is None:
             raise ValueError("cannot infer a gradient bound; pass grad_bound")
     z0 = trace.xs[0] / trace.ys[0][:, np.newaxis]
@@ -617,7 +624,7 @@ def compute_metrics(
     realized_g = None
 
     if trace.gs is not None:
-        realized_g = float(np.max(np.linalg.norm(trace.gs, axis=2)))
+        realized_g = _largest_row_norm(trace.gs)
 
     if obj is not None:
         z_star, f_star = obj.optimum()

@@ -178,7 +178,7 @@ def _summarize(arts: RunArtifacts, metrics: RunMetrics, shas: dict, conn: dict) 
         "files": shas,
     }
     if trace.algorithm in ("pushsum", "weighted_pushsum"):
-        limit = trace.z_weighted[0]
+        limit = trace.xs[:1].sum(axis=1)[0] / trace.kappa  # row 0 of trace.z_weighted
         z_end = trace.xs[-1] / trace.ys[-1][:, np.newaxis]  # the last row of trace.zs
         dev = float(np.max(np.linalg.norm(z_end - limit[np.newaxis, :], axis=1)))
         summary["target"] = {"limit": limit, "final_max_deviation": dev}

@@ -22,7 +22,7 @@ from pushsumlab.analysis import (
     sgp_constants,
     verify_descent_recursion,
 )
-from pushsumlab.analysis import _varying_bound_series
+from pushsumlab.analysis import _largest_row_norm, _varying_bound_series
 from pushsumlab.graphs import generate_sequence
 from pushsumlab.optim import (
     GradientOracle,
@@ -520,6 +520,17 @@ class TestBoundInputsFromTrace:
             with pytest.raises(ValueError, match="grad_bound must be non-negative"):
                 simple_inputs(grad_bound=g)
 
+    def test_trace_without_gradients_takes_the_objective_bound(self):
+        # a pure mixing trace applied no gradient: G is the objective's
+        # a-priori bound, and an objective without one cannot give it
+        seq = generate_sequence("rotating-single-edge", n=3, horizon=10)
+        tr = run_pushsum(seq, "default", np.array([[0.0, 1.0], [2.0, 0.0], [1.0, 1.0]]))
+        assert tr.gs is None
+        obj = absolute_deviation_objective(np.zeros((3, 2)))
+        assert bound_inputs_from_trace(tr, obj, mu=0.5).grad_bound == obj.grad_norm_bound == math.sqrt(2)
+        with pytest.raises(ValueError, match="cannot infer a gradient bound; pass grad_bound"):
+            bound_inputs_from_trace(tr, quadratic_objective(np.zeros((3, 2))), mu=0.5)
+
     def test_reads_only_the_initial_states(self):
         seq = generate_sequence("random-spanning", n=4, horizon=30, seed=2, params={"window": 2})
         obj = quadratic_objective(np.arange(8.0).reshape(4, 2))
@@ -529,6 +540,29 @@ class TestBoundInputsFromTrace:
         inputs = bound_inputs_from_trace(tr, obj, mu=0.9)
         assert np.array_equal(inputs.z0, tr.zs[0])
         assert np.array_equal(inputs.z_bar0, tr.z_weighted[0])
+
+
+class TestLargestRowNorm:
+    def test_bits_of_the_norm_over_rows(self):
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            d = int(rng.integers(1, 13))
+            scale = 10.0 ** float(rng.choice([-200, -100, 0, 100, 200]))
+            gs = rng.standard_normal((int(rng.integers(1, 6)), int(rng.integers(1, 6)), d)) * scale
+            with np.errstate(over="ignore"):  # at 1e200 both square to inf
+                assert _largest_row_norm(gs) == float(np.max(np.linalg.norm(gs, axis=2)))
+
+    def test_holds_one_square_and_one_sum(self):
+        # the norm's square, sum and root would take three (steps, n) arrays at d = 1
+        gs = np.random.default_rng(1).standard_normal((2000, 50, 1))
+        _largest_row_norm(gs)
+        tracemalloc.start()
+        try:
+            _largest_row_norm(gs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * gs.nbytes, peak
 
 
 class TestRateFit:
