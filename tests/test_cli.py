@@ -292,6 +292,27 @@ class TestRun:
             assert bounds["fixed_apriori"] == fixed
             assert bounds["fixed_agent_realized"] == agent_fixed
 
+    @pytest.mark.parametrize(
+        "name, kind, files",
+        [
+            ("push_subgradient", "all-zeros", ("trace.csv", "metrics.csv")),
+            ("subgradient_push_fixed", "all-ones", ("trace.csv",)),
+        ],
+    )
+    def test_constant_switching_is_the_special_case(self, name, kind, files, tmp_path):
+        """The heterogeneous method with sigma fixed at 0 is push-subgradient
+        and with sigma fixed at 1 is subgradient-push: a non-bernoulli
+        sigma section gives their files byte for byte."""
+        with open(os.path.join(CONFIGS, f"{name}.json"), encoding="utf-8") as fh:
+            data = json.load(fh)
+        het = write_cfg(tmp_path, "het.json", {**data, "algorithm": "heterogeneous", "sigma": {"kind": kind}})
+        assert load_config(het).sigma.kind == kind
+        special, general = tmp_path / "special", tmp_path / "het"
+        assert main(["run", "--config", os.path.join(CONFIGS, f"{name}.json"), "--out", str(special)]) == 0
+        assert main(["run", "--config", het, "--out", str(general)]) == 0
+        for f in files:
+            assert (special / f).read_bytes() == (general / f).read_bytes(), f
+
     def test_realized_bound_inputs_built_once(self, tmp_path, monkeypatch):
         modules = [m for m in (analysis, cli) if hasattr(m, "bound_inputs_from_trace")]
         calls = [counting(monkeypatch, m, "bound_inputs_from_trace") for m in modules]
@@ -1058,6 +1079,35 @@ class TestStorageBudget:
             f"config error: n={n}, horizon={horizon}: the graph table and trace need an "
             f"estimated {need} bytes, past the storage budget of {STORAGE_BUDGET} bytes\n"
         )
+
+
+    def test_graph_file_is_budgeted_by_its_header(self, tmp_path, monkeypatch, capsys):
+        # load_sequence builds every step the header declares: 200,000
+        # packed n=8 graphs, 1.6 MB, though the run reads 5 of them
+        path = tmp_path / "long.txt"
+        path.write_text("8 200000\n0 0 1\n")
+        cfg = write_cfg(
+            tmp_path,
+            "long.json",
+            {
+                "algorithm": "pushsum",
+                "n": 8,
+                "horizon": 5,
+                "graph": {"kind": "file", "path": str(path)},
+                "init": {"x0": [float(i) for i in range(8)]},
+            },
+        )
+        need = storage_estimate(load_config(cfg))
+        assert need == 200000 * 8 * 1 + 8 * 6 * 8 * 2
+        built = []
+        monkeypatch.setattr("pushsumlab.config.STORAGE_BUDGET", 100_000)
+        monkeypatch.setattr("pushsumlab.config.load_sequence", built.append)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: n=8, horizon=5: the graph table and trace need an estimated "
+            f"{need} bytes, past the storage budget of 100000 bytes\n"
+        )
+        assert built == []
 
 
 class TestMemory:

@@ -196,6 +196,19 @@ class TestAbsoluteProbability:
         assert found.value == pytest.approx(1e-6 / 4, rel=1e-9)
 
 
+class TestSparsity:
+    def test_scan_names_the_first_s_entry_lost_to_underflow(self):
+        # W(1) sends a weight of 1e-40 from agent 1, whose y is 1e-290:
+        # S(1)[0, 1] = 1e-40 * 1e-290 / y_0(2) underflows to 0 where W(1) > 0
+        w = np.array([np.eye(2), [[1.0, 1e-40], [0.0, 1.0]]])
+        ys = np.array([[1.0, 1e-290]] * 3)
+        tr = Trace("pushsum", 3, np.zeros((3, 2, 1)), ys, MixingSequence([0, 1], w), float(ys[0].sum()))
+        assert tr.s_mat(1)[0, 1] == 0.0 < tr.w_mats[1][0, 1]
+        found = scan_induced(tr).sparsity
+        assert found.value == 1.0
+        assert found.where == {"step": 4, "row": 0, "column": 1}
+
+
 class TestRatioIdentityAndLimit:
     def test_ratio_identity_small(self):
         seq = generate_sequence("random-spanning", n=4, horizon=50, seed=4, params={"window": 2})
