@@ -437,9 +437,9 @@ def storage_estimate(cfg: ExperimentConfig) -> int:
     """The bytes of a run's packed graph table and trace: one graph for a
     static kind, min(n, horizon) for the rotating edge and otherwise one
     per step, n * ceil(n/8) bytes each, where a graph file counts the n
-    and the steps of its own header, all of which it loads; then 8 bytes
-    per recorded x and y entry, and for an optimizer per gradient and
-    switching entry, at every step."""
+    and the steps its header declares, since load_sequence builds them
+    all; then 8 bytes per recorded x and y entry, and for an optimizer
+    per gradient and switching entry, at every step."""
     n, horizon = cfg.n, cfg.horizon
     table_n, graphs = n, horizon
     if cfg.graph_file is not None:
