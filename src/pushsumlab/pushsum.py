@@ -463,7 +463,8 @@ def scan_induced(
         pi = absolute_probability(ys_prob[k0 : k1 + 1], trace.kappa)
         dev = np.abs(np.matmul(s.transpose(0, 2, 1), pi[1:, :, np.newaxis])[:, :, 0] - pi[:-1])
         prob = _larger(prob, locate(dev, steps, ("step", "agent")))
-        lo, hi = max(k0, taui), min(k1, last)
+        lo = max(k0, taui)
+        hi = min(k1, last)
         for ti, s_k, w_k in zip(range(lo + 1, hi + 1), s[lo - k0 :], w[lo - k0 :]):
             phi_s = s_k @ phi_s
             if phi_w is not None:
