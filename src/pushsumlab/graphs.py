@@ -12,8 +12,8 @@ boolean receive matrix ``adj`` (``adj[i, j]`` is true iff j sends to i).
 sequence stores one read-only (m, n, ceil(n/8)) uint8 array ``table``,
 the packed rows of each distinct graph once, and the table index of
 every step in ``ids``. Callers unpack only the ids they read
-(:func:`receive_matrices`); the connectivity checks unpack each graph or
-window union they search.
+(:func:`receive_matrices`); the connectivity search unpacks the graphs
+or window unions it searches once, to pack their send rows.
 """
 
 from __future__ import annotations
@@ -44,6 +44,15 @@ __all__ = [
 ]
 
 Arc = tuple[int, int]
+
+
+# The byte budget of the graph layer's transient arrays: random-spanning
+# draws its graphs into bool blocks of at most this many bytes (at least
+# one block of ``window`` steps) and packs each block; the window check
+# searches as many unions at once as fit this many bytes of bool n x n
+# matrices; load_sequence packs its parsed arcs each time their intp
+# triples reach about this many bytes.
+GENERATE_BYTES = 2**18
 
 
 def _pack(adj: np.ndarray) -> np.ndarray:
@@ -242,27 +251,57 @@ def undirected_ring(n: int) -> DirectedGraph:
     return DirectedGraph.from_arcs(n, ((v, (v + d) % n) for v in range(n) for d in (1, -1)))
 
 
-def _strongly_connected(adj: np.ndarray) -> bool:
-    """Whether the graph of the bool receive matrix ``adj`` (``adj[i, j]``
-    is true iff j sends to i) is strongly connected: vertex 0 reaches
-    every vertex along the arcs of ``adj``, and along those of ``adj.T``
-    (every vertex reaches 0). Each is a frontier search that expands a
-    vertex once, so the work is O(n^2) whatever the depth."""
-    for arcs in (adj, adj.T):
-        seen = np.zeros(len(arcs), dtype=bool)
-        seen[0] = True
-        frontier = np.zeros(1, dtype=np.intp)
-        while frontier.size:
-            new = arcs[:, frontier].any(axis=1) & ~seen
-            seen |= new
-            frontier = np.flatnonzero(new)
-        if not seen.all():
-            return False
-    return True
+def _strongly_connected(bits: np.ndarray) -> np.ndarray:
+    """Whether each graph of a stack of packed receive rows
+    (..., n, ceil(n/8)) is strongly connected, one bool per graph: vertex
+    0 reaches every vertex, and every vertex reaches 0.
+
+    One frontier search covers both directions of every graph. Its rows
+    are the send rows of each graph (row v holds the vertices v sends
+    to), packed once from the transposed receive matrices, then the
+    receive rows. At each level one ``np.bitwise_or.reduceat`` ORs the
+    rows of every search's frontier vertices. Each vertex of each search
+    is expanded once, so the work is O(n^2) per graph whatever the depth.
+    """
+    n, width = bits.shape[-2:]
+    receive = bits.reshape(-1, n, width)
+    k = len(receive)
+    send = _pack(np.ascontiguousarray(receive_matrices(receive).swapaxes(1, 2)))
+    rows = np.concatenate((send, receive)).reshape(-1, width)  # search s, vertex v: row s*n + v
+    seen = np.zeros((2 * k, n), dtype=bool)
+    seen[:, 0] = True
+    search = np.arange(2 * k)
+    frontier = search * n
+    while frontier.size:
+        # the frontier rows come in search order; first: where each search begins
+        first = np.flatnonzero(np.concatenate(([True], search[1:] != search[:-1])))
+        active = search[first]
+        reached = np.unpackbits(np.bitwise_or.reduceat(rows[frontier], first), axis=1, count=n)
+        new = reached.view(bool) & ~seen[active]
+        seen[active] |= new
+        a, v = np.nonzero(new)
+        search = active[a]
+        frontier = search * n + v
+    return seen.all(axis=1).reshape(2, k).all(axis=0).reshape(bits.shape[:-2])
 
 
 def is_strongly_connected(g: DirectedGraph) -> bool:
-    return _strongly_connected(g.adj)
+    return bool(_strongly_connected(g.bits))
+
+
+def _new_unions(seq: GraphSequence, window: int):
+    """(start, union) of each window whose union's packed rows no earlier
+    window had, in order of start."""
+    ids = seq.ids.tolist()
+    seen: set[bytes] = set()  # packed union rows, n*ceil(n/8) bytes each
+    for start in range(len(ids) - window + 1):
+        if start and ids[start - 1] == ids[start + window - 1]:
+            continue  # the same graphs as the window before
+        union = np.bitwise_or.reduce(seq.table[seq.ids[start : start + window]], axis=0)
+        key = union.tobytes()
+        if key not in seen:
+            seen.add(key)
+            yield start, union
 
 
 def first_failing_window(seq: GraphSequence, window: int) -> int | None:
@@ -270,24 +309,21 @@ def first_failing_window(seq: GraphSequence, window: int) -> int | None:
     not strongly connected, or None when every window passes.
 
     This is a finite-prefix check over every sliding offset of the
-    stored steps, one window at a time: a window's union is the OR of its
-    graphs' packed rows. Distinct windows can share a union (few graphs
-    exist on a few vertices), so a union is unpacked and searched only
-    when it is new.
+    stored steps: a window's union is the OR of its graphs' packed rows.
+    Distinct windows can share a union (few graphs exist on a few
+    vertices), so only a union with new bytes is searched. New unions
+    are searched in batches, as many as fit ``GENERATE_BYTES`` of bool
+    n x n matrices (at least one), one search call per batch.
     """
     if not 1 <= window <= len(seq):
         raise ValueError(f"window must lie in 1..{len(seq)} (the sequence length), got {window}")
-    ids = seq.ids.tolist()
-    passed: set[bytes] = set()  # packed union rows, n*ceil(n/8) bytes each
-    for start in range(len(ids) - window + 1):
-        if start and ids[start - 1] == ids[start + window - 1]:
-            continue  # the same graphs as the window before, which passed
-        union = np.bitwise_or.reduce(seq.table[seq.ids[start : start + window]], axis=0)
-        key = union.tobytes()
-        if key not in passed:
-            if not _strongly_connected(receive_matrices(union)):
-                return start
-            passed.add(key)
+    new = _new_unions(seq, window)
+    size = max(1, GENERATE_BYTES // seq.n**2)
+    while batch := list(islice(new, size)):
+        starts, unions = zip(*batch)
+        failing = np.flatnonzero(~_strongly_connected(np.stack(unions)))
+        if failing.size:
+            return starts[failing[0]]
     return None
 
 
@@ -295,10 +331,6 @@ def is_uniformly_strongly_connected(seq: GraphSequence, window: int) -> bool:
     """Whether every ``window`` consecutive steps have a strongly connected union."""
     return first_failing_window(seq, window) is None
 
-
-# random-spanning draws its graphs into bool blocks of at most this many
-# bytes (at least one block of ``window`` steps) and packs each block.
-GENERATE_BYTES = 2**18
 
 GENERATOR_KINDS = (
     "static-complete",
@@ -444,7 +476,9 @@ def load_sequence(path: str) -> GraphSequence:
     """Inverse of :func:`save_sequence`; self-loops are re-added. An
     error names the file and the line, blank and ``#`` lines counted."""
     n, horizon = sequence_header(path)
-    found = []  # (t, j, i) of every arc line
+    table = _self_loops(horizon, n)
+    found = []  # t, j, i of the arc lines since the last flush, flat
+    flush = GENERATE_BYTES // np.dtype(np.intp).itemsize  # ints packed at a time
     with open(path, "r", encoding="ascii") as fh:
         for lineno, ln in islice(_rows(fh), 1, None):
             try:
@@ -455,8 +489,9 @@ def load_sequence(path: str) -> GraphSequence:
                 raise ValueError(f"{path}:{lineno}: step {t} outside horizon {horizon}")
             if not (0 <= j < n and 0 <= i < n):
                 raise ValueError(f"{path}:{lineno}: arc ({j}, {i}) out of range for n={n}")
-            found.append((t, j, i))
-    table = _self_loops(horizon, n)
-    if found:
-        _add_arcs(table, *np.array(found, dtype=np.intp).T)
+            found += (t, j, i)
+            if len(found) >= flush:
+                _add_arcs(table, *np.array(found, dtype=np.intp).reshape(-1, 3).T)
+                found.clear()
+    _add_arcs(table, *np.array(found, dtype=np.intp).reshape(-1, 3).T)
     return GraphSequence(table)

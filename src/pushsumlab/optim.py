@@ -26,6 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import pushsum
 from .graphs import GraphSequence
 from .pushsum import (
     Replicas,
@@ -165,10 +166,17 @@ class Objective:
         return np.clip(r, -float(self.delta), float(self.delta))
 
     def values(self, points: np.ndarray) -> np.ndarray:
-        """f at every row of a (P, d) array of points, in one call."""
+        """f at every row of a (P, d) array of points, in blocks of points
+        whose (block, n, d) residuals fit ``pushsum.CHUNK_BYTES`` (at least
+        one point). Each point's mean over n is the same reduction in any
+        block, so the bits do not depend on the block size."""
         p = np.asarray(points, dtype=float).reshape(-1, self.d)
-        r = p[:, np.newaxis, :] - self.anchors[np.newaxis, :, :]
-        return self._component_values(r, self.scales).mean(axis=-1)
+        size = max(1, pushsum.CHUNK_BYTES // (8 * self.n * self.d))
+        out = np.empty(len(p))
+        for b0 in range(0, len(p), size):
+            r = p[b0 : b0 + size, np.newaxis, :] - self.anchors[np.newaxis, :, :]
+            out[b0 : b0 + size] = self._component_values(r, self.scales).mean(axis=-1)
+        return out
 
     def value(self, z: np.ndarray) -> float:
         return float(self.values(np.asarray(z, dtype=float).reshape(1, self.d))[0])

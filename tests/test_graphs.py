@@ -48,6 +48,27 @@ def components_brute_force(g):
     return comps
 
 
+class CountingOr:
+    """np.bitwise_or, counting the (window, n, ceil(n/8)) stacks that
+    ``reduce`` ORs into unions and the packed rows that ``reduceat`` ORs."""
+
+    bitwise_or = np.bitwise_or
+
+    def __init__(self):
+        self.unions = self.rows = 0
+
+    def __getattr__(self, name):
+        return getattr(self.bitwise_or, name)
+
+    def reduce(self, a, **kwargs):
+        self.unions += a.ndim == 3
+        return self.bitwise_or.reduce(a, **kwargs)
+
+    def reduceat(self, a, indices, **kwargs):
+        self.rows += len(a)
+        return self.bitwise_or.reduceat(a, indices, **kwargs)
+
+
 def random_graph(rng, n, p=0.3):
     arcs = [(j, i) for j in range(n) for i in range(n) if j != i and rng.random() < p]
     return DirectedGraph.from_arcs(n, arcs)
@@ -206,6 +227,38 @@ class TestStronglyConnectedComponents:
         assert is_strongly_connected(DirectedGraph.from_arcs(n, chain + [(n - 1, 0)]))
 
 
+    def test_stacked_search_matches_brute_force(self):
+        # one search call takes a (k, n, ceil(n/8)) stack, rows of one to
+        # three bytes, and gives each graph its own verdict
+        rng = np.random.default_rng(29)
+        verdicts = set()
+        for n in range(1, 25):
+            graphs_ = [random_graph(rng, n, rng.uniform(0.5 / n, 3 / n)) for _ in range(int(rng.integers(1, 41)))]
+            got = graphs._strongly_connected(np.stack([g.bits for g in graphs_]))
+            want = [len(components_brute_force(g)) == 1 for g in graphs_]
+            assert got.shape == (len(graphs_),) and got.tolist() == want
+            verdicts.update(want)
+        assert verdicts == {True, False}
+        ring, loops = directed_ring(5), DirectedGraph.from_arcs(5, [])
+        stack = np.stack([[ring.bits, loops.bits, ring.bits], [loops.bits, ring.bits, loops.bits]])
+        assert graphs._strongly_connected(stack).tolist() == [[True, False, True], [False, True, False]]
+        assert graphs._strongly_connected(ring.bits).shape == ()
+
+    def test_deep_search_expands_each_vertex_once(self, monkeypatch):
+        # the packed rows ORed over all levels: at most n per direction
+        # (the path from 0 expands all n in one of them),
+        # so the work stays O(n^2) on a path as deep as the graph
+        n = 5000
+        chain = [(i, i + 1) for i in range(n - 1)]
+        for arcs, verdict in ((chain, False), (chain + [(n - 1, 0)], True)):
+            g = DirectedGraph.from_arcs(n, arcs)
+            counting = CountingOr()
+            monkeypatch.setattr(np, "bitwise_or", counting)
+            assert is_strongly_connected(g) == verdict
+            monkeypatch.undo()
+            assert n < counting.rows <= 2 * n
+
+
 class TestUniformConnectivity:
     def test_rotating_edge_window(self):
         seq = generate_sequence("rotating-single-edge", n=4, horizon=40)
@@ -242,30 +295,66 @@ class TestUniformConnectivity:
     def test_each_distinct_window_checked_once(self, monkeypatch):
         # a union is the OR of a (window, n, ceil(n/8)) stack of packed
         # rows, formed for every window the previous-window skip leaves;
-        # only a union with new bytes is unpacked and searched
-        checked, unions = [], []
-        search, bitwise_or = graphs._strongly_connected, np.bitwise_or
-
-        class CountingOr:
-            def __getattr__(self, name):
-                return getattr(bitwise_or, name)
-
-            def reduce(self, a, **kwargs):
-                if a.ndim == 3:
-                    unions.append(1)
-                return bitwise_or.reduce(a, **kwargs)
-
-        monkeypatch.setattr(graphs, "_strongly_connected", lambda adj: checked.append(1) or search(adj))
-        monkeypatch.setattr(np, "bitwise_or", CountingOr())
+        # only a union with new bytes joins a stack that is searched
+        searched = []
+        search, counting = graphs._strongly_connected, CountingOr()
+        monkeypatch.setattr(graphs, "_strongly_connected", lambda bits: searched.append(len(bits)) or search(bits))
+        monkeypatch.setattr(np, "bitwise_or", counting)
         a, b, c = directed_ring(4), complete_graph(4), undirected_ring(4)
         # windows of two cycle through {a, b}, {b, c} and {c, a}; the
         # first two have the same union, the complete graph. No window
         # repeats the one before, so all 29 unions are formed
         assert first_failing_window(GraphSequence([a, b, c] * 10), 2) is None
-        assert len(unions) == 29 and len(checked) == 2
-        checked.clear()
+        assert counting.unions == 29 and sum(searched) == 2
+        searched.clear()
         assert is_uniformly_strongly_connected(generate_sequence("static-ring", 3, 10_000), 1)
-        assert len(checked) == 1
+        assert sum(searched) == 1
+
+    def test_batches_keep_the_first_failing_offset(self, monkeypatch):
+        # at n=4 a budget of 32 bytes holds two bool 4 x 4 matrices, so
+        # each search call takes at most two new unions
+        rings = [directed_ring(4)] + [
+            DirectedGraph.from_arcs(4, [(p[k], p[(k + 1) % 4]) for k in range(4)])
+            for p in ((0, 1, 3, 2), (0, 2, 1, 3), (0, 2, 3, 1), (0, 3, 1, 2), (0, 3, 2, 1))
+        ]  # six distinct strongly connected graphs
+        loops, path = DirectedGraph.from_arcs(4, []), DirectedGraph.from_arcs(4, [(0, 1), (1, 2), (2, 3)])
+        r0, r1, r2, r3, r4, r5 = rings
+        cases = [
+            ([r0, loops, r1, r2], 1, [2]),  # in batch 1
+            ([r0, r0, r1, r0, r2, r3, r1, r4, loops, r5], 8, [2, 2, 2]),  # in batch 3
+            ([r0, r1, loops, r2, loops, r3], 2, [2, 2]),  # repeats after its first offset
+            ([r0, r1, path, r0, path, loops], 2, [2, 2]),  # twice in one batch, beside a later failure
+        ]
+        searched = []
+        search = graphs._strongly_connected
+        for steps, offset, stacks in cases:
+            seq = GraphSequence(steps)
+            brute = [s for s, g in enumerate(steps) if len(components_brute_force(g)) > 1]
+            assert brute[0] == offset == first_failing_window(seq, 1)
+            with monkeypatch.context() as m:
+                m.setattr(graphs, "GENERATE_BYTES", 32)
+                m.setattr(graphs, "_strongly_connected", lambda bits: searched.append(len(bits)) or search(bits))
+                assert first_failing_window(seq, 1) == offset
+            assert searched == stacks
+            searched.clear()
+        # and over random sequences of small pools, every window length
+        rng = np.random.default_rng(17)
+        for _ in range(60):
+            pool = [random_graph(rng, 4, 0.25) for _ in range(4)] + rings[:2]
+            steps = [pool[int(k)] for k in rng.integers(0, 6, size=14)]
+            window = int(rng.integers(1, 5))
+            brute = [
+                s for s in range(len(steps) - window + 1)
+                if len(components_brute_force(
+                    DirectedGraph(4, set().union(*(g.arcs for g in steps[s : s + window])))
+                )) > 1
+            ]
+            want = brute[0] if brute else None
+            seq = GraphSequence(steps)
+            assert first_failing_window(seq, window) == want
+            with monkeypatch.context() as m:
+                m.setattr(graphs, "GENERATE_BYTES", 32)
+                assert first_failing_window(seq, window) == want
 
     def test_matches_union_of_every_window(self):
         rng = np.random.default_rng(5)
@@ -450,6 +539,58 @@ class TestSequenceIO:
         path.write_text("2 2\n2 0 1\n")
         with pytest.raises(ValueError, match="horizon"):
             load_sequence(str(path))
+
+    def test_parse_state_is_bounded(self, tmp_path):
+        # the parsed arcs are packed each time they reach about
+        # GENERATE_BYTES of intp triples; one tuple kept per arc line
+        # would take about 130 bytes each, 10 MB for these 81,000 lines
+        seq = generate_sequence(
+            "random-spanning", n=200, horizon=20, seed=1, params={"window": 2, "extra_arc_prob": 0.1}
+        )
+        path = tmp_path / "seq.txt"
+        save_sequence(str(path), seq)
+        tracemalloc.start()
+        try:
+            loaded = load_sequence(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+        assert np.array_equal(loaded.table, seq.table) and np.array_equal(loaded.ids, seq.ids)
+
+    def test_flushes_keep_the_table_and_the_line_numbers(self, tmp_path, monkeypatch):
+        seq = generate_sequence(
+            "random-spanning", n=6, horizon=30, seed=2, params={"window": 2, "extra_arc_prob": 0.2}
+        )
+        path = tmp_path / "seq.txt"
+        save_sequence(str(path), seq)
+        lines = path.read_text().splitlines()
+        assert len(lines) > 60
+        files = {"good": lines}
+        for name, line in (("text", "3 1 x"), ("step", "30 1 2"), ("arc", "3 1 6")):
+            files[name] = lines[:50] + ["# a comment", ""] + lines[50:60] + [line] + lines[60:]
+
+        def load_all():
+            out = {}
+            for name, text in files.items():
+                (tmp_path / name).write_text("\n".join(text) + "\n")
+                try:
+                    out[name] = load_sequence(str(tmp_path / name)).table
+                except ValueError as exc:
+                    out[name] = str(exc)
+            return out
+
+        default = load_all()
+        monkeypatch.setattr(graphs, "GENERATE_BYTES", 48)  # a flush every two arcs
+        flushed = load_all()
+        assert np.array_equal(default.pop("good"), seq.table)
+        assert np.array_equal(flushed.pop("good"), seq.table)
+        assert default == flushed
+        assert default == {
+            "text": f"{tmp_path / 'text'}:63: expected integers 't j i', got '3 1 x'",
+            "step": f"{tmp_path / 'step'}:63: step 30 outside horizon 30",
+            "arc": f"{tmp_path / 'arc'}:63: arc (1, 6) out of range for n=6",
+        }
 
 
 class TestGraphSequence:

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from pushsumlab import pushsum
 from pushsumlab.analysis import estimate_k1
 from pushsumlab.graphs import generate_sequence
 from pushsumlab.optim import (
@@ -696,6 +697,13 @@ def reference_estimate_k1(obj, oracle, x1, alpha1, draws):
     return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(draws))
 
 
+def one_shot_values(obj, pts):
+    """f at every point from one (P, n, d) array of residuals, the form
+    before values took its points in blocks."""
+    r = pts[:, np.newaxis, :] - obj.anchors[np.newaxis, :, :]
+    return obj._component_values(r, obj.scales).mean(axis=-1)
+
+
 def objectives(rng, n, d):
     anchors = rng.uniform(-0.5, 0.5, size=(n, d))
     yield absolute_deviation_objective(anchors)
@@ -731,6 +739,38 @@ class TestBatchedFormsMatchReferences:
                 rows = np.stack([reference_subgradient(obj, i, z[i]) for i in range(obj.n)])
                 assert np.array_equal(obj.subgradients(z), rows)
                 assert all(np.array_equal(obj.subgradient(i, z[i]), rows[i]) for i in range(obj.n))
+
+    @pytest.mark.parametrize("points", [1, 7])
+    def test_values_in_blocks_keep_the_bits(self, monkeypatch, points):
+        # a budget that holds the (points, n, d) residuals of one point,
+        # or of seven: blocks of 1 or 7 of the 60 points
+        for d in (1, 3):
+            rng = np.random.default_rng(10 + d)
+            for obj in objectives(rng, 5, d):
+                pts = sample_points(rng, obj, 60)
+                want = one_shot_values(obj, pts)
+                assert np.array_equal(want, [reference_value(obj, p) for p in pts])
+                with monkeypatch.context() as m:
+                    m.setattr(pushsum, "CHUNK_BYTES", 8 * points * obj.n * d)
+                    assert np.array_equal(obj.values(pts), want), obj.kind
+                    assert obj.values(pts[:0]).shape == (0,)
+
+    def test_values_peak_is_a_block(self):
+        # (10^4, 1) points at n=200: the one-shot residuals take 16 MB
+        # per temporary, a block at most CHUNK_BYTES
+        rng = np.random.default_rng(4)
+        pts = rng.standard_normal((10_000, 1))
+        for obj in objectives(rng, 200, 1):
+            peaks, got = [], []
+            for values in (lambda: one_shot_values(obj, pts), lambda: obj.values(pts)):
+                tracemalloc.start()
+                try:
+                    got.append(values())
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            assert np.array_equal(got[0], got[1]), obj.kind
+            assert peaks[1] < peaks[0] / 10, (obj.kind, peaks)
 
     def test_points_cover_both_huber_sides_and_abs_kinks(self):
         rng = np.random.default_rng(9)
