@@ -233,10 +233,10 @@ class TestStronglyConnectedComponents:
         rng = np.random.default_rng(29)
         verdicts = set()
         for n in range(1, 25):
-            graphs_ = [random_graph(rng, n, rng.uniform(0.5 / n, 3 / n)) for _ in range(int(rng.integers(1, 41)))]
-            got = graphs._strongly_connected(np.stack([g.bits for g in graphs_]))
-            want = [len(components_brute_force(g)) == 1 for g in graphs_]
-            assert got.shape == (len(graphs_),) and got.tolist() == want
+            pool = [random_graph(rng, n, rng.uniform(0.5 / n, 3 / n)) for _ in range(int(rng.integers(1, 41)))]
+            got = graphs._strongly_connected(np.stack([g.bits for g in pool]))
+            want = [len(components_brute_force(g)) == 1 for g in pool]
+            assert got.shape == (len(pool),) and got.tolist() == want
             verdicts.update(want)
         assert verdicts == {True, False}
         ring, loops = directed_ring(5), DirectedGraph.from_arcs(5, [])
