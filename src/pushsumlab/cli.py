@@ -116,15 +116,19 @@ def execute_run(cfg: ExperimentConfig, seq: GraphSequence | None = None) -> RunA
     return RunArtifacts(cfg=cfg, seq=seq, trace=trace)
 
 
-def _connectivity(seq: GraphSequence) -> dict:
+def _connectivity(cfg: ExperimentConfig, strict: bool) -> tuple[GraphSequence, dict, bool, str]:
+    """The config's graphs, their connectivity report and its verdict and
+    message: checked before any dynamics run, so a failing strict check
+    costs no run."""
+    with config_values():
+        seq = build_graph_sequence(cfg)
     window = seq.claimed_window
-    if window is None or window > len(seq):
-        return {"claimed_window": window, "verified": None}
-    verified = bool(is_uniformly_strongly_connected(seq, window))
-    conn = {"claimed_window": window, "verified": verified}
-    if not verified:
-        conn["first_failing_window"] = first_failing_window(seq, window)
-    return conn
+    conn = {"claimed_window": window, "verified": None}
+    if window is not None and window <= len(seq):
+        conn["verified"] = bool(is_uniformly_strongly_connected(seq, window))
+        if not conn["verified"]:
+            conn["first_failing_window"] = first_failing_window(seq, window)
+    return seq, conn, *_check_connectivity(conn, strict)
 
 
 def _prefix_connectivity(conn: dict, steps: int) -> dict:
@@ -216,12 +220,12 @@ def _check_connectivity(conn: dict, strict: bool) -> tuple[bool, str]:
 
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = _load(args)
-    arts = execute_run(cfg)
-    conn = _connectivity(arts.seq)
-    ok, msg = _check_connectivity(conn, args.strict)
-    print(msg)
+    seq, conn, ok, msg = _connectivity(cfg, args.strict)
     if not ok:
+        print(msg)
         return 1
+    arts = execute_run(cfg, seq)
+    print(msg)
 
     metrics = _metrics(arts)
     os.makedirs(args.out, exist_ok=True)
@@ -262,7 +266,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     cfg = _load(args)
-    arts = execute_run(cfg)
+    seq, _, conn_ok, conn_msg = _connectivity(cfg, strict=True)
+    arts = execute_run(cfg, seq)
     trace, seq = arts.trace, arts.seq
     # (name, finding, tolerance, ok); a failed check reports where
     checks: list[tuple[str, Finding, float, bool]] = []
@@ -270,7 +275,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     def check(name: str, found: Finding, tol: float, ok: bool | None = None) -> None:
         checks.append((name, found, tol, found.value <= tol if ok is None else ok))
 
-    conn_ok, conn_msg = _check_connectivity(_connectivity(seq), strict=True)
     print(conn_msg)
 
     # one pass over the steps: column sums and graph compliance of the
@@ -432,9 +436,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # sequence at a shorter horizon is a prefix of the longest one: build
     # and check one sequence for the whole sweep
     longest = cfg.with_horizon(max(values)) if args.axis == "horizon" else cfg
-    with config_values():
-        seq = build_graph_sequence(longest)
-    conn = _connectivity(seq)
+    seq, conn, ok, msg = _connectivity(longest, args.strict)
     rows: list[dict] = []
     if args.axis == "horizon":
         header = "horizon,final_f_gap_avg,final_f_gap_agent,final_consensus_error,bound_fixed_realized"
@@ -466,7 +468,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         summary = {"axis": "horizon", "values": sorted(values), "rows": rows, "gap_fit": fit}
     else:
         header = "seed,final_mean_sq_error"
-        ok, msg = _check_connectivity(conn, args.strict)
         if not ok:
             print(msg)
             return 1

@@ -12,8 +12,9 @@ boolean receive matrix ``adj`` (``adj[i, j]`` is true iff j sends to i).
 sequence stores one read-only (m, n, ceil(n/8)) uint8 array ``table``,
 the packed rows of each distinct graph once, and the table index of
 every step in ``ids``. Callers unpack only the ids they read
-(:func:`receive_matrices`); the connectivity search unpacks the graphs
-or window unions it searches once, to pack their send rows.
+(:func:`receive_matrices`). Equal steps and equal window unions are
+found by the 64-bit hash of their packed rows, each hit confirmed by
+comparing bytes (:func:`_first_equal`); no byte key is kept.
 """
 
 from __future__ import annotations
@@ -47,11 +48,13 @@ Arc = tuple[int, int]
 
 
 # The byte budget of the graph layer's transient arrays: random-spanning
-# draws its graphs into bool blocks of at most this many bytes (at least
-# one block of ``window`` steps) and packs each block; the window check
-# searches as many unions at once as fit this many bytes of bool n x n
-# matrices; load_sequence packs its parsed arcs each time their intp
-# triples reach about this many bytes.
+# draws whole blocks of steps whose float extra-arc draws and bool receive
+# matrices fit this many bytes (at least one block, whose draws then come
+# in pieces of at least one step that fit it); _first_equal takes
+# blocks of packed rows whose copies fit it; the window check searches as
+# many new unions at once as fit this many bytes of bool n x n matrices,
+# and save_sequence unpacks as many steps; load_sequence packs its parsed
+# arcs each time their intp triples reach about this many bytes.
 GENERATE_BYTES = 2**18
 
 
@@ -84,6 +87,47 @@ def _has_loops(table: np.ndarray) -> np.ndarray:
     """(m, n) bool: whether graph k of a packed table holds the self-loop at v."""
     v = np.arange(table.shape[1])
     return (table[:, v, v >> 3] & _BIT[v & 7]) != 0
+
+
+def _digests(rows: np.ndarray) -> list[int]:
+    """The 64-bit hash of each item's bytes of a (k, ...) stack."""
+    return [hash(r.tobytes()) for r in rows]
+
+
+def _first_equal(rows_at, positions: np.ndarray, row_bytes: int):
+    """(at, rows, reps) for each block ``at`` of the ascending ``positions``
+    (about GENERATE_BYTES // (4 * row_bytes) of them): its (k, n, ceil(n/8))
+    rows ``rows_at(at)`` and, for each, the first position, in this block
+    or an earlier one, whose rows hold the same bytes. A digest maps to
+    the first position that had it and every hit is confirmed by comparing
+    bytes; only an item whose hit holds other bytes is keyed by its bytes."""
+    first: dict = {}
+    size = max(1, GENERATE_BYTES // (4 * row_bytes))  # rows, rebuilt rows, temporaries
+    for at in np.split(positions, range(size, len(positions), size)):
+        rows = rows_at(at)
+        digests = _digests(rows)
+        reps = np.array([first.setdefault(h, p) for h, p in zip(digests, at.tolist())])
+        hit = np.flatnonzero(reps != at)
+        for k in hit[np.any(rows[hit] != rows_at(reps[hit]), axis=(1, 2))].tolist():
+            reps[k] = first.setdefault((digests[k], rows[k].tobytes()), at[k])
+        yield at, rows, reps
+
+
+def _transpose(bits: np.ndarray) -> np.ndarray:
+    """The packed rows (k, n, ceil(n/8)) of the transposes of packed bit
+    matrices, by 8 x 8 bit blocks. A block of 8 rows and one byte column,
+    read as a little-endian uint64, holds row r, column c at bit 8r + 7 - c,
+    so its transpose moves bit 8r + c to bit 63 - (8c + r): three delta
+    swaps (Warren, Hacker's Delight, 7-3). The blocks then swap places."""
+    k, n, w = bits.shape
+    rows = np.zeros((k, w, 8, w), dtype=np.uint8)  # the rows padded to 8w
+    rows.reshape(k, 8 * w, w)[:, :n] = bits
+    x = np.ascontiguousarray(rows.transpose(0, 1, 3, 2)).view("<u8")[..., 0]
+    for shift, mask in ((36, 0xF0F0F0F000000000), (18, 0xCCCC0000CCCC0000), (9, 0xAA00AA00AA00AA00)):
+        t = (x ^ (x << shift)) & np.uint64(mask)
+        x ^= t ^ (t >> shift)
+    blocks = np.ascontiguousarray(x.swapaxes(1, 2))[..., np.newaxis].view(np.uint8)
+    return blocks.transpose(0, 1, 3, 2).reshape(k, 8 * w, w)[:, :n]
 
 
 class DirectedGraph:
@@ -160,10 +204,11 @@ class GraphSequence:
     receive rows of each distinct graph once; step t uses
     ``table[ids[t]]``. It is built from a list of graphs or a packed
     (steps, n, ceil(n/8)) uint8 table, with one entry per step; equal
-    steps are interned (a packed table of distinct steps is kept, not
-    copied). With ``ids`` given, the entries are the table. ``seq[t]``
-    and ``graphs`` are graph views of the table rows, one per id, made
-    when first read.
+    steps are interned by the digest of their packed rows, each hit
+    confirmed by comparing bytes (a packed table of distinct steps is
+    kept, not copied). With ``ids`` given, the entries are the table.
+    ``seq[t]`` and ``graphs`` are graph views of the table rows, one per
+    id, made when first read.
 
     ``claimed_window`` is the generator's (or caller's) assertion about
     uniform strong connectivity: every window of that many consecutive
@@ -197,11 +242,14 @@ class GraphSequence:
         if missing.size:
             k, v = missing[0].tolist()
             raise ValueError(f"graph {k} of the table is missing the self-loop at vertex {v}")
-        if ids is None:  # intern through the graphs' hash, not kept byte keys
-            index: dict[DirectedGraph, int] = {}
-            ids = [index.setdefault(g, len(index)) for g in map(DirectedGraph._wrap, table)]
-            if len(index) < len(table):
-                table = table[np.unique(ids, return_index=True)[1]]
+        if ids is None:  # each step's id: the rank of the first step equal to it
+            steps = np.arange(len(table))
+            blocks = _first_equal(table.__getitem__, steps, table[0].nbytes)
+            reps = np.concatenate([r for _, _, r in blocks])
+            distinct = np.flatnonzero(reps == steps)
+            ids = np.searchsorted(distinct, reps)
+            if len(distinct) < len(table):
+                table = table[distinct]
         step_ids = np.array(ids, dtype=np.intp)
         if step_ids.ndim != 1 or step_ids.size == 0:
             raise ValueError("graph sequence must contain at least one step")
@@ -258,7 +306,7 @@ def _strongly_connected(bits: np.ndarray) -> np.ndarray:
 
     One frontier search covers both directions of every graph. Its rows
     are the send rows of each graph (row v holds the vertices v sends
-    to), packed once from the transposed receive matrices, then the
+    to), the receive rows transposed by 8 x 8 bit blocks, then the
     receive rows. At each level one ``np.bitwise_or.reduceat`` ORs the
     rows of every search's frontier vertices. Each vertex of each search
     is expanded once, so the work is O(n^2) per graph whatever the depth.
@@ -266,8 +314,7 @@ def _strongly_connected(bits: np.ndarray) -> np.ndarray:
     n, width = bits.shape[-2:]
     receive = bits.reshape(-1, n, width)
     k = len(receive)
-    send = _pack(np.ascontiguousarray(receive_matrices(receive).swapaxes(1, 2)))
-    rows = np.concatenate((send, receive)).reshape(-1, width)  # search s, vertex v: row s*n + v
+    rows = np.concatenate((_transpose(receive), receive)).reshape(-1, width)  # search s, vertex v: row s*n + v
     seen = np.zeros((2 * k, n), dtype=bool)
     seen[:, 0] = True
     search = np.arange(2 * k)
@@ -291,17 +338,20 @@ def is_strongly_connected(g: DirectedGraph) -> bool:
 
 def _new_unions(seq: GraphSequence, window: int):
     """(start, union) of each window whose union's packed rows no earlier
-    window had, in order of start."""
-    ids = seq.ids.tolist()
-    seen: set[bytes] = set()  # packed union rows, n*ceil(n/8) bytes each
-    for start in range(len(ids) - window + 1):
-        if start and ids[start - 1] == ids[start + window - 1]:
-            continue  # the same graphs as the window before
-        union = np.bitwise_or.reduce(seq.table[seq.ids[start : start + window]], axis=0)
-        key = union.tobytes()
-        if key not in seen:
-            seen.add(key)
-            yield start, union
+    window had, in order of start. A window holding the same graphs as
+    the one before is skipped; the others' unions are formed a block at a
+    time, one ``|=`` of table rows per window offset."""
+
+    def unions(starts: np.ndarray) -> np.ndarray:
+        rows = seq.table[seq.ids[starts]]
+        for k in range(1, window):
+            rows |= seq.table[seq.ids[starts + k]]
+        return rows
+
+    ids = seq.ids
+    starts = np.flatnonzero(np.concatenate(([True], ids[:-window] != ids[window:])))
+    for at, rows, reps in _first_equal(unions, starts, seq.table[0].nbytes):
+        yield from zip(at[reps == at].tolist(), rows[reps == at])
 
 
 def first_failing_window(seq: GraphSequence, window: int) -> int | None:
@@ -311,9 +361,12 @@ def first_failing_window(seq: GraphSequence, window: int) -> int | None:
     This is a finite-prefix check over every sliding offset of the
     stored steps: a window's union is the OR of its graphs' packed rows.
     Distinct windows can share a union (few graphs exist on a few
-    vertices), so only a union with new bytes is searched. New unions
-    are searched in batches, as many as fit ``GENERATE_BYTES`` of bool
-    n x n matrices (at least one), one search call per batch.
+    vertices), so only a union with new bytes is searched: a digest maps
+    to the start of its first window, whose union a hit rebuilds to
+    compare bytes, so the answer never depends on the digest. New unions
+    are searched in order of start, in batches of as many as fit
+    ``GENERATE_BYTES`` of bool n x n matrices (at least one), one search
+    call per batch.
     """
     if not 1 <= window <= len(seq):
         raise ValueError(f"window must lie in 1..{len(seq)} (the sequence length), got {window}")
@@ -413,23 +466,34 @@ def generate_sequence(
         rng = np.random.default_rng(seed)
         table = np.empty((horizon, n, -(-n // 8)), dtype=np.uint8)
         # whole blocks at a time, as many as fit in GENERATE_BYTES of bool
-        # receive matrices (at least one), packed into the table
-        size = window * max(1, GENERATE_BYTES // (window * n * n))
-        loops = np.eye(n, dtype=bool)
+        # receive matrices plus their float extra-arc draws (at least one
+        # block); the draws of a block past that budget are held and
+        # compared a piece of as many steps as fit it at a time (at least one)
+        size = window * max(1, GENERATE_BYTES // (window * n * n * (9 if p_extra > 0.0 else 1)))
+        piece = min(size, max(1, GENERATE_BYTES // (9 * n * n)))
+        adj, v = np.empty((min(size, horizon), n, n), dtype=bool), np.arange(n)
+        draws = np.empty((min(piece, horizon), n, n)) if p_extra > 0.0 else None
         for c0 in range(0, horizon, size):
-            c1 = min(c0 + size, horizon)
-            adj = np.repeat(loops[np.newaxis], c1 - c0, axis=0)
-            for b0 in range(c0, c1, window):
-                perm = rng.permutation(n)
-                steps = b0 + rng.integers(0, window, size=n)
-                keep = steps < horizon
-                # cycle arc perm[k] -> perm[k+1], set in receiver row, sender column
-                adj[steps[keep] - c0, np.roll(perm, -1)[keep], perm[keep]] = True
-                if p_extra > 0.0:
-                    for t in range(b0, min(b0 + window, horizon)):
-                        # draws[j, i] < p adds the arc j -> i
-                        adj[t - c0] |= (rng.random((n, n)) < p_extra).T
-            table[c0:c1] = _pack(adj)
+            block = adj[: min(size, horizon - c0)]
+            block[...] = False
+            # per block, in stream order: cycle, slots, extra-arc draws; the
+            # draws of steps from ``done`` on wait in ``draws`` to be compared
+            cycles, slots, done = [], [], 0
+            for b0 in range(0, len(block), window):
+                cycles.append(rng.permutation(n))
+                slots.append(b0 + rng.integers(0, window, size=n))
+                for s0 in range(b0, min(b0 + window, len(block)), piece) if draws is not None else ():
+                    s1 = min(s0 + piece, b0 + window, len(block))
+                    rng.random(out=draws[s0 - done : s1 - done])
+                    if s1 - done == piece or s1 == len(block):  # draws[t, j, i] < p adds the arc j -> i
+                        np.less(draws[: s1 - done].swapaxes(1, 2), p_extra, out=block[done:s1])
+                        done = s1
+            block[:, v, v] = True
+            # cycle arc perm[k] -> perm[k+1], set in receiver row, sender column
+            cycles, slots = np.array(cycles), np.array(slots)
+            keep = slots < len(block)
+            block[slots[keep], cycles[:, (v + 1) % n][keep], cycles[keep]] = True
+            table[c0 : c0 + len(block)] = _pack(block)
         return GraphSequence(table, claimed_window=2 * window - 1)
 
     if kind == "doubly-stochastic-compatible":
@@ -444,11 +508,18 @@ def generate_sequence(
 
 def save_sequence(path: str, seq: GraphSequence) -> None:
     """Write a sequence as ``n horizon`` followed by one ``t j i`` line
-    per non-loop arc. Self-loops are implied and omitted on disk."""
-    lines = [f"{seq.n} {len(seq)}"]
-    lines += [f"{t} {j} {i}" for t, g in enumerate(seq.graphs) for j, i in sorted(g.arcs) if j != i]
+    per non-loop arc j -> i, in (t, j, i) order. Self-loops are implied
+    and omitted on disk. The steps are unpacked ``GENERATE_BYTES`` of
+    bool receive matrices at a time."""
+    n, v = seq.n, np.arange(seq.n)
+    size = max(1, GENERATE_BYTES // n**2)
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"{n} {len(seq)}\n")
+        for t0 in range(0, len(seq), size):
+            adj = receive_matrices(seq.table[seq.ids[t0 : t0 + size]])
+            adj[:, v, v] = False
+            t, j, i = np.nonzero(adj.swapaxes(1, 2))  # sender j, then receiver i
+            fh.writelines(f"{a} {b} {c}\n" for a, b, c in zip((t + t0).tolist(), j.tolist(), i.tolist()))
 
 
 def _rows(fh):

@@ -355,6 +355,15 @@ def constant_step(alpha: float) -> StepSchedule:
 # switching signals
 
 
+def _philox_words(bits: np.random.Philox, fresh: dict, address: tuple, count: int) -> np.ndarray:
+    """The first ``count`` words that ``np.random.Philox(key, counter=address)``
+    emits, read from ``bits`` reset to ``fresh``, a new generator's state
+    under that key, with the counter set to ``address``."""
+    fresh["state"]["counter"][:] = address
+    bits.state = fresh
+    return bits.random_raw(count)
+
+
 @dataclass(frozen=True)
 class SwitchingSignal:
     """Per-(agent, step) 0/1 signal selecting correct-then-mix (1) or
@@ -386,7 +395,8 @@ class SwitchingSignal:
         with counter (t, i, 0, 0) under the signal's key. Philox advances
         its counter before each block, so word 0 of the blocks that one
         generator per agent emits from counter (t0, i, 0, 0) are exactly
-        those draws for t = t0, t0 + 1, ...
+        those draws for t = t0, t0 + 1, ... Every agent's stream comes from
+        one reused generator (:func:`_philox_words`).
         """
         if self.kind in ("all-ones", "all-zeros"):
             # a read-only view of one number: no (steps, n) table is stored
@@ -403,14 +413,19 @@ class SwitchingSignal:
             if self.table.shape[1] != n:
                 raise ValueError("switching table width does not match n")
             return self.table[t0 : t0 + steps].copy()
-        out = np.empty((steps, n))
+        bits, fresh = self._philox
+        raw = np.empty((n, steps), dtype=np.uint64)
         for i in range(n):
-            # a uint64 counter: a list of ints may pass through float64
-            at_t0 = np.array([t0, i, 0, 0], dtype=np.uint64)
-            raw = np.random.Philox(key=self.seed, counter=at_t0).random_raw(4 * steps)
-            # Generator.random(): the top 53 bits of one word, scaled to [0, 1)
-            out[:, i] = (raw[::4] >> 11) * 2.0**-53 < self.p
-        return out
+            raw[i] = _philox_words(bits, fresh, (t0, i, 0, 0), 4 * steps)[::4]
+        raw >>= 11  # Generator.random(): the top 53 bits of one word, scaled to [0, 1)
+        return (raw.T * 2.0**-53 < self.p).astype(float)
+
+    @functools.cached_property
+    def _philox(self) -> tuple[np.random.Philox, dict]:
+        """The generator that bernoulli rows reset for each agent's stream,
+        and its fresh state; made on first use, not when parsed."""
+        bits = np.random.Philox(key=self.seed)
+        return bits, bits.state
 
     def row(self, t: int, n: int) -> np.ndarray:
         """sigma(t) for all agents as a float 0/1 vector."""
@@ -578,16 +593,15 @@ class GradientOracle:
     def noise_table(self, t0: int, steps: int, d: int, draw: int = 0) -> np.ndarray:
         """The (steps, n, d) noise rows of t = t0 .. t0 + steps - 1: row
         (t, i) is ``noise(i, t, d, draw)`` byte for byte, from one Philox
-        stream per agent (see the class docstring)."""
+        stream per agent, each read from the reused generator (see the
+        class docstring)."""
         out = np.zeros((steps, len(self.noise_bounds), d))
         # the draw at t0 + k reads words 4k .. 4k + d: d normals, then the uniform
         at = 4 * np.arange(steps)[:, np.newaxis] + np.arange(d + 1)
         for i, c in enumerate(self.noise_bounds.tolist()):
             if c == 0.0:
                 continue
-            at_t0 = np.array([t0, i, draw, 0], dtype=np.uint64)  # a list of ints may pass through float
-            bits = np.random.Philox(key=self.seed, counter=at_t0)
-            words = bits.random_raw(4 * steps + d)[at]
+            words = _philox_words(self._gen.bit_generator, self._fresh, (t0, i, draw, 0), 4 * steps + d)[at]
             normals, fast = _ziggurat_normals(words[:, :d])
             out[:, i] = _ball_rows(normals, (words[:, d] >> np.uint64(11)) * 2.0**-53, c)
             for k in np.flatnonzero(~fast.all(axis=1)).tolist():

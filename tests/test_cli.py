@@ -214,6 +214,31 @@ class TestRun:
         }
         assert main(["run", "--config", pushsum_cfg, "--out", out, "--strict"]) == 1
 
+    def test_failing_strict_check_runs_no_dynamics(self, window_too_short, tmp_path, monkeypatch, capsys):
+        # the graphs are checked before the dynamics: a strict run that
+        # fails the check makes no optimizer call, and reports the check
+        # even when its weights would make the dynamics raise
+        data = {
+            "algorithm": "subgradient_push",
+            "n": 4,
+            "horizon": 60,
+            "graph": {"kind": "rotating-single-edge"},
+            "init": {"x0": [[4.0], [6.0], [1.0], [0.0]]},
+            "objective": {"kind": "abs", "anchors": [[0.0], [2.0], [1.0], [3.0]]},
+            "stepsize": {"kind": "fixed_inv_sqrt"},
+        }
+        calls = counting(monkeypatch, cli, "run_optimizer")
+        out = str(tmp_path / "out")
+        assert main(["run", "--config", write_cfg(tmp_path, "opt.json", data), "--out", out, "--strict"]) == 1
+        assert capsys.readouterr().out == FAILED_WINDOW + "\n" and calls == []
+        weights_path = tmp_path / "w.txt"
+        save_weights(str(weights_path), np.full((4, 4), 0.25))  # positive off the rotating edge
+        bad = write_cfg(tmp_path, "bad.json", {**data, "weights": {"policy": "file", "path": str(weights_path)}})
+        assert main(["run", "--config", bad, "--out", out, "--strict"]) == 1
+        assert capsys.readouterr() == (FAILED_WINDOW + "\n", "") and calls == []
+        assert main(["run", "--config", bad, "--out", out]) == 2
+        assert "custom weights invalid at step 0" in capsys.readouterr().err
+
     def test_passing_check_writes_no_offset(self, pushsum_cfg, tmp_path):
         out = str(tmp_path / "out")
         assert main(["run", "--config", pushsum_cfg, "--out", out]) == 0
@@ -544,9 +569,9 @@ class TestVerify:
     def test_weights_off_the_graph_fail(self, pushsum_cfg, tmp_path, monkeypatch, capsys):
         run = cli.execute_run
 
-        def checked_on_complete_graph(cfg):
+        def checked_on_complete_graph(cfg, seq=None):
             # the run mixes over the rotating edge
-            arts = run(cfg)
+            arts = run(cfg, seq)
             arts.seq = GraphSequence((complete_graph(4),), ids=[0] * 60)
             return arts
 

@@ -1,3 +1,4 @@
+import os
 import re
 import tracemalloc
 
@@ -49,20 +50,15 @@ def components_brute_force(g):
 
 
 class CountingOr:
-    """np.bitwise_or, counting the (window, n, ceil(n/8)) stacks that
-    ``reduce`` ORs into unions and the packed rows that ``reduceat`` ORs."""
+    """np.bitwise_or, counting the packed rows that ``reduceat`` ORs."""
 
     bitwise_or = np.bitwise_or
 
     def __init__(self):
-        self.unions = self.rows = 0
+        self.rows = 0
 
     def __getattr__(self, name):
         return getattr(self.bitwise_or, name)
-
-    def reduce(self, a, **kwargs):
-        self.unions += a.ndim == 3
-        return self.bitwise_or.reduce(a, **kwargs)
 
     def reduceat(self, a, indices, **kwargs):
         self.rows += len(a)
@@ -244,6 +240,14 @@ class TestStronglyConnectedComponents:
         assert graphs._strongly_connected(stack).tolist() == [[True, False, True], [False, True, False]]
         assert graphs._strongly_connected(ring.bits).shape == ()
 
+    @pytest.mark.parametrize("n", [1, 3, 8, 9, 17, 51, 64, 200])
+    def test_bit_block_transpose_is_the_bool_round_trip(self, n):
+        rng = np.random.default_rng(n)
+        adj = rng.random((3, n, n)) < np.array([0.05, 0.3, 0.9])[:, None, None]
+        want = np.packbits(np.ascontiguousarray(adj.swapaxes(1, 2)), axis=-1)
+        got = graphs._transpose(np.packbits(adj, axis=-1))
+        assert got.dtype == np.uint8 and got.shape == want.shape and np.array_equal(got, want)
+
     def test_deep_search_expands_each_vertex_once(self, monkeypatch):
         # the packed rows ORed over all levels: at most n per direction
         # (the path from 0 expands all n in one of them),
@@ -293,22 +297,23 @@ class TestUniformConnectivity:
         assert first_failing_window(GraphSequence([loops] * 2 + [ring]), 2) == 0
 
     def test_each_distinct_window_checked_once(self, monkeypatch):
-        # a union is the OR of a (window, n, ceil(n/8)) stack of packed
-        # rows, formed for every window the previous-window skip leaves;
-        # only a union with new bytes joins a stack that is searched
-        searched = []
-        search, counting = graphs._strongly_connected, CountingOr()
-        monkeypatch.setattr(graphs, "_strongly_connected", lambda bits: searched.append(len(bits)) or search(bits))
-        monkeypatch.setattr(np, "bitwise_or", counting)
+        # every window the previous-window skip leaves has its union formed
+        # and digested once; only a union with new bytes joins a stack
+        # that is searched
         a, b, c = directed_ring(4), complete_graph(4), undirected_ring(4)
+        seq, ring = GraphSequence([a, b, c] * 10), generate_sequence("static-ring", 3, 10_000)
+        searched, digested = [], []
+        search, digests = graphs._strongly_connected, graphs._digests
+        monkeypatch.setattr(graphs, "_strongly_connected", lambda bits: searched.append(len(bits)) or search(bits))
+        monkeypatch.setattr(graphs, "_digests", lambda rows: digested.append(len(rows)) or digests(rows))
         # windows of two cycle through {a, b}, {b, c} and {c, a}; the
         # first two have the same union, the complete graph. No window
         # repeats the one before, so all 29 unions are formed
-        assert first_failing_window(GraphSequence([a, b, c] * 10), 2) is None
-        assert counting.unions == 29 and sum(searched) == 2
-        searched.clear()
-        assert is_uniformly_strongly_connected(generate_sequence("static-ring", 3, 10_000), 1)
-        assert sum(searched) == 1
+        assert first_failing_window(seq, 2) is None
+        assert sum(digested) == 29 and sum(searched) == 2
+        searched.clear(), digested.clear()
+        assert is_uniformly_strongly_connected(ring, 1)
+        assert sum(digested) == sum(searched) == 1
 
     def test_batches_keep_the_first_failing_offset(self, monkeypatch):
         # at n=4 a budget of 32 bytes holds two bool 4 x 4 matrices, so
@@ -355,6 +360,46 @@ class TestUniformConnectivity:
             with monkeypatch.context() as m:
                 m.setattr(graphs, "GENERATE_BYTES", 32)
                 assert first_failing_window(seq, window) == want
+
+    @pytest.mark.parametrize("budget", [None, 1, 3])
+    def test_equal_digests_are_told_apart_by_bytes(self, budget, monkeypatch):
+        # with every digest equal (and blocks of 1 or 3 items, so hits cross
+        # blocks), interning and the window check follow the bytes alone
+        monkeypatch.setattr(graphs, "_digests", lambda rows: [0] * len(rows))
+        rng = np.random.default_rng(23)
+        for _ in range(40):
+            n = int(rng.integers(2, 6))
+            if budget:
+                monkeypatch.setattr(graphs, "GENERATE_BYTES", 4 * budget * n * -(-n // 8))
+            pool = [random_graph(rng, n, 0.3) for _ in range(4)]
+            steps = [pool[int(k)] for k in rng.integers(0, 4, size=16)]
+            seq = GraphSequence(steps)
+            first = {}  # first appearance of each arc set
+            assert seq.ids.tolist() == [first.setdefault(g.arcs, len(first)) for g in steps]
+            assert len(seq.table) == len(first) and [g.arcs for g in seq.graphs] == [g.arcs for g in steps]
+            window = int(rng.integers(1, 5))
+            brute = [
+                s for s in range(len(steps) - window + 1)
+                if len(components_brute_force(
+                    DirectedGraph(n, set().union(*(g.arcs for g in steps[s : s + window])))
+                )) > 1
+            ]
+            assert first_failing_window(seq, window) == (brute[0] if brute else None)
+
+    def test_window_check_memory_stays_under_2mb_at_n200(self):
+        # one digest and one start per distinct union, and blocks of
+        # GENERATE_BYTES; keeping a 5 kB byte key per union took 10.8 MB
+        seq = generate_sequence(
+            "random-spanning", n=200, horizon=2000, seed=1, params={"window": 2, "extra_arc_prob": 0.1}
+        )
+        assert first_failing_window(seq, 3) is None  # warm-up
+        tracemalloc.start()
+        try:
+            assert first_failing_window(seq, 3) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6, peak
 
     def test_matches_union_of_every_window(self):
         rng = np.random.default_rng(5)
@@ -435,6 +480,39 @@ class TestGenerators:
                             assert len(seq) == horizon
                             assert all(g.arcs == w.arcs for g, w in zip(seq.graphs, want))
 
+    @pytest.mark.parametrize("budget", [0.4, 1, 2])
+    def test_random_spanning_chunks_keep_the_reference(self, budget, monkeypatch):
+        # a budget of 1 or 2 blocks of float draws (8 bytes per entry, with
+        # extra arcs) and bool matrices (1 byte) makes chunks of 1 or 2
+        # blocks; under one block, a chunk is one block whose draws come in pieces
+        packs = []
+        pack = graphs._pack
+        monkeypatch.setattr(graphs, "_pack", lambda adj: packs.append(len(adj)) or pack(adj))
+        for n, window, p_extra in ((5, 3, 0.2), (9, 2, 0.0), (7, 1, 0.5), (3, 4, 0.1), (4, 7, 0.3)):
+            monkeypatch.setattr(graphs, "GENERATE_BYTES", int(budget * window * n * n * (9 if p_extra else 1)))
+            for horizon in (1, 4 * window - 1, 5 * window, 5 * window + 1):
+                want = random_spanning_reference(n, horizon, 4, window, p_extra)
+                packs.clear()
+                seq = generate_sequence(
+                    "random-spanning", n=n, horizon=horizon, seed=4,
+                    params={"window": window, "extra_arc_prob": p_extra},
+                )
+                assert [g.arcs for g in seq.graphs] == [g.arcs for g in want]
+                chunk = max(1, int(budget)) * window
+                assert packs[:-1] == [chunk] * (len(packs) - 1) and sum(packs) == horizon
+
+    def test_random_spanning_holds_a_piece_of_a_large_block(self):
+        # at n=200 one block of the default window (200 steps) takes 8 MB of
+        # bool matrices; its float draws, 64 MB whole, are held a step at a time
+        generate_sequence("random-spanning", n=2, horizon=2, params={"extra_arc_prob": 0.1})  # lazy imports
+        tracemalloc.start()
+        try:
+            generate_sequence("random-spanning", n=200, horizon=200, seed=3, params={"extra_arc_prob": 0.1})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6, peak
+
     def test_random_spanning_respects_claimed_window(self):
         for seed in range(10):
             seq = generate_sequence(
@@ -487,6 +565,39 @@ class TestSequenceIO:
         loaded = load_sequence(str(path))
         assert loaded.n == seq.n and len(loaded) == len(seq)
         assert all(a.arcs == b.arcs for a, b in zip(loaded.graphs, seq.graphs))
+
+    def test_saved_bytes_match_the_arc_set_writer(self, tmp_path):
+        # one line per non-loop arc in (t, j, i) order, as the writer over
+        # each step's sorted arc set gave; the golden graph file is such a file
+        rng = np.random.default_rng(13)
+        golden = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_configs", "graph_file.txt")
+        path = tmp_path / "seq.txt"
+        save_sequence(str(path), load_sequence(golden))
+        assert path.read_bytes() == open(golden, "rb").read()
+        for n in (1, 2, 9, 23):
+            seq = generate_sequence(
+                "random-spanning", n=n, horizon=int(rng.integers(1, 40)), seed=int(rng.integers(9)),
+                params={"window": 3, "extra_arc_prob": float(rng.uniform(0, 0.5))},
+            )
+            lines = [f"{n} {len(seq)}"]
+            lines += [f"{t} {j} {i}" for t, g in enumerate(seq.graphs) for j, i in sorted(g.arcs) if j != i]
+            save_sequence(str(path), seq)
+            assert path.read_text() == "\n".join(lines) + "\n"
+
+    def test_save_state_is_bounded(self, tmp_path):
+        # the lines of one block of steps at a time: building the whole
+        # file's lines from arc sets took about 70 MB for this 4 MB file
+        seq = generate_sequence(
+            "random-spanning", n=200, horizon=100, seed=1, params={"window": 2, "extra_arc_prob": 0.1}
+        )
+        path = tmp_path / "seq.txt"
+        tracemalloc.start()
+        try:
+            save_sequence(str(path), seq)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size > 3e6 and peak < 6e6, peak
 
     def test_header_is_read_alone(self, tmp_path):
         # the header is the first line that is not blank or a comment; the

@@ -790,6 +790,27 @@ class TestBatchedFormsMatchReferences:
             assert np.array_equal(sig.rows(t0, 60, 7), want)
             assert np.array_equal(sig.row(t0 + 3, 7), want[3])
 
+    def test_reused_generator_matches_a_fresh_one_per_address(self):
+        # rows and noise tables read each agent's words from one reused
+        # Philox; every row must equal a generator built for its address
+        rng = np.random.default_rng(41)
+        for _ in range(8):
+            seed, t0 = int(rng.integers(0, 2**63)), int(rng.integers(0, 2**40))
+            steps, n, p = int(rng.integers(1, 30)), int(rng.integers(1, 7)), float(rng.uniform())
+            sig = bernoulli_signal(p, seed=seed)
+            want = np.stack([reference_bernoulli_row(seed, p, t, n) for t in range(t0, t0 + steps)])
+            assert np.array_equal(sig.rows(t0, steps, n), want)
+            assert np.array_equal(sig.rows(t0 + 1, steps - 1, n), want[1:])
+            bounds = rng.uniform(0.0, 2.0, size=n) * (rng.random(n) < 0.8)
+            oracle = GradientOracle(bounds, seed=seed)
+            for d in (1, 4):
+                draw = int(rng.integers(0, 3))
+                want = np.array(
+                    [[reference_noise(bounds, seed, i, t, d, draw)[0] for i in range(n)] for t in range(t0, t0 + steps)]
+                )
+                assert np.array_equal(oracle.noise_table(t0, steps, d, draw), want)
+                assert np.array_equal(oracle.noise(n - 1, t0, d, draw), want[0, n - 1])
+
     @pytest.mark.parametrize("t0", [2**64 - 1024, 2**64 - 1])
     def test_bernoulli_rows_up_to_the_last_counter(self, t0):
         # t is one uint64 word of the Philox counter, exact up to 2**64 - 1
