@@ -156,14 +156,26 @@ class Objective:
 
     def _gradients(self, r: np.ndarray, s: np.ndarray | float) -> np.ndarray:
         """A subgradient of f_i at the residuals r = z - a_i, row by row;
-        the one copy of every kind's gradient formula. At kinks of abs the
-        minimum-norm element (zero) is returned, so sign(0) = 0 is
-        deliberate."""
+        the one copy of every kind's gradient formula, which the in-place
+        kernel of a run (``_gradient_kernel``) must equal bit for bit. At
+        kinks of abs the minimum-norm element (zero) is returned, so
+        sign(0) = 0 is deliberate."""
         if self.kind == "abs":
             return np.sign(r)
         if self.kind == "quadratic":
             return s * r
         return np.clip(r, -float(self.delta), float(self.delta))
+
+    def _gradient_kernel(self):
+        """``_gradients`` at each agent's scale as an in-place kernel:
+        ``kernel(r, out=g)`` writes the rows of the (..., n, d) residuals r
+        into g, equal to ``_gradients`` bit for bit. A run resolves it once,
+        so its loop makes no per-step dispatch on the kind."""
+        if self.kind == "abs":
+            return np.sign
+        if self.kind == "quadratic":
+            return functools.partial(np.multiply, self.scales[:, np.newaxis])
+        return functools.partial(np.clip, a_min=-float(self.delta), a_max=float(self.delta))
 
     def values(self, points: np.ndarray) -> np.ndarray:
         """f at every row of a (P, d) array of points, in blocks of points
@@ -705,23 +717,23 @@ def run_optimizer(
     y = np.ones(n) if y0 is None else _initial_mass(y0, n, "y0")
 
     # the gradient of every kind is elementwise in the residuals, so one
-    # call serves the (S, n, d) ratios of all replicas
-    anchors, scales = obj.anchors[np.newaxis], obj.scales[np.newaxis, :, np.newaxis]
+    # call serves the ratios of all replicas
+    anchors, kernel = obj.anchors, obj._gradient_kernel()
     if oracles[0] is None:
-        def gradient(t: int, z: np.ndarray) -> np.ndarray:
-            return obj._gradients(z - anchors, scales)
+        def gradient(t: int, z: np.ndarray, out: np.ndarray) -> None:
+            kernel(np.subtract(z, anchors, out=z), out=out)
     else:
-        def noise_blocks():
-            # run_dynamics asks for t = t0, t0 + 1, ... in order; the
-            # replicas' noise comes from one stacked block of steps at a time
-            for b in range(t0, t0 + horizon, _NOISE_BLOCK):
-                steps = min(_NOISE_BLOCK, t0 + horizon - b)
-                yield from np.stack([o.noise_table(b, steps, obj.d) for o in oracles], axis=1)
+        start, noise = t0, ()
 
-        noise = noise_blocks()
-
-        def gradient(t: int, z: np.ndarray) -> np.ndarray:
-            return obj._gradients(z - anchors, scales) + next(noise)
+        def gradient(t: int, z: np.ndarray, out: np.ndarray) -> None:
+            nonlocal start, noise
+            kernel(np.subtract(z, anchors, out=z), out=out)
+            if not 0 <= t - start < len(noise):
+                # the replicas' noise rows of a block of steps from t, stacked
+                start, steps = t, min(_NOISE_BLOCK, t0 + horizon - t)
+                rows = [o.noise_table(t, steps, obj.d) for o in oracles]
+                noise = np.stack(rows, axis=1).reshape(steps, *out.shape)
+            out += noise[t - start]
 
     run = run_dynamics(
         algorithm,

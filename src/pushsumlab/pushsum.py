@@ -90,7 +90,8 @@ def _induced(w: np.ndarray, y: np.ndarray, y_next: np.ndarray, k0: int = 0) -> n
         raise DegenerateStateError(
             f"cannot induce the ratio matrix of step {k0 + int(low[0])}: y(k+1) hits the floor"
         )
-    return w * y[:, np.newaxis, :] / y_next[:, :, np.newaxis]
+    s = w * y[:, np.newaxis, :]
+    return np.divide(s, y_next[:, :, np.newaxis], out=s)
 
 
 def s_matrix(
@@ -216,7 +217,10 @@ class MixingSequence:
         used = mats = None
         for k0 in range(0, len(self.ids), size):
             previous = used
-            used, local = np.unique(self.ids[k0 : k0 + size], return_inverse=True)
+            if size == 1:  # no bookkeeping for one step
+                used, local = self.ids[k0 : k0 + 1], np.zeros(1, dtype=np.intp)
+            else:
+                used, local = np.unique(self.ids[k0 : k0 + size], return_inverse=True)
             if previous is None or not np.array_equal(used, previous):
                 mats = self.matrices(used)
             yield k0, mats, local
@@ -312,7 +316,9 @@ def induced_chunks(trace: Trace):
     ys = trace.ys
     for k0, mats, local in trace.w_mats.chunks():
         k1 = k0 + len(local)
-        w = mats[local]
+        # distinct steps in table order (one step, or a fresh graph each) need no copy
+        identity = len(local) == len(mats) and bool(np.all(local[1:] > local[:-1]))
+        w = mats if identity else mats[local]
         yield k0, w, _induced(w, ys[k0:k1], ys[k0 + 1 : k1 + 1], k0)
 
 
@@ -401,23 +407,25 @@ def scan_induced(
     against honestly induced matrices; everything else reads the
     recorded rows. The scan walks one chain from the time label ``tau``
     (t0 by default): Phi_S(t, tau) and, when ``ratio_at`` is non-empty,
-    Phi_W(t, tau). The loop over each chunk's steps advances both,
-    S(k) @ Phi_S and W(k) @ Phi_W (latest step on the left, no
+    Phi_W(t, tau). The loop over each chunk's steps advances both by
+    ``np.dot``, S(k) Phi_S and W(k) Phi_W (latest step on the left, no
     re-normalization: accumulated rounding is part of what is measured),
-    and evaluates each time label t of ``ratio_at`` and ``limit_at`` when
-    the chain reaches it; t == tau reads the identities.
+    and evaluates the chain only at the steps where it reaches a time
+    label t of ``ratio_at`` or ``limit_at``; t == tau reads the
+    identities. The masks W(k) > 0 and S(k) > 0 are taken once per chunk.
     """
     ys_prob = trace.ys if ys is None else np.asarray(ys, dtype=float)
     tau = trace.t0 if tau is None else tau
     taui = trace.index_of(tau)
     ratio: dict[tuple[int, int], Finding] = dict.fromkeys((t, tau) for t in ratio_at)
     limit: dict[tuple[int, int], float] = dict.fromkeys((t, tau) for t in limit_at)
-    last = taui  # the chain stops at the latest t
+    due = set()  # the step indices at which the chain is evaluated
     for t, _ in (*ratio, *limit):
         ti = trace.index_of(t)
         if ti < taui:
             raise ValueError(f"need t >= tau, got t={t}, tau={tau}")
-        last = max(last, ti)
+        due.add(ti)
+    last = max(due, default=taui)  # the chain stops at the latest t
 
     def evaluate(phi_s: np.ndarray, phi_w: np.ndarray | None, ti: int) -> None:
         # one expression each, so no n x n temporary outlives it
@@ -435,7 +443,8 @@ def scan_induced(
             limit[(t, tau)] = float(np.max(np.abs(phi_s - trace.ys[taui] / trace.kappa)))
 
     phi_s, phi_w = np.eye(trace.n), np.eye(trace.n) if ratio else None
-    evaluate(phi_s, phi_w, taui)
+    if taui in due:
+        evaluate(phi_s, phi_w, taui)
 
     columns = beta_min = w_rows = row = sparsity = floor = prob = None
     graph = None if seq is None else NO_MISMATCH  # until the first mismatch
@@ -443,33 +452,33 @@ def scan_induced(
     for k0, w, s in induced_chunks(trace):
         k1 = k0 + len(s)
         steps = labels[k0:k1]
+        w_pos, s_pos = w > 0.0, s > 0.0
         dev = np.abs(w.sum(axis=1) - 1.0)
         columns = _larger(columns, locate(dev, steps, ("step", "column")))
         if graph is NO_MISMATCH:
-            mismatch = (w > 0.0) != receive_matrices(seq.table[seq.ids[k0:k1]])
+            mismatch = w_pos != receive_matrices(seq.table[seq.ids[k0:k1]])
             if mismatch.any():
                 graph = locate(mismatch, steps, ("step", "row", "column"))
-        positive = np.where(w > 0.0, w, np.inf)
+        positive = np.where(w_pos, w, np.inf)
         beta_min = _smaller(beta_min, locate(positive, steps, ("step", "row", "column"), np.argmin))
         dev = np.abs(w.sum(axis=2) - 1.0)
         w_rows = _larger(w_rows, locate(dev, steps, ("step", "row")))
         dev = np.abs(s.sum(axis=2) - 1.0)
         row = _larger(row, locate(dev, steps, ("step", "row")))
-        mismatch = (s > 0.0) != (w > 0.0)
+        mismatch = s_pos != w_pos
         if sparsity is None and mismatch.any():
             sparsity = locate(mismatch, steps, ("step", "row", "column"))
-        positive = np.where(s > 0.0, s, np.inf)
+        positive = np.where(s_pos, s, np.inf)
         floor = _smaller(floor, locate(positive, steps, ("step", "row", "column"), np.argmin))
         pi = absolute_probability(ys_prob[k0 : k1 + 1], trace.kappa)
         dev = np.abs(np.matmul(s.transpose(0, 2, 1), pi[1:, :, np.newaxis])[:, :, 0] - pi[:-1])
         prob = _larger(prob, locate(dev, steps, ("step", "agent")))
-        lo = max(k0, taui)
-        hi = min(k1, last)
-        for ti, s_k, w_k in zip(range(lo + 1, hi + 1), s[lo - k0 :], w[lo - k0 :]):
-            phi_s = s_k @ phi_s
+        for j in range(max(k0, taui) - k0, min(k1, last) - k0):
+            phi_s = np.dot(s[j], phi_s)
             if phi_w is not None:
-                phi_w = w_k @ phi_w
-            evaluate(phi_s, phi_w, ti)
+                phi_w = np.dot(w[j], phi_w)
+            if k0 + j + 1 in due:
+                evaluate(phi_s, phi_w, k0 + j + 1)
 
     return InducedChecks(
         columns, graph, beta_min, w_rows, row, sparsity or NO_MISMATCH, floor, prob, ratio, limit
@@ -619,32 +628,13 @@ class Replicas:
 COEFFICIENT_BYTES = 2**14
 
 
-def _step_coefficients(alphas: np.ndarray, sigmas: np.ndarray):
-    """(alphas[k] sigmas[k], alphas[k] (1 - sigmas[k])) of every step k in
-    order, as (S, n, 1) rows, built one block of steps at a time: at most
-    ``COEFFICIENT_BYTES`` per table (at least one step)."""
-    steps, replicas, n = sigmas.shape
-    size = max(1, COEFFICIENT_BYTES // (8 * replicas * n))
-    # two tables, refilled in place: the rows of a block are used up
-    # before the next block is built
-    a_in, a_out = np.empty((2, min(size, steps), replicas, n, 1))
-    for b in range(0, steps, size):
-        c = min(size, steps - b)
-        alpha = alphas[b : b + c, np.newaxis, np.newaxis, np.newaxis]
-        sigma = sigmas[b : b + c, :, :, np.newaxis]
-        np.multiply(alpha, sigma, out=a_in[:c])
-        np.subtract(1.0, sigma, out=a_out[:c])
-        a_out[:c] *= alpha
-        yield from zip(a_in[:c], a_out[:c])
-
-
 def run_dynamics(
     algorithm: str,
     mixing: MixingSequence,
     x: np.ndarray,
     y: np.ndarray,
     t0: int = 0,
-    gradient: Callable[[int, np.ndarray], np.ndarray] | None = None,
+    gradient: Callable[..., None] | None = None,
     alphas: np.ndarray | None = None,
     sigmas: np.ndarray | None = None,
 ) -> Replicas:
@@ -653,52 +643,69 @@ def run_dynamics(
     holds each replica's valid rows and y (n,) the valid masses.
 
     A step is y <- W y and, without ``gradient``, push-sum's x <- W x.
-    With one, step k (time t = t0 + k) applies x <- W (x - g a_in) -
-    g a_out for the (S, n, d) gradient rows g = gradient(t, x / y) of
-    every replica at its ratios and the (S, n) switching rows
-    sigma = sigmas[k], with a_in = alphas[k] sigma and
-    a_out = alphas[k] (1 - sigma) built for a block of steps at a time
-    (``_step_coefficients``); the result records the gradient rows,
-    alphas and sigmas. Since sigma is 0 or 1, g a_in and g a_out equal
+    With one, step k (time t = t0 + k) calls ``gradient(t, z, out=g)``,
+    which writes the rows at the ratios z = x / y (which it may
+    overwrite) into the recorded g, then applies x <- W (x - g a_in) -
+    g a_out for the (S, n) switching rows sigma = sigmas[k], with
+    a_in = alphas[k] sigma and a_out = alphas[k] (1 - sigma) read by index
+    from tables of at most ``COEFFICIENT_BYTES`` built a block of steps
+    at a time. Since sigma is 0 or 1, g a_in and g a_out equal
     (alphas[k] g) sigma and (alphas[k] g) (1 - sigma) bit for bit, signed
     zeros included; where alphas[k] g overflows, both forms leave x
     non-finite at that step.
 
     y takes no gradient, so one y serves every replica, and each chunk
-    walks y first. The mixing is one stacked matmul of w with the
-    (S, n, d) stack, which gives each replica the bits of its own w @ x;
-    every product is written in place into the recorded states. Each
-    chunk runs with floating-point warnings off, then ``_check_state``
-    checks it once.
+    walks y first. One replica mixes its (n, d) rows (z and g are (n, d)
+    too) with ``np.dot``, and S replicas mix as one stacked matmul with
+    the (S, n, d) stack: both give each replica the bits of its own
+    w @ x. Every product is written in place into the recorded states or
+    a step buffer. Each chunk runs with floating-point warnings off, then
+    ``_check_state`` checks it once.
     """
     horizon, (replicas, n, d) = len(mixing), x.shape
     xs = np.empty((horizon + 1, replicas, n, d))
     # y is kept as a (1, n, 1) stack that x / y broadcasts over the
-    # replicas with no reshape, and walked as its (n,) rows: w @ y gives
-    # the same bits in either shape, at less cost in this one
+    # replicas with no reshape, and walked as its (n,) rows
     y_stack = np.empty((horizon + 1, 1, n, 1))
     ys = y_stack[:, 0, :, 0]
     xs[0], ys[0] = x, y
-    if gradient is None:
-        # a stacked matmul costs more than a plain one, so one replica
-        # mixes its (n, d) rows, with the same bits
-        gs, rows = None, xs[:, 0] if replicas == 1 else xs
-    else:
-        gs, x = np.empty((horizon, replicas, n, d)), xs[0]
-        coefficients = _step_coefficients(alphas, sigmas)
+    # np.dot costs less per call than a stacked matmul, with the same bits
+    one = replicas == 1
+    mix = np.dot if one else np.matmul
+    rows, y_rows = (xs[:, 0], y_stack[:, 0]) if one else (xs, y_stack)
+    gs = None
+    if gradient is not None:
+        gs = np.empty((horizon, replicas, n, d))
+        g_rows = gs[:, 0] if one else gs
+        z, step = np.empty((2, *rows.shape[1:]))
+        size = max(1, COEFFICIENT_BYTES // (8 * replicas * n))
+        # two tables, refilled in place: the rows of a block are used up
+        # before the next block is built
+        a_in, a_out = np.empty((2, min(size, horizon), replicas, n, 1))
+        b_in, b_out = (a_in[:, 0], a_out[:, 0]) if one else (a_in, a_out)
     with np.errstate(all="ignore"):
         for k0, mats, local in mixing.chunks():
             ids, w = local.tolist(), list(mats)  # a list reads faster than the array
             for k, i in enumerate(ids, k0):
-                np.matmul(w[i], ys[k], out=ys[k + 1])
+                np.dot(w[i], ys[k], out=ys[k + 1])
             if gradient is None:
                 for k, i in enumerate(ids, k0):
-                    np.matmul(w[i], rows[k], out=rows[k + 1])
+                    mix(w[i], rows[k], out=rows[k + 1])
             else:
-                for (k, i), (a_in, a_out) in zip(enumerate(ids, k0), coefficients):
-                    g = gs[k] = gradient(t0 + k, x / y_stack[k])
-                    x = np.matmul(w[i], x - g * a_in, out=xs[k + 1])
-                    x -= g * a_out
+                for k, i in enumerate(ids, k0):
+                    j = k % size
+                    if j == 0:
+                        c = min(size, horizon - k)
+                        alpha = alphas[k : k + c, np.newaxis, np.newaxis, np.newaxis]
+                        sigma = sigmas[k : k + c, :, :, np.newaxis]
+                        np.multiply(alpha, sigma, out=a_in[:c])
+                        np.subtract(1.0, sigma, out=a_out[:c])
+                        a_out[:c] *= alpha
+                    x, g = rows[k], g_rows[k]
+                    gradient(t0 + k, np.divide(x, y_rows[k], out=z), out=g)
+                    np.subtract(x, np.multiply(g, b_in[j], out=step), out=step)
+                    x = mix(w[i], step, out=rows[k + 1])
+                    x -= np.multiply(g, b_out[j], out=step)
             _check_state(xs, ys, k0, k0 + len(ids))
     return Replicas(
         algorithm=algorithm,

@@ -12,6 +12,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -34,6 +35,7 @@ from pushsumlab.optim import (
     alternating_signal,
     bernoulli_signal,
     constant_step,
+    huber_objective,
     quadratic_objective,
     run_optimizer,
     sgp_strong,
@@ -413,12 +415,15 @@ def test_replicas_equal_single_runs(sc, replicas, sgp_d):
 def reference_dynamics(algorithm, mixing, x, y, t0=0, gradient=None, alphas=None, sigmas=None):
     """The dynamics loop in the update formula's own order, one step at a
     time with no chunks: s = alpha g, then x <- W (x - s sigma) - s (1 - sigma)
-    and y <- W y, each product a fresh array; y is a (1, n, 1) stack."""
+    and y <- W y, each product a fresh array; y is a (1, n, 1) stack. The
+    gradient closure writes into a fresh g and gets the ratios x / y as a
+    scratch array of their own, which it may overwrite."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)[np.newaxis, :, np.newaxis]
     xs, ys, gs = [x], [y], []
     for k in range(len(mixing)):
         w = mixing[k]
-        g = gradient(t0 + k, x / y)
+        g = np.full_like(x, np.nan)
+        gradient(t0 + k, x / y, out=g)
         s = alphas[k] * g
         sigma = sigmas[k][:, :, np.newaxis]
         x = w @ (x - s * sigma) - s * (1.0 - sigma)
@@ -445,8 +450,9 @@ def reference_dynamics(algorithm, mixing, x, y, t0=0, gradient=None, alphas=None
 @example(Scenario(3, 9, 1, 2, 0.3, True, True, 7), 2, 4, True, "table", 3, 2)
 def test_step_order_matches_the_reference_loop(sc, replicas, sgp_d, zeros, signal, chunk, block):
     """The loop's step coefficients alpha sigma and alpha (1 - sigma), built
-    a block of steps at a time, and its in-place products give the bits of
-    the formula's own order for every algorithm: from zero states under
+    a block of steps at a time, its gradient rows written in place and its
+    in-place products give the bits of the formula's own order for every
+    algorithm: from zero states under
     abs, where sign(0) = 0 makes signed zeros, with a switching table per
     replica or the alternating signal, and with chunks and coefficient
     blocks of 1 to 3 steps whose edges fall apart."""
@@ -565,3 +571,94 @@ def test_noise_table_is_noise_rows(case):
     agents = range(len(oracle.noise_bounds))
     want = np.array([[oracle.noise(i, t, d, draw) for i in agents] for t in range(t0, t0 + steps)])
     assert oracle.noise_table(t0, steps, d, draw).tobytes() == want.tobytes()
+
+
+@PROPERTY
+@given(st.integers(0, 3), st.integers(1, 5), st.integers(1, 3), st.floats(0.125, 4.0), st.data())
+def test_in_place_kernels_equal_gradients(replicas, n, d, delta, data):
+    """Each kind's in-place kernel, which the loop resolves once per run,
+    writes the bits of ``Objective._gradients`` into a used buffer, for
+    (S, n, d) residuals or one replica's (n, d) rows (``replicas`` 0) that
+    hold +-0.0, +-inf, nan and huber's |r| = delta."""
+    shape = (n, d) if replicas == 0 else (replicas, n, d)
+    special = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, delta, -delta])
+    values = st.one_of(special, st.floats(-1e3, 1e3))
+    size = int(np.prod(shape))
+    r = np.array(data.draw(st.lists(values, min_size=size, max_size=size))).reshape(shape)
+    scales = np.array(data.draw(st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n)))
+    anchors = np.zeros((n, d))
+    for obj in (
+        absolute_deviation_objective(anchors),
+        quadratic_objective(anchors, scales),
+        huber_objective(anchors, delta),
+    ):
+        want = obj._gradients(r, obj.scales[:, np.newaxis])
+        out = np.full(shape, 7.0)
+        obj._gradient_kernel()(r.copy(), out=out)
+        assert out.tobytes() == want.tobytes(), obj.kind
+
+
+def chain_at_every_t(trace, tau):
+    """The ratio findings and limit values of every t >= tau, from one
+    chain walked a step at a time with fresh products and evaluated at
+    each step."""
+    taui = trace.index_of(tau)
+    phi_s = phi_w = np.eye(trace.n)
+    ratio, limit = {}, {}
+    for ti in range(taui, trace.steps + 1):
+        if ti > taui:
+            phi_s = trace.s_mat(ti - 1) @ phi_s
+            phi_w = trace.w_mats[ti - 1] @ phi_w
+        t = trace.t0 + ti
+        diff = np.abs(phi_s * trace.ys[ti][:, np.newaxis] - phi_w * trace.ys[taui][np.newaxis, :])
+        row, column = np.unravel_index(int(np.argmax(diff)), diff.shape)
+        where = {"t": t, "tau": tau, "row": int(row), "column": int(column)}
+        ratio[(t, tau)] = Finding(float(diff[row, column]), where)
+        limit[(t, tau)] = float(np.max(np.abs(phi_s - trace.ys[taui] / trace.kappa)))
+    return ratio, limit
+
+
+@PROPERTY
+@given(scenarios(), st.integers(1, 4), st.data())
+def test_due_only_scan_equals_a_chain_evaluated_at_every_t(sc, steps, data):
+    """A scan evaluates its chain only at the asked-for times; every ratio
+    finding (value and where) and limit value equals the one a chain
+    evaluated at every t reads there, from several tau, with and without
+    the W chain (no ratio times) and under any chunk size."""
+    _, _, trace = simulate(sc)
+    times = list(range(trace.t0, trace.t0 + trace.steps + 1))
+    for tau in data.draw(st.lists(st.sampled_from(times), min_size=1, max_size=3, unique=True)):
+        later = st.sampled_from([t for t in times if t >= tau])
+        ratio_at = data.draw(st.lists(later, max_size=4))
+        limit_at = data.draw(st.lists(later, max_size=4))
+        with chunks_of(steps, sc.n):
+            found = scan_induced(trace, tau=tau, ratio_at=ratio_at, limit_at=limit_at)
+        ratio, limit = chain_at_every_t(trace, tau)
+        assert found.ratio == {key: ratio[key] for key in found.ratio}
+        assert found.limit == {key: limit[key] for key in found.limit}
+        assert set(found.ratio) == {(t, tau) for t in ratio_at}
+        assert set(found.limit) == {(t, tau) for t in limit_at}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_one_replica_equals_replica_zero_of_a_batch(n):
+    """A single run, which mixes its (n, d) rows with np.dot, equals replica
+    0 of an S = 2 batch, which mixes with the stacked matmul, bit for bit:
+    push-sum from y(0) != 1 and every optimizer, at d = 1 and d = 3."""
+    seq = generate_sequence("random-spanning", n, 20, n, {"window": 2, "extra_arc_prob": 0.3})
+    rng = np.random.default_rng(n)
+    for d in (1, 3):
+        mixing = pushsum.resolve_weight_sequence(seq, "default", len(seq))
+        x, y = rng.standard_normal((2, n, d)), rng.uniform(0.5, 2.0, n)
+        single = pushsum.run_dynamics("pushsum", mixing, x[:1], y)
+        batch = pushsum.run_dynamics("pushsum", mixing, x, y)
+        assert single.xs.tobytes() == batch.xs[:, :1].tobytes()
+        assert single.ys.tobytes() == batch.ys.tobytes()
+        sc = Scenario(n, len(seq), d, 2, 0.3, False, True, n)
+        for algorithm in ALGORITHMS:
+            inputs = {**optimizer_inputs(sc, algorithm), "seq": seq}
+            one = run_optimizer(**inputs)
+            two = run_optimizer(**{**inputs, "sigma": [inputs["sigma"]] * 2, "oracle": [inputs["oracle"]] * 2})
+            for name in ("xs", "ys", "gs"):
+                got, want = getattr(one, name), getattr(two[0], name)
+                assert got.tobytes() == want.tobytes(), (algorithm, d, name)
