@@ -288,7 +288,9 @@ class GraphSequence:
 
 
 def complete_graph(n: int) -> DirectedGraph:
-    return DirectedGraph.from_arcs(n, ((j, i) for j in range(n) for i in range(n)))
+    if n < 1:
+        raise ValueError(f"graph needs at least one vertex, got n={n}")
+    return DirectedGraph._wrap(_pack(np.ones((n, n), dtype=bool)))
 
 
 def directed_ring(n: int) -> DirectedGraph:

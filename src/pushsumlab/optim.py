@@ -80,6 +80,9 @@ class Objective:
     abs       f_i(z) = sum_k |z_k - a_ik|            (nonsmooth, G = sqrt(d))
     quadratic f_i(z) = (s_i / 2) ||z - a_i||^2       (smooth, strongly convex)
     huber     f_i(z) = sum_k h_delta(z_k - a_ik)     (smooth, G = delta sqrt(d))
+
+    Each kind's value formula is ``_component_values`` and its gradient
+    formula ``_gradient_kernel``, each written once for every caller.
     """
 
     kind: str
@@ -154,28 +157,21 @@ class Objective:
         lin = _masked_row_sums(delta * (np.abs(r) - 0.5 * delta), ~small)
         return quad + lin
 
-    def _gradients(self, r: np.ndarray, s: np.ndarray | float) -> np.ndarray:
-        """A subgradient of f_i at the residuals r = z - a_i, row by row;
-        the one copy of every kind's gradient formula, which the in-place
-        kernel of a run (``_gradient_kernel``) must equal bit for bit. At
+    def _gradient_kernel(self, s: np.ndarray | float):
+        """A subgradient of f_i at the residuals r = z - a_i, row by row, at
+        the scales ``s``, as a ufunc (or a partial of one), so
+        ``kernel(r, out=g)`` writes in place; a run resolves it once. At
         kinks of abs the minimum-norm element (zero) is returned, so
         sign(0) = 0 is deliberate."""
         if self.kind == "abs":
-            return np.sign(r)
-        if self.kind == "quadratic":
-            return s * r
-        return np.clip(r, -float(self.delta), float(self.delta))
-
-    def _gradient_kernel(self):
-        """``_gradients`` at each agent's scale as an in-place kernel:
-        ``kernel(r, out=g)`` writes the rows of the (..., n, d) residuals r
-        into g, equal to ``_gradients`` bit for bit. A run resolves it once,
-        so its loop makes no per-step dispatch on the kind."""
-        if self.kind == "abs":
             return np.sign
         if self.kind == "quadratic":
-            return functools.partial(np.multiply, self.scales[:, np.newaxis])
+            return functools.partial(np.multiply, s)
         return functools.partial(np.clip, a_min=-float(self.delta), a_max=float(self.delta))
+
+    def _gradients(self, r: np.ndarray, s: np.ndarray | float) -> np.ndarray:
+        """``_gradient_kernel`` at the scales s applied to the residuals r."""
+        return self._gradient_kernel(s)(r)
 
     def values(self, points: np.ndarray) -> np.ndarray:
         """f at every row of a (P, d) array of points, in blocks of points
@@ -199,7 +195,7 @@ class Objective:
         return self._gradients(r, self.scales[:, np.newaxis])
 
     def subgradient(self, i: int, z: np.ndarray) -> np.ndarray:
-        """A subgradient of f_i at z (see ``_gradients``)."""
+        """A subgradient of f_i at z (see ``_gradient_kernel``)."""
         r = np.asarray(z, dtype=float).reshape(self.d) - self.anchors[i]
         return self._gradients(r, self.scales[i])
 
@@ -367,19 +363,40 @@ def constant_step(alpha: float) -> StepSchedule:
 # switching signals
 
 
-def _philox_words(bits: np.random.Philox, fresh: dict, address: tuple, count: int) -> np.ndarray:
-    """The first ``count`` words that ``np.random.Philox(key, counter=address)``
-    emits, read from ``bits`` reset to ``fresh``, a new generator's state
-    under that key, with the counter set to ``address``."""
-    fresh["state"]["counter"][:] = address
-    bits.state = fresh
-    return bits.random_raw(count)
+class _Philox:
+    """One reused Philox generator under a key, reset to each address:
+    the one place a draw's counter (t, i, draw, 0) is set. Philox
+    advances its counter before each 4-word block, so the stream from
+    (t0, i, draw, 0) holds the draws at t0, t0 + 1, ... in order, the one
+    at t from word 4 (t - t0); a draw of more than 4 words reads into the
+    next time's block, as the generator reset to its own address does."""
+
+    def __init__(self, key: int) -> None:
+        self.bits = np.random.Philox(key=key)
+        self.gen = np.random.Generator(self.bits)
+        self._fresh = self.bits.state
+
+    def at(self, t: int, i: int, draw: int) -> np.random.Generator:
+        """The generator, reset to counter (t, i, draw, 0)."""
+        # set in place in the uint64 array: a list of ints goes through float64
+        self._fresh["state"]["counter"][:3] = (t, i, draw)
+        self.bits.state = self._fresh
+        return self.gen
+
+    def words(self, t0: int, steps: int, i: int, draw: int, width: int) -> np.ndarray:
+        """The first ``width`` raw words of agent i's draws at t0 ..
+        t0 + steps - 1: a (steps, width) view of one stream, rows 4 words
+        apart, sliced from its 4-word blocks when one holds a whole draw."""
+        self.at(t0, i, draw)
+        raw = self.bits.random_raw((steps + (width - 1) // 4, 4))
+        return raw[:, :width] if width <= 4 else np.ndarray((steps, width), np.uint64, raw, 0, (32, 8))
 
 
 @dataclass(frozen=True)
 class SwitchingSignal:
     """Per-(agent, step) 0/1 signal selecting correct-then-mix (1) or
-    mix-then-correct (0) in the heterogeneous algorithm."""
+    mix-then-correct (0) in the heterogeneous algorithm. A bernoulli
+    signal draws from the one :class:`_Philox` it holds under its seed."""
 
     kind: str
     p: float = 0.5
@@ -398,17 +415,15 @@ class SwitchingSignal:
             if tab.ndim != 2 or not np.all((tab == 0.0) | (tab == 1.0)):
                 raise ValueError("table must be a (steps, n) array of 0/1 values")
             object.__setattr__(self, "table", tab)
+        object.__setattr__(self, "_philox", _Philox(self.seed))  # not a field
 
     def rows(self, t0: int, steps: int, n: int) -> np.ndarray:
         """sigma(t0) .. sigma(t0 + steps - 1) for all agents as a float 0/1
         (steps, n) table.
 
         A bernoulli entry (t, i) is the first uniform of the Philox stream
-        with counter (t, i, 0, 0) under the signal's key. Philox advances
-        its counter before each block, so word 0 of the blocks that one
-        generator per agent emits from counter (t0, i, 0, 0) are exactly
-        those draws for t = t0, t0 + 1, ... Every agent's stream comes from
-        one reused generator (:func:`_philox_words`).
+        with counter (t, i, 0, 0) under the signal's key, read for all of an
+        agent's times at once from the signal's one :class:`_Philox`.
         """
         if self.kind in ("all-ones", "all-zeros"):
             # a read-only view of one number: no (steps, n) table is stored
@@ -425,19 +440,13 @@ class SwitchingSignal:
             if self.table.shape[1] != n:
                 raise ValueError("switching table width does not match n")
             return self.table[t0 : t0 + steps].copy()
-        bits, fresh = self._philox
-        raw = np.empty((n, steps), dtype=np.uint64)
+        philox = self._philox
+        raw = np.empty((n, steps, 1), dtype=np.uint64)
         for i in range(n):
-            raw[i] = _philox_words(bits, fresh, (t0, i, 0, 0), 4 * steps)[::4]
-        raw >>= 11  # Generator.random(): the top 53 bits of one word, scaled to [0, 1)
-        return (raw.T * 2.0**-53 < self.p).astype(float)
-
-    @functools.cached_property
-    def _philox(self) -> tuple[np.random.Philox, dict]:
-        """The generator that bernoulli rows reset for each agent's stream,
-        and its fresh state; made on first use, not when parsed."""
-        bits = np.random.Philox(key=self.seed)
-        return bits, bits.state
+            raw[i] = philox.words(t0, steps, i, 0, 1)
+        # Generator.random() is u = (w >> 11) 2^-53, and u < p holds iff
+        # w < ceil(p 2^53) 2^11 (p 2^53 is exact): one integer compare
+        return (raw[:, :, 0].T < math.ceil(self.p * 2.0**53) << 11).astype(float)
 
     def row(self, t: int, n: int) -> np.ndarray:
         """sigma(t) for all agents as a float 0/1 vector."""
@@ -550,23 +559,18 @@ class GradientOracle:
     Draws are addressed, not streamed: the Philox counter is
     (t, agent, draw, 0) under a single run key, so any subset of draws
     can be regenerated independently and in any order. ``_draw`` makes
-    one: it resets one reused generator to the address and takes d
-    standard normals (the direction) and one uniform u, giving the
-    direction scaled to radius c u^(1/d).
+    one: it resets the oracle's one reused generator (:class:`_Philox`)
+    to the address and takes d standard normals (the direction) and one
+    uniform u, giving the direction scaled to radius c u^(1/d).
 
-    ``noise_table`` gives the same bytes for a run of times in bulk.
-    Philox advances its counter before each 4-word block, so the draw at
-    t reads blocks t+1, t+2, ... of the counter; one generator started at
-    (t0, i, draw, 0) emits exactly those blocks in order, and the draw at
-    t starts at word 4 (t - t0) of its stream. A draw of more than 4
-    words (d >= 4) reads into the next time's block, as ``_draw`` does.
-    Each normal word is decoded with numpy's ziggurat fast path
-    (``_ziggurat_normals``) and the uniform is the top 53 bits of the
-    word after the d normals. A draw holding any word off the fast path
-    goes to ``_draw``, since numpy's rejection step reads further words.
-    The norm is ``_row_dots`` under ``np.sqrt``, equal bit for bit to
-    ``_draw``'s per-row dot, and u^(1/d) is Python's float power per
-    draw: ``np.power`` rounds differently at d >= 2.
+    ``noise_table`` gives the same bytes for a run of times in bulk from
+    one stream per agent (``_Philox.words``). Each normal word is decoded
+    with numpy's ziggurat fast path (``_ziggurat_normals``) and the
+    uniform is the top 53 bits of the word after the d normals. A draw
+    holding any word off the fast path goes to ``_draw``, since numpy's
+    rejection step reads further words. The norm is ``_row_dots`` under
+    ``np.sqrt``, equal bit for bit to ``_draw``'s per-row dot, and u^(1/d)
+    is Python's float power per draw (``np.power`` differs at d >= 2).
     """
 
     noise_bounds: np.ndarray
@@ -579,23 +583,18 @@ class GradientOracle:
         if not (0 <= self.seed < 2**128):
             raise ValueError(f"gradient oracle seed must lie in [0, 2**128), got {self.seed}")
         object.__setattr__(self, "noise_bounds", c)
-        # the reused generator, and the state of a fresh one, whose counter
-        # each draw sets to its address (neither is a dataclass field)
-        bits = np.random.Philox(key=self.seed)
-        object.__setattr__(self, "_gen", np.random.Generator(bits))
-        object.__setattr__(self, "_fresh", bits.state)
+        object.__setattr__(self, "_philox", _Philox(self.seed))  # not a field
 
     def _draw(self, i: int, t: int, d: int, draw: int) -> np.ndarray:
         c = float(self.noise_bounds[i])
         if c == 0.0:
             return np.zeros(d)
-        self._fresh["state"]["counter"][:3] = (t, i, draw)
-        self._gen.bit_generator.state = self._fresh
-        direction = self._gen.standard_normal(d)
+        gen = self._philox.at(t, i, draw)
+        direction = gen.standard_normal(d)
         norm = math.sqrt(direction.dot(direction))  # what np.linalg.norm computes
         if norm == 0.0:
             return np.zeros(d)
-        radius = c * float(self._gen.random()) ** (1.0 / d)
+        radius = c * float(gen.random()) ** (1.0 / d)
         return direction * (radius / norm)
 
     def noise(self, i: int, t: int, d: int, draw: int = 0) -> np.ndarray:
@@ -605,15 +604,13 @@ class GradientOracle:
     def noise_table(self, t0: int, steps: int, d: int, draw: int = 0) -> np.ndarray:
         """The (steps, n, d) noise rows of t = t0 .. t0 + steps - 1: row
         (t, i) is ``noise(i, t, d, draw)`` byte for byte, from one Philox
-        stream per agent, each read from the reused generator (see the
-        class docstring)."""
+        stream per agent (see the class docstring)."""
         out = np.zeros((steps, len(self.noise_bounds), d))
-        # the draw at t0 + k reads words 4k .. 4k + d: d normals, then the uniform
-        at = 4 * np.arange(steps)[:, np.newaxis] + np.arange(d + 1)
         for i, c in enumerate(self.noise_bounds.tolist()):
             if c == 0.0:
                 continue
-            words = _philox_words(self._gen.bit_generator, self._fresh, (t0, i, draw, 0), 4 * steps + d)[at]
+            # the draw at t0 + k: d normals, then the uniform
+            words = self._philox.words(t0, steps, i, draw, d + 1)
             normals, fast = _ziggurat_normals(words[:, :d])
             out[:, i] = _ball_rows(normals, (words[:, d] >> np.uint64(11)) * 2.0**-53, c)
             for k in np.flatnonzero(~fast.all(axis=1)).tolist():
@@ -718,7 +715,7 @@ def run_optimizer(
 
     # the gradient of every kind is elementwise in the residuals, so one
     # call serves the ratios of all replicas
-    anchors, kernel = obj.anchors, obj._gradient_kernel()
+    anchors, kernel = obj.anchors, obj._gradient_kernel(obj.scales[:, np.newaxis])
     if oracles[0] is None:
         def gradient(t: int, z: np.ndarray, out: np.ndarray) -> None:
             kernel(np.subtract(z, anchors, out=z), out=out)

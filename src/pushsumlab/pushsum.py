@@ -23,7 +23,7 @@ loop as replicas.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -227,15 +227,14 @@ class MixingSequence:
 
 
 @dataclass
-class Trace:
-    """Complete record of one run: states, mixing matrices, step data.
-
-    States are indexed t0..t0+steps; w_mats[k] is the matrix applied
-    between states k and k+1 (list position, not time label); w_mats is
-    a MixingSequence. Optimizer runs additionally carry step sizes, the
-    applied gradients and the (steps, n) switching rows, a read-only view
-    storing nothing if constant.
-    """
+class _Record:
+    """The fields of a run's record, shared by :class:`Trace` (one run)
+    and :class:`Replicas` (S runs on a replica axis before the agent
+    axis): states indexed t0..t0+steps, w_mats (a MixingSequence) whose
+    entry k is the matrix applied between states k and k+1 (list
+    position, not time label), and for optimizer runs the step sizes, the
+    applied gradients and the switching rows, a read-only view storing
+    nothing if constant."""
 
     algorithm: str
     t0: int
@@ -246,6 +245,20 @@ class Trace:
     alphas: np.ndarray | None = None
     gs: np.ndarray | None = None
     sigmas: np.ndarray | None = None
+
+    @property
+    def steps(self) -> int:
+        return len(self.w_mats)
+
+    @property
+    def n(self) -> int:
+        return self.xs.shape[-2]
+
+
+@dataclass
+class Trace(_Record):
+    """Complete record of one run: xs (steps+1, n, d), ys (steps+1, n),
+    gs (steps, n, d) and sigmas (steps, n)."""
 
     def __post_init__(self) -> None:
         self.xs = np.asarray(self.xs, dtype=float)
@@ -265,14 +278,6 @@ class Trace:
             raise ValueError("gs must be (steps, n, d)")
         if self.sigmas is not None and self.sigmas.shape != (steps, n):
             raise ValueError("sigmas must be (steps, n)")
-
-    @property
-    def steps(self) -> int:
-        return len(self.w_mats)
-
-    @property
-    def n(self) -> int:
-        return self.xs.shape[1]
 
     @property
     def d(self) -> int:
@@ -583,41 +588,22 @@ def _check_state(xs: np.ndarray, ys: np.ndarray, k0: int, k1: int) -> None:
 
 
 @dataclass
-class Replicas:
+class Replicas(_Record):
     """S runs of one algorithm that share their mixing sequence, step
     sizes and masses y, stacked on a replica axis: xs is (steps+1, S, n, d),
     gs (steps, S, n, d) and sigmas (steps, S, n), while ys (steps+1, n) is
     the one mass record all of them have. ``replicas[r]`` is run r's
     :class:`Trace`, made of views."""
 
-    algorithm: str
-    t0: int
-    xs: np.ndarray
-    ys: np.ndarray
-    w_mats: MixingSequence
-    kappa: float
-    alphas: np.ndarray | None = None
-    gs: np.ndarray | None = None
-    sigmas: np.ndarray | None = None
-
     def __len__(self) -> int:
         return self.xs.shape[1]
 
-    @property
-    def steps(self) -> int:
-        return len(self.w_mats)
-
-    @property
-    def n(self) -> int:
-        return self.xs.shape[2]
-
     def __getitem__(self, r: int) -> Trace:
-        gs = None if self.gs is None else self.gs[:, r]
-        sigmas = None if self.sigmas is None else self.sigmas[:, r]
-        return Trace(
-            self.algorithm, self.t0, self.xs[:, r], self.ys, self.w_mats, self.kappa,
-            self.alphas, gs, sigmas,
-        )
+        record = {f.name: getattr(self, f.name) for f in fields(self)}
+        for name in ("xs", "gs", "sigmas"):  # the fields with a replica axis
+            if record[name] is not None:
+                record[name] = record[name][:, r]
+        return Trace(**record)
 
     def __iter__(self):
         return (self[r] for r in range(len(self)))

@@ -19,7 +19,7 @@ from pushsumlab.config import (
     parse_config,
     storage_estimate,
 )
-from pushsumlab.graphs import directed_ring, generate_sequence, save_sequence, GraphSequence
+from pushsumlab.graphs import GENERATOR_KINDS, directed_ring, generate_sequence, save_sequence, GraphSequence
 from pushsumlab.weights import default_weights, save_weights
 
 
@@ -364,6 +364,17 @@ class TestStorageBudget:
         # an optimizer records gradients and switching rows too
         cfg = parse_config(optimizer_data())
         assert storage_estimate(cfg) == 2 * 1 + 8 * 17 * 2 * 4
+
+    @pytest.mark.parametrize("kind", GENERATOR_KINDS)
+    def test_table_term_is_the_bytes_of_the_generated_table(self, kind):
+        # the estimate restates how many graphs each generator stores; a
+        # random-spanning table interns equal steps, so it may hold fewer
+        for n, horizon in ((1, 1), (3, 2), (4, 9), (9, 40), (17, 5)):
+            x0 = [float(i) for i in range(n)]
+            cfg = parse_config(pushsum_data(n=n, horizon=horizon, graph={"kind": kind}, init={"x0": x0}))
+            table = build_graph_sequence(cfg).table.nbytes
+            term = storage_estimate(cfg) - 8 * (horizon + 1) * n * 2
+            assert term >= table if kind == "random-spanning" else term == table, (n, horizon)
 
     def test_graph_file_counts_its_own_header(self, tmp_path):
         # the table term takes the header's n and steps, which

@@ -151,6 +151,16 @@ class TestBuiltinsAndUnion:
         assert len(g.arcs) == 16
         assert is_strongly_connected(g)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 16, 17, 51, 200])
+    def test_complete_graph_equals_its_arc_list(self, n):
+        # packed rows with the padding bits past column n-1 clear
+        g = complete_graph(n)
+        want = DirectedGraph.from_arcs(n, ((j, i) for j in range(n) for i in range(n)))
+        assert g.n == n and g.bits.tobytes() == want.bits.tobytes() and g.bits.shape == want.bits.shape
+        assert g == want and hash(g) == hash(want)
+        with pytest.raises(ValueError, match="at least one vertex"):
+            complete_graph(0)
+
     def test_directed_ring(self):
         g = directed_ring(4)
         assert len(g.arcs) == 8

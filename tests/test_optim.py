@@ -673,7 +673,9 @@ def reference_noise(bounds, seed, i, t, d, draw=0):
     c = float(bounds[i])
     if c == 0.0:
         return np.zeros(d), d
-    gen = np.random.Generator(np.random.Philox(key=seed, counter=[t, i, draw, 0]))
+    # a uint64 counter: a list of ints goes through float64, wrong from t = 2**53
+    at = np.array([t, i, draw, 0], dtype=np.uint64)
+    gen = np.random.Generator(np.random.Philox(key=seed, counter=at))
     direction = gen.standard_normal(d)
     state = gen.bit_generator.state
     words = 4 * (int(state["state"]["counter"][0]) - t - 1) + state["buffer_pos"]
@@ -820,6 +822,15 @@ class TestBatchedFormsMatchReferences:
         assert np.array_equal(rows[0], reference_bernoulli_row(3, 0.5, t0, 2))
         assert np.array_equal(rows[-1], reference_bernoulli_row(3, 0.5, last, 2))
         assert np.array_equal(sig.rows(last, 1, 2)[0], rows[-1])
+        bounds = [0.5, 0.0, 2.0]
+        oracle = GradientOracle(bounds, seed=3)
+        for d in (1, 4):
+            for draw in (0, 2):
+                table = oracle.noise_table(t0, last - t0 + 1, d, draw)
+                for k, t in ((0, t0), (-1, last)):
+                    want = np.stack([reference_noise(bounds, 3, i, t, d, draw)[0] for i in range(3)])
+                    assert table[k].tobytes() == want.tobytes()
+                    assert all(oracle.noise(i, t, d, draw).tobytes() == want[i].tobytes() for i in range(3))
 
     @pytest.mark.parametrize("d", [1, 3])
     def test_oracle_noise_rows(self, d):

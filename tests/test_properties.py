@@ -573,13 +573,29 @@ def test_noise_table_is_noise_rows(case):
     assert oracle.noise_table(t0, steps, d, draw).tobytes() == want.tobytes()
 
 
+def reference_gradient_rows(obj, r):
+    """Each kind's gradient, one (d,) row of the (..., n, d) residuals at
+    a time, with agent i's own scale."""
+    out = np.empty_like(r)
+    for at in np.ndindex(r.shape[:-1]):
+        row, i = r[at], at[-1]
+        if obj.kind == "abs":
+            out[at] = np.sign(row)
+        elif obj.kind == "quadratic":
+            out[at] = obj.scales[i] * row
+        else:
+            out[at] = np.clip(row, -obj.delta, obj.delta)
+    return out
+
+
 @PROPERTY
 @given(st.integers(0, 3), st.integers(1, 5), st.integers(1, 3), st.floats(0.125, 4.0), st.data())
 def test_in_place_kernels_equal_gradients(replicas, n, d, delta, data):
     """Each kind's in-place kernel, which the loop resolves once per run,
-    writes the bits of ``Objective._gradients`` into a used buffer, for
+    writes the bits of a per-row reference into a used buffer, for
     (S, n, d) residuals or one replica's (n, d) rows (``replicas`` 0) that
-    hold +-0.0, +-inf, nan and huber's |r| = delta."""
+    hold +-0.0, +-inf, nan and huber's |r| = delta; ``_gradients``, which
+    the library calls use, gives the same bits."""
     shape = (n, d) if replicas == 0 else (replicas, n, d)
     special = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, delta, -delta])
     values = st.one_of(special, st.floats(-1e3, 1e3))
@@ -592,10 +608,11 @@ def test_in_place_kernels_equal_gradients(replicas, n, d, delta, data):
         quadratic_objective(anchors, scales),
         huber_objective(anchors, delta),
     ):
-        want = obj._gradients(r, obj.scales[:, np.newaxis])
+        want = reference_gradient_rows(obj, r)
         out = np.full(shape, 7.0)
-        obj._gradient_kernel()(r.copy(), out=out)
+        obj._gradient_kernel(obj.scales[:, np.newaxis])(r.copy(), out=out)
         assert out.tobytes() == want.tobytes(), obj.kind
+        assert obj._gradients(r, obj.scales[:, np.newaxis]).tobytes() == want.tobytes(), obj.kind
 
 
 def chain_at_every_t(trace, tau):
