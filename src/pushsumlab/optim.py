@@ -396,7 +396,9 @@ class _Philox:
 class SwitchingSignal:
     """Per-(agent, step) 0/1 signal selecting correct-then-mix (1) or
     mix-then-correct (0) in the heterogeneous algorithm. A bernoulli
-    signal draws from the one :class:`_Philox` it holds under its seed."""
+    signal draws from the one :class:`_Philox` it holds under its seed;
+    the other kinds hold none, so a run without random draws never
+    imports ``numpy.random``."""
 
     kind: str
     p: float = 0.5
@@ -415,7 +417,8 @@ class SwitchingSignal:
             if tab.ndim != 2 or not np.all((tab == 0.0) | (tab == 1.0)):
                 raise ValueError("table must be a (steps, n) array of 0/1 values")
             object.__setattr__(self, "table", tab)
-        object.__setattr__(self, "_philox", _Philox(self.seed))  # not a field
+        if self.kind == "bernoulli":  # the one kind that draws
+            object.__setattr__(self, "_philox", _Philox(self.seed))  # not a field
 
     def rows(self, t0: int, steps: int, n: int) -> np.ndarray:
         """sigma(t0) .. sigma(t0 + steps - 1) for all agents as a float 0/1
@@ -543,8 +546,10 @@ def _ball_rows(normals: np.ndarray, u: np.ndarray, c: float) -> np.ndarray:
     scales its direction, bit for bit; a zero row gives zeros."""
     d = normals.shape[-1]
     norms = np.sqrt(_row_dots(normals))  # math.sqrt(row.dot(row)), bit for bit
-    # Python's float power, as _draw takes it: np.power rounds differently
-    radii = c * np.array([v ** (1.0 / d) for v in u.tolist()])
+    if d == 1:  # v ** 1.0 is v exactly
+        radii = c * u
+    else:  # Python's float power, as _draw takes it: np.power rounds differently
+        radii = c * np.array([v ** (1.0 / d) for v in u.tolist()])
     with np.errstate(divide="ignore", invalid="ignore"):
         rows = normals * (radii / norms)[:, np.newaxis]
     rows[norms == 0.0] = 0.0
@@ -570,7 +575,8 @@ class GradientOracle:
     holding any word off the fast path goes to ``_draw``, since numpy's
     rejection step reads further words. The norm is ``_row_dots`` under
     ``np.sqrt``, equal bit for bit to ``_draw``'s per-row dot, and u^(1/d)
-    is Python's float power per draw (``np.power`` differs at d >= 2).
+    is Python's float power per draw (``np.power`` differs at d >= 2),
+    or u itself at d = 1.
     """
 
     noise_bounds: np.ndarray

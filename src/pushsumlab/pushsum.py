@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from itertools import repeat
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -418,6 +419,14 @@ def scan_induced(
     and evaluates the chain only at the steps where it reaches a time
     label t of ``ratio_at`` or ``limit_at``; t == tau reads the
     identities. The masks W(k) > 0 and S(k) > 0 are taken once per chunk.
+
+    In a chunk of more than one step, step k + 1 repeats step k when both
+    have one table id and the same S bits. When a step that the next one
+    repeats leaves the chain unchanged byte for byte, every repeat would
+    too (a product's bytes depend only on its operands' values), so the
+    run of repeats is skipped, and each due t inside it is evaluated on
+    the same Phi. A one-step chunk keeps the plain loop: no mask, and no
+    earlier Phi kept alive.
     """
     ys_prob = trace.ys if ys is None else np.asarray(ys, dtype=float)
     tau = trace.t0 if tau is None else tau
@@ -454,6 +463,7 @@ def scan_induced(
     columns = beta_min = w_rows = row = sparsity = floor = prob = None
     graph = None if seq is None else NO_MISMATCH  # until the first mismatch
     labels = trace.times()
+    ids = trace.w_mats.ids
     for k0, w, s in induced_chunks(trace):
         k1 = k0 + len(s)
         steps = labels[k0:k1]
@@ -478,12 +488,32 @@ def scan_induced(
         pi = absolute_probability(ys_prob[k0 : k1 + 1], trace.kappa)
         dev = np.abs(np.matmul(s.transpose(0, 2, 1), pi[1:, :, np.newaxis])[:, :, 0] - pi[:-1])
         prob = _larger(prob, locate(dev, steps, ("step", "agent")))
-        for j in range(max(k0, taui) - k0, min(k1, last) - k0):
+        j, stop = max(k0, taui) - k0, min(k1, last) - k0
+        if stop - j > 1:  # repeats[j]: step j + 1 has step j's table id and S bits
+            bits = s.view(np.uint64)
+            repeats = ids[k0 + 1 : k1] == ids[k0 : k1 - 1]
+            repeats &= (bits[1:] == bits[:-1]).all(axis=(1, 2))
+        while j < stop:
+            # the chain before a step that the next one repeats (never in a
+            # one-step chunk, which has no repeats)
+            before = (phi_s, phi_w) if j + 1 < stop and repeats[j] else None
             phi_s = np.dot(s[j], phi_s)
             if phi_w is not None:
                 phi_w = np.dot(w[j], phi_w)
-            if k0 + j + 1 in due:
-                evaluate(phi_s, phi_w, k0 + j + 1)
+            j += 1
+            if k0 + j in due:
+                evaluate(phi_s, phi_w, k0 + j)
+            if before is not None and all(
+                a is None or a.tobytes() == b.tobytes() for a, b in zip(before, (phi_s, phi_w))
+            ):
+                # the chain is at a fixed point of step j - 1, which the
+                # steps from j that repeat it leave where it is
+                run = repeats[j - 1 : stop - 1]
+                skip = len(run) if run.all() else int(np.argmin(run))
+                for ti in due:
+                    if k0 + j < ti <= k0 + j + skip:
+                        evaluate(phi_s, phi_w, ti)
+                j += skip
 
     return InducedChecks(
         columns, graph, beta_min, w_rows, row, sparsity or NO_MISMATCH, floor, prob, ratio, limit
@@ -633,19 +663,33 @@ def run_dynamics(
     which writes the rows at the ratios z = x / y (which it may
     overwrite) into the recorded g, then applies x <- W (x - g a_in) -
     g a_out for the (S, n) switching rows sigma = sigmas[k], with
-    a_in = alphas[k] sigma and a_out = alphas[k] (1 - sigma) read by index
-    from tables of at most ``COEFFICIENT_BYTES`` built a block of steps
-    at a time. Since sigma is 0 or 1, g a_in and g a_out equal
-    (alphas[k] g) sigma and (alphas[k] g) (1 - sigma) bit for bit, signed
-    zeros included; where alphas[k] g overflows, both forms leave x
-    non-finite at that step.
+    a_in = alphas[k] sigma and a_out = alphas[k] (1 - sigma) from tables
+    of at most ``COEFFICIENT_BYTES`` built a block of steps at a time.
+    Since sigma is 0 or 1, g a_in and g a_out equal (alphas[k] g) sigma
+    and (alphas[k] g) (1 - sigma) bit for bit, signed zeros included;
+    where alphas[k] g overflows, both forms leave x non-finite at that
+    step. A broadcast table (one 0/1 number for every agent and step, as
+    the constant signals give) builds no table: the nonzero coefficient
+    is alphas[k] itself, and the product with the zero one is skipped, so
+    sigma = 1 drops x -= 0 g and sigma = 0 mixes x itself. That product is
+    a signed zero where g is finite (and x is non-finite either way where
+    it is not), and subtracting it can only flip the sign of a zero entry,
+    which moves no bit of the step: BLAS sums zero products to +0
+    whatever their signs, and at n = 1, where numpy mixes with one
+    multiplication, a zero of either form comes out the same.
 
     y takes no gradient, so one y serves every replica, and each chunk
     walks y first. One replica mixes its (n, d) rows (z and g are (n, d)
     too) with ``np.dot``, and S replicas mix as one stacked matmul with
     the (S, n, d) stack: both give each replica the bits of its own
     w @ x. Every product is written in place into the recorded states or
-    a step buffer. Each chunk runs with floating-point warnings off, then
+    a step buffer, and a chunk's steps are walked by zipping its slices
+    of those records. A walk v <- W v (y, and x without ``gradient``)
+    over a chunk of two or more steps that all apply one matrix stops at
+    its fixed point: once a step leaves v unchanged byte for byte, every
+    later step would too, since a product's bytes depend only on its
+    operands' values, and the rest of the chunk is filled with one slice
+    assignment. Each chunk runs with floating-point warnings off, then
     ``_check_state`` checks it once.
     """
     horizon, (replicas, n, d) = len(mixing), x.shape
@@ -659,40 +703,70 @@ def run_dynamics(
     one = replicas == 1
     mix = np.dot if one else np.matmul
     rows, y_rows = (xs[:, 0], y_stack[:, 0]) if one else (xs, y_stack)
+
+    def walk(v: np.ndarray, product, w: list, ids: list, k0: int, k1: int) -> None:
+        # v(k+1) = W(k) v(k) for the steps k0..k1-1 of one chunk
+        if len(w) == 1 and k1 - k0 > 1:
+            for k, now, after in zip(range(k0, k1), v[k0:k1], v[k0 + 1 : k1 + 1]):
+                product(w[0], now, out=after)
+                if after.tobytes() == now.tobytes():  # the fixed point
+                    v[k + 2 : k1 + 1] = after
+                    return
+        else:
+            for m, now, after in zip(map(w.__getitem__, ids), v[k0:k1], v[k0 + 1 : k1 + 1]):
+                product(m, now, out=after)
+
     gs = None
     if gradient is not None:
         gs = np.empty((horizon, replicas, n, d))
         g_rows = gs[:, 0] if one else gs
         z, step = np.empty((2, *rows.shape[1:]))
-        size = max(1, COEFFICIENT_BYTES // (8 * replicas * n))
-        # two tables, refilled in place: the rows of a block are used up
-        # before the next block is built
-        a_in, a_out = np.empty((2, min(size, horizon), replicas, n, 1))
-        b_in, b_out = (a_in[:, 0], a_out[:, 0]) if one else (a_in, a_out)
+
+        def switched():
+            # (a_in, a_out) of every step, from two tables refilled in place:
+            # the rows of a block are used up before the next block is built
+            size = max(1, COEFFICIENT_BYTES // (8 * replicas * n))
+            a_in, a_out = np.empty((2, min(size, horizon), replicas, n, 1))
+            b_in, b_out = (a_in[:, 0], a_out[:, 0]) if one else (a_in, a_out)
+            for k in range(0, horizon, size):
+                c = min(size, horizon - k)
+                alpha = alphas[k : k + c, np.newaxis, np.newaxis, np.newaxis]
+                sigma = sigmas[k : k + c, :, :, np.newaxis]
+                np.multiply(alpha, sigma, out=a_in[:c])
+                np.subtract(1.0, sigma, out=a_out[:c])
+                a_out[:c] *= alpha
+                yield from zip(b_in[:c], b_out[:c])
+
+        if not any(sigmas.strides) and sigmas.flat[0] in (0.0, 1.0):
+            # one sigma for all: alpha, and the zero coefficient as None
+            constant = repeat(None)
+            coefficients = zip(alphas, constant) if sigmas.flat[0] else zip(constant, alphas)
+        else:
+            coefficients = switched()
     with np.errstate(all="ignore"):
         for k0, mats, local in mixing.chunks():
+            k1 = k0 + len(local)
             ids, w = local.tolist(), list(mats)  # a list reads faster than the array
-            for k, i in enumerate(ids, k0):
-                np.dot(w[i], ys[k], out=ys[k + 1])
+            walk(ys, np.dot, w, ids, k0, k1)
             if gradient is None:
-                for k, i in enumerate(ids, k0):
-                    mix(w[i], rows[k], out=rows[k + 1])
+                walk(rows, mix, w, ids, k0, k1)
             else:
-                for k, i in enumerate(ids, k0):
-                    j = k % size
-                    if j == 0:
-                        c = min(size, horizon - k)
-                        alpha = alphas[k : k + c, np.newaxis, np.newaxis, np.newaxis]
-                        sigma = sigmas[k : k + c, :, :, np.newaxis]
-                        np.multiply(alpha, sigma, out=a_in[:c])
-                        np.subtract(1.0, sigma, out=a_out[:c])
-                        a_out[:c] *= alpha
-                    x, g = rows[k], g_rows[k]
-                    gradient(t0 + k, np.divide(x, y_rows[k], out=z), out=g)
-                    np.subtract(x, np.multiply(g, b_in[j], out=step), out=step)
-                    x = mix(w[i], step, out=rows[k + 1])
-                    x -= np.multiply(g, b_out[j], out=step)
-            _check_state(xs, ys, k0, k0 + len(ids))
+                for t, m, x, after, g, y_k, (a_in, a_out) in zip(
+                    range(t0 + k0, t0 + k1),
+                    map(w.__getitem__, ids),
+                    rows[k0:k1],
+                    rows[k0 + 1 : k1 + 1],
+                    g_rows[k0:k1],
+                    y_rows[k0:k1],
+                    coefficients,  # last: zip stops at the chunk's end before reading it
+                ):
+                    gradient(t, np.divide(x, y_k, out=z), out=g)
+                    if a_in is not None:
+                        x = np.subtract(x, np.multiply(g, a_in, out=step), out=step)
+                    mix(m, x, out=after)
+                    if a_out is not None:
+                        after -= np.multiply(g, a_out, out=step)
+            _check_state(xs, ys, k0, k1)
     return Replicas(
         algorithm=algorithm,
         t0=t0,

@@ -75,6 +75,62 @@ print(json.dumps({"core": corename(), "mismatches": mismatches}))
 """
 
 
+# The premises of the loop's shortcuts. A walk v <- W v stops at its
+# fixed point and verify's chain skips the steps that repeat a step which
+# left it unchanged: both need np.dot's bytes to depend on the operands'
+# values only, not on where they sit. So every product of the loop's (n,)
+# and (n, d) shapes, of the batch's stacked (S, n, d) matmul and of the
+# chain's (n, n) shape is formed with the operands and the output at each
+# offset of 0-15 doubles in one buffer. A run with one constant switching
+# signal skips a product with a zero coefficient, which only changes the
+# sign of zero entries of the mixed operand: for n >= 2, where BLAS sums
+# the products, the result must not depend on those signs either (n = 1
+# is numpy's scalar product; tests/test_properties.py checks that step).
+# Prints the mismatching cases.
+ADDRESSES = r"""
+import json
+
+import numpy as np
+
+rng = np.random.default_rng(1)
+size = 3 * 200 * 200 + 16
+buffer = np.empty(3 * size)
+mismatches = []
+
+
+def placed(a, part, offset):
+    # a copy of a that starts `offset` doubles into part `part` of the buffer
+    start = part * size + offset
+    out = buffer[start : start + a.size].reshape(a.shape)
+    out[...] = a
+    return out
+
+
+for n in (1, 2, 3, 4, 5, 8, 9, 16, 17, 51, 200):
+    w = rng.uniform(0.0, 1.0, (n, n)) * (rng.random((n, n)) < 0.5) + np.eye(n)
+    w /= w.sum(axis=0)
+    for shape in ((n,), (n, 1), (n, 3), (n, n), (3, n, 2)):
+        v = rng.standard_normal(shape)
+        product = np.matmul if len(shape) == 3 else np.dot
+        want = product(w, v)
+        for offset in range(16):
+            got = product(
+                placed(w, 0, offset),
+                placed(v, 1, (offset + 5) % 16),
+                out=placed(np.empty_like(want), 2, (offset + 11) % 16),
+            )
+            if got.tobytes() != want.tobytes():
+                mismatches.append(["address", n, list(shape), offset])
+        if n >= 2 and len(shape) == 2 and shape[1] < n:
+            zeros = v * (rng.random(shape) < 0.5)  # zeros of either sign
+            zeros[:, 0] = -0.0  # a column of zero products only
+            flipped = np.where(zeros == 0.0, -zeros, zeros)
+            if np.dot(w, zeros).tobytes() != np.dot(w, flipped).tobytes():
+                mismatches.append(["zero signs", n, list(shape)])
+print(json.dumps(mismatches))
+"""
+
+
 def openblas_dynamic_arch() -> bool:
     """Whether numpy's BLAS is an OpenBLAS built with DYNAMIC_ARCH."""
     try:
@@ -102,3 +158,9 @@ def test_dot_and_matmul_give_the_same_bytes(coretype):
     found = json.loads(run_under_coretype(coretype, PRODUCTS))
     assert found["core"] in (None, coretype)
     assert found["mismatches"] == []
+
+
+@pytest.mark.skipif(not openblas_dynamic_arch(), reason="numpy's BLAS is not OpenBLAS with DYNAMIC_ARCH")
+@pytest.mark.parametrize("coretype", CORETYPES)
+def test_dot_bytes_depend_only_on_operand_values(coretype):
+    assert json.loads(run_under_coretype(coretype, ADDRESSES)) == []

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import json
 import os
@@ -448,6 +449,29 @@ class TestVerify:
         report = json.loads(open(os.path.join(out, "verify.json")).read())
         assert report["failed"] == []
         assert report["checks"]["ratio_identity"]["ok"] is True
+
+    def test_static_recursions_stop_at_their_fixed_point(self, monkeypatch, tmp_path):
+        """On the bundled sgp config (n = 2, T = 10^4, one static matrix)
+        y and verify's backward products reach a fixed point within a few
+        steps, and neither the y walk nor the chain multiplies after it.
+        Before they stopped there, the y walk took T np.dot calls and the
+        S and W chains 2T. A call is told apart by its second operand: (n,)
+        in the y walk, (n, n) in the chain, (n, 1) in the x loop."""
+        calls = collections.Counter()
+        dot = np.dot
+
+        def counted(a, b, *args, **kwargs):
+            calls[np.shape(b)] += 1
+            return dot(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(np, "dot", counted)
+        path = os.path.join(CONFIGS, "sgp_quadratic.json")
+        cfg = load_config(path)
+        assert main(["verify", "--config", path, "--out", str(tmp_path / "v")]) == 0
+        n, horizon = cfg.n, cfg.horizon
+        assert calls[(n, 1)] == horizon  # the x loop steps every time
+        assert calls[(n,)] < horizon / 100
+        assert calls[(n, n)] < horizon / 100
 
     def test_optimizer_checks_descent(self, heterogeneous_cfg, tmp_path, capsys):
         assert main(["verify", "--config", heterogeneous_cfg, "--out", str(tmp_path / "v")]) == 0

@@ -215,6 +215,30 @@ class TestSwitchingSignals:
         with pytest.raises(ValueError, match=want):
             bernoulli_signal(0.5, seed=seed)
         assert bernoulli_signal(0.5, seed=2**128 - 1).rows(0, 1, 2).shape == (1, 2)
+        for kind in ("all-ones", "all-zeros", "alternating"):  # checked where nothing draws too
+            with pytest.raises(ValueError, match=want):
+                SwitchingSignal(kind, seed=seed)
+
+    @pytest.mark.parametrize("name", ["doubly_stochastic", "subgradient_push_fixed"])
+    def test_constant_signal_run_imports_no_numpy_random(self, name):
+        """Only a bernoulli signal makes a Philox generator, so a run with a
+        constant signal and no oracle never imports numpy.random (about
+        5.5 ms of a cold run)."""
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        code = (
+            "import sys, tempfile\n"
+            "from pushsumlab.cli import main\n"
+            "with tempfile.TemporaryDirectory() as out:\n"
+            "    assert main(['run', '--config', sys.argv[1], '--out', out]) == 0\n"
+            "print('numpy.random' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+        config = os.path.join(root, "configs", f"{name}.json")
+        done = subprocess.run(
+            [sys.executable, "-c", code, config], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "False"
 
     def test_bernoulli_extreme_p(self):
         assert np.array_equal(bernoulli_signal(1.0, seed=0).row(4, 5), np.ones(5))

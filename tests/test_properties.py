@@ -2,10 +2,10 @@
 give the same bits as per-step work, whatever the chunk size, and every
 exact identity that ``verify`` checks holds for every algorithm.
 
-Inputs are random window-connected graph sequences on at most 8 agents,
-default or custom per-step weights with a declared floor, y(0) != 1 and
-states of dimension up to 3. Examples are derandomized, so the suite
-stays deterministic.
+Inputs are random window-connected graph sequences or static graphs on
+at most 8 agents, default or custom per-step weights with a declared
+floor, y(0) != 1 and states of dimension up to 3. Examples are
+derandomized, so the suite stays deterministic.
 """
 
 from contextlib import contextmanager
@@ -64,19 +64,29 @@ class Scenario:
     custom: bool
     optimizer: bool
     seed: int
+    graph: str = "random-spanning"
+
+
+# One matrix at every step: y(0) != 1 converges over several steps, on the
+# complete graph's default weights to a fixed point that y, push-sum's x
+# and verify's chain reach within the horizon, so the loop's fixed-point
+# fill and the scan's skipped repeated steps run as well as the full walks.
+STATIC = ("static-complete", "static-ring")
 
 
 @st.composite
 def scenarios(draw) -> Scenario:
+    graph = draw(st.one_of(st.just("random-spanning"), st.sampled_from(STATIC)))
     return Scenario(
         n=draw(st.integers(2, 8)),
-        horizon=draw(st.integers(1, 16)),
+        horizon=draw(st.integers(1, 16 if graph == "random-spanning" else 40)),
         d=draw(st.integers(1, 3)),
         window=draw(st.integers(1, 3)),
         extra_arc_prob=draw(st.sampled_from([0.0, 0.3])),
         custom=draw(st.booleans()),
         optimizer=draw(st.booleans()),
         seed=draw(st.integers(0, 2**16)),
+        graph=graph,
     )
 
 
@@ -92,8 +102,10 @@ def graphs_and_weights(sc: Scenario):
     """The scenario's graph sequence and per-step weights, and the
     generator that drew them, for the draws that follow."""
     rng = np.random.default_rng(sc.seed)
-    params = {"window": sc.window, "extra_arc_prob": sc.extra_arc_prob}
-    seq = generate_sequence("random-spanning", sc.n, sc.horizon, sc.seed, params)
+    params = {}
+    if sc.graph not in STATIC:
+        params = {"window": sc.window, "extra_arc_prob": sc.extra_arc_prob}
+    seq = generate_sequence(sc.graph, sc.n, sc.horizon, sc.seed, params)
     weights = "default"
     if sc.custom:
         # one matrix per distinct graph, so repeated graphs share a table entry
@@ -185,14 +197,14 @@ def test_stored_and_induced_matrices_match_single_steps(sc):
 
 
 @PROPERTY
-@given(scenarios())
-def test_one_pass_matches_per_step_reference(sc):
+@given(scenarios(), st.integers(1, 3))
+def test_one_pass_matches_per_step_reference(sc, steps):
     """The values of the loops the scan replaced: one s_matrix, one
     matrix-vector product and one explicit backward product per step,
     and each weight finding of a per-step loop, checked against the
-    run's graphs and against complete graphs."""
+    run's graphs and against complete graphs, in chunks of 1 to 3 steps."""
     seq, _, trace = simulate(sc)
-    with chunks_of(3, sc.n):
+    with chunks_of(steps, sc.n):
         scans = checked(seq, trace)
         other = complete_graphs(seq)
         off_graph = scan_induced(trace, other).graph
@@ -482,6 +494,29 @@ def test_step_order_matches_the_reference_loop(sc, replicas, sgp_d, zeros, signa
         for name in ("xs", "ys", "gs", "sigmas", "alphas"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), (algorithm, name)
+
+
+@pytest.mark.parametrize("graph", ["static-complete", "random-spanning"])
+def test_one_agent_from_zero_states_matches_the_reference_loop(graph):
+    """At n = 1 numpy mixes with one multiplication, not a BLAS sum whose
+    zero is +0 whatever the signs of its terms; the constant-signal steps,
+    which skip a signed-zero product, still give the reference loop's
+    bits from +-0 states under abs, where sign(0) = 0."""
+    for seed in range(12):
+        sc = Scenario(1, 12, 2, 1, 0.0, False, True, seed, graph)
+        for algorithm in ALGORITHMS:
+            inputs = optimizer_inputs(sc, algorithm)
+            rng = np.random.default_rng(seed)
+            inputs["x0"] = np.where(rng.random((1, 2)) < 0.5, -0.0, 0.0)
+            if algorithm != "sgp":
+                anchors = rng.integers(-1, 2, (1, 2)).astype(float)
+                inputs["obj"] = absolute_deviation_objective(anchors)
+            got = run_optimizer(**inputs)
+            with patched(optim, run_dynamics=reference_dynamics):
+                want = run_optimizer(**inputs)
+            for name in ("xs", "ys", "gs"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.tobytes() == b.tobytes(), (seed, algorithm, name)
 
 
 @PROPERTY

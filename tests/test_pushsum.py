@@ -154,6 +154,27 @@ class TestPhiProduct:
         assert found.limit[(t, tau)] == float(np.max(np.abs(phi_s - limit)))
         assert found.limit[(t, tau)] != float(np.max(np.abs(earliest_left - limit)))
 
+    def test_skips_only_the_steps_that_repeat_a_fixed_point(self):
+        """The chain skips the steps that repeat one which left it
+        unchanged, and no more: W = I at every step, and a 1-ulp rise of
+        y_1(3) makes S(2) = diag(1, 1/u) the one step that moves the chain,
+        between runs of S = I. Every value equals the explicit product's."""
+        n, steps = 2, 6
+        ys = np.ones((steps + 1, n))
+        ys[3:, 1] = np.nextafter(1.0, 2.0)
+        mixing = MixingSequence(np.zeros(steps, dtype=np.intp), np.eye(n)[np.newaxis])
+        tr = Trace("pushsum", 0, ys[:, :, np.newaxis], ys, mixing, float(n))
+        times = range(steps + 1)
+        found = scan_induced(tr, ratio_at=times, limit_at=times)
+        phi_s = np.eye(n)
+        for t in times:
+            if t:
+                phi_s = tr.s_mat(t - 1) @ phi_s
+            assert found.limit[(t, 0)] == float(np.max(np.abs(phi_s - ys[0] / tr.kappa)))
+            ratio = phi_s * ys[t][:, np.newaxis] - np.eye(n) * ys[0]  # Phi_W = I
+            assert found.ratio[(t, 0)].value == float(np.max(np.abs(ratio)))
+        assert phi_s[1, 1] != 1.0
+
     def test_rejects_reversed_interval(self):
         tr = self.weighted_trace()
         for at in ({"ratio_at": [2]}, {"limit_at": [2]}):
