@@ -473,16 +473,24 @@ class RateFit:
     n_filtered: int
 
 
-def _linfit(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float]:
-    slope, intercept = np.polyfit(xs, ys, 1)
-    pred = slope * xs + intercept
-    ss_res = float(np.sum((ys - pred) ** 2))
-    ss_tot = float(np.sum((ys - ys.mean()) ** 2))
+def _linfit(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:
+    """The slope, intercept and r2 of the least-squares line through
+    (xs, ys), in closed form from numpy's own reductions: no LAPACK call,
+    so no BLAS kernel choice moves its bits. Equal ys fit exactly, as a
+    flat line."""
+    if np.all(ys == ys[0]):
+        return 0.0, float(ys[0]), 1.0
+    x_mean, y_mean = xs.mean(), ys.mean()
+    dx, dy = xs - x_mean, ys - y_mean
+    slope = np.sum(dx * dy) / np.sum(dx * dx)
+    intercept = y_mean - slope * x_mean
+    ss_res = float(np.sum((ys - (slope * xs + intercept)) ** 2))
+    ss_tot = float(np.sum(dy * dy))
     if ss_tot <= 1e-300:
         r2 = 1.0 if ss_res <= 1e-24 else 0.0
     else:
         r2 = 1.0 - ss_res / ss_tot
-    return float(slope), r2
+    return float(slope), float(intercept), r2
 
 
 def fit_rate(
@@ -525,8 +533,8 @@ def fit_rate(
     if np.all(t == t[0]):
         raise ValueError(f"rate fit needs at least two distinct times, got only t={t[0]:g}")
     log_v = np.log(v)
-    power_slope, power_r2 = _linfit(np.log(t), log_v)
-    geo_slope, geo_r2 = _linfit(t, log_v)
+    power_slope, _, power_r2 = _linfit(np.log(t), log_v)
+    geo_slope, _, geo_r2 = _linfit(t, log_v)
     return RateFit(
         power_slope=power_slope,
         power_r2=power_r2,

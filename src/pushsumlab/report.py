@@ -40,7 +40,7 @@ SCHEMA_LINE = "# schema=1"
 
 # Tables are formatted in blocks of at most this many lines, so the
 # per-column lists of Python numbers and the block's text stay small.
-BLOCK_ROWS = 4096
+BLOCK_ROWS = 1024
 
 
 def csv_blocks(columns: Sequence[Any]) -> Iterator[list[str]]:

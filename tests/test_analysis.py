@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from pushsumlab.analysis import (
     sgp_constants,
     verify_descent_recursion,
 )
-from pushsumlab.analysis import _largest_row_norm, _varying_bound_series
+from pushsumlab.analysis import _largest_row_norm, _linfit, _varying_bound_series
 from pushsumlab.graphs import generate_sequence
 from pushsumlab.optim import (
     GradientOracle,
@@ -606,6 +607,69 @@ class TestRateFit:
         # only the tail's times count
         with pytest.raises(ValueError, match="two distinct times"):
             fit_rate([1.0, 0.5, 0.25, 0.2], times=[1, 2, 3, 3], tail_fraction=0.5, min_points=2)
+
+
+def exact_line(xs, ys):
+    """The least-squares slope and intercept in exact rational arithmetic."""
+    x, y = [Fraction(float(v)) for v in xs], [Fraction(float(v)) for v in ys]
+    x_mean, y_mean = sum(x) / len(x), sum(y) / len(y)
+    sxy = sum((a - x_mean) * (b - y_mean) for a, b in zip(x, y))
+    sxx = sum((a - x_mean) ** 2 for a in x)
+    slope = sxy / sxx
+    return slope, y_mean - slope * x_mean
+
+
+def line_cases():
+    """(xs, ys) pairs: random points, and points within 1e-9 of a line,
+    over the x ranges fit_rate sees (log t and t)."""
+    rng = np.random.default_rng(3)
+    cases = []
+    for xs in (np.log(np.arange(50.0, 101.0)), np.arange(500.0, 1001.0), rng.uniform(-3.0, 7.0, 200)):
+        cases.append((xs, rng.standard_normal(len(xs)) + 0.5 * xs + 2.0))
+        cases.append((xs, 1.5 - 0.7 * xs + 1e-9 * rng.standard_normal(len(xs))))
+    return cases
+
+
+class TestClosedFormFit:
+    @pytest.mark.parametrize("case", range(6))
+    def test_matches_exact_arithmetic(self, case):
+        xs, ys = line_cases()[case]
+        slope, intercept, _ = _linfit(xs, ys)
+        exact_slope, exact_intercept = exact_line(xs, ys)
+        assert slope == pytest.approx(float(exact_slope), rel=1e-12, abs=0.0)
+        assert intercept == pytest.approx(float(exact_intercept), rel=1e-12, abs=0.0)
+
+    def test_power_law_recovered_exactly(self):
+        t = np.arange(1.0, 401.0)
+        fit = fit_rate(7.0 * t**-0.5, times=t)
+        assert fit.power_slope == pytest.approx(-0.5, rel=1e-12, abs=0.0)
+        assert fit.power_r2 == pytest.approx(1.0, rel=1e-12)
+
+    def test_geometric_recovered_exactly(self):
+        t = np.arange(1.0, 301.0)
+        fit = fit_rate(4.0 * 0.9**t, times=t)
+        assert fit.geo_rate == pytest.approx(0.9, rel=1e-12, abs=0.0)
+        assert fit.geo_r2 == pytest.approx(1.0, rel=1e-12)
+
+    def test_no_least_squares_library_call(self, monkeypatch):
+        t = np.arange(1.0, 201.0)
+        values = 3.0 * t**-0.7 * (1.0 + 0.1 * np.sin(t))
+        want = fit_rate(values, times=t)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the rate fit called a least-squares routine")
+
+        monkeypatch.setattr(np, "polyfit", refuse)
+        monkeypatch.setattr(np.linalg, "lstsq", refuse)
+        assert fit_rate(values, times=t) == want
+
+    @pytest.mark.parametrize("length", [20, 201, 1000])
+    @pytest.mark.parametrize("value", [4.440892098500626e-16, 1.0, 3e7])
+    def test_constant_series_fits_flat(self, length, value):
+        # a flat tail whose rounded mean differs from its values is still flat
+        fit = fit_rate(np.full(length, value), times=np.arange(1.0, length + 1.0), tail_fraction=1.0)
+        assert (fit.power_slope, fit.geo_rate) == (0.0, 1.0)
+        assert (fit.power_r2, fit.geo_r2) == (1.0, 1.0)
 
 
 class TestDescentRecursionCheck:

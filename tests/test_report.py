@@ -4,8 +4,12 @@ import os
 import tracemalloc
 
 import numpy as np
+import pytest
 
+from pushsumlab import report
 from pushsumlab.analysis import compute_metrics
+from pushsumlab.cli import _metrics, execute_run
+from pushsumlab.config import load_config
 from pushsumlab.graphs import generate_sequence
 from pushsumlab.pushsum import run_pushsum
 from pushsumlab.report import (
@@ -14,6 +18,7 @@ from pushsumlab.report import (
     read_csv_columns,
     trace_csv_text,
     write_metrics_csv,
+    write_s_matrices_csv,
     write_summary_json,
     write_trace_csv,
 )
@@ -85,6 +90,44 @@ class TestTraceCsv:
         cols = read_csv_columns(str(path))
         assert np.array_equal(cols["z_0"][:2], [0.0, 2.0])
         assert np.array_equal(cols["agent"][:2], [0.0, 1.0])
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+@pytest.fixture(scope="module")
+def block_size_runs():
+    """sgp_quadratic (20,002 trace lines, a multiple of none of the block
+    sizes below) and the random_n200 golden config (n = 200, so a
+    1024-line block holds 5 steps). The n = 200 S table is written from
+    the first 12 steps: at 1-line blocks its full 23 MB take seconds."""
+    sgp = execute_run(load_config(os.path.join(ROOT, "configs", "sgp_quadratic.json")))
+    cfg = load_config(os.path.join(ROOT, "tests", "golden_configs", "random_n200.json"))
+    wide = execute_run(cfg)
+    return {
+        "sgp_quadratic": (sgp.trace, _metrics(sgp), sgp.trace),
+        "random_n200": (wide.trace, _metrics(wide), execute_run(cfg.with_horizon(12)).trace),
+    }
+
+
+class TestBlockSize:
+    @pytest.mark.parametrize("case", ["sgp_quadratic", "random_n200"])
+    def test_bytes_do_not_depend_on_block_rows(self, case, block_size_runs, tmp_path, monkeypatch):
+        trace, metrics, s_trace = block_size_runs[case]
+        written = set()
+        for rows in (1, 7, 1024, 4096):
+            monkeypatch.setattr(report, "BLOCK_ROWS", rows)
+            out = tmp_path / str(rows)
+            out.mkdir()
+            shas = (
+                write_trace_csv(str(out / "trace.csv"), trace),
+                write_metrics_csv(str(out / "metrics.csv"), metrics),
+            )
+            write_s_matrices_csv(str(out / "s_matrices.csv"), s_trace)
+            files = tuple(sha256_of(out / name) for name in ("trace.csv", "metrics.csv", "s_matrices.csv"))
+            assert shas == files[:2]
+            written.add(files)
+        assert len(written) == 1
 
 
 class TestMetricsCsv:
