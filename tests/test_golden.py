@@ -194,8 +194,8 @@ if __name__ == "__main__":
         )
 
         def field_changes(case, name):
-            old_path = os.path.join(old_dir.get(case, ""), name)
-            if not os.path.exists(old_path):
+            old_path = os.path.join(old_dir[case], name) if case in old_dir else None
+            if old_path is None or not os.path.exists(old_path):
                 return ["    (the recording build's file could not be made)"]
             with open(old_path, "rb") as fh:
                 data = fh.read()
