@@ -42,6 +42,7 @@ from .optim import replica_group_size, run_optimizer
 from .pushsum import (
     DegenerateStateError,
     Finding,
+    Replicas,
     TheoreticalConstants,
     Trace,
     locate,
@@ -76,7 +77,7 @@ TOL_Y_ONE = 1e-14
 class RunArtifacts:
     cfg: ExperimentConfig
     seq: GraphSequence
-    trace: Trace
+    trace: Trace | Replicas  # Replicas when run for a group of seed configs
 
     @cached_property
     def constants(self) -> TheoreticalConstants | None:
@@ -90,8 +91,18 @@ def _load(args: argparse.Namespace) -> ExperimentConfig:
     return cfg if args.seed is None else cfg.with_seed(args.seed)
 
 
-def execute_run(cfg: ExperimentConfig, seq: GraphSequence | None = None) -> RunArtifacts:
-    """Build everything a config describes (or reuse its graphs ``seq``) and run it once."""
+def execute_run(
+    cfg: ExperimentConfig,
+    seq: GraphSequence | None = None,
+    replicas: list[ExperimentConfig] | None = None,
+) -> RunArtifacts:
+    """Build everything a config describes (or reuse its graphs ``seq``) and
+    run it once. An optimizer given the seed configs ``replicas`` of cfg
+    runs their signals and oracles as replicas of one loop, and the trace
+    is their :class:`Replicas`."""
+    sigma, oracle = cfg.sigma, cfg.oracle
+    if replicas is not None:
+        sigma, oracle = [c.sigma for c in replicas], [c.oracle for c in replicas]
     with config_values():
         if seq is None:
             seq = build_graph_sequence(cfg)
@@ -109,8 +120,8 @@ def execute_run(cfg: ExperimentConfig, seq: GraphSequence | None = None) -> RunA
                 weights=weights,
                 x0=cfg.x0,
                 y0=cfg.c,
-                sigma=cfg.sigma,
-                oracle=cfg.oracle,
+                sigma=sigma,
+                oracle=oracle,
                 horizon=cfg.horizon,
             )
     return RunArtifacts(cfg=cfg, seq=seq, trace=trace)
@@ -375,7 +386,7 @@ def _run_seeds(
 
     Only the switching signal and the oracle follow the run seed, so an
     optimizer's seeds run as replicas of one dynamics loop, a group of
-    ``replica_group_size`` at a time, on one set of weights and one
+    ``replica_group_size`` at a time (one ``execute_run`` each), on one
     optimum. A pure mixing run does not depend on the seed: it runs once.
     """
     cfgs = [cfg.with_seed(s) for s in seeds]  # every seed is checked first
@@ -383,32 +394,13 @@ def _run_seeds(
         trace = execute_run(cfg, seq).trace
         return trace.times(), [_seed_sweep_series(trace, None)] * len(seeds)
     z_star, _ = cfg.objective.optimum()
-    with config_values():
-        weights = build_weights(cfg)
-
-    # one call per group, so a group's stacked arrays are freed before the next runs
-    def group_series(group: list[ExperimentConfig]) -> tuple[np.ndarray, list[np.ndarray]]:
-        with config_values():
-            runs = run_optimizer(
-                cfg.algorithm,
-                seq,
-                cfg.objective,
-                cfg.schedule,
-                weights=weights,
-                x0=cfg.x0,
-                y0=cfg.c,
-                sigma=[c.sigma for c in group],
-                oracle=[c.oracle for c in group],
-                horizon=cfg.horizon,
-            )
-        return runs[0].times(), [_seed_sweep_series(trace, z_star) for trace in runs]
-
     size = replica_group_size(cfg.n, cfg.objective.d, cfg.horizon)
     series = []
     for k in range(0, len(cfgs), size):
-        times, found = group_series(cfgs[k : k + size])
-        series += found
-    return times, series
+        # one run per group, so a group's stacked arrays are freed before the next runs
+        runs = execute_run(cfg, seq, cfgs[k : k + size]).trace
+        series += [_seed_sweep_series(trace, z_star) for trace in runs]
+    return runs[0].times(), series
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

@@ -481,7 +481,6 @@ def table_signal(table: np.ndarray) -> SwitchingSignal:
 
 
 _RABS_MASK = (1 << 52) - 1
-_NOISE_BLOCK = 1024  # steps of noise rows run_optimizer holds at a time
 
 # A seeds sweep runs its seeds as replicas of one dynamics loop, in groups
 # whose stacked per-step arrays stay under this many bytes
@@ -722,21 +721,19 @@ def run_optimizer(
     # the gradient of every kind is elementwise in the residuals, so one
     # call serves the ratios of all replicas
     anchors, kernel = obj.anchors, obj._gradient_kernel(obj.scales[:, np.newaxis])
+    noise = None
     if oracles[0] is None:
-        def gradient(t: int, z: np.ndarray, out: np.ndarray) -> None:
+        def gradient(z: np.ndarray, out: np.ndarray) -> None:
             kernel(np.subtract(z, anchors, out=z), out=out)
     else:
-        start, noise = t0, ()
+        def noise(t: int, out: np.ndarray) -> None:
+            # each replica's noise rows of the steps from t, into (steps, S, n, d)
+            for r, o in enumerate(oracles):
+                out[:, r] = o.noise_table(t, len(out), obj.d)
 
-        def gradient(t: int, z: np.ndarray, out: np.ndarray) -> None:
-            nonlocal start, noise
-            kernel(np.subtract(z, anchors, out=z), out=out)
-            if not 0 <= t - start < len(noise):
-                # the replicas' noise rows of a block of steps from t, stacked
-                start, steps = t, min(_NOISE_BLOCK, t0 + horizon - t)
-                rows = [o.noise_table(t, steps, obj.d) for o in oracles]
-                noise = np.stack(rows, axis=1).reshape(steps, *out.shape)
-            out += noise[t - start]
+        def gradient(z: np.ndarray, out: np.ndarray) -> None:
+            # kernel + noise: the same sum as noise + kernel, bit for bit
+            out += kernel(np.subtract(z, anchors, out=z), out=z)
 
     run = run_dynamics(
         algorithm,
@@ -747,6 +744,7 @@ def run_optimizer(
         gradient,
         schedule.alphas(t0, horizon),
         _stacked_rows(signals, t0, horizon, n),
+        noise,
     )
     return run if batched else run[0]
 
@@ -765,4 +763,7 @@ def _stacked_rows(signals: list[SwitchingSignal], t0: int, steps: int, n: int) -
     first = signals[0]
     if all(s is first for s in signals):
         return np.broadcast_to(first.rows(t0, steps, n)[:, np.newaxis], (steps, len(signals), n))
-    return np.stack([s.rows(t0, steps, n) for s in signals], axis=1)
+    out = np.empty((steps, len(signals), n))
+    for r, s in enumerate(signals):  # one signal's rows at a time
+        out[:, r] = s.rows(t0, steps, n)
+    return out

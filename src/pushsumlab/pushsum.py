@@ -165,8 +165,9 @@ def theoretical_constants(n: int, window: int) -> TheoreticalConstants:
 
 
 # Steps are walked in chunks sized so that one dense (steps, n, n) float
-# block stays under this many bytes. run and verify hold a few such
-# blocks at a time, never one matrix per step of the whole horizon.
+# block, with the dynamics loop's own tables of those steps, stays under
+# this many bytes. run and verify hold a few such blocks at a time, never
+# one matrix per step of the whole horizon.
 CHUNK_BYTES = 2**19
 
 
@@ -208,13 +209,14 @@ class MixingSequence:
         m.setflags(write=False)
         return m
 
-    def chunks(self):
+    def chunks(self, step_bytes: int = 0):
         """(k0, mats, local) for consecutive chunks of steps, as many as
-        fit in ``CHUNK_BYTES`` of n x n floats (at least one): step
+        fit in ``CHUNK_BYTES`` (at least one), counting each step's n x n
+        floats and the ``step_bytes`` of the caller's own tables: step
         k0 + j applies mats[local[j]]. A chunk holds only the matrices its
         steps use, and reuses the previous chunk's when they are the same
         (a static graph's equal-split matrix is built once)."""
-        size = max(1, CHUNK_BYTES // (8 * self.n * self.n))
+        size = max(1, CHUNK_BYTES // (8 * self.n * self.n + step_bytes))
         used = mats = None
         for k0 in range(0, len(self.ids), size):
             previous = used
@@ -639,11 +641,6 @@ class Replicas(_Record):
         return (self[r] for r in range(len(self)))
 
 
-# The step coefficients alpha sigma and alpha (1 - sigma) are built for
-# blocks of at most this many bytes per table.
-COEFFICIENT_BYTES = 2**14
-
-
 def run_dynamics(
     algorithm: str,
     mixing: MixingSequence,
@@ -653,18 +650,23 @@ def run_dynamics(
     gradient: Callable[..., None] | None = None,
     alphas: np.ndarray | None = None,
     sigmas: np.ndarray | None = None,
+    noise: Callable[[int, np.ndarray], None] | None = None,
 ) -> Replicas:
     """The loop shared by every algorithm, one step per matrix of
     ``mixing``, walked chunk by chunk, for S replicas at once: x (S, n, d)
     holds each replica's valid rows and y (n,) the valid masses.
 
     A step is y <- W y and, without ``gradient``, push-sum's x <- W x.
-    With one, step k (time t = t0 + k) calls ``gradient(t, z, out=g)``,
-    which writes the rows at the ratios z = x / y (which it may
-    overwrite) into the recorded g, then applies x <- W (x - g a_in) -
-    g a_out for the (S, n) switching rows sigma = sigmas[k], with
-    a_in = alphas[k] sigma and a_out = alphas[k] (1 - sigma) from tables
-    of at most ``COEFFICIENT_BYTES`` built a block of steps at a time.
+    With one, step k calls ``gradient(z, out=g)``, which writes the rows
+    at the ratios z = x / y (which it may overwrite) into the recorded g,
+    or adds them to the noise rows there: ``noise(t, out)``, when given,
+    writes the rows of the chunk's steps from time t = t0 + k0 into its
+    slice of the record before the chunk's first step. The step then
+    applies x <- W (x - g a_in) - g a_out for the (S, n) switching rows
+    sigma = sigmas[k], with a_in = alphas[k] sigma and
+    a_out = alphas[k] (1 - sigma) from tables built for each chunk. A
+    chunk holds as many steps as fit ``CHUNK_BYTES`` with those two
+    tables and one replica's noise rows counted in.
     Since sigma is 0 or 1, g a_in and g a_out equal (alphas[k] g) sigma
     and (alphas[k] g) (1 - sigma) bit for bit, signed zeros included;
     where alphas[k] g overflows, both forms leave x non-finite at that
@@ -684,13 +686,13 @@ def run_dynamics(
     the (S, n, d) stack: both give each replica the bits of its own
     w @ x. Every product is written in place into the recorded states or
     a step buffer, and a chunk's steps are walked by zipping its slices
-    of those records. A walk v <- W v (y, and x without ``gradient``)
-    over a chunk of two or more steps that all apply one matrix stops at
-    its fixed point: once a step leaves v unchanged byte for byte, every
-    later step would too, since a product's bytes depend only on its
-    operands' values, and the rest of the chunk is filled with one slice
-    assignment. Each chunk runs with floating-point warnings off, then
-    ``_check_state`` checks it once.
+    of those records and its tables. A walk v <- W v (y, and x without
+    ``gradient``) over a chunk of two or more steps that all apply one
+    matrix stops at its fixed point: once a step leaves v unchanged byte
+    for byte, every later step would too, since a product's bytes depend
+    only on its operands' values, and the rest of the chunk is filled
+    with one slice assignment. Each chunk runs with floating-point
+    warnings off, then ``_check_state`` checks it once.
     """
     horizon, (replicas, n, d) = len(mixing), x.shape
     xs = np.empty((horizon + 1, replicas, n, d))
@@ -716,56 +718,52 @@ def run_dynamics(
             for m, now, after in zip(map(w.__getitem__, ids), v[k0:k1], v[k0 + 1 : k1 + 1]):
                 product(m, now, out=after)
 
-    gs = None
+    gs, step_bytes = None, 0
     if gradient is not None:
         gs = np.empty((horizon, replicas, n, d))
         g_rows = gs[:, 0] if one else gs
         z, step = np.empty((2, *rows.shape[1:]))
-
-        def switched():
-            # (a_in, a_out) of every step, from two tables refilled in place:
-            # the rows of a block are used up before the next block is built
-            size = max(1, COEFFICIENT_BYTES // (8 * replicas * n))
-            a_in, a_out = np.empty((2, min(size, horizon), replicas, n, 1))
-            b_in, b_out = (a_in[:, 0], a_out[:, 0]) if one else (a_in, a_out)
-            for k in range(0, horizon, size):
-                c = min(size, horizon - k)
-                alpha = alphas[k : k + c, np.newaxis, np.newaxis, np.newaxis]
-                sigma = sigmas[k : k + c, :, :, np.newaxis]
-                np.multiply(alpha, sigma, out=a_in[:c])
-                np.subtract(1.0, sigma, out=a_out[:c])
-                a_out[:c] *= alpha
-                yield from zip(b_in[:c], b_out[:c])
-
-        if not any(sigmas.strides) and sigmas.flat[0] in (0.0, 1.0):
-            # one sigma for all: alpha, and the zero coefficient as None
-            constant = repeat(None)
-            coefficients = zip(alphas, constant) if sigmas.flat[0] else zip(constant, alphas)
-        else:
-            coefficients = switched()
+        # one 0/1 sigma for all: alpha is the nonzero coefficient, None the zero one
+        constant = not any(sigmas.strides) and sigmas.flat[0] in (0.0, 1.0)
+        step_bytes = 8 * (0 if constant else 2 * replicas * n) + (0 if noise is None else 8 * n * d)
     with np.errstate(all="ignore"):
-        for k0, mats, local in mixing.chunks():
+        for k0, mats, local in mixing.chunks(step_bytes):
             k1 = k0 + len(local)
             ids, w = local.tolist(), list(mats)  # a list reads faster than the array
             walk(ys, np.dot, w, ids, k0, k1)
             if gradient is None:
                 walk(rows, mix, w, ids, k0, k1)
             else:
-                for t, m, x, after, g, y_k, (a_in, a_out) in zip(
-                    range(t0 + k0, t0 + k1),
+                alpha = alphas[k0:k1]
+                if constant:
+                    a_in, a_out = (alpha, repeat(None)) if sigmas.flat[0] else (repeat(None), alpha)
+                else:
+                    if k0 == 0:  # the first chunk is the longest: the later ones refill its tables
+                        tables = np.empty((2, k1, replicas, n, 1))
+                    a_in, a_out = tables[:, : k1 - k0]
+                    alpha = alpha[:, np.newaxis, np.newaxis, np.newaxis]
+                    sigma = sigmas[k0:k1, :, :, np.newaxis]
+                    np.multiply(alpha, sigma, out=a_in)
+                    np.multiply(np.subtract(1.0, sigma, out=a_out), alpha, out=a_out)
+                    if one:
+                        a_in, a_out = a_in[:, 0], a_out[:, 0]
+                if noise is not None:
+                    noise(t0 + k0, gs[k0:k1])
+                for m, x, after, g, y_k, c_in, c_out in zip(
                     map(w.__getitem__, ids),
                     rows[k0:k1],
                     rows[k0 + 1 : k1 + 1],
                     g_rows[k0:k1],
                     y_rows[k0:k1],
-                    coefficients,  # last: zip stops at the chunk's end before reading it
+                    a_in,
+                    a_out,
                 ):
-                    gradient(t, np.divide(x, y_k, out=z), out=g)
-                    if a_in is not None:
-                        x = np.subtract(x, np.multiply(g, a_in, out=step), out=step)
+                    gradient(np.divide(x, y_k, out=z), out=g)
+                    if c_in is not None:
+                        x = np.subtract(x, np.multiply(g, c_in, out=step), out=step)
                     mix(m, x, out=after)
-                    if a_out is not None:
-                        after -= np.multiply(g, a_out, out=step)
+                    if c_out is not None:
+                        after -= np.multiply(g, c_out, out=step)
             _check_state(xs, ys, k0, k1)
     return Replicas(
         algorithm=algorithm,

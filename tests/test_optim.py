@@ -617,6 +617,26 @@ class TestRunner:
         assert np.array_equal(a.xs, b.xs)
         assert not np.array_equal(a.sigmas, c.sigmas)
 
+    def test_step_tables_count_in_the_chunk_budget(self):
+        """64 Bernoulli replicas at n = 3: one step's matrix is 72 bytes,
+        but its coefficient tables a_in and a_out take 3 KB, so a chunk
+        sized by its matrices alone would hold all 2000 steps and about
+        6 MB of tables. The loop holds about ``CHUNK_BYTES`` beyond the
+        records it returns."""
+        seq = generate_sequence("static-complete", n=3, horizon=2000)
+        obj = quadratic_objective([[0.0], [1.0], [2.0]])
+        signals = [bernoulli_signal(0.5, seed=s) for s in range(64)]
+        args = ("heterogeneous", seq, obj, constant_step(0.1))
+        run_optimizer(*args, x0=np.zeros((3, 1)), sigma=signals[:2], horizon=2)  # lazy imports
+        tracemalloc.start()
+        try:
+            run = run_optimizer(*args, x0=np.zeros((3, 1)), sigma=signals)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        records = sum(a.nbytes for a in (run.xs, run.ys, run.gs, run.sigmas, run.alphas))
+        assert peak - records < 1.5 * pushsum.CHUNK_BYTES, (peak, records)
+
 
 class TestDescentRecursion:
     # the weighted mean moves exactly by the mean applied gradient,

@@ -142,9 +142,10 @@ def patched(module, **values):
             setattr(module, name, value)
 
 
-def chunks_of(steps: int, n: int):
-    """Size every chunk to ``steps`` steps of n x n matrices."""
-    return patched(pushsum, CHUNK_BYTES=steps * 8 * n * n)
+def chunks_of(steps: int, n: int, step_bytes: int = 0):
+    """Size every chunk to ``steps`` steps of n x n matrices and
+    ``step_bytes`` of the loop's own tables."""
+    return patched(pushsum, CHUNK_BYTES=steps * (8 * n * n + step_bytes))
 
 
 def chains_of(trace):
@@ -424,18 +425,23 @@ def test_replicas_equal_single_runs(sc, replicas, sgp_d):
                 assert got.shape == want.shape and got.tobytes() == want.tobytes(), (algorithm, name)
 
 
-def reference_dynamics(algorithm, mixing, x, y, t0=0, gradient=None, alphas=None, sigmas=None):
+def reference_dynamics(
+    algorithm, mixing, x, y, t0=0, gradient=None, alphas=None, sigmas=None, noise=None
+):
     """The dynamics loop in the update formula's own order, one step at a
     time with no chunks: s = alpha g, then x <- W (x - s sigma) - s (1 - sigma)
     and y <- W y, each product a fresh array; y is a (1, n, 1) stack. The
-    gradient closure writes into a fresh g and gets the ratios x / y as a
-    scratch array of their own, which it may overwrite."""
+    gradient closure writes into a fresh g (that holds the step's noise
+    rows, one step at a time, when a noise hook is given) and gets the
+    ratios x / y as a scratch array of their own, which it may overwrite."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)[np.newaxis, :, np.newaxis]
     xs, ys, gs = [x], [y], []
     for k in range(len(mixing)):
         w = mixing[k]
         g = np.full_like(x, np.nan)
-        gradient(t0 + k, x / y, out=g)
+        if noise is not None:
+            noise(t0 + k, g[np.newaxis])
+        gradient(x / y, out=g)
         s = alphas[k] * g
         sigma = sigmas[k][:, :, np.newaxis]
         x = w @ (x - s * sigma) - s * (1.0 - sigma)
@@ -457,17 +463,18 @@ def reference_dynamics(algorithm, mixing, x, y, t0=0, gradient=None, alphas=None
     st.booleans(),
     st.sampled_from(["table", "alternating"]),
     st.integers(1, 3),
-    st.integers(1, 3),
 )
-@example(Scenario(3, 9, 1, 2, 0.3, True, True, 7), 2, 4, True, "table", 3, 2)
-def test_step_order_matches_the_reference_loop(sc, replicas, sgp_d, zeros, signal, chunk, block):
-    """The loop's step coefficients alpha sigma and alpha (1 - sigma), built
-    a block of steps at a time, its gradient rows written in place and its
-    in-place products give the bits of the formula's own order for every
-    algorithm: from zero states under
+@example(Scenario(3, 9, 1, 2, 0.3, True, True, 7), 2, 4, True, "table", 3)
+def test_step_order_matches_the_reference_loop(sc, replicas, sgp_d, zeros, signal, chunk):
+    """The loop's step coefficients alpha sigma and alpha (1 - sigma) and
+    its noise rows, built a chunk of steps at a time, its gradient rows
+    written in place and its in-place products give the bits of the
+    formula's own order for every algorithm: from zero states under
     abs, where sign(0) = 0 makes signed zeros, with a switching table per
-    replica or the alternating signal, and with chunks and coefficient
-    blocks of 1 to 3 steps whose edges fall apart."""
+    replica or the alternating signal, and with chunks of 1 to 3 steps
+    whose edges fall apart: the two coefficient rows of every replica
+    a step for the heterogeneous method, one replica's noise rows for
+    sgp."""
     for algorithm in ALGORITHMS:
         inputs = optimizer_inputs(replace(sc, d=sgp_d) if algorithm == "sgp" else sc, algorithm)
         seeds = range(sc.seed, sc.seed + replicas)
@@ -487,13 +494,39 @@ def test_step_order_matches_the_reference_loop(sc, replicas, sgp_d, zeros, signa
         if algorithm == "sgp":
             oracles = [GradientOracle(inputs["oracle"].noise_bounds, seed=s) for s in seeds]
         inputs = {**inputs, "sigma": sigmas, "oracle": oracles}
-        with chunks_of(chunk, sc.n), patched(pushsum, COEFFICIENT_BYTES=8 * replicas * sc.n * block):
+        tables = {"heterogeneous": 16 * replicas * sc.n, "sgp": 8 * sc.n * sgp_d}
+        with chunks_of(chunk, sc.n, tables.get(algorithm, 0)):
             got = run_optimizer(**inputs)
         with patched(optim, run_dynamics=reference_dynamics):
             want = run_optimizer(**inputs)
         for name in ("xs", "ys", "gs", "sigmas", "alphas"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), (algorithm, name)
+
+
+@pytest.mark.parametrize("replicas", [1, 2])
+def test_broadcast_half_sigma_takes_the_table_path(replicas):
+    """A broadcast sigma of 0.5 for every agent and step is no constant
+    signal: only a broadcast 0 or 1 skips the coefficient tables, so
+    this one runs a_in = a_out = alpha / 2 and gives the reference loop's
+    bytes, not those of sigma = 1."""
+    n, d, steps = 4, 2, 9
+    seq = generate_sequence("random-spanning", n=n, horizon=steps, seed=3, params={"window": 2})
+    mixing = pushsum.resolve_weight_sequence(seq, "default", steps)
+    rng = np.random.default_rng(5)
+    x, anchors = rng.standard_normal((replicas, n, d)), rng.standard_normal((n, d))
+    y = rng.uniform(0.5, 2.0, n)
+
+    def gradient(z, out):
+        np.subtract(z, anchors, out=out)
+
+    args = ("heterogeneous", mixing, x, y, 0, gradient, np.full(steps, 0.3))
+    half = np.broadcast_to(0.5, (steps, replicas, n))
+    got = pushsum.run_dynamics(*args, half)
+    want = reference_dynamics(*args, half)
+    for name in ("xs", "ys", "gs"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert got.xs.tobytes() != pushsum.run_dynamics(*args, np.broadcast_to(1.0, half.shape)).xs.tobytes()
 
 
 @pytest.mark.parametrize("graph", ["static-complete", "random-spanning"])

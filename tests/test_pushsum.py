@@ -175,6 +175,32 @@ class TestPhiProduct:
             assert found.ratio[(t, 0)].value == float(np.max(np.abs(ratio)))
         assert phi_s[1, 1] != 1.0
 
+    def test_no_skip_while_phi_w_still_moves(self):
+        """On a static graph with custom weights, y is fixed after a few
+        steps, and step 25 leaves Phi_S unchanged byte for byte while W^t,
+        the chain Phi_W, moves at every step. The repeats after step 25
+        must not be skipped: the ratio at t = 27, inside that run, reads
+        the W^27 of the explicit product, not W^26."""
+        w = np.array([[0.5, 0.4, 0.3], [0.4, 0.3, 0.5], [0.1, 0.3, 0.2]])
+        seq = generate_sequence("static-complete", n=3, horizon=40)
+        tr = run_pushsum(seq, WeightMatrix(w, 0.1), np.arange(3.0), 40)
+        t = 27
+        phi_s, phi_w = [np.eye(3)], [np.eye(3)]
+        for k in range(t):
+            phi_s.append(np.dot(tr.s_mat(k), phi_s[-1]))
+            phi_w.append(np.dot(w, phi_w[-1]))
+        assert tr.s_mat(25).tobytes() == tr.s_mat(26).tobytes()
+        assert phi_s[24].tobytes() != phi_s[25].tobytes() == phi_s[26].tobytes() == phi_s[t].tobytes()
+        assert all(a.tobytes() != b.tobytes() for a, b in zip(phi_w[25:], phi_w[26:]))
+
+        def ratio(phi_w_t):
+            dev = np.abs(phi_s[t] * tr.ys[t][:, np.newaxis] - phi_w_t * tr.ys[0])
+            return pushsum.locate(dev, range(3), ("row", "column"))
+
+        assert ratio(phi_w[26]) != ratio(phi_w[t])
+        found = scan_induced(tr, ratio_at=[t]).ratio[(t, 0)]
+        assert found == (ratio(phi_w[t]).value, {"t": t, "tau": 0, **ratio(phi_w[t]).where})
+
     def test_rejects_reversed_interval(self):
         tr = self.weighted_trace()
         for at in ({"ratio_at": [2]}, {"limit_at": [2]}):
